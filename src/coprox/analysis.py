@@ -13,14 +13,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cocycle import WindowCocycle, batch_log_singular, orbit_chi_vec, orbit_mu_vec
+from .cocycle import (WindowCocycle, WorkerPool, batch_log_singular, orbit_chi_vec,
+                      orbit_mu_vec, sweep_log_singular)
 from .errors import SynthesisFailed
 from .sft import (
     PeriodicWord,
     Symbols,
     count_words,
     enumerate_periodic,
-    enumerate_words,
     make_periodic,
     orbit_key,
     periodic_point,
@@ -60,8 +60,6 @@ def _sampled_words(A: WindowCocycle, n: int, count: int, seed: int) -> list[Symb
     out = []
     for _ in range(count):
         word = [int(rng.integers(s.alphabet_size))]
-        while not any(s.adjacency[word[0]]):  # unreachable: symbols bi-extendable
-            word = [int(rng.integers(s.alphabet_size))]
         for _ in range(n - 1):
             options = [c for c in range(s.alphabet_size) if s.allowed(word[-1], c)]
             word.append(int(options[rng.integers(len(options))]))
@@ -109,23 +107,27 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int], *,
 
     Exhaustive when the word count fits the budget, otherwise a
     seed-deterministic sample (seed then mandatory).  Words are evaluated
-    at canonical representative points.
+    at canonical representative points.  All exhaustive lengths come from
+    one level sweep (:func:`coprox.cocycle.sweep_log_singular`); with
+    workers > 1 the sweep and the sampled batches share at most one
+    worker pool.
     """
     if not 1 <= i <= A.dim - 1:
         raise ValueError("need 1 <= i <= d-1")
+    if len(n_list) == 0:
+        raise ValueError("n_list must be nonempty")
     base_symbol = _base_symbol(A)
-    minima = []
-    mode = "exhaustive"
-    for n in n_list:
-        if count_words(A.base, n) <= exhaustive_budget:
-            words = enumerate_words(A.base, n)
-        else:
-            if seed is None:
-                raise ValueError("sampled mode requires a seed")
-            mode = f"sampled({sample_count},{seed})"
-            words = _sampled_words(A, n, sample_count, seed + n)
-        logs = batch_log_singular(A, words, base_symbol, workers=workers)
-        minima.append(float(np.min(logs[:, i - 1] - logs[:, i])))
+    exhaustive = [n for n in n_list if count_words(A.base, n) <= exhaustive_budget]
+    sampled = [n for n in n_list if n not in exhaustive]
+    if sampled and seed is None:
+        raise ValueError("sampled mode requires a seed")
+    with WorkerPool(workers) as pool:
+        logs = sweep_log_singular(A, exhaustive, base_symbol, workers=pool)
+        for n in sampled:
+            logs[n] = batch_log_singular(A, _sampled_words(A, n, sample_count, seed + n),
+                                         base_symbol, workers=pool)
+    minima = [float(np.min(logs[n][:, i - 1] - logs[n][:, i])) for n in n_list]
+    mode = f"sampled({sample_count},{seed})" if sampled else "exhaustive"
     slope, intercept, r2, se = _fit_line(list(n_list), minima)
     return GapProfile(i, tuple(n_list), tuple(minima), mode, slope, intercept,
                       r2, se)
@@ -171,6 +173,8 @@ def theorem_b_check(A: WindowCocycle, cert, i: int, max_period: int,
     """
     if cert is not None and not cert.passed:
         raise ValueError("certificate does not pass")
+    if not 1 <= i <= A.dim - 1:
+        raise ValueError("need 1 <= i <= d-1")
     gap = np.inf
     argmin = ""
     for q, lyap in periodic_spectrum(A, max_period):

@@ -62,6 +62,18 @@ def write_csv(path: str, kind: str, header: list[str], rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _write_series(args, kind: str, payload: dict, csv_kind: str, header, rows) -> None:
+    """--out as the JSON report (or the CSV series with --format csv) and
+    --csv as the CSV series."""
+    if args.out:
+        if args.format == "csv":
+            write_csv(args.out, csv_kind, header, rows)
+        else:
+            write_json(args.out, kind, payload)
+    if args.csv:
+        write_csv(args.csv, csv_kind, header, rows)
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -75,9 +87,15 @@ def _word(text: str):
     return tuple(int(c) for c in text)
 
 
-def _find_pair(A, tol: float, cap: int, collections: str = "all"):
+def _bad_parameter(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def _find_pair(A, args):
     return typicality.find_typical_pair(
-        A, max_excursion_len=cap, tol=tol, exterior_collections=collections)
+        A, max_excursion_len=args.max_excursion, tol=args.tol,
+        exterior_collections=args.exterior_collections)
 
 
 def cmd_demo(args) -> int:
@@ -89,8 +107,7 @@ def cmd_demo(args) -> int:
 
 def cmd_check(args) -> int:
     A = load_cocycle(args.input)
-    found = _find_pair(A, args.tol, args.max_excursion,
-                       args.exterior_collections)
+    found = _find_pair(A, args)
     if found is None:
         if args.out:
             write_json(args.out, "certificate", {"passed": False, "pair": None})
@@ -108,8 +125,7 @@ def cmd_synthesize(args) -> int:
     if A.dim == 1:
         cert = None
     else:
-        found = _find_pair(A, args.tol, args.max_excursion,
-                       args.exterior_collections)
+        found = _find_pair(A, args)
         if found is None:
             print("no typical pair; cannot synthesize", file=sys.stderr)
             return 2
@@ -136,8 +152,7 @@ def cmd_verify_bound(args) -> int:
     A = load_cocycle(args.input)
     cert = None
     if A.dim > 1:
-        found = _find_pair(A, args.tol, args.max_excursion,
-                       args.exterior_collections)
+        found = _find_pair(A, args)
         if found is None:
             print("no typical pair", file=sys.stderr)
             return 2
@@ -151,14 +166,7 @@ def cmd_verify_bound(args) -> int:
     report = synthesis.verify_theorem_a(A, cert, words, args.tau, ell_cap=args.ell_cap)
     sample_rows = [(r.n, r.n_q, r.j, r.bound_value, r.ell_used)
                    for r in report.samples]
-    if args.out:
-        if args.format == "csv":
-            write_csv(args.out, "theorem-a",
-                      ["n", "n_q", "j", "bound_value", "ell_used"], sample_rows)
-        else:
-            write_json(args.out, "theorem-a", report.to_dict())
-    if args.csv:
-        write_csv(args.csv, "theorem-a",
+    _write_series(args, "theorem-a", report.to_dict(), "theorem-a",
                   ["n", "n_q", "j", "bound_value", "ell_used"], sample_rows)
     print(
         f"samples {len(report.samples)} ok, {len(report.failures)} failed; "
@@ -170,24 +178,20 @@ def cmd_verify_bound(args) -> int:
 
 def cmd_dominate(args) -> int:
     A = load_cocycle(args.input)
+    if args.n_min > args.n_max:
+        return _bad_parameter(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if args.index > A.dim - 1:
+        return _bad_parameter(f"--index must be at most d-1 = {A.dim - 1}, got {args.index}")
     cert = None
     if A.dim > 1:
-        found = _find_pair(A, args.tol, args.max_excursion,
-                       args.exterior_collections)
+        found = _find_pair(A, args)
         cert = found[2] if found else None
     n_list = list(range(args.n_min, args.n_max + 1))
     report = analysis.theorem_b_check(
         A, cert, args.index, args.max_period, n_list, workers=args.threads
     )
-    if args.out:
-        if args.format == "csv":
-            write_csv(args.out, "gap-profile", ["n", "min_gap"],
-                      report.profile.to_rows())
-        else:
-            write_json(args.out, "domination", report.to_dict())
-    if args.csv:
-        write_csv(args.csv, "gap-profile", ["n", "min_gap"],
-                  report.profile.to_rows())
+    _write_series(args, "domination", report.to_dict(), "gap-profile",
+                  ["n", "min_gap"], report.profile.to_rows())
     print(
         f"periodic gap = {report.periodic_gap:.6g} (orbit {report.min_gap_orbit}), "
         f"slope = {report.profile.slope:.6g}, R2 = {report.profile.r_squared:.6g}, "
@@ -213,17 +217,14 @@ def cmd_spectrum(args) -> int:
 
 def cmd_pressure(args) -> int:
     A = load_cocycle(args.input)
+    if args.n_min > args.n_max:
+        return _bad_parameter(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    if args.s < 0:
+        return _bad_parameter(f"--s must be >= 0, got {args.s}")
     n_list = list(range(args.n_min, args.n_max + 1))
     est = thermo.pressure(A, args.s, n_list, workers=args.threads)
-    if args.out:
-        if args.format == "csv":
-            write_csv(args.out, "pressure", ["n", "p_n"],
-                      list(zip(est.n_range, est.p_n)))
-        else:
-            write_json(args.out, "pressure", est.to_dict())
-    if args.csv:
-        write_csv(args.csv, "pressure", ["n", "p_n"],
-                  list(zip(est.n_range, est.p_n)))
+    _write_series(args, "pressure", est.to_dict(), "pressure",
+                  ["n", "p_n"], list(zip(est.n_range, est.p_n)))
     oracle = "" if est.oracle is None else f" (oracle {est.oracle:.10g})"
     print(f"P(s={args.s}) ~ {est.value:.10g}{oracle}")
     return 0
@@ -232,8 +233,7 @@ def cmd_pressure(args) -> int:
 def cmd_compare(args) -> int:
     A = load_cocycle(args.input)
     B = load_cocycle(args.input_b)
-    found = _find_pair(A, args.tol, args.max_excursion,
-                       args.exterior_collections)
+    found = _find_pair(A, args)
     if found is None:
         print("no typical pair for the first cocycle", file=sys.stderr)
         return 2

@@ -8,13 +8,20 @@ holonomies here are *exact* finite products.  Fiber-bunching is therefore
 not needed for existence and is only reported as a diagnostic.
 
 Also provides the time-reversed (inverse) cocycle over the transposed
-subshift, exterior-power cocycles, and a vectorized kernel for products
-over many cylinder words at canonical representative points.
+subshift, exterior-power cocycles, and the cylinder kernel: rescaled
+products over window-index arrays with per-window tables cached on the
+cocycle, run level by level over all admissible words by
+``sweep_log_singular`` and over given words by ``batch_log_singular``,
+with the same bytes per word and at most one worker pool per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import multiprocessing
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,6 +40,7 @@ from .sft import (
     Symbols,
     bracket,
     enumerate_words,
+    extend_words,
     in_local_stable,
     in_local_unstable,
     is_fixed_point,
@@ -52,6 +60,7 @@ class WindowCocycle:
     dim: int
     radius: int
     table: Mapping[Symbols, np.ndarray]
+    _exteriors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = set(enumerate_words(self.base, 2 * self.radius + 1))
@@ -80,6 +89,29 @@ class WindowCocycle:
         """Matrix applied at the j-th step along the orbit of x."""
         return self.table[self.window_at(x, j)]
 
+    @cached_property
+    def _rows(self) -> dict:
+        """Window -> row of the per-window stacks, lexicographic order."""
+        return {w: i for i, w in enumerate(sorted(self.table))}
+
+    @cached_property
+    def _lookup(self) -> np.ndarray:
+        """Base-q window code -> row, -1 for inadmissible codes."""
+        q, windows = self.base.alphabet_size, np.array(list(self._rows))
+        lookup = np.full(q ** windows.shape[1], -1, dtype=np.int64)
+        lookup[windows @ q ** np.arange(windows.shape[1])[::-1]] = np.arange(len(windows))
+        return lookup
+
+    @cached_property
+    def _logdets(self) -> np.ndarray:
+        return np.array([np.linalg.slogdet(self.table[w])[1] for w in self._rows])
+
+    @cached_property
+    def _rungs(self) -> tuple[np.ndarray, ...]:
+        """Stacked t-th exterior powers of the window matrices, t = 1..d-1."""
+        return tuple(np.stack([exterior_cocycle(self, t).table[w] if t > 1 else self.table[w]
+                               for w in self._rows]) for t in range(1, self.dim))
+
 
 def product(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     """Cocycle product along the orbit: A(s^{n-1}x) ... A(x) for n >= 0.
@@ -101,8 +133,7 @@ def product(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
 def product_scaled(A: WindowCocycle, x: PointSpec, n: int) -> tuple[np.ndarray, float]:
     """(M, s) with the cocycle product equal to e^s M and M kept at unit
     max-entry; safe for orbit lengths whose raw product would overflow."""
-    d = A.dim
-    out = np.eye(d)
+    out = np.eye(A.dim)
     logscale = 0.0
     if n < 0:
         m, s = product_scaled(A, x.shift(n), -n)
@@ -117,47 +148,37 @@ def product_scaled(A: WindowCocycle, x: PointSpec, n: int) -> tuple[np.ndarray, 
     return out, logscale
 
 
+def _orbit_ladder(A: WindowCocycle, x: PointSpec, n: int, top) -> np.ndarray:
+    """Rung differences along the orbit: rung t < d is log top of the
+    rescaled t-th exterior-power product, rung d the exact sum of
+    per-factor log determinants."""
+    if n < 0:
+        raise ValueError("orbit spectral ladders need n >= 0")
+    logs = np.empty(A.dim)
+    prev = 0.0
+    for t in range(1, A.dim):
+        m, s = product_scaled(exterior_cocycle(A, t), x, n)
+        cur = s + float(np.log(top(m)))
+        logs[t - 1] = cur - prev
+        prev = cur
+    logdet = float(sum(A._logdets[A._rows[A.window_at(x, j)]] for j in range(n)))
+    logs[A.dim - 1] = logdet - prev
+    return logs
+
+
 def orbit_mu_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     """Log singular values of the product along the orbit, any length.
 
     Each exterior power of the product is accumulated as a product of the
     exterior-power cocycle with running rescaling, so every ladder rung is
-    a top quantity of an accurately represented matrix; the last rung is
-    the exact sum of per-factor log determinants.
+    a top quantity of an accurately represented matrix.
     """
-    if n < 0:
-        raise ValueError("orbit spectral ladders need n >= 0")
-    d = A.dim
-    logs = np.empty(d)
-    prev = 0.0
-    for t in range(1, d):
-        m, s = product_scaled(exterior_cocycle(A, t), x, n)
-        cur = s + float(np.log(np.linalg.norm(m, 2)))
-        logs[t - 1] = cur - prev
-        prev = cur
-    logs[d - 1] = _orbit_logdet(A, x, n) - prev
-    return logs
+    return _orbit_ladder(A, x, n, lambda m: np.linalg.norm(m, 2))
 
 
 def orbit_chi_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     """Log eigenvalue moduli of the product along the orbit, any length."""
-    if n < 0:
-        raise ValueError("orbit spectral ladders need n >= 0")
-    d = A.dim
-    logs = np.empty(d)
-    prev = 0.0
-    for t in range(1, d):
-        m, s = product_scaled(exterior_cocycle(A, t), x, n)
-        cur = s + float(np.log(np.max(np.abs(np.linalg.eigvals(m)))))
-        logs[t - 1] = cur - prev
-        prev = cur
-    logs[d - 1] = _orbit_logdet(A, x, n) - prev
-    return logs
-
-
-def _orbit_logdet(A: WindowCocycle, x: PointSpec, n: int) -> float:
-    """Sum of per-factor log |det|: the determinant rung, exactly."""
-    return float(sum(np.linalg.slogdet(A.at(x, j))[1] for j in range(n)))
+    return _orbit_ladder(A, x, n, lambda m: np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec,
@@ -290,11 +311,14 @@ def inverse_cocycle(A: WindowCocycle) -> WindowCocycle:
 
 
 def exterior_cocycle(A: WindowCocycle, t: int) -> WindowCocycle:
-    """Cocycle of t-th exterior powers over the same base."""
+    """Cocycle of t-th exterior powers over the same base, built and
+    validated once per cocycle and t."""
     from math import comb
 
-    table = {w: exterior_power(m, t) for w, m in A.table.items()}
-    return WindowCocycle(A.base, comb(A.dim, t), A.radius, table)
+    if t not in A._exteriors:
+        table = {w: exterior_power(m, t) for w, m in A.table.items()}
+        A._exteriors[t] = WindowCocycle(A.base, comb(A.dim, t), A.radius, table)
+    return A._exteriors[t]
 
 
 def scaled_cocycle(A: WindowCocycle, log_factor: float) -> WindowCocycle:
@@ -305,109 +329,72 @@ def scaled_cocycle(A: WindowCocycle, log_factor: float) -> WindowCocycle:
 
 
 # ---------------------------------------------------------------------------
-# batched products over cylinder words at canonical representatives
+# the cylinder kernel: rescaled products over window-index arrays
 # ---------------------------------------------------------------------------
 
 
-def _padded_symbols(A: WindowCocycle, word: Symbols, base_symbol: int) -> Symbols:
-    """Symbols at coordinates -k..n-1+k of the canonical representative."""
-    k = A.radius
+def _pads(A: WindowCocycle, base_symbol: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k symbols before and after a word in its canonical representative,
+    per first (resp. last) symbol: shortest bridges to the base symbol."""
+    k, s = A.radius, A.base
     if k == 0:
-        return word
-    s = A.base
-    left = shortest_bridge(s, base_symbol, word[0])
-    right = shortest_bridge(s, word[-1], base_symbol)
-    lpad = ((base_symbol,) * k + left)[-k:]
-    rpad = (right + (base_symbol,) * k)[:k]
-    return lpad + word + rpad
+        return (np.zeros((s.alphabet_size, 0), dtype=np.int64),) * 2
+    fill, symbols = (base_symbol,) * k, range(s.alphabet_size)
+    return (np.array([(fill + shortest_bridge(s, base_symbol, c))[-k:] for c in symbols]),
+            np.array([(shortest_bridge(s, c, base_symbol) + fill)[:k] for c in symbols]))
 
 
-def _window_indices(A: WindowCocycle, words: np.ndarray, base_symbol: int):
-    """(sorted windows, index array of shape (num words, word length)).
-
-    Fully vectorized: the canonical pads depend only on each word's first
-    and last symbol, and lexicographic window order equals numeric order
-    of the base-q window codes.
-    """
-    words = np.asarray(words, dtype=np.int64)
-    n_words, n = words.shape
-    q = A.base.alphabet_size
-    k = A.radius
-    width = 2 * k + 1
-    windows = sorted(A.table)
-    if k == 0:
-        padded = words
-    else:
-        s = A.base
-        lpads = np.stack([
-            np.array((((base_symbol,) * k) + shortest_bridge(s, base_symbol, c))[-k:])
-            for c in range(q)
-        ])
-        rpads = np.stack([
-            np.array((shortest_bridge(s, c, base_symbol) +
-
-                      ((base_symbol,) * k))[:k])
-            for c in range(q)
-        ])
-        padded = np.concatenate(
-            [lpads[words[:, 0]], words, rpads[words[:, -1]]], axis=1)
-    codes = np.zeros((n_words, n), dtype=np.int64)
-    for o in range(width):
-        codes = codes * q + padded[:, o:o + n]
-    lookup = np.full(q**width, -1, dtype=np.int64)
-    for i, w in enumerate(windows):
-        code = 0
-        for c in w:
-            code = code * q + c
-        lookup[code] = i
-    idx = lookup[codes]
+def _window_indices(A: WindowCocycle, words: np.ndarray, pads,
+                    positions: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Table rows of the windows at the given positions (default: all) of
+    the canonical representatives of the words; one row per word."""
+    lpads, rpads = pads
+    padded = np.concatenate([lpads[words[:, 0]], words, rpads[words[:, -1]]], axis=1)
+    positions = np.arange(words.shape[1]) if positions is None else np.asarray(positions)
+    codes = np.zeros((len(words), len(positions)), dtype=np.int64)
+    for o in range(2 * A.radius + 1):
+        codes = codes * A.base.alphabet_size + padded[:, positions + o]
+    idx = A._lookup[codes]
     if np.any(idx < 0):
         raise AssertionError("inadmissible window produced by padding")
-    return windows, idx
+    return idx
 
 
-def _chunk_products(args):
-    mats, idx = args
-    n_words, n_pos = idx.shape
-    out = np.broadcast_to(np.eye(mats.shape[1]), (n_words,) + mats.shape[1:]).copy()
-    logscale = np.zeros(n_words)
-    for pos in range(n_pos):
-        out = mats[idx[:, pos]] @ out
-        peak = np.max(np.abs(out), axis=(1, 2))
-        out /= peak[:, None, None]
-        logscale += np.log(peak)
-    return out, logscale
+def _extend_products(mats: np.ndarray, idx: np.ndarray, prods: np.ndarray,
+                     scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multiply the products e^scales * prods on the left by the window
+    matrices of each column of idx in turn, rescaling every product to
+    unit max-entry after each step: the one long-product kernel."""
+    for col in idx.T:
+        prods = mats[col] @ prods
+        peak = np.max(np.abs(prods), axis=(1, 2))
+        prods /= peak[:, None, None]
+        scales = scales + np.log(peak)
+    return prods, scales
 
 
-def _pooled_chunks(mats, idx, workers: int):
-    if workers <= 1 or idx.shape[0] < 4 * workers:
-        return [_chunk_products((mats, idx))]
-    import multiprocessing as mp
-
-    chunks = np.array_split(idx, workers)
-    ctx = mp.get_context("fork")
-    with ctx.Pool(workers, initializer=_pin_worker_blas) as pool:
-        return pool.map(_chunk_products, [(mats, c) for c in chunks])
+def _identity_trunks(A: WindowCocycle, count: int) -> list:
+    """Empty products (identity, log scale 0) on every exterior rung."""
+    return [(np.repeat(np.eye(len(m[0]))[None], count, axis=0), np.zeros(count))
+            for m in A._rungs]
 
 
-def batch_products(A: WindowCocycle, words: Sequence[Symbols], base_symbol: int,
-                   workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked rescaled products over the given equal-length words at their
-    canonical representatives: (M, s) with the i-th product e^{s_i} M_i.
+def _ladder(A: WindowCocycle, idx: np.ndarray, trunks: list, first: int) -> np.ndarray:
+    """Log singular value rows for words with window rows idx, each rung's
+    product continued from its trunk through windows first, first+1, ...
 
-    Deterministic: results are independent of ``workers`` (chunks merge
-    back in input order, each word's arithmetic is self-contained).
+    Rung t is the top of the t-th exterior power product; the determinant
+    rung is the exact sum of per-window log determinants.
     """
-    if len(words) == 0:
-        return np.empty((0, A.dim, A.dim)), np.empty(0)
-    words = np.asarray(words, dtype=np.int64)
-    windows, idx = _window_indices(A, words, base_symbol)
-    mats = np.stack([A.table[w] for w in windows])
-    parts = _pooled_chunks(mats, idx, workers)
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-    )
+    out = np.empty((len(idx), A.dim))
+    prev = np.zeros(len(idx))
+    for t, (mats, (prods, scales)) in enumerate(zip(A._rungs, trunks)):
+        prods, scales = _extend_products(mats, idx[:, first:], prods, scales)
+        rung = scales + np.log(np.linalg.svd(prods, compute_uv=False)[:, 0])
+        out[:, t] = rung - prev
+        prev = rung
+    out[:, A.dim - 1] = A._logdets[idx].sum(axis=1) - prev
+    return out
 
 
 def _pin_worker_blas():
@@ -421,54 +408,118 @@ def _pin_worker_blas():
         pass
 
 
-def _log_singular_chunk(args) -> np.ndarray:
-    """Full ladder for one chunk of words (self-contained per word, so
-    chunking cannot change any result)."""
-    A, words, base_symbol = args
-    words = np.asarray(words, dtype=np.int64)
-    d = A.dim
-    windows, idx = _window_indices(A, words, base_symbol)
-    logdets = np.array([np.linalg.slogdet(A.table[w])[1] for w in windows])
-    rung_det = logdets[idx].sum(axis=1)
-    if d == 1:
-        return rung_det[:, None]
-    out = np.empty((len(words), d))
-    prev = np.zeros(len(words))
-    for t in range(1, d):
-        At = exterior_cocycle(A, t) if t > 1 else A
-        mats = np.stack([At.table[w] for w in windows])
-        prods, scales = _chunk_products((mats, idx))
-        rung = scales + np.log(np.linalg.svd(prods, compute_uv=False)[:, 0])
-        out[:, t - 1] = rung - prev
-        prev = rung
-    out[:, d - 1] = rung_det - prev
-    return out
+class WorkerPool(AbstractContextManager):
+    """Order-preserving map on at most one fork pool.
+
+    The pool starts at the first map of more than one task and closes with
+    the ``with`` block, so kernels handed the same WorkerPool as
+    ``workers`` share one pool; with one worker everything runs in-process.
+    """
+
+    def __init__(self, workers: int):
+        self.workers, self._pool = workers, None
+
+    def map(self, fn, tasks: list) -> list:
+        if self.workers <= 1 or len(tasks) <= 1:
+            return [fn(task) for task in tasks]
+        if self._pool is None:
+            self._pool = multiprocessing.get_context("fork").Pool(
+                self.workers, initializer=_pin_worker_blas)
+        return self._pool.map(fn, tasks)
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.terminate()
+
+
+def _pool_of(workers):
+    """Context giving the caller's WorkerPool, or a new one for a count."""
+    return nullcontext(workers) if isinstance(workers, WorkerPool) else WorkerPool(workers)
+
+
+def _blocks(count: int, workers: int) -> list[slice]:
+    """Contiguous row blocks, one per worker when each gets four or more."""
+    parts = workers if workers > 1 and count >= 4 * workers else 1
+    bounds = np.linspace(0, count, parts + 1).astype(int)
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _batch_rows(A: WindowCocycle, pads, words: np.ndarray) -> np.ndarray:
+    return _ladder(A, _window_indices(A, words, pads), _identity_trunks(A, len(words)), 0)
 
 
 def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols], base_symbol: int,
-                       workers: int = 1) -> np.ndarray:
-    """Log singular values (rows nonincreasing) of the word products.
+                       workers=1) -> np.ndarray:
+    """Log singular values (rows nonincreasing) of arbitrary equal-length
+    words at their canonical representatives.
 
-    Every ladder rung is the top norm of a batched exterior-power product
-    (rescaled in flight), and the determinant rung is the exact sum of
-    per-window log determinants, so small singular values stay accurate
-    for long words.  With workers > 1 the words are processed in parallel
-    chunks and merged back in order; results are worker-count independent.
+    The ladder is the one :func:`sweep_log_singular` runs, started from
+    the identity for every word, so a word gets the same bytes from both.
+    ``workers`` is a count or a shared :class:`WorkerPool`; words go to it
+    in contiguous blocks merged back in order, so results do not depend
+    on the worker count.
     """
     if len(words) == 0:
         return np.empty((0, A.dim))
     words = np.asarray(words, dtype=np.int64)
-    if workers <= 1 or len(words) < 4 * workers:
-        return _log_singular_chunk((A, words, base_symbol))
-    import multiprocessing as mp
-
-    bounds = np.linspace(0, len(words), workers + 1).astype(int)
-    chunks = [words[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    ctx = mp.get_context("fork")
-    with ctx.Pool(len(chunks), initializer=_pin_worker_blas) as pool:
-        parts = pool.map(_log_singular_chunk,
-                         [(A, c, base_symbol) for c in chunks])
+    with _pool_of(workers) as pool:
+        parts = pool.map(partial(_batch_rows, A, _pads(A, base_symbol)),
+                         [words[b] for b in _blocks(len(words), pool.workers)])
     return np.concatenate(parts)
+
+
+def _sweep(A: WindowCocycle, pads, state, targets: frozenset, top: int,
+           pool: Optional[WorkerPool] = None) -> dict:
+    """Rows at every target length up to top, sweeping on from a state.
+
+    A level-L state is (words, trunks): the length-L words as sorted rows
+    and, per rung, the rescaled products over windows 0..L-k-1, which stop
+    at the last symbol and so are shared by every extension; the k windows
+    reading the right pad are applied per target in ``_ladder``.  With a
+    pool, the first level with four rows per worker is cut into contiguous
+    blocks swept one per worker, whose rows concatenate in order.
+    """
+    words, trunks = state
+    out = {}
+    while words.shape[1] < top:
+        blocks = _blocks(len(words), pool.workers) if pool is not None else [slice(None)]
+        if len(blocks) > 1:
+            parts = pool.map(partial(_sweep, A, pads, targets=targets, top=top),
+                             [(words[b], [(p[b], s[b]) for p, s in trunks]) for b in blocks])
+            return out | {n: np.concatenate([part[n] for part in parts]) for n in parts[0]}
+        parent, words = extend_words(A.base, words)
+        trunks = [(p[parent], s[parent]) for p, s in trunks]
+        pos = words.shape[1] - 1 - A.radius  # the window the new symbol completes
+        if pos >= 0:
+            col = _window_indices(A, words, pads, [pos])
+            trunks = [_extend_products(m, col, p, s) for m, (p, s) in zip(A._rungs, trunks)]
+        if words.shape[1] in targets:
+            idx = _window_indices(A, words, pads)
+            out[words.shape[1]] = _ladder(A, idx, trunks, max(0, pos + 1))
+    return out
+
+
+def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int,
+                       workers=1) -> dict[int, np.ndarray]:
+    """Log singular values of every admissible word of each length in
+    n_list, at canonical representatives: {n: rows, lexicographic order}.
+
+    One sweep over lengths 1..max(n_list) extends each length-(n-1) state
+    to its admissible children with one batched step per exterior rung, so
+    a range of lengths costs about as much as the longest.  Each word's
+    arithmetic (identity start, per-step rescaling, left-to-right log
+    scales, log-determinant sum) is that of :func:`batch_log_singular`, so
+    the rows are byte-identical to it.  ``workers`` is a count or a shared
+    :class:`WorkerPool`; a sweep starts at most one pool, and its rows do
+    not depend on the worker count.
+    """
+    targets = frozenset(n_list)
+    if targets and min(targets) < 1:
+        raise ValueError("lengths must be >= 1")
+    empty = np.zeros((1, 0), dtype=np.min_scalar_type(A.base.alphabet_size - 1))
+    with _pool_of(workers) as pool:
+        return _sweep(A, _pads(A, base_symbol), (empty, _identity_trunks(A, 1)),
+                      targets, max(targets, default=0), pool)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +577,11 @@ def cocycle_from_dict(data: dict) -> WindowCocycle:
 
 
 def save_cocycle(A: WindowCocycle, path) -> None:
-    import json
-
     with open(path, "w") as fh:
         json.dump(cocycle_to_dict(A), fh, indent=1)
 
 
 def load_cocycle(path) -> WindowCocycle:
-    import json
-
     with open(path) as fh:
         try:
             data = json.load(fh)

@@ -66,24 +66,6 @@ def require_nonsingular(g: np.ndarray) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class SingularData:
-    """SVD factors g = U diag(alpha) V^T with alpha nonincreasing."""
-
-    U: np.ndarray
-    alpha: np.ndarray
-    V: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.U @ np.diag(self.alpha) @ self.V.T
-
-
-def singular_data(g: np.ndarray) -> SingularData:
-    g = require_invertible(g)
-    U, alpha, Vt = np.linalg.svd(g)
-    return SingularData(U, alpha, Vt.T)
-
-
 def _subsets(d: int, t: int) -> list[tuple[int, ...]]:
     return list(combinations(range(d), t))
 
@@ -109,8 +91,21 @@ def exterior_power(g: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def _log_top_singular(g: np.ndarray) -> float:
-    return float(np.log(np.linalg.norm(g, 2)))
+def _ladder(g: np.ndarray, top) -> np.ndarray:
+    """Rung differences of the exterior-power ladder: rung t < d is
+    log top(Lambda^t g), rung d is log |det g|."""
+    g = require_nonsingular(g)
+    d = g.shape[0]
+    logs = np.empty(d)
+    prev = 0.0
+    for t in range(1, d + 1):
+        if t == d:
+            cur = float(np.linalg.slogdet(g)[1])
+        else:
+            cur = float(np.log(top(exterior_power(g, t))))
+        logs[t - 1] = cur - prev
+        prev = cur
+    return logs
 
 
 def mu_vec(g: np.ndarray) -> np.ndarray:
@@ -122,18 +117,7 @@ def mu_vec(g: np.ndarray) -> np.ndarray:
     them to roundoff.  For products along long orbits prefer the per-factor
     ladder in the cocycle module.
     """
-    g = require_nonsingular(g)
-    d = g.shape[0]
-    logs = np.empty(d)
-    prev = 0.0
-    for t in range(1, d + 1):
-        if t == d:
-            cur = float(np.linalg.slogdet(g)[1])
-        else:
-            cur = _log_top_singular(exterior_power(g, t))
-        logs[t - 1] = cur - prev
-        prev = cur
-    return logs
+    return _ladder(g, lambda m: np.linalg.norm(m, 2))
 
 
 def chi_vec(g: np.ndarray) -> np.ndarray:
@@ -143,19 +127,7 @@ def chi_vec(g: np.ndarray) -> np.ndarray:
     of each power (the top modulus of Lambda^t g is the product of the top
     t moduli of g).
     """
-    g = require_nonsingular(g)
-    d = g.shape[0]
-    logs = np.empty(d)
-    prev = 0.0
-    for t in range(1, d + 1):
-        if t == d:
-            cur = float(np.linalg.slogdet(g)[1])
-        else:
-            radius = np.max(np.abs(np.linalg.eigvals(exterior_power(g, t))))
-            cur = float(np.log(radius))
-        logs[t - 1] = cur - prev
-        prev = cur
-    return logs
+    return _ladder(g, lambda m: np.max(np.abs(np.linalg.eigvals(m))))
 
 
 def unit(v: np.ndarray) -> np.ndarray:

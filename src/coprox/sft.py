@@ -104,16 +104,6 @@ def require_word(s: Sft, word: Sequence[int]) -> Symbols:
 
 
 @dataclass(frozen=True)
-class Word:
-    """Finite admissible word (consecutive pairs allowed by the adjacency)."""
-
-    symbols: Symbols
-
-    def __len__(self):
-        return len(self.symbols)
-
-
-@dataclass(frozen=True)
 class PeriodicWord:
     """Admissible word whose wrap pair (last, first) is also allowed.
 
@@ -129,9 +119,6 @@ class PeriodicWord:
     def __len__(self):
         return len(self.symbols)
 
-
-def make_word(s: Sft, symbols: Sequence[int]) -> Word:
-    return Word(require_word(s, symbols))
 
 def make_periodic(s: Sft, symbols: Sequence[int]) -> PeriodicWord:
     w = require_word(s, symbols)
@@ -188,26 +175,6 @@ class PointSpec:
         """
         m = len(self.core)
         return -self.anchor, m - self.anchor - 1  # hi may be < lo for empty core
-
-
-def shift(x: PointSpec, n: int) -> PointSpec:
-    return x.shift(n)
-
-
-def coord(x: PointSpec, i: int) -> Symbol:
-    return x.coord(i)
-
-
-def validate_point(s: Sft, x: PointSpec) -> None:
-    """Check cycles, junctions and core against the adjacency."""
-    for cyc in (x.left_cycle, x.right_cycle):
-        if len(cyc) == 0:
-            raise ValueError("cycles must be nonempty")
-        make_periodic(s, cyc)
-    lo, hi = x.reach()
-    window = x.coords(lo - len(x.left_cycle), hi + len(x.right_cycle) + 1)
-    if not is_admissible(s, window):
-        raise ValueError("point spec has an inadmissible junction")
 
 
 def periodic_point(w: PeriodicWord) -> PointSpec:
@@ -321,6 +288,27 @@ def dist(x: PointSpec, y: PointSpec) -> float:
     return 0.0
 
 
+def extend_words(s: Sft, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(parent row, word) of every admissible one-symbol extension of the
+    rows of a word array; sorted rows give sorted children, and rows of
+    length 0 extend to every symbol."""
+    T = s.matrix().astype(bool)
+    allowed = T[words[:, -1]] if words.shape[1] else np.ones((len(words), len(T)), dtype=bool)
+    parent, child = np.nonzero(allowed)
+    return parent, np.column_stack([words[parent], child.astype(words.dtype)])
+
+
+def word_array(s: Sft, n: int) -> np.ndarray:
+    """All admissible words of length n as rows of a small-integer array,
+    lexicographic order."""
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    words = np.zeros((1, 0), dtype=np.min_scalar_type(s.alphabet_size - 1))
+    for _ in range(n):
+        _, words = extend_words(s, words)
+    return words
+
+
 def enumerate_periodic(s: Sft, n: int) -> list[PeriodicWord]:
     """All admissible cycles of length n in lexicographic order.
 
@@ -328,41 +316,14 @@ def enumerate_periodic(s: Sft, n: int) -> list[PeriodicWord]:
     """
     if n < 1:
         raise ValueError("period must be >= 1")
-    out: list[PeriodicWord] = []
-    word = [0] * n
-
-    def extend(pos: int):
-        if pos == n:
-            if s.allowed(word[-1], word[0]):
-                out.append(PeriodicWord(tuple(word)))
-            return
-        for c in range(s.alphabet_size):
-            if pos == 0 or s.allowed(word[pos - 1], c):
-                word[pos] = c
-                extend(pos + 1)
-
-    extend(0)
-    return out
+    words = word_array(s, n)
+    closed = s.matrix().astype(bool)[words[:, -1], words[:, 0]]
+    return [PeriodicWord(tuple(w)) for w in words[closed].tolist()]
 
 
 def enumerate_words(s: Sft, n: int) -> list[Symbols]:
     """All admissible words of length n, lexicographic order."""
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    out: list[Symbols] = []
-    word = [0] * n
-
-    def extend(pos: int):
-        if pos == n:
-            out.append(tuple(word))
-            return
-        for c in range(s.alphabet_size):
-            if pos == 0 or s.allowed(word[pos - 1], c):
-                word[pos] = c
-                extend(pos + 1)
-
-    extend(0)
-    return out
+    return [tuple(w) for w in word_array(s, n).tolist()]
 
 
 def count_words(s: Sft, n: int) -> int:

@@ -17,32 +17,36 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from .cocycle import WindowCocycle, batch_log_singular, product
+from .cocycle import batch_log_singular  # noqa: F401  (part of this module's API)
+from .cocycle import WindowCocycle, product, sweep_log_singular
 from .errors import NotConstant
 from .matnum import chi_vec
-from .sft import Symbols, enumerate_words, periodic_point
+from .sft import Symbols, enumerate_words, periodic_point, word_array
 from .analysis import periodic_spectrum, _base_symbol, _sampled_words
 from .synthesis import build_family_context, synthesize_family
 from .typicality import TypicalityCertificate
 
 
-def log_phi_s(log_alpha: np.ndarray, s: float) -> float:
+def log_phi_s(log_alpha: np.ndarray, s: float):
     """log of the singular value potential from log singular values.
 
     For s in [0, d]: sum of the top floor(s) log values plus the fractional
-    part of the next; for s > d: (s/d) log |det|.
+    part of the next; for s > d: (s/d) log |det|.  One vector gives a
+    float; a 2-D array gives one value per row, each equal to the float of
+    that row.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    d = len(log_alpha)
+    log_alpha = np.asarray(log_alpha)
+    d = log_alpha.shape[-1]
     if s > d:
-        return float((s / d) * np.sum(log_alpha))
-    k = floor(s)
-    frac = s - k
-    out = float(np.sum(log_alpha[:k]))
-    if frac > 0 and k < d:
-        out += frac * float(log_alpha[k])
-    return out
+        out = (s / d) * np.sum(log_alpha, axis=-1)
+    else:
+        k = floor(s)
+        out = np.sum(log_alpha[..., :k], axis=-1)
+        if s > k and k < d:
+            out = out + (s - k) * log_alpha[..., k]
+    return float(out) if log_alpha.ndim == 1 else out
 
 
 def phi_s(g: np.ndarray, s: float) -> float:
@@ -52,11 +56,12 @@ def phi_s(g: np.ndarray, s: float) -> float:
     return float(np.exp(log_phi_s(mu_vec(np.asarray(g, dtype=float)), s)))
 
 
-def _log_weights(A: WindowCocycle, s: float, n: int, workers: int = 1):
-    words = enumerate_words(A.base, n)
-    logs = batch_log_singular(A, words, _base_symbol(A), workers=workers)
-    lw = np.array([log_phi_s(row, s) for row in logs])
-    return words, lw
+def _log_weights(A: WindowCocycle, s: float, n_list: Sequence[int],
+                 workers: int = 1) -> dict[int, np.ndarray]:
+    """Log potentials of all length-n words, lexicographic, for each n:
+    one level sweep and one vectorized potential per length."""
+    rows = sweep_log_singular(A, n_list, _base_symbol(A), workers=workers)
+    return {n: log_phi_s(r, s) for n, r in rows.items()}
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,8 @@ class CylinderWeights:
 
 def cylinder_weights(A: WindowCocycle, s: float, n: int, *,
                      workers: int = 1) -> CylinderWeights:
-    words, lw = _log_weights(A, s, n, workers)
-    return CylinderWeights(n, s, tuple(words), lw)
+    lw = _log_weights(A, s, (n,), workers)[n]
+    return CylinderWeights(n, s, tuple(enumerate_words(A.base, n)), lw)
 
 
 @dataclass(frozen=True)
@@ -130,14 +135,23 @@ def _known_oracle(A: WindowCocycle, s: float) -> Optional[float]:
 def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
              workers: int = 1) -> PressureEstimate:
     """P_n = (1/n) log sum over length-n words of the potential at the
-    canonical representatives, extrapolated by difference quotients."""
+    canonical representatives, extrapolated by difference quotients.
+
+    All P_n come from one level sweep over lengths 1..max(n_range) (see
+    :func:`coprox.cocycle.sweep_log_singular`); with workers > 1 it starts
+    at most one worker pool.  The lengths must be distinct and >= 1.
+    """
     n_range = tuple(sorted(n_range))
     if not n_range:
         raise ValueError("n_range must be nonempty")
-    p_n = []
-    for n in n_range:
-        _, lw = _log_weights(A, s, n, workers)
-        p_n.append(float(logsumexp(lw)) / n)
+    if n_range[0] < 1:
+        raise ValueError(f"lengths must be >= 1, got {n_range[0]}")
+    if len(set(n_range)) != len(n_range):
+        raise ValueError(f"n_range repeats a length: {list(n_range)}")
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    lw = _log_weights(A, s, n_range, workers)
+    p_n = [float(logsumexp(lw[n])) / n for n in n_range]
     if len(n_range) == 1:
         value = p_n[0]
         method = "single-n"
@@ -173,16 +187,16 @@ class GibbsDiagnostic:
 
 def gibbs_diagnostic(A: WindowCocycle, s: float, n: int, p_ref: float, *,
                      depth: int = 5, workers: int = 1) -> GibbsDiagnostic:
-    deep = cylinder_weights(A, s, n + depth, workers=workers)
-    shallow = cylinder_weights(A, s, n, workers=workers)
-    mass = {}
-    for w, lw in zip(deep.words, deep.log_weights - deep.log_normalizer):
-        key = w[:n]
-        mass.setdefault(key, []).append(lw)
-    log_ratios = []
-    for w, lw in zip(shallow.words, shallow.log_weights):
-        log_mass = float(logsumexp(np.array(mass[w])))
-        log_ratios.append(log_mass - (-n * p_ref + lw))
+    lw = _log_weights(A, s, (n, n + depth), workers)
+    deep = lw[n + depth] - float(logsumexp(lw[n + depth]))
+    # the refinements of each level-n word are one contiguous run of the
+    # lexicographic level-(n + depth) words, runs in level-n order
+    prefixes = word_array(A.base, n + depth)[:, :n]
+    starts = 1 + np.flatnonzero(np.any(prefixes[1:] != prefixes[:-1], axis=1))
+    log_ratios = [
+        float(logsumexp(run)) - (-n * p_ref + shallow)
+        for run, shallow in zip(np.split(deep, starts), lw[n])
+    ]
     return GibbsDiagnostic(
         n, depth, float(np.exp(min(log_ratios))), float(np.exp(max(log_ratios)))
     )

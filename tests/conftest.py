@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coprox import demos, sft, typicality
+from coprox.cocycle import WindowCocycle
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,20 @@ def typical3():
 @pytest.fixture(scope="session")
 def radius1():
     return demos.radius1_2x2()
+
+
+@pytest.fixture(scope="session")
+def radius2():
+    """Full 2-shift, radius 2: 5-symbol windows of rotation, scale and shear."""
+    base = sft.full_shift(2)
+    table = {}
+    for w in sft.enumerate_words(base, 5):
+        code = sum(c * 2**i for i, c in enumerate(w))
+        theta = 0.07 * code
+        scale = 1.2 + 0.15 * w[2]
+        shear = np.array([[1.0, 0.05 * (code % 7 - 3)], [0.0, 1.0]])
+        table[w] = demos.rotation2(theta) @ np.diag([scale, 1 / scale]) @ shear
+    return WindowCocycle(base, 2, 2, table)
 
 
 @pytest.fixture(scope="session")

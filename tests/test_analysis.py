@@ -160,3 +160,11 @@ def test_theorem_d_small(typical2, typical2_cert):
     assert rep.all_within
     for s in rep.samples:
         assert s.allowed == pytest.approx(40.0 / 12 + 1e-9)
+
+
+def test_theorem_b_rejects_index_before_any_work():
+    A = demos.dominated_2x2()
+    with pytest.raises(ValueError, match="1 <= i <= d-1"):
+        theorem_b_check(A, None, 5, 4, [2, 3])
+    with pytest.raises(ValueError, match="nonempty"):
+        gap_profile(A, 1, [])

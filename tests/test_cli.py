@@ -148,6 +148,34 @@ def test_pressure_json_and_csv(demo_file, tmp_path):
     assert csv.read_text().startswith("# schema=coprox/pressure/1\nn,p_n\n")
 
 
+def test_pressure_negative_s_is_an_error(demo_file, capsys):
+    assert main(["pressure", "--input", str(demo_file), "--s", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--s must be >= 0" in err
+
+
+def test_pressure_empty_length_range_is_an_error(demo_file, capsys):
+    assert main(["pressure", "--input", str(demo_file), "--s", "1",
+                 "--n-min", "9", "--n-max", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds --n-max" in err
+
+
+def test_dominate_empty_length_range_is_an_error(tmp_path, capsys):
+    dom = tmp_path / "dom.json"
+    assert main(["demo", "dominated2x2", "--out", str(dom)]) == 0
+    capsys.readouterr()
+    assert main(["dominate", "--input", str(dom), "--n-min", "9", "--n-max", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds --n-max" in err
+
+
+def test_dominate_index_out_of_range_is_an_error(demo_file, capsys):
+    assert main(["dominate", "--input", str(demo_file), "--index", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--index must be at most d-1 = 1" in err
+
+
 def test_dominate_exit_codes(demo_file, tmp_path):
     dom = tmp_path / "dom.json"
     assert main(["demo", "dominated2x2", "--out", str(dom)]) == 0

@@ -7,7 +7,6 @@ from coprox import cocycle, demos, matnum, sft
 from coprox.cocycle import (
     WindowCocycle,
     batch_log_singular,
-    batch_products,
     cocycle_from_dict,
     cocycle_to_dict,
     distortion_residual,
@@ -280,9 +279,11 @@ def test_orbit_ladders_long_product(typical2):
 
 
 def test_batch_products_match_loop(typical3):
-    words = sft.enumerate_words(typical3.base, 5)
-    prods, scales = batch_products(typical3, words, 0)
-    for i, w in enumerate(words):
+    words = sft.word_array(typical3.base, 5)
+    idx = cocycle._window_indices(typical3, words, cocycle._pads(typical3, 0))
+    prods, scales = cocycle._extend_products(
+        typical3._rungs[0], idx, *cocycle._identity_trunks(typical3, len(words))[0])
+    for i, w in enumerate(words.tolist()):
         x = sft.point_from_word(typical3.base, w, 0)
         assert np.allclose(np.exp(scales[i]) * prods[i], product(typical3, x, 5),
                            rtol=1e-12)

@@ -142,18 +142,6 @@ def test_hyperplane_basis_orthonormal():
         assert np.allclose(b.T @ n, 0.0, atol=1e-12)
 
 
-def test_singular_data_invariants():
-    rng = np.random.default_rng(6)
-    for d in (2, 4, 6):
-        g = random_invertible(rng, d)
-        data = matnum.singular_data(g)
-        assert np.allclose(data.U.T @ data.U, np.eye(d), atol=1e-10)
-        assert np.allclose(data.V.T @ data.V, np.eye(d), atol=1e-10)
-        err = np.linalg.norm(data.reconstruct() - g)
-        assert err <= 1e-10 * np.linalg.norm(g, 2)
-        assert np.all(np.diff(data.alpha) <= 1e-15)
-
-
 # certified cone arithmetic ----------------------------------------------------
 
 def test_rho_norm_bound_orthogonal_is_one():

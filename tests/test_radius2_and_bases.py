@@ -1,6 +1,6 @@
 """Wider-window cocycles and bases with nontrivial bridging.
 
-The radius-2 table exercises the window machinery past the radius-1
+The radius-2 table (the ``radius2`` fixture in conftest) exercises the window machinery past the radius-1
 demos (5-symbol windows, two-step holonomy stabilization, batch padding
 with depth-2 contexts); the 3-symbol base forces nonempty bridges through
 the canonical-representative and synthesis paths.
@@ -21,19 +21,6 @@ from coprox.cocycle import (
     product,
 )
 from coprox.proximal import is_eps_proximal
-
-
-@pytest.fixture(scope="module")
-def radius2():
-    base = sft.full_shift(2)
-    table = {}
-    for w in sft.enumerate_words(base, 5):
-        code = sum(c * 2**i for i, c in enumerate(w))
-        theta = 0.07 * code
-        scale = 1.2 + 0.15 * w[2]
-        shear = np.array([[1.0, 0.05 * (code % 7 - 3)], [0.0, 1.0]])
-        table[w] = demos.rotation2(theta) @ np.diag([scale, 1 / scale]) @ shear
-    return WindowCocycle(base, 2, 2, table)
 
 
 @pytest.fixture(scope="module")

@@ -176,3 +176,20 @@ def test_theorem_c_perturbed_not_constant(typical2):
     diffs = dict(top_exponent_differences(typical2, B, 5))
     assert diffs[lo[0]] == pytest.approx(lo[1])
     assert diffs[hi[0]] == pytest.approx(hi[1])
+
+
+def test_pressure_rejects_repeated_or_nonpositive_lengths(typical2):
+    with pytest.raises(ValueError, match="repeats a length"):
+        pressure(typical2, 1.5, (4, 4, 6))
+    with pytest.raises(ValueError, match="lengths must be >= 1"):
+        pressure(typical2, 1.5, (0, 2))
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        pressure(typical2, -1.0, (2, 3))
+
+
+def test_log_phi_s_rows_match_scalar():
+    rng = np.random.default_rng(4)
+    logs = np.sort(rng.normal(size=(50, 4)), axis=1)[:, ::-1]
+    for s in (0.0, 0.5, 1.0, 2.3, 4.0, 5.5):
+        rows = thermo.log_phi_s(logs, s)
+        assert np.array_equal(rows, [thermo.log_phi_s(r, s) for r in logs])
