@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cocycle import (WindowCocycle, WorkerPool, batch_log_singular, orbit_chi_vec,
+from .cocycle import (WindowCocycle, WorkerPool, batch_log_singular, cycle_chi_rows,
                       orbit_mu_vec, sweep_log_singular)
 from .errors import SynthesisFailed
 from .sft import (
@@ -21,9 +21,7 @@ from .sft import (
     Symbols,
     count_words,
     enumerate_periodic,
-    make_periodic,
     orbit_key,
-    periodic_point,
     point_from_word,
 )
 from .synthesis import build_proximal_periodic
@@ -31,19 +29,20 @@ from .synthesis import build_proximal_periodic
 
 def periodic_lyapunov(A: WindowCocycle, q: PeriodicWord) -> np.ndarray:
     """Per-step log eigenvalue moduli of the product around the cycle."""
-    return orbit_chi_vec(A, periodic_point(q), q.period) / q.period
+    return cycle_chi_rows(A, np.array([q.symbols]))[0] / q.period
 
 
 def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicWord, np.ndarray]]:
     """All periodic orbits of period <= max_period with their exponent
-    vectors, deduplicated by primitive root and cyclic rotation."""
-    seen = {}
+    vectors, one per orbit: the cycles that are their own orbit key (the
+    least rotation of a primitive word).  One ladder per period runs over
+    all of its orbits."""
+    out = []
     for n in range(1, max_period + 1):
-        for w in enumerate_periodic(A.base, n):
-            key = orbit_key(w)
-            if key not in seen:
-                seen[key] = (make_periodic(A.base, key), periodic_lyapunov(A, w))
-    return [seen[k] for k in sorted(seen)]
+        cycles = [w for w in enumerate_periodic(A.base, n) if orbit_key(w) == w.symbols]
+        if cycles:
+            out += zip(cycles, cycle_chi_rows(A, np.array([w.symbols for w in cycles])) / n)
+    return sorted(out, key=lambda item: item[0].symbols)
 
 
 def _base_symbol(A: WindowCocycle) -> int:

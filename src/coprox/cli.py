@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from math import pi
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .cocycle import load_cocycle, save_cocycle
 from .demos import DEMOS, get_demo
 from .errors import (CoproxError, InputFormatError, NotConstant,
                      SynthesisFailed, TransversalityFailed)
+from .sft import is_admissible
 
 SCHEMA_PREFIX = "coprox"
 REPORT_VERSION = "1"
@@ -122,6 +124,10 @@ def cmd_check(args) -> int:
 
 def cmd_synthesize(args) -> int:
     A = load_cocycle(args.input)
+    if not 0 < args.tau < pi / 4:
+        return _bad_parameter(f"--tau must lie in (0, pi/4), got {args.tau}")
+    if not is_admissible(A.base, args.word):
+        return _bad_parameter(f"--word {''.join(map(str, args.word))} is not admissible")
     if A.dim == 1:
         cert = None
     else:
@@ -150,6 +156,10 @@ def cmd_synthesize(args) -> int:
 
 def cmd_verify_bound(args) -> int:
     A = load_cocycle(args.input)
+    if not 0 < args.tau < pi / 4:
+        return _bad_parameter(f"--tau must lie in (0, pi/4), got {args.tau}")
+    if args.n_min > args.n_max:
+        return _bad_parameter(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     cert = None
     if A.dim > 1:
         found = _find_pair(A, args)
@@ -233,6 +243,8 @@ def cmd_pressure(args) -> int:
 def cmd_compare(args) -> int:
     A = load_cocycle(args.input)
     B = load_cocycle(args.input_b)
+    if not 0 < args.tau < pi / 4:
+        return _bad_parameter(f"--tau must lie in (0, pi/4), got {args.tau}")
     found = _find_pair(A, args)
     if found is None:
         print("no typical pair for the first cocycle", file=sys.stderr)

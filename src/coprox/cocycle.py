@@ -8,11 +8,14 @@ holonomies here are *exact* finite products.  Fiber-bunching is therefore
 not needed for existence and is only reported as a diagnostic.
 
 Also provides the time-reversed (inverse) cocycle over the transposed
-subshift, exterior-power cocycles, and the cylinder kernel: rescaled
-products over window-index arrays with per-window tables cached on the
-cocycle, run level by level over all admissible words by
-``sweep_log_singular`` and over given words by ``batch_log_singular``,
-with the same bytes per word and at most one worker pool per call.
+subshift, exterior-power cocycles, and the one long-product kernel:
+symbol arrays become table rows (``_window_rows``), and rescaled products
+over those rows (``_extend_products``) feed the spectral ladder
+(``_ladder``).  It serves level sweeps over all admissible words
+(``sweep_log_singular``), given words (``batch_log_singular``), single
+orbits as batches of one (``product_scaled``, ``orbit_mu_vec``,
+``orbit_chi_vec``) and cycles (``cycle_chi_rows``), with the same bytes
+per product on every path and at most one worker pool per call.
 """
 
 from __future__ import annotations
@@ -81,13 +84,9 @@ class WindowCocycle:
             frozen[w] = m
         object.__setattr__(self, "table", frozen)
 
-    def window_at(self, x: PointSpec, j: int = 0) -> Symbols:
-        k = self.radius
-        return x.coords(j - k, j + k)
-
     def at(self, x: PointSpec, j: int = 0) -> np.ndarray:
         """Matrix applied at the j-th step along the orbit of x."""
-        return self.table[self.window_at(x, j)]
+        return self.table[x.coords(j - self.radius, j + self.radius)]
 
     @cached_property
     def _rows(self) -> dict:
@@ -103,14 +102,27 @@ class WindowCocycle:
         return lookup
 
     @cached_property
+    def _mats(self) -> np.ndarray:
+        """The window matrices stacked in row order."""
+        return np.stack([self.table[w] for w in self._rows])
+
+    @cached_property
     def _logdets(self) -> np.ndarray:
-        return np.array([np.linalg.slogdet(self.table[w])[1] for w in self._rows])
+        return np.array([np.linalg.slogdet(m)[1] for m in self._mats])
 
     @cached_property
     def _rungs(self) -> tuple[np.ndarray, ...]:
         """Stacked t-th exterior powers of the window matrices, t = 1..d-1."""
-        return tuple(np.stack([exterior_cocycle(self, t).table[w] if t > 1 else self.table[w]
-                               for w in self._rows]) for t in range(1, self.dim))
+        return tuple(np.stack([exterior_power(m, t) for m in self._mats]) if t > 1
+                     else self._mats for t in range(1, self.dim))
+
+
+def _orbit_rows(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
+    """Table rows of the n windows read along the orbit of x, as one row."""
+    if n < 0:
+        raise ValueError("orbit rows need n >= 0")
+    k = A.radius
+    return _window_rows(A, np.array([x.coords(-k, n - 1 + k)], dtype=np.int64))
 
 
 def product(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
@@ -119,66 +131,50 @@ def product(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     Negative n returns the inverse of the product along the pulled-back
     orbit, so the cocycle equation holds for all integer times.
     """
-    d = A.dim
-    if n == 0:
-        return np.eye(d)
     if n < 0:
         return np.linalg.inv(product(A, x.shift(n), -n))
-    out = np.eye(d)
-    for j in range(n):
-        out = A.at(x, j) @ out
+    out = np.eye(A.dim)
+    if n == 0:
+        return out
+    for m in A._mats[_orbit_rows(A, x, n)[0]]:
+        out = m @ out
     return out
 
 
 def product_scaled(A: WindowCocycle, x: PointSpec, n: int) -> tuple[np.ndarray, float]:
     """(M, s) with the cocycle product equal to e^s M and M kept at unit
     max-entry; safe for orbit lengths whose raw product would overflow."""
-    out = np.eye(A.dim)
-    logscale = 0.0
     if n < 0:
         m, s = product_scaled(A, x.shift(n), -n)
         inv = np.linalg.inv(m)
         peak = np.max(np.abs(inv))
         return inv / peak, float(np.log(peak)) - s
-    for j in range(n):
-        out = A.at(x, j) @ out
-        peak = np.max(np.abs(out))
-        out = out / peak
-        logscale += float(np.log(peak))
-    return out, logscale
-
-
-def _orbit_ladder(A: WindowCocycle, x: PointSpec, n: int, top) -> np.ndarray:
-    """Rung differences along the orbit: rung t < d is log top of the
-    rescaled t-th exterior-power product, rung d the exact sum of
-    per-factor log determinants."""
-    if n < 0:
-        raise ValueError("orbit spectral ladders need n >= 0")
-    logs = np.empty(A.dim)
-    prev = 0.0
-    for t in range(1, A.dim):
-        m, s = product_scaled(exterior_cocycle(A, t), x, n)
-        cur = s + float(np.log(top(m)))
-        logs[t - 1] = cur - prev
-        prev = cur
-    logdet = float(sum(A._logdets[A._rows[A.window_at(x, j)]] for j in range(n)))
-    logs[A.dim - 1] = logdet - prev
-    return logs
+    prods, scales = _extend_products(A._mats, _orbit_rows(A, x, n),
+                                     np.eye(A.dim)[None], np.zeros(1))
+    return prods[0], float(scales[0])
 
 
 def orbit_mu_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
-    """Log singular values of the product along the orbit, any length.
+    """Log singular values of the product along the orbit, any length n >= 0.
 
-    Each exterior power of the product is accumulated as a product of the
-    exterior-power cocycle with running rescaling, so every ladder rung is
-    a top quantity of an accurately represented matrix.
+    Each exterior power of the product is accumulated with running
+    rescaling, so every ladder rung is a top quantity of an accurately
+    represented matrix.
     """
-    return _orbit_ladder(A, x, n, lambda m: np.linalg.norm(m, 2))
+    return _ladder(A, _orbit_rows(A, x, n), _identity_trunks(A, 1), 0, "svd")[0]
 
 
 def orbit_chi_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
-    """Log eigenvalue moduli of the product along the orbit, any length."""
-    return _orbit_ladder(A, x, n, lambda m: np.max(np.abs(np.linalg.eigvals(m))))
+    """Log eigenvalue moduli of the product along the orbit, any length n >= 0."""
+    return _ladder(A, _orbit_rows(A, x, n), _identity_trunks(A, 1), 0, "eig")[0]
+
+
+def cycle_chi_rows(A: WindowCocycle, cycles: np.ndarray) -> np.ndarray:
+    """Log eigenvalue moduli of the product once around each periodic point
+    given by a row of an array of admissible cycles, as orbit_chi_vec."""
+    n, k = cycles.shape[1], A.radius
+    rows = _window_rows(A, cycles[:, np.arange(-k, n + k) % n])
+    return _ladder(A, rows, _identity_trunks(A, len(rows)), 0, "eig")
 
 
 def holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec,
@@ -329,7 +325,7 @@ def scaled_cocycle(A: WindowCocycle, log_factor: float) -> WindowCocycle:
 
 
 # ---------------------------------------------------------------------------
-# the cylinder kernel: rescaled products over window-index arrays
+# the long-product kernel: rescaled products over window-row arrays
 # ---------------------------------------------------------------------------
 
 
@@ -344,30 +340,35 @@ def _pads(A: WindowCocycle, base_symbol: int) -> tuple[np.ndarray, np.ndarray]:
             np.array([(shortest_bridge(s, c, base_symbol) + fill)[:k] for c in symbols]))
 
 
-def _window_indices(A: WindowCocycle, words: np.ndarray, pads,
-                    positions: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Table rows of the windows at the given positions (default: all) of
-    the canonical representatives of the words; one row per word."""
+def _canonical(words: np.ndarray, pads) -> np.ndarray:
+    """The words with their canonical representatives' k pad symbols on
+    either side."""
     lpads, rpads = pads
-    padded = np.concatenate([lpads[words[:, 0]], words, rpads[words[:, -1]]], axis=1)
-    positions = np.arange(words.shape[1]) if positions is None else np.asarray(positions)
-    codes = np.zeros((len(words), len(positions)), dtype=np.int64)
-    for o in range(2 * A.radius + 1):
-        codes = codes * A.base.alphabet_size + padded[:, positions + o]
-    idx = A._lookup[codes]
-    if np.any(idx < 0):
-        raise AssertionError("inadmissible window produced by padding")
-    return idx
+    return np.concatenate([lpads[words[:, 0]], words, rpads[words[:, -1]]], axis=1)
+
+
+def _window_rows(A: WindowCocycle, symbols: np.ndarray) -> np.ndarray:
+    """Table rows of the windows of 2k+1 consecutive symbols in each row of
+    a symbol array: (N, L) symbols give (N, L - 2k) rows."""
+    span = symbols.shape[1] - 2 * A.radius
+    codes = symbols[:, :span].astype(np.int64)
+    for o in range(1, 2 * A.radius + 1):
+        codes = codes * A.base.alphabet_size + symbols[:, o:o + span]
+    rows = A._lookup[codes]
+    if (rows < 0).any():
+        raise ValueError("inadmissible window")
+    return rows
 
 
 def _extend_products(mats: np.ndarray, idx: np.ndarray, prods: np.ndarray,
                      scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multiply the products e^scales * prods on the left by the window
     matrices of each column of idx in turn, rescaling every product to
-    unit max-entry after each step: the one long-product kernel."""
-    for col in idx.T:
-        prods = mats[col] @ prods
-        peak = np.max(np.abs(prods), axis=(1, 2))
+    unit max-entry after each step: the one long-product kernel, run by
+    sweeps, word batches, single orbits (batches of one) and cycles."""
+    for step in mats[idx.T]:
+        prods = step @ prods
+        peak = np.abs(prods).reshape(len(prods), -1).max(axis=1)
         prods /= peak[:, None, None]
         scales = scales + np.log(peak)
     return prods, scales
@@ -379,22 +380,25 @@ def _identity_trunks(A: WindowCocycle, count: int) -> list:
             for m in A._rungs]
 
 
-def _ladder(A: WindowCocycle, idx: np.ndarray, trunks: list, first: int) -> np.ndarray:
-    """Log singular value rows for words with window rows idx, each rung's
-    product continued from its trunk through windows first, first+1, ...
+def _ladder(A: WindowCocycle, idx: np.ndarray, trunks: list, first: int,
+            top: str = "svd") -> np.ndarray:
+    """Rows of rung differences for products with window rows idx, each
+    rung's product continued from its trunk through windows first, ...
 
-    Rung t is the top of the t-th exterior power product; the determinant
-    rung is the exact sum of per-window log determinants.
+    Rung t < d is the log top singular value (top="svd": log singular
+    values) or top eigenvalue modulus (top="eig": log eigenvalue moduli) of
+    the t-th exterior power product; the determinant rung is the
+    left-to-right sum of per-window log determinants.
     """
-    out = np.empty((len(idx), A.dim))
-    prev = np.zeros(len(idx))
-    for t, (mats, (prods, scales)) in enumerate(zip(A._rungs, trunks)):
+    rungs = [np.zeros(len(idx))]
+    for mats, (prods, scales) in zip(A._rungs, trunks):
         prods, scales = _extend_products(mats, idx[:, first:], prods, scales)
-        rung = scales + np.log(np.linalg.svd(prods, compute_uv=False)[:, 0])
-        out[:, t] = rung - prev
-        prev = rung
-    out[:, A.dim - 1] = A._logdets[idx].sum(axis=1) - prev
-    return out
+        tops = (np.max(np.abs(np.linalg.eigvals(prods)), axis=1) if top == "eig"
+                else np.linalg.svd(prods, compute_uv=False)[:, 0])
+        rungs.append(scales + np.log(tops))
+    logdets = A._logdets[idx]
+    rungs.append(np.cumsum(logdets, axis=1, out=logdets)[:, -1] if idx.shape[1] else rungs[0])
+    return np.diff(np.column_stack(rungs), axis=1)
 
 
 def _pin_worker_blas():
@@ -445,7 +449,7 @@ def _blocks(count: int, workers: int) -> list[slice]:
 
 
 def _batch_rows(A: WindowCocycle, pads, words: np.ndarray) -> np.ndarray:
-    return _ladder(A, _window_indices(A, words, pads), _identity_trunks(A, len(words)), 0)
+    return _ladder(A, _window_rows(A, _canonical(words, pads)), _identity_trunks(A, len(words)), 0)
 
 
 def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols], base_symbol: int,
@@ -489,13 +493,13 @@ def _sweep(A: WindowCocycle, pads, state, targets: frozenset, top: int,
             return out | {n: np.concatenate([part[n] for part in parts]) for n in parts[0]}
         parent, words = extend_words(A.base, words)
         trunks = [(p[parent], s[parent]) for p, s in trunks]
+        padded = _canonical(words, pads)
         pos = words.shape[1] - 1 - A.radius  # the window the new symbol completes
         if pos >= 0:
-            col = _window_indices(A, words, pads, [pos])
+            col = _window_rows(A, padded[:, pos:pos + 2 * A.radius + 1])
             trunks = [_extend_products(m, col, p, s) for m, (p, s) in zip(A._rungs, trunks)]
         if words.shape[1] in targets:
-            idx = _window_indices(A, words, pads)
-            out[words.shape[1]] = _ladder(A, idx, trunks, max(0, pos + 1))
+            out[words.shape[1]] = _ladder(A, _window_rows(A, padded), trunks, max(0, pos + 1))
     return out
 
 

@@ -95,17 +95,8 @@ def _ladder(g: np.ndarray, top) -> np.ndarray:
     """Rung differences of the exterior-power ladder: rung t < d is
     log top(Lambda^t g), rung d is log |det g|."""
     g = require_nonsingular(g)
-    d = g.shape[0]
-    logs = np.empty(d)
-    prev = 0.0
-    for t in range(1, d + 1):
-        if t == d:
-            cur = float(np.linalg.slogdet(g)[1])
-        else:
-            cur = float(np.log(top(exterior_power(g, t))))
-        logs[t - 1] = cur - prev
-        prev = cur
-    return logs
+    rungs = [float(np.log(top(exterior_power(g, t)))) for t in range(1, g.shape[0])]
+    return np.diff(rungs + [float(np.linalg.slogdet(g)[1])], prepend=0.0)
 
 
 def mu_vec(g: np.ndarray) -> np.ndarray:

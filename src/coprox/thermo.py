@@ -18,11 +18,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .cocycle import batch_log_singular  # noqa: F401  (part of this module's API)
-from .cocycle import WindowCocycle, product, sweep_log_singular
+from .cocycle import WindowCocycle, sweep_log_singular
 from .errors import NotConstant
-from .matnum import chi_vec
-from .sft import Symbols, enumerate_words, periodic_point, word_array
-from .analysis import periodic_spectrum, _base_symbol, _sampled_words
+from .sft import Symbols, enumerate_words, word_array
+from .analysis import periodic_lyapunov, periodic_spectrum, _base_symbol, _sampled_words
 from .synthesis import build_family_context, synthesize_family
 from .typicality import TypicalityCertificate
 
@@ -229,14 +228,9 @@ class EqualStateReport:
 def top_exponent_differences(A: WindowCocycle, B: WindowCocycle,
                              max_period: int) -> list[tuple[str, float]]:
     """lambda_1(A, orbit) - lambda_1(B, orbit) for every orbit up to the cap."""
-    diffs = []
-    spec_a = dict(
-        (tuple(q.symbols), lam) for q, lam in periodic_spectrum(A, max_period)
-    )
-    for q, lam_b in periodic_spectrum(B, max_period):
-        key = tuple(q.symbols)
-        diffs.append(("".join(map(str, key)), float(spec_a[key][0] - lam_b[0])))
-    return diffs
+    spec_a = dict(periodic_spectrum(A, max_period))
+    return [("".join(map(str, q.symbols)), float(spec_a[q][0] - lam_b[0]))
+            for q, lam_b in periodic_spectrum(B, max_period)]
 
 
 def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
@@ -276,15 +270,14 @@ def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
     paired = []
     for w in _sampled_words(A, sample_length, sample_words, seed):
         rep = synthesize_family(ctx, w, tau)
-        qpt = periodic_point(rep.q)
         paired.append(
             {
                 "word": "".join(map(str, w)),
                 "q": "".join(map(str, rep.q.symbols)),
                 "n_q": rep.n_q,
                 "proximal_both": all(wit.verdict for wit in rep.witnesses),
-                "lambda1_a": float(chi_vec(product(A, qpt, rep.n_q))[0] / rep.n_q),
-                "lambda1_b": float(chi_vec(product(B, qpt, rep.n_q))[0] / rep.n_q),
+                "lambda1_a": float(periodic_lyapunov(A, rep.q)[0]),
+                "lambda1_b": float(periodic_lyapunov(B, rep.q)[0]),
             }
         )
     return EqualStateReport(

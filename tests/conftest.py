@@ -44,6 +44,29 @@ def radius2():
     return WindowCocycle(base, 2, 2, table)
 
 
+def _tri_radius1():
+    """Radius 1 over a 3-symbol base where bridging 2 back to the fixed
+    symbol 0 needs an intermediate symbol, so the pads are nontrivial."""
+    base = sft.Sft.from_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+    rng = np.random.default_rng(11)
+    table = {w: rng.normal(size=(3, 3)) + 3 * np.eye(3)
+             for w in sft.enumerate_words(base, 3)}
+    return WindowCocycle(base, 3, 1, table)
+
+
+@pytest.fixture(scope="session")
+def cocycles(typical3, radius1, radius2):
+    """Radii 0-2, full and golden-mean bases and a base with bridged pads,
+    all with the fixed symbol 0."""
+    return {
+        "full r0": typical3,
+        "golden r0": demos.golden_typical_3x3(),
+        "full r1": radius1,
+        "full r2": radius2,
+        "tri r1": _tri_radius1(),
+    }
+
+
 @pytest.fixture(scope="session")
 def typical2_cert(typical2):
     found = typicality.find_typical_pair(typical2)

@@ -176,6 +176,32 @@ def test_dominate_index_out_of_range_is_an_error(demo_file, capsys):
     assert err.count("\n") == 1 and "--index must be at most d-1 = 1" in err
 
 
+def test_synthesize_inadmissible_word_is_an_error(demo_file, capsys):
+    assert main(["synthesize", "--input", str(demo_file), "--word", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--word 2 is not admissible" in err
+
+
+@pytest.mark.parametrize("tau", ["0.9", "0"])
+@pytest.mark.parametrize("command", [
+    ["synthesize", "--word", "01"],
+    ["verify-bound", "--seed", "1", "--samples", "2"],
+    ["compare", "--input-b", None],
+], ids=["synthesize", "verify-bound", "compare"])
+def test_tau_outside_range_is_an_error(demo_file, capsys, command, tau):
+    argv = [str(demo_file) if a is None else a for a in command]
+    assert main(argv + ["--input", str(demo_file), "--tau", tau]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--tau must lie in (0, pi/4)" in err
+
+
+def test_verify_bound_empty_length_range_is_an_error(demo_file, capsys):
+    assert main(["verify-bound", "--input", str(demo_file), "--seed", "1",
+                 "--n-min", "6", "--n-max", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds --n-max" in err
+
+
 def test_dominate_exit_codes(demo_file, tmp_path):
     dom = tmp_path / "dom.json"
     assert main(["demo", "dominated2x2", "--out", str(dom)]) == 0

@@ -280,7 +280,7 @@ def test_orbit_ladders_long_product(typical2):
 
 def test_batch_products_match_loop(typical3):
     words = sft.word_array(typical3.base, 5)
-    idx = cocycle._window_indices(typical3, words, cocycle._pads(typical3, 0))
+    idx = cocycle._window_rows(typical3, cocycle._canonical(words, cocycle._pads(typical3, 0)))
     prods, scales = cocycle._extend_products(
         typical3._rungs[0], idx, *cocycle._identity_trunks(typical3, len(words))[0])
     for i, w in enumerate(words.tolist()):

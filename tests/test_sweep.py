@@ -1,9 +1,13 @@
-"""Properties of the level sweep behind pressure and gap profiles.
+"""Properties of the one long-product kernel behind sweeps, batches,
+orbits and cycles.
 
 The sweep shares each word's prefix products with its extensions, but
 every word's arithmetic is the same as a from-scratch ladder, so its rows
 must equal ``batch_log_singular`` on the enumerated words byte for byte,
 whatever the radius, the base, the requested lengths or the worker count.
+Single orbits and cycles run through the same kernel as batches of one;
+their results must equal the per-step loops kept below as references byte
+for byte.
 """
 
 import multiprocessing.pool
@@ -13,33 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprox import analysis, demos, sft, thermo
-from coprox.cocycle import WindowCocycle, batch_log_singular, sweep_log_singular
-
-
-def _tri_radius1():
-    """Radius 1 over a 3-symbol base where bridging 2 back to the fixed
-    symbol 0 needs an intermediate symbol, so the pads are nontrivial."""
-    base = sft.Sft.from_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
-    rng = np.random.default_rng(11)
-    table = {w: rng.normal(size=(3, 3)) + 3 * np.eye(3)
-             for w in sft.enumerate_words(base, 3)}
-    return WindowCocycle(base, 3, 1, table)
-
-
-@pytest.fixture(scope="module")
-def cocycles(typical3, radius1, radius2):
-    return {
-        "full r0": typical3,
-        "golden r0": demos.golden_typical_3x3(),
-        "full r1": radius1,
-        "full r2": radius2,
-        "tri r1": _tri_radius1(),
-    }
+from coprox import analysis, cocycle, demos, sft, thermo
+from coprox.cocycle import batch_log_singular, sweep_log_singular
 
 
 NAMES = ("full r0", "golden r0", "full r1", "full r2", "tri r1")
 LENGTHS = st.sets(st.integers(1, 9), min_size=1, max_size=4)
+ORBIT_LENGTHS = st.sampled_from([0, 1, 7, 8, 9]) | st.integers(0, 600)
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,3 +80,105 @@ def test_gap_profile_starts_at_most_one_pool(pool_starts):
     assert mixed.mode == "sampled(64,5)"
     assert mixed.minima == analysis.gap_profile(
         A, 1, [3, 10, 11], exhaustive_budget=600, sample_count=64, seed=5).minima
+
+
+# -- per-step references: one rescaled matmul per step, as a loop -----------
+
+
+def _ref_product_scaled(A, x, n):
+    out = np.eye(A.dim)
+    logscale = 0.0
+    if n < 0:
+        m, s = _ref_product_scaled(A, x.shift(n), -n)
+        inv = np.linalg.inv(m)
+        peak = np.max(np.abs(inv))
+        return inv / peak, float(np.log(peak)) - s
+    for j in range(n):
+        out = A.at(x, j) @ out
+        peak = np.max(np.abs(out))
+        out = out / peak
+        logscale += float(np.log(peak))
+    return out, logscale
+
+
+def _ref_ladder(A, x, n, top):
+    logs = np.empty(A.dim)
+    prev = 0.0
+    for t in range(1, A.dim):
+        m, s = _ref_product_scaled(cocycle.exterior_cocycle(A, t), x, n)
+        cur = s + float(np.log(top(m)))
+        logs[t - 1] = cur - prev
+        prev = cur
+    logdet = float(sum(np.linalg.slogdet(A.at(x, j))[1] for j in range(n)))
+    logs[A.dim - 1] = logdet - prev
+    return logs
+
+
+def _svd_top(m):
+    return np.linalg.norm(m, 2)
+
+
+def _eig_top(m):
+    return np.max(np.abs(np.linalg.eigvals(m)))
+
+
+def _point(A, length, seed, offset):
+    word = analysis._sampled_words(A, length, 1, seed)[0]
+    return sft.point_from_word(A.base, word, 0).shift(offset)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(NAMES), n=ORBIT_LENGTHS, length=st.integers(1, 40),
+       seed=st.integers(0, 2**16), offset=st.integers(-3, 3))
+def test_orbit_paths_equal_per_step_references(cocycles, name, n, length, seed, offset):
+    A = cocycles[name]
+    x = _point(A, length, seed, offset)
+    m, s = cocycle.product_scaled(A, x, n)
+    ref_m, ref_s = _ref_product_scaled(A, x, n)
+    assert np.array_equal(m, ref_m) and s == ref_s
+    assert np.array_equal(cocycle.orbit_mu_vec(A, x, n), _ref_ladder(A, x, n, _svd_top))
+    assert np.array_equal(cocycle.orbit_chi_vec(A, x, n), _ref_ladder(A, x, n, _eig_top))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(NAMES), n=ORBIT_LENGTHS, length=st.integers(1, 40),
+       seed=st.integers(0, 2**16), offset=st.integers(-3, 3))
+def test_product_scaled_backward_equals_reference(cocycles, name, n, length, seed, offset):
+    A = cocycles[name]
+    x = _point(A, length, seed, offset)
+    got = _outcome(cocycle.product_scaled, A, x, -n)
+    ref = _outcome(_ref_product_scaled, A, x, -n)
+    if isinstance(ref, tuple):
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+    else:
+        assert got is ref
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_periodic_spectrum_equals_per_orbit_references(cocycles, name):
+    A = cocycles[name]
+    spectrum = analysis.periodic_spectrum(A, 6)
+    assert len(spectrum) == len({sft.orbit_key(w) for n in range(1, 7)
+                                 for w in sft.enumerate_periodic(A.base, n)})
+    for q, lam in spectrum:
+        assert np.array_equal(lam, analysis.periodic_lyapunov(A, q))
+        ref = _ref_ladder(A, sft.periodic_point(q), q.period, _eig_top) / q.period
+        assert np.array_equal(lam, ref)
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(NAMES), n=st.integers(1, 30), seed=st.integers(0, 2**16))
+def test_batch_rows_equal_reference_ladder(cocycles, name, n, seed):
+    A = cocycles[name]
+    words = analysis._sampled_words(A, n, 6, seed)
+    rows = batch_log_singular(A, words, 0)
+    for row, w in zip(rows, words):
+        x = sft.point_from_word(A.base, w, 0)
+        assert np.array_equal(row, _ref_ladder(A, x, n, _svd_top))
