@@ -20,8 +20,8 @@ from .sft import (
     PeriodicWord,
     Symbols,
     count_words,
-    enumerate_periodic,
-    orbit_key,
+    cycle_array,
+    lyndon_mask,
     point_from_word,
 )
 from .synthesis import build_proximal_periodic
@@ -34,14 +34,16 @@ def periodic_lyapunov(A: WindowCocycle, q: PeriodicWord) -> np.ndarray:
 
 def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicWord, np.ndarray]]:
     """All periodic orbits of period <= max_period with their exponent
-    vectors, one per orbit: the cycles that are their own orbit key (the
-    least rotation of a primitive word).  One ladder per period runs over
-    all of its orbits."""
+    vectors, sorted by word.  Each orbit is its Lyndon word (its orbit
+    key), picked per period by one :func:`coprox.sft.lyndon_mask` over the
+    cycle array; one ladder runs over the kept rows."""
     out = []
     for n in range(1, max_period + 1):
-        cycles = [w for w in enumerate_periodic(A.base, n) if orbit_key(w) == w.symbols]
-        if cycles:
-            out += zip(cycles, cycle_chi_rows(A, np.array([w.symbols for w in cycles])) / n)
+        cycles = cycle_array(A.base, n)
+        cycles = cycles[lyndon_mask(cycles)]
+        if len(cycles):
+            out += zip([PeriodicWord(tuple(w)) for w in cycles.tolist()],
+                       cycle_chi_rows(A, cycles) / n)
     return sorted(out, key=lambda item: item[0].symbols)
 
 

@@ -76,11 +76,19 @@ def _write_series(args, kind: str, payload: dict, csv_kind: str, header, rows) -
         write_csv(args.csv, csv_kind, header, rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise instead of exiting 2, which means "informative negative"."""
+        raise argparse.ArgumentError(None, message)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    try:
+        if int(text) > 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _word(text: str):
@@ -278,14 +286,17 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coprox",
         description="certified proximality and shadowing periodic orbits "
         "for matrix cocycles over subshifts of finite type",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_threads = int(os.environ.get("COPROX_THREADS", "1"))
+    try:
+        default_threads = _positive_int(os.environ.get("COPROX_THREADS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentError(None, f"COPROX_THREADS: {exc}") from None
 
     def common(p, needs_input=True):
         if needs_input:
@@ -369,8 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _bad_parameter(str(exc))
     try:
         return args.func(args)
     except InputFormatError as exc:

@@ -77,7 +77,10 @@ class WindowCocycle:
             )
         frozen = {}
         for w, m in self.table.items():
-            m = require_invertible(np.asarray(m, dtype=float))
+            m = np.asarray(m, dtype=float)
+            if not np.isfinite(m).all():
+                raise ValueError(f"matrix for window {w} has non-finite entries")
+            m = require_invertible(m)
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"matrix for window {w} has shape {m.shape}")
             m.setflags(write=False)

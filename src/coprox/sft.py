@@ -309,16 +309,35 @@ def word_array(s: Sft, n: int) -> np.ndarray:
     return words
 
 
-def enumerate_periodic(s: Sft, n: int) -> list[PeriodicWord]:
-    """All admissible cycles of length n in lexicographic order.
-
-    The count equals trace(adjacency^n).
-    """
+def cycle_array(s: Sft, n: int) -> np.ndarray:
+    """The admissible cycles of length n (words with an allowed wrap pair;
+    trace(adjacency^n) of them) as rows of :func:`word_array`, in order."""
     if n < 1:
         raise ValueError("period must be >= 1")
     words = word_array(s, n)
-    closed = s.matrix().astype(bool)[words[:, -1], words[:, 0]]
-    return [PeriodicWord(tuple(w)) for w in words[closed].tolist()]
+    return words[s.matrix().astype(bool)[words[:, -1], words[:, 0]]]
+
+
+def enumerate_periodic(s: Sft, n: int) -> list[PeriodicWord]:
+    """All admissible cycles of length n in lexicographic order."""
+    return [PeriodicWord(tuple(w)) for w in cycle_array(s, n).tolist()]
+
+
+def lyndon_mask(words: np.ndarray) -> np.ndarray:
+    """Rows strictly smaller than each of their proper rotations (the Lyndon
+    words: the cycles equal to their :func:`orbit_key`), compared as base-b
+    integer keys, b above the largest symbol; keys beyond int64 are Python
+    ints.  Rotating a key left by r: (key mod b^(n-r)) b^r + key div b^(n-r)."""
+    n = words.shape[1]
+    b = int(words.max(initial=0)) + 1
+    key = np.zeros(len(words), dtype=np.int64 if b ** n <= 2 ** 63 - 1 else object)
+    for j in range(n):
+        key = key * b + words[:, j].astype(key.dtype)
+    mask = np.ones(len(words), dtype=bool)
+    for r in range(1, n):
+        head = b ** (n - r)
+        mask &= key < key % head * b ** r + key // head
+    return mask
 
 
 def enumerate_words(s: Sft, n: int) -> list[Symbols]:

@@ -202,6 +202,43 @@ def test_verify_bound_empty_length_range_is_an_error(demo_file, capsys):
     assert err.count("\n") == 1 and "exceeds --n-max" in err
 
 
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_matrix_entry_is_an_input_error(demo_file, tmp_path, capsys,
+                                                   command, value):
+    data = json.loads(demo_file.read_text())
+    data["entries"][1]["matrix"][0][1] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main([command, "--input", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err == "input error: matrix for window (1,) has non-finite entries\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--input", None, "--max-period", "abc"],
+    ["spectrum", "--max-period", "3"],
+], ids=["bad-max-period", "missing-input"])
+def test_usage_errors_exit_one(demo_file, capsys, argv):
+    assert main([str(demo_file) if a is None else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--help"])
+    assert exc.value.code == 0
+    assert "--max-period" in capsys.readouterr().out
+
+
+def test_bad_threads_environment_is_an_error(demo_file, capsys, monkeypatch):
+    monkeypatch.setenv("COPROX_THREADS", "abc")
+    assert main(["spectrum", "--input", str(demo_file)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: COPROX_THREADS: expected a positive integer, got 'abc'\n"
+
+
 def test_dominate_exit_codes(demo_file, tmp_path):
     dom = tmp_path / "dom.json"
     assert main(["demo", "dominated2x2", "--out", str(dom)]) == 0

@@ -325,3 +325,13 @@ def test_malformed_cocycle_files(tmp_path):
     p.write_text("{not json")
     with pytest.raises(InputFormatError):
         cocycle.load_cocycle(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_rejected(value):
+    table = dict(demos.typical_2x2().table)
+    bad = table[(1,)].copy()
+    bad[0, 1] = value
+    table[(1,)] = bad
+    with pytest.raises(ValueError, match=r"matrix for window \(1,\) has non-finite entries"):
+        WindowCocycle(sft.full_shift(2), 2, 0, table)

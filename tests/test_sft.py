@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,61 @@ def test_orbit_key():
     assert sft.orbit_key(sft.PeriodicWord((0, 0))) == (0,)
     assert sft.orbit_key(sft.PeriodicWord((1, 0))) == (0, 1)
     assert sft.orbit_key(sft.PeriodicWord((1, 0, 1, 0))) == (0, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), q=st.integers(2, 4), n=st.integers(1, 12))
+def test_lyndon_mask_is_orbit_key_fixed_point(data, q, n):
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(word, max_size=20))
+    d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    root = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
+    rows += [root * (n // d)] + [[a] * n for a in range(q)]  # powers, constants
+    expected = [sft.orbit_key(sft.PeriodicWord(tuple(w))) == tuple(w) for w in rows]
+    assert sft.lyndon_mask(np.array(rows, dtype=np.uint8)).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [31, 32, 40])
+def test_lyndon_mask_beyond_int64_keys(n):
+    # keys of 31 base-4 digits still fit in int64; from 32 digits they are Python ints
+    rng = np.random.default_rng(n)
+    rows = rng.integers(0, 4, size=(40, n)).tolist()
+    rows += [[0] * (n - 1) + [3], [3] + [0] * (n - 1), [0, 3] * (n // 2) + [3] * (n % 2)]
+    expected = [sft.orbit_key(sft.PeriodicWord(tuple(w))) == tuple(w) for w in rows]
+    assert sft.lyndon_mask(np.array(rows, dtype=np.uint8)).tolist() == expected
+
+
+def test_cycle_array_is_the_closed_words(full2, golden):
+    for s in (full2, golden, sft.full_shift(3)):
+        for n in range(1, 8):
+            cycles = sft.cycle_array(s, n)
+            brute = [w for w in itertools.product(range(s.alphabet_size), repeat=n)
+                     if sft.is_admissible(s, w) and s.allowed(w[-1], w[0])]
+            assert cycles.dtype == np.uint8 and cycles.shape == (len(brute), n)
+            assert [tuple(w) for w in cycles.tolist()] == brute
+            assert [w.symbols for w in sft.enumerate_periodic(s, n)] == brute
+
+
+def _mobius(n):
+    sign, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def test_orbit_counts_are_moebius_counts(full2, golden, cocycles):
+    for s in (full2, sft.full_shift(3), golden, cocycles["tri r1"].base):
+        T = s.matrix()
+        for n in range(1, 11):
+            total = sum(_mobius(n // d) * int(np.trace(np.linalg.matrix_power(T, d)))
+                        for d in range(1, n + 1) if n % d == 0)
+            assert total % n == 0
+            assert int(sft.lyndon_mask(sft.cycle_array(s, n)).sum()) == total // n
 
 
 def test_point_from_word_anchor(golden):

@@ -156,7 +156,9 @@ def test_product_scaled_backward_equals_reference(cocycles, name, n, length, see
     got = _outcome(cocycle.product_scaled, A, x, -n)
     ref = _outcome(_ref_product_scaled, A, x, -n)
     if isinstance(ref, tuple):
-        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+        # long backward orbits can overflow to nan in both; they must agree there too
+        assert np.array_equal(got[0], ref[0], equal_nan=True)
+        assert np.array_equal(got[1], ref[1], equal_nan=True)
     else:
         assert got is ref
 
@@ -171,6 +173,27 @@ def test_periodic_spectrum_equals_per_orbit_references(cocycles, name):
         assert np.array_equal(lam, analysis.periodic_lyapunov(A, q))
         ref = _ref_ladder(A, sft.periodic_point(q), q.period, _eig_top) / q.period
         assert np.array_equal(lam, ref)
+
+
+def _ref_periodic_spectrum(A, max_period):
+    """Orbit selection by one orbit_key call per enumerated cycle."""
+    out = []
+    for n in range(1, max_period + 1):
+        cycles = [w for w in sft.enumerate_periodic(A.base, n) if sft.orbit_key(w) == w.symbols]
+        if cycles:
+            rows = cocycle.cycle_chi_rows(A, np.array([w.symbols for w in cycles]))
+            out += zip(cycles, rows / n)
+    return sorted(out, key=lambda item: item[0].symbols)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_periodic_spectrum_equals_orbit_key_reference(cocycles, name):
+    A = cocycles[name]
+    got = analysis.periodic_spectrum(A, 8)
+    ref = _ref_periodic_spectrum(A, 8)
+    assert [q for q, _ in got] == [q for q, _ in ref]
+    assert all(type(c) is int for q, _ in got for c in q.symbols)
+    assert np.array_equal(np.array([lam for _, lam in got]), np.array([lam for _, lam in ref]))
 
 
 @settings(max_examples=15, deadline=None)
