@@ -146,14 +146,16 @@ def product(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
 
 def product_scaled(A: WindowCocycle, x: PointSpec, n: int) -> tuple[np.ndarray, float]:
     """(M, s) with the cocycle product equal to e^s M and M kept at unit
-    max-entry; safe for orbit lengths whose raw product would overflow."""
+    max-entry; safe for orbit lengths whose raw product would overflow.
+
+    Negative n multiplies the inverse window matrices at -1, -2, ..., n in
+    turn, so no long product is ever inverted.
+    """
     if n < 0:
-        m, s = product_scaled(A, x.shift(n), -n)
-        inv = np.linalg.inv(m)
-        peak = np.max(np.abs(inv))
-        return inv / peak, float(np.log(peak)) - s
-    prods, scales = _extend_products(A._mats, _orbit_rows(A, x, n),
-                                     np.eye(A.dim)[None], np.zeros(1))
+        mats, rows = np.linalg.inv(A._mats), _orbit_rows(A, x.shift(n), -n)[:, ::-1]
+    else:
+        mats, rows = A._mats, _orbit_rows(A, x, n)
+    prods, scales = _extend_products(mats, rows, np.eye(A.dim)[None], np.zeros(1))
     return prods[0], float(scales[0])
 
 

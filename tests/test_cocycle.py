@@ -261,6 +261,17 @@ def test_product_scaled_consistency(typical2):
     assert np.allclose(np.exp(s_neg) * m_neg, product(typical2, x, -5), rtol=1e-12)
 
 
+def test_product_scaled_long_backward_orbit_is_finite():
+    # 512 steps back through diag(4, 2, 1): the forward product has an entry
+    # of 2^-1024, so inverting it overflows; the backward product does not
+    A = demos.typical_3x3()
+    x = sft.point_from_word(A.base, (1,), 0)
+    m, s = product_scaled(A, x, -512)
+    assert np.isfinite(m).all() and np.isfinite(s)
+    m_rev, s_rev = product_scaled(inverse_cocycle(A), sft.reverse_point(x), 512)
+    assert np.allclose(m, m_rev, rtol=1e-12, atol=0) and np.isclose(s, s_rev)
+
+
 def test_orbit_ladders_match_direct(typical2, radius1):
     for A in (typical2, radius1):
         x = sft.point_from_word(A.base, (1, 0, 1, 1, 0, 0), 0)

@@ -88,13 +88,10 @@ def test_gap_profile_starts_at_most_one_pool(pool_starts):
 def _ref_product_scaled(A, x, n):
     out = np.eye(A.dim)
     logscale = 0.0
-    if n < 0:
-        m, s = _ref_product_scaled(A, x.shift(n), -n)
-        inv = np.linalg.inv(m)
-        peak = np.max(np.abs(inv))
-        return inv / peak, float(np.log(peak)) - s
-    for j in range(n):
-        out = A.at(x, j) @ out
+    steps = [A.at(x, j) for j in range(n)] if n >= 0 else \
+        [np.linalg.inv(A.at(x, j)) for j in range(-1, n - 1, -1)]
+    for step in steps:
+        out = step @ out
         peak = np.max(np.abs(out))
         out = out / peak
         logscale += float(np.log(peak))
@@ -156,9 +153,7 @@ def test_product_scaled_backward_equals_reference(cocycles, name, n, length, see
     got = _outcome(cocycle.product_scaled, A, x, -n)
     ref = _outcome(_ref_product_scaled, A, x, -n)
     if isinstance(ref, tuple):
-        # long backward orbits can overflow to nan in both; they must agree there too
-        assert np.array_equal(got[0], ref[0], equal_nan=True)
-        assert np.array_equal(got[1], ref[1], equal_nan=True)
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
     else:
         assert got is ref
 
