@@ -15,7 +15,6 @@ import numpy as np
 
 from .cocycle import (WindowCocycle, WorkerPool, batch_log_singular, cycle_chi_rows,
                       orbit_mu_vec, sweep_log_singular)
-from .errors import SynthesisFailed
 from .sft import (
     PeriodicWord,
     Symbols,
@@ -24,7 +23,7 @@ from .sft import (
     lyndon_mask,
     point_from_word,
 )
-from .synthesis import build_proximal_periodic
+from .synthesis import SYNTHESIS_ERRORS, build_proximal_periodic
 
 
 def periodic_lyapunov(A: WindowCocycle, q: PeriodicWord) -> np.ndarray:
@@ -262,7 +261,7 @@ def theorem_d_check(A: WindowCocycle, cert, words: Sequence[Symbols], c_emp: flo
         n = len(w)
         try:
             rep = build_proximal_periodic(A, cert, w, tau, ell_cap=ell_cap)
-        except SynthesisFailed as exc:
+        except SYNTHESIS_ERRORS as exc:
             failures.append((w, str(exc)))
             continue
         x = point_from_word(A.base, w, cert.p.coord(0) if cert else _base_symbol(A))

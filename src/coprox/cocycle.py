@@ -63,7 +63,9 @@ class WindowCocycle:
     dim: int
     radius: int
     table: Mapping[Symbols, np.ndarray]
-    _exteriors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # data derived from the cocycle alone (its exterior powers, its inverse,
+    # synthesis contexts), built once per cocycle: see ``_memoised``
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = set(enumerate_words(self.base, 2 * self.radius + 1))
@@ -282,7 +284,7 @@ def distortion_residual(A: WindowCocycle, x: PointSpec, y: PointSpec, n: int) ->
     With z = [x, y]:
     A^n(x) = H^u(s^n z -> s^n x) H^s(s^n y -> s^n z) A^n(y) H^s(z -> y) H^u(x -> z).
     """
-    if any(x.coord(i) != y.coord(i) for i in range(n)):
+    if x.coords(0, n - 1) != y.coords(0, n - 1):
         raise ValueError("y must agree with x on coordinates 0..n-1")
     z = bracket(x, y)
     lhs = product(A, x, n)
@@ -301,14 +303,18 @@ def inverse_cocycle(A: WindowCocycle) -> WindowCocycle:
 
     Windows reverse, matrices invert; a point x corresponds to the reversed
     point with coordinates x_{-1-i}, under which products satisfy
-    product(inverse, reversed x, n) = product(A, x, -n).
+    product(inverse, reversed x, n) = product(A, x, -n).  Built and
+    validated once per cocycle.
     """
-    rev = reverse_sft(A.base)
-    table = {
-        w: np.linalg.inv(A.table[tuple(reversed(w))])
-        for w in enumerate_words(rev, 2 * A.radius + 1)
-    }
-    return WindowCocycle(rev, A.dim, A.radius, table)
+    def build():
+        rev = reverse_sft(A.base)
+        table = {
+            w: np.linalg.inv(A.table[tuple(reversed(w))])
+            for w in enumerate_words(rev, 2 * A.radius + 1)
+        }
+        return WindowCocycle(rev, A.dim, A.radius, table)
+
+    return _memoised(A, "inverse", build)
 
 
 def exterior_cocycle(A: WindowCocycle, t: int) -> WindowCocycle:
@@ -316,10 +322,19 @@ def exterior_cocycle(A: WindowCocycle, t: int) -> WindowCocycle:
     validated once per cocycle and t."""
     from math import comb
 
-    if t not in A._exteriors:
+    def build():
         table = {w: exterior_power(m, t) for w, m in A.table.items()}
-        A._exteriors[t] = WindowCocycle(A.base, comb(A.dim, t), A.radius, table)
-    return A._exteriors[t]
+        return WindowCocycle(A.base, comb(A.dim, t), A.radius, table)
+
+    return _memoised(A, ("exterior", t), build)
+
+
+def _memoised(A: WindowCocycle, key, build):
+    """The value ``build()`` kept on A under a hashable key: data that
+    depends on the cocycle and the key alone is built once per cocycle."""
+    if key not in A._memo:
+        A._memo[key] = build()
+    return A._memo[key]
 
 
 def scaled_cocycle(A: WindowCocycle, log_factor: float) -> WindowCocycle:

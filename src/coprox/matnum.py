@@ -289,18 +289,3 @@ def ams_hyperplane(g: np.ndarray, tol: float = 1e-9):
         )
     return unit(Vt[0])
 
-
-def ams_restricted_bound(g: np.ndarray, eps: float) -> float:
-    """Certified rho-norm bound of g on {u : rho(u, U_g) >= eps}.
-
-    On that set the component along the top right-singular direction gives
-    |gu| >= a1 sin(eps), so the sine factor is (a2/a1) / sin(eps)^2.
-    """
-    if not 0 < eps <= pi / 2:
-        raise ValueError("eps must lie in (0, pi/2]")
-    g = require_invertible(g)
-    alpha = np.linalg.svd(g, compute_uv=False)
-    if len(alpha) == 1:
-        return 1.0
-    k = (alpha[1] / alpha[0]) / sin(eps) ** 2
-    return _sine_factor_to_rho_bound(k)

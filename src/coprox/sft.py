@@ -17,6 +17,7 @@ All tie-breaking is lexicographic-least so that runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ Symbols = tuple[int, ...]
 
 
 def _as_symbols(seq: Iterable[int]) -> Symbols:
-    return tuple(int(s) for s in seq)
+    return tuple(map(int, seq))
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,9 @@ class Sft:
                 raise ValueError(f"symbol {a} has no successor")
             if not any(T[b][a] for b in range(q)):
                 raise ValueError(f"symbol {a} has no predecessor")
+        arrows = np.array(T, dtype=bool)
+        arrows.setflags(write=False)
+        object.__setattr__(self, "_arrows", arrows)
         object.__setattr__(self, "_mixing_rate", _mixing_rate(self))
 
     @staticmethod
@@ -75,7 +79,7 @@ class Sft:
 def _mixing_rate(s: Sft) -> int:
     q = s.alphabet_size
     cap = (q - 1) ** 2 + 1  # Wielandt bound for primitive matrices
-    T = s.matrix().astype(bool)
+    T = s._arrows
     power = T.copy()
     for m in range(1, cap + 1):
         if power.all():
@@ -91,9 +95,10 @@ def mixing_rate(s: Sft) -> int:
 
 def is_admissible(s: Sft, word: Sequence[int]) -> bool:
     w = _as_symbols(word)
-    if any(not 0 <= c < s.alphabet_size for c in w):
+    if w and not 0 <= min(w) <= max(w) < s.alphabet_size:
         return False
-    return all(s.allowed(a, b) for a, b in zip(w, w[1:]))
+    w = np.array(w, dtype=np.intp)
+    return bool(s._arrows[w[:-1], w[1:]].all())
 
 
 def require_word(s: Sft, word: Sequence[int]) -> Symbols:
@@ -159,8 +164,16 @@ class PointSpec:
         return self._internal(self.anchor + i)
 
     def coords(self, lo: int, hi: int) -> Symbols:
-        """Symbols on coordinates lo..hi inclusive."""
-        return tuple(self.coord(i) for i in range(lo, hi + 1))
+        """Symbols on coordinates lo..hi inclusive (``coord`` at each): the
+        parts of the rotated, repeated left cycle, the core and the
+        rotated, repeated right cycle that the window covers."""
+        a, b = self.anchor + lo, self.anchor + hi + 1  # internal positions [a, b)
+        if a >= b:
+            return ()
+        m = len(self.core)
+        left = _cyclic(self.left_cycle, a, min(b, 0) - a) if a < 0 else ()
+        right = _cyclic(self.right_cycle, max(a, m) - m, b - max(a, m)) if b > m else ()
+        return left + self.core[max(a, 0):max(min(b, m), 0)] + right
 
     def shift(self, n: int) -> "PointSpec":
         """Left shift by n: coord(result, i) == coord(self, i + n)."""
@@ -177,6 +190,13 @@ class PointSpec:
         return -self.anchor, m - self.anchor - 1  # hi may be < lo for empty core
 
 
+def _cyclic(cycle: Symbols, start: int, count: int) -> Symbols:
+    """cycle[(start + i) % len(cycle)] for i = 0..count-1 (count >= 1), as
+    one slice of the cycle repeated."""
+    r = start % len(cycle)
+    return (cycle * ((r + count - 1) // len(cycle) + 1))[r:r + count]
+
+
 def periodic_point(w: PeriodicWord) -> PointSpec:
     """The periodic point repeating w, with coordinate 0 at w[0]."""
     return PointSpec(w.symbols, (), w.symbols, 0)
@@ -191,8 +211,8 @@ def fixed_point(s: Sft, a: Symbol) -> PointSpec:
 def is_fixed_point(x: PointSpec) -> bool:
     a = x.coord(0)
     lo, hi = x.reach()
-    return all(x.coord(i) == a for i in range(lo - 1, hi + 2)) and \
-        all(c == a for c in x.left_cycle) and all(c == a for c in x.right_cycle)
+    return x.coords(lo - 1, hi + 1) == (a,) * (hi - lo + 3) and \
+        x.left_cycle == (a,) * len(x.left_cycle) and x.right_cycle == (a,) * len(x.right_cycle)
 
 
 def bridge(s: Sft, a: Symbol, b: Symbol, length: int) -> Optional[Symbols]:
@@ -202,7 +222,7 @@ def bridge(s: Sft, a: Symbol, b: Symbol, length: int) -> Optional[Symbols]:
     """
     if length < 0:
         raise ValueError("bridge length must be >= 0")
-    T = s.matrix().astype(bool)
+    T = s._arrows
     # reach_back[k] = symbols from which b is reachable in exactly k steps
     reach_back = [np.zeros(s.alphabet_size, dtype=bool)]
     reach_back[0][b] = True
@@ -259,18 +279,14 @@ def _equality_horizon(x: PointSpec, y: PointSpec) -> int:
     """Window radius beyond which coordinatewise agreement implies equality."""
     lo_x, hi_x = x.reach()
     lo_y, hi_y = y.reach()
-    left = max(-lo_x, -lo_y, 0) + _lcm(len(x.left_cycle), len(y.left_cycle))
-    right = max(hi_x, hi_y, 0) + _lcm(len(x.right_cycle), len(y.right_cycle))
+    left = max(-lo_x, -lo_y, 0) + lcm(len(x.left_cycle), len(y.left_cycle))
+    right = max(hi_x, hi_y, 0) + lcm(len(x.right_cycle), len(y.right_cycle))
     return max(left, right) + 1
-
-
-def _lcm(a: int, b: int) -> int:
-    return abs(a * b) // np.gcd(a, b)
 
 
 def same_point(x: PointSpec, y: PointSpec) -> bool:
     h = _equality_horizon(x, y)
-    return all(x.coord(i) == y.coord(i) for i in range(-h, h + 1))
+    return x.coords(-h, h) == y.coords(-h, h)
 
 
 def dist(x: PointSpec, y: PointSpec) -> float:
@@ -279,20 +295,19 @@ def dist(x: PointSpec, y: PointSpec) -> float:
     Returns 0.0 exactly when the specs denote the same sequence (decidable
     because both are eventually periodic).
     """
-    if x.coord(0) != y.coord(0):
-        return 1.0
     h = _equality_horizon(x, y)
-    for k in range(1, h + 1):
-        if x.coord(k) != y.coord(k) or x.coord(-k) != y.coord(-k):
-            return 2.0 ** (-k)
-    return 0.0
+    xs, ys = x.coords(-h, h), y.coords(-h, h)
+    if xs == ys:
+        return 0.0
+    # k is the distance from coordinate 0 (index h) to the nearest disagreement
+    return 2.0 ** -min(abs(i - h) for i, (a, b) in enumerate(zip(xs, ys)) if a != b)
 
 
 def extend_words(s: Sft, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(parent row, word) of every admissible one-symbol extension of the
     rows of a word array; sorted rows give sorted children, and rows of
     length 0 extend to every symbol."""
-    T = s.matrix().astype(bool)
+    T = s._arrows
     allowed = T[words[:, -1]] if words.shape[1] else np.ones((len(words), len(T)), dtype=bool)
     parent, child = np.nonzero(allowed)
     return parent, np.column_stack([words[parent], child.astype(words.dtype)])
@@ -315,7 +330,7 @@ def cycle_array(s: Sft, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("period must be >= 1")
     words = word_array(s, n)
-    return words[s.matrix().astype(bool)[words[:, -1], words[:, 0]]]
+    return words[s._arrows[words[:, -1], words[:, 0]]]
 
 
 def enumerate_periodic(s: Sft, n: int) -> list[PeriodicWord]:
@@ -405,14 +420,14 @@ def in_local_stable(x: PointSpec, y: PointSpec, horizon: Optional[int] = None) -
     """y in the local stable set of x: coordinates agree for all i >= 0."""
     if horizon is None:
         horizon = _equality_horizon(x, y)
-    return all(x.coord(i) == y.coord(i) for i in range(0, horizon + 1))
+    return x.coords(0, horizon) == y.coords(0, horizon)
 
 
 def in_local_unstable(x: PointSpec, y: PointSpec, horizon: Optional[int] = None) -> bool:
     """y in the local unstable set of x: coordinates agree for all i <= 0."""
     if horizon is None:
         horizon = _equality_horizon(x, y)
-    return all(x.coord(-i) == y.coord(-i) for i in range(0, horizon + 1))
+    return x.coords(-horizon, 0) == y.coords(-horizon, 0)
 
 
 def stable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
@@ -422,13 +437,11 @@ def stable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
     right tails differ), so no shift lands them on a common stable leaf.
     """
     r0 = max(x.reach()[1], y.reach()[1], 0) + 1
-    period = _lcm(len(x.right_cycle), len(y.right_cycle))
-    if any(x.coord(i) != y.coord(i) for i in range(r0, r0 + period)):
+    top = r0 + lcm(len(x.right_cycle), len(y.right_cycle)) - 1
+    xs, ys = x.coords(0, top), y.coords(0, top)  # coordinate i at index i
+    if xs[r0:] != ys[r0:]:
         return None  # tails strictly periodic from r0 on, so mismatches recur
-    for i in range(r0 - 1, -1, -1):
-        if x.coord(i) != y.coord(i):
-            return i + 1
-    return 0
+    return next((i + 1 for i in range(r0 - 1, -1, -1) if xs[i] != ys[i]), 0)
 
 
 def unstable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
@@ -437,13 +450,11 @@ def unstable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
     None when the left tails differ.
     """
     l0 = min(x.reach()[0], y.reach()[0], 0) - 1
-    period = _lcm(len(x.left_cycle), len(y.left_cycle))
-    if any(x.coord(i) != y.coord(i) for i in range(l0 - period + 1, l0 + 1)):
+    period = lcm(len(x.left_cycle), len(y.left_cycle))
+    xs, ys = x.coords(l0 - period + 1, 0), y.coords(l0 - period + 1, 0)  # coordinate 0 last
+    if xs[:period] != ys[:period]:
         return None
-    for i in range(l0 + 1, 1):
-        if x.coord(i) != y.coord(i):
-            return 1 - i
-    return 0
+    return next((1 - i for i in range(l0 + 1, 1) if xs[i - 1] != ys[i - 1]), 0)
 
 
 def cyclic_min_rotation(word: Symbols) -> Symbols:

@@ -26,6 +26,10 @@ import numpy as np
 
 from .cocycle import (
     WindowCocycle,
+    _extend_products,
+    _ladder,
+    _memoised,
+    _orbit_rows,
     exterior_cocycle,
     holonomy_s,
     holonomy_u,
@@ -37,6 +41,7 @@ from .cocycle import (
 )
 from .errors import (
     DegenerateTopSingularValue,
+    SingularMatrix,
     SynthesisFailed,
     TransversalityFailed,
     TurnCapExceeded,
@@ -66,6 +71,12 @@ from .sft import (
     unstable_shift,
 )
 from .typicality import EigenFrame, eigen_frame
+
+
+SYNTHESIS_ERRORS = (SynthesisFailed, TransversalityFailed, TurnCapExceeded,
+                    DegenerateTopSingularValue, SingularMatrix)
+"""Errors that end the synthesis for one word; experiments over many words
+record them per word and go on."""
 
 
 class EndpointMismatch(Exception):
@@ -129,7 +140,7 @@ def extend_at_fixed_target(path: PathSpec, extra: int) -> PathSpec:
     if extra == 0:
         return path
     a = path.y.coord(0)
-    if any(path.x0.coord(path.n + i) != a for i in range(extra + 1)):
+    if path.x0.coords(path.n, path.n + extra) != (a,) * (extra + 1):
         raise ValueError("carrier does not stay at the fixed symbol")
     return PathSpec(path.x, path.x0, path.n + extra, path.y)
 
@@ -212,12 +223,15 @@ def build_family_context(family: Sequence[WindowCocycle], p: PointSpec,
 
 
 def exterior_family_context(A: WindowCocycle, p: PointSpec, z: PointSpec) -> FamilyContext:
-    """Context for the exterior powers t = 1..d-1 of a single cocycle."""
-    family = [exterior_cocycle(A, t) for t in range(1, A.dim)]
-    return build_family_context(family, p, z)
+    """Context for the exterior powers t = 1..d-1 of a single cocycle,
+    built once per cocycle and pair."""
+    return _memoised(A, ("family", p, z), lambda: build_family_context(
+        [exterior_cocycle(A, t) for t in range(1, A.dim)], p, z))
 
 
 TURN_CAP = 512
+AMS_TOL = 1e-9
+PERIOD_QUANTUM = 16
 
 
 def _entry_path(base, x: PointSpec, p: PointSpec, slack: int) -> PathSpec:
@@ -348,11 +362,13 @@ class SynthesisReport:
 
 
 def _shadow_offset(q: PeriodicWord, word: Symbols) -> int:
-    n_q = q.period
-    for j in range(n_q):
-        if all(q.symbols[(j + i) % n_q] == word[i] for i in range(len(word))):
-            return j
-    raise AssertionError("constructed orbit does not contain the target word")
+    """Least j with the word on coordinates j.. of q's periodic point: a
+    substring search, symbols spelled as characters."""
+    text = "".join(map(chr, q.symbols * (len(word) // q.period + 2)))
+    j = text.find("".join(map(chr, word)))
+    if not 0 <= j < q.period:
+        raise AssertionError("constructed orbit does not contain the target word")
+    return j
 
 
 def _closing_factorization_residual(A: WindowCocycle, qpt: PointSpec,
@@ -373,9 +389,29 @@ def _closing_factorization_residual(A: WindowCocycle, qpt: PointSpec,
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
 
 
+def _around(B: WindowCocycle, qpt: PointSpec, n_q: int, trunk):
+    """Member B's window rows once around q, the rescaled product over
+    them, and the trunk for the next attempt: the product over the rows
+    0..n_q-k-1, whose windows do not read past the end of q into its start.
+
+    A trunk whose rows are a prefix of these is continued; any other
+    starts over from the identity.  The kernel folds the windows strictly
+    left to right, so both give the bytes of ``product_scaled``.
+    """
+    rows = _orbit_rows(B, qpt, n_q)
+    cut = max(n_q - B.radius, 0)
+    if trunk is None or not (trunk[0].shape[1] <= cut
+                             and np.array_equal(rows[:, :trunk[0].shape[1]], trunk[0])):
+        trunk = (rows[:, :0], np.eye(B.dim)[None], np.zeros(1))
+    done, prods, scales = trunk
+    prods, scales = _extend_products(B._mats, rows[:, done.shape[1]:cut], prods, scales)
+    trunk = (rows[:, :cut], prods, scales)
+    return rows, _extend_products(B._mats, rows[:, cut:], prods, scales), trunk
+
+
 def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float, *,
-                      ell_cap: int = 2**14, ams_tol: float = 1e-9,
-                      period_quantum: int = 16) -> SynthesisReport:
+                      ell_cap: int = 2**14, ams_tol: float = AMS_TOL,
+                      period_quantum: int = PERIOD_QUANTUM) -> SynthesisReport:
     """Periodic orbit q shadowing x_word whose member products are all
     certified tau-proximal.
 
@@ -390,6 +426,19 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float, *,
     n_q - n lands on a fixed multiple: the overhead plays the role of a
     single per-cocycle constant, so batches report one common value
     instead of per-word jitter (0 disables padding).
+    """
+    return _synthesize(ctx, x_word, tau, ell_cap, ams_tol, period_quantum)[0]
+
+
+def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int,
+                ams_tol: float, period_quantum: int):
+    """:func:`synthesize_family`, returning with the report the accepted
+    closing's per-member window rows and rescaled products around q.
+
+    The loop-length attempts share their products: a longer loop only
+    appends fixed symbols, so each attempt continues every member's trunk
+    from the attempt before and multiplies only the new and the wrapped
+    windows.
     """
     base = ctx.family[0].base
     a = ctx.p.coord(0)
@@ -417,23 +466,25 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float, *,
     u = [path_direction(A, gb, v) for A, v in zip(ctx.family, dirs)]
     a_turn = turn_direction(ctx.frames, u, 0.05, TURN_CAP)
     turned = extend_at_fixed_target(gb, a_turn)
+    trunks = [None] * len(ctx.family)
 
     def attempt(ell):
         final = connect(turned, loop_path(ctx.p, ctx.z, ell))
         n_q = final.n
         q = make_periodic(base, final.x0.coords(0, n_q - 1))
         qpt = periodic_point(q)
+        closing = []
+        for i, B in enumerate(ctx.family):
+            rows, scaled, trunks[i] = _around(B, qpt, n_q, trunks[i])
+            closing.append((rows, scaled))
         # the witness conditions are scale-invariant, so certify the
         # rescaled products (raw ones can overflow for large ell)
-        witnesses = tuple(
-            eps_proximal_witness(product_scaled(A, qpt, n_q)[0], tau)
-            for A in ctx.family
-        )
-        return final, q, qpt, witnesses
+        witnesses = tuple(eps_proximal_witness(prods[0], tau) for _, (prods, _) in closing)
+        return final, q, qpt, witnesses, closing
 
     ell = max(ctx.excursion_end + 2, 8)
     while ell <= ell_cap:
-        final, q, qpt, witnesses = attempt(ell)
+        final, q, qpt, witnesses, closing = attempt(ell)
         if all(w.verdict for w in witnesses):
             if period_quantum:
                 overhang = (final.n - n) % period_quantum
@@ -441,7 +492,7 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float, *,
                     padded = attempt(ell + period_quantum - overhang)
                     if all(w.verdict for w in padded[3]):
                         ell = ell + period_quantum - overhang
-                        final, q, qpt, witnesses = padded
+                        final, q, qpt, witnesses, closing = padded
             return SynthesisReport(
                 x_word=tuple(x_word),
                 n=n,
@@ -457,7 +508,7 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float, *,
                 factorization_residual=_closing_factorization_residual(
                     ctx.family[0], qpt, final
                 ),
-            )
+            ), closing
         retries += 1
         ell *= 2
     raise SynthesisFailed(f"loop length cap {ell_cap} reached without certifying")
@@ -504,14 +555,14 @@ def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
     if cert is None or not cert.passed:
         raise ValueError("a passing typicality certificate is required")
     ctx = exterior_family_context(A, cert.p, cert.z)
-    report = synthesize_family(ctx, tuple(x_word), tau, ell_cap=ell_cap)
+    report, closing = _synthesize(ctx, tuple(x_word), tau, ell_cap, AMS_TOL,
+                                  PERIOD_QUANTUM)
     x = point_from_word(A.base, tuple(x_word), cert.p.coord(0))
-    qpt = periodic_point(report.q)
-    bound = float(
-        np.linalg.norm(
-            orbit_mu_vec(A, x, report.n) - orbit_chi_vec(A, qpt, report.n_q)
-        )
-    )
+    # the members are A's exterior powers, so their products around q are
+    # the rungs of A's eigenvalue ladder with every window already applied
+    rows = closing[0][0]
+    chi = _ladder(A, rows, [scaled for _, scaled in closing], rows.shape[1], "eig")[0]
+    bound = float(np.linalg.norm(orbit_mu_vec(A, x, report.n) - chi))
     return replace(report, bound_value=bound)
 
 
@@ -556,7 +607,7 @@ def verify_theorem_a(A: WindowCocycle, cert, words: Sequence[Symbols], tau: floa
         try:
             reports.append(build_proximal_periodic(A, cert, tuple(w), tau,
                                                    ell_cap=ell_cap))
-        except (SynthesisFailed, TransversalityFailed) as exc:
+        except SYNTHESIS_ERRORS as exc:
             failures.append((tuple(w), str(exc)))
     if not reports:
         raise SynthesisFailed("every sample failed")

@@ -300,3 +300,18 @@ def test_compare_not_constant(demo_file, tmp_path):
                  "--max-period", "5", "--out", str(out)]) == 2
     doc = json.loads(out.read_text())
     assert doc["constant"] is False and len(doc["witness"]) == 2
+
+
+def test_verify_bound_counts_per_word_failures(tmp_path, capsys):
+    # long typical3x3 words can hit the long-word defect (SingularMatrix):
+    # a failed word is one failed sample, not a failed run
+    path = tmp_path / "typical3x3.json"
+    assert main(["demo", "typical3x3", "--out", str(path)]) == 0
+    out = tmp_path / "a.json"
+    assert main(["verify-bound", "--input", str(path), "--seed", "1", "--n-min", "160",
+                 "--n-max", "400", "--samples", "6", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, THEOREM_A_SCHEMA)
+    assert doc["num_samples"] == 6
+    assert len(doc["samples"]) + doc["num_failures"] == 6
+    assert f"{doc['num_failures']} failed" in capsys.readouterr().out

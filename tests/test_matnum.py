@@ -235,22 +235,3 @@ def test_ams_hyperplane_diag():
 def test_ams_hyperplane_degenerate():
     with pytest.raises(DegenerateTopSingularValue):
         matnum.ams_hyperplane(rotation2(0.3))
-
-
-def test_ams_restricted_bound_sampled():
-    rng = np.random.default_rng(10)
-    eps = 0.25
-    for _ in range(5):
-        g = random_invertible(rng, 3)
-        try:
-            normal = matnum.ams_hyperplane(g)
-        except DegenerateTopSingularValue:
-            continue
-        bound = matnum.ams_restricted_bound(g, eps)
-        pts = sample_directions(rng, 3, 4000)
-        kept = [p for p in pts if matnum.rho_to_hyperplane(p, normal) >= eps]
-        for i in range(0, len(kept) - 1, 2):
-            a, b = kept[i], kept[i + 1]
-            r = matnum.rho(a, b)
-            if r > 1e-8:
-                assert matnum.rho(g @ a, g @ b) <= bound * r * (1 + 1e-9) + 1e-12

@@ -248,3 +248,104 @@ def test_random_primitive_sfts_trace_identity():
         for n in range(1, 13):
             assert len(sft.enumerate_periodic(s, n)) == int(
                 np.trace(np.linalg.matrix_power(Tm, n)))
+
+
+# Per-coordinate reference copies of the window compares in sft: the
+# definitions they replaced, read one ``coord`` at a time.
+
+def _ref_in_local_stable(x, y, h):
+    return all(x.coord(i) == y.coord(i) for i in range(0, h + 1))
+
+
+def _ref_in_local_unstable(x, y, h):
+    return all(x.coord(-i) == y.coord(-i) for i in range(0, h + 1))
+
+
+def _ref_same_point(x, y):
+    h = sft._equality_horizon(x, y)
+    return all(x.coord(i) == y.coord(i) for i in range(-h, h + 1))
+
+
+def _ref_dist(x, y):
+    if x.coord(0) != y.coord(0):
+        return 1.0
+    h = sft._equality_horizon(x, y)
+    for k in range(1, h + 1):
+        if x.coord(k) != y.coord(k) or x.coord(-k) != y.coord(-k):
+            return 2.0 ** (-k)
+    return 0.0
+
+
+def _ref_stable_shift(x, y):
+    r0 = max(x.reach()[1], y.reach()[1], 0) + 1
+    period = np.lcm(len(x.right_cycle), len(y.right_cycle))
+    if any(x.coord(i) != y.coord(i) for i in range(r0, r0 + period)):
+        return None
+    for i in range(r0 - 1, -1, -1):
+        if x.coord(i) != y.coord(i):
+            return i + 1
+    return 0
+
+
+def _ref_unstable_shift(x, y):
+    l0 = min(x.reach()[0], y.reach()[0], 0) - 1
+    period = np.lcm(len(x.left_cycle), len(y.left_cycle))
+    if any(x.coord(i) != y.coord(i) for i in range(l0 - period + 1, l0 + 1)):
+        return None
+    for i in range(l0 + 1, 1):
+        if x.coord(i) != y.coord(i):
+            return 1 - i
+    return 0
+
+
+def _ref_is_fixed_point(x):
+    a = x.coord(0)
+    lo, hi = x.reach()
+    return all(x.coord(i) == a for i in range(lo - 1, hi + 2)) and \
+        all(c == a for c in x.left_cycle) and all(c == a for c in x.right_cycle)
+
+
+def _points(symbols=3, cycle=4, core=6):
+    cycles = st.lists(st.integers(0, symbols - 1), min_size=1, max_size=cycle).map(tuple)
+    cores = st.lists(st.integers(0, symbols - 1), max_size=core).map(tuple)
+    return st.builds(lambda left, mid, right, anchor: sft.PointSpec(left, mid, right, anchor),
+                     cycles, cores, cycles, st.integers(-4, core + 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_points(), lo=st.integers(-20, 20), width=st.integers(-3, 25))
+def test_coords_is_the_coordinatewise_window(x, lo, width):
+    hi = lo + width - 1  # width <= 0 gives lo > hi, the empty window
+    assert x.coords(lo, hi) == tuple(x.coord(i) for i in range(lo, hi + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_points(2, 3, 5), y=_points(2, 3, 5), shift=st.integers(-6, 6),
+       shared=st.booleans(), h=st.integers(-1, 12))
+def test_window_compares_match_coordinatewise_references(x, y, shift, shared, h):
+    if shared:  # common tails, so the shifts are finite
+        y = sft.PointSpec(x.left_cycle, y.core, x.right_cycle, y.anchor)
+    pairs = [(x, y), (x, x.shift(shift)), (y, x.shift(shift))]
+    if x.coord(0) == y.coord(0):
+        xy, yx = sft.bracket(x, y), sft.bracket(y, x)
+        pairs += [(x, xy), (xy, y), (yx, x), (xy, yx)]
+    for u, v in pairs:
+        assert sft.in_local_stable(u, v, h) == _ref_in_local_stable(u, v, h)
+        assert sft.in_local_unstable(u, v, h) == _ref_in_local_unstable(u, v, h)
+        assert sft.in_local_stable(u, v) == _ref_in_local_stable(
+            u, v, sft._equality_horizon(u, v))
+        assert sft.in_local_unstable(u, v) == _ref_in_local_unstable(
+            u, v, sft._equality_horizon(u, v))
+        assert sft.same_point(u, v) == _ref_same_point(u, v)
+        assert sft.dist(u, v) == _ref_dist(u, v)
+        assert sft.stable_shift(u, v) == _ref_stable_shift(u, v)
+        assert sft.unstable_shift(u, v) == _ref_unstable_shift(u, v)
+        assert sft.is_fixed_point(u) == _ref_is_fixed_point(u)
+
+
+def test_is_admissible_range_and_pairs(golden):
+    assert sft.is_admissible(golden, ())
+    assert sft.is_admissible(golden, (1,))
+    assert not sft.is_admissible(golden, (2,))
+    assert not sft.is_admissible(golden, (0, -1))
+    assert not sft.is_admissible(golden, (0, 1, 0, 1, 1, 0))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from coprox import cocycle, demos, matnum, sft, typicality
-from coprox.cocycle import holonomy_loop, product, rectangle
+from coprox import analysis, cocycle, demos, matnum, sft, synthesis, typicality
+from coprox.cocycle import (holonomy_loop, orbit_chi_vec, orbit_mu_vec, product,
+                            product_scaled, rectangle)
 from coprox.errors import TurnCapExceeded
-from coprox.proximal import is_eps_proximal
+from coprox.proximal import eps_proximal_witness, is_eps_proximal
 from coprox.synthesis import (
+    SYNTHESIS_ERRORS,
     EndpointMismatch,
     PathSpec,
     build_family_context,
@@ -264,3 +266,112 @@ def test_period_overhead_quantized(typical2, typical2_cert):
     ]
     overheads = {r.n_q - r.n for r in reps}
     assert len(overheads) == 1  # one common period overhead per cocycle
+
+
+@pytest.fixture(scope="module")
+def synth_demos():
+    """The demos the synthesis benchmark runs, with their certificates."""
+    out = []
+    for name in ("typical_2x2", "typical_3x3", "radius1_2x2", "dominated_2x2"):
+        A = getattr(demos, name)()
+        out.append((A, typicality.find_typical_pair(A)[2]))
+    return out
+
+
+@pytest.mark.parametrize("length", [5, 24, 96])
+def test_shared_closing_products_match_direct_products(synth_demos, length):
+    # witnesses and bound come from products shared across loop-length
+    # attempts; each must equal the product taken afresh around q
+    for A, cert in synth_demos:
+        word = analysis.markov_sample(A, length, 2)
+        rep = build_proximal_periodic(A, cert, word, 0.05)
+        qpt = sft.periodic_point(rep.q)
+        members = [cocycle.exterior_cocycle(A, t) for t in range(1, A.dim)]
+        assert rep.witnesses == tuple(
+            eps_proximal_witness(product_scaled(B, qpt, rep.n_q)[0], 0.05) for B in members)
+        x = sft.point_from_word(A.base, word, cert.p.coord(0))
+        assert rep.bound_value == float(np.linalg.norm(
+            orbit_mu_vec(A, x, rep.n) - orbit_chi_vec(A, qpt, rep.n_q)))
+
+
+def test_closing_trunk_continued_only_on_its_own_rows(radius1):
+    def around(word, trunk=None):
+        q = sft.make_periodic(radius1.base, word)
+        return synthesis._around(radius1, sft.periodic_point(q), len(word), trunk)
+
+    head = (0, 1, 1, 0, 1, 1)
+    rows, (prods, scales), _ = around(head + (0,) * 24)
+    fresh_m, fresh_s = product_scaled(radius1, sft.periodic_point(
+        sft.make_periodic(radius1.base, head + (0,) * 24)), 30)
+    assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s
+    _, _, (done, t_prods, t_scales) = around(head + (0,) * 8)
+    assert done.shape[1] == 13 and np.array_equal(rows[:, :13], done)
+    # the rows extend the trunk's: its product is continued (an offset
+    # planted in its log scale survives), giving the same matrix
+    _, (prods, scales), _ = around(head + (0,) * 24, (done, t_prods, t_scales + 1.0))
+    assert np.array_equal(prods[0], fresh_m) and scales[0] != fresh_s
+    assert scales[0] == pytest.approx(fresh_s + 1.0)
+    # a trunk from another orbit is not continued, nor one reaching into the
+    # new orbit's wrapped windows, although here its rows agree with them
+    _, _, (o_done, o_prods, o_scales) = around((1, 1, 1, 1, 0, 1) + (0,) * 8)
+    _, _, (l_done, l_prods, l_scales) = around(head + (0,) * 25)
+    assert np.array_equal(rows[:, :30], l_done)
+    for trunk in ((o_done, o_prods, o_scales + 1.0), (l_done, l_prods, l_scales + 1.0)):
+        _, (prods, scales), _ = around(head + (0,) * 24, trunk)
+        assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s
+
+
+def test_family_context_built_once_per_cocycle_and_pair(monkeypatch):
+    A = demos.typical_2x2()  # a new cocycle, so nothing is memoised yet
+    cert = typicality.find_typical_pair(A)[2]
+    calls = []
+    build = synthesis.build_family_context
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "build_family_context", counted)
+    words = [analysis.markov_sample(A, 4 + 3 * i, i) for i in range(10)]
+    rep = verify_theorem_a(A, cert, words, 0.05)
+    assert len(rep.samples) + len(rep.failures) == 10
+    verify_theorem_a(A, cert, words[:2], 0.05)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("error", SYNTHESIS_ERRORS)
+def test_per_word_synthesis_errors_are_recorded(typical2, typical2_cert, monkeypatch, error):
+    real = synthesis.build_proximal_periodic
+
+    def failing_on_length_3(A, cert, word, tau, **kwargs):
+        if len(word) == 3:
+            raise error("no orbit for this word")
+        return real(A, cert, word, tau, **kwargs)
+
+    monkeypatch.setattr(synthesis, "build_proximal_periodic", failing_on_length_3)
+    monkeypatch.setattr(analysis, "build_proximal_periodic", failing_on_length_3)
+    words = [(1, 0), (0, 1, 1), (1, 1, 0, 0)]
+    cert = typical2_cert[2]
+    expect = (((0, 1, 1), "no orbit for this word"),)
+    rep = verify_theorem_a(typical2, cert, words, 0.05)
+    assert rep.failures == expect and len(rep.samples) == 2
+    rep_d = analysis.theorem_d_check(typical2, cert, words, c_emp=40.0, tau=0.05)
+    assert rep_d.failures == expect and len(rep_d.samples) == 2
+
+
+def test_long_word_failure_does_not_abort_theorem_a(typical3, typical3_cert):
+    # seed-5 words of length 160 hit the long-word defect on typical3x3
+    # (SingularMatrix); it must cost that word only
+    words = [analysis.markov_sample(typical3, n, 5) for n in (48, 160)]
+    rep = verify_theorem_a(typical3, typical3_cert[2], words, 0.05)
+    assert len(rep.samples) + len(rep.failures) == 2 and rep.samples
+
+
+@pytest.mark.parametrize("offset", [0, 1, 5, 11])
+@pytest.mark.parametrize("length", [1, 4, 12, 30])
+def test_shadow_offset_is_the_least_cyclic_match(offset, length):
+    q = sft.PeriodicWord((0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1))
+    word = tuple(q.symbols[(offset + i) % 12] for i in range(length))
+    least = next(j for j in range(12)
+                 if all(q.symbols[(j + i) % 12] == word[i] for i in range(length)))
+    assert synthesis._shadow_offset(q, word) == least
