@@ -189,16 +189,6 @@ def theorem_b_check(A: WindowCocycle, cert, i: int, max_period: int,
     return DominationReport(i, gap, profile, argmin, bool(verdict), r2_threshold)
 
 
-def pointwise_estimate(A: WindowCocycle, word: Symbols) -> np.ndarray:
-    """(1/n) log singular values at the canonical representative of word.
-
-    An n-indexed estimate; no convergence claim is attached.
-    """
-    x = point_from_word(A.base, word, _base_symbol(A))
-    n = len(word)
-    return orbit_mu_vec(A, x, n) / n
-
-
 def markov_sample(A: WindowCocycle, length: int, seed: int) -> Symbols:
     """One admissible word, uniform over continuations, seed-deterministic."""
     return _sampled_words(A, length, 1, seed)[0]

@@ -21,8 +21,7 @@ import numpy as np
 from . import analysis, synthesis, thermo, typicality
 from .cocycle import load_cocycle, save_cocycle
 from .demos import DEMOS, get_demo
-from .errors import (CoproxError, InputFormatError, NotConstant,
-                     SynthesisFailed, TransversalityFailed)
+from .errors import CoproxError, InputFormatError, NotConstant
 from .sft import is_admissible
 
 SCHEMA_PREFIX = "coprox"
@@ -148,7 +147,7 @@ def cmd_synthesize(args) -> int:
         rep = synthesis.build_proximal_periodic(
             A, cert, args.word, args.tau, ell_cap=args.ell_cap
         )
-    except (SynthesisFailed, TransversalityFailed) as exc:
+    except synthesis.SYNTHESIS_ERRORS as exc:
         if args.out:
             write_json(args.out, "synthesis", {"failed": str(exc)})
         print(f"synthesis failed: {exc}", file=sys.stderr)
@@ -309,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="twisting index collections on exterior powers "
                             "(dimensions >= 4 need 'pairs')")
         p.add_argument("--threads", type=_positive_int, default=default_threads,
-                       help="worker processes (or set COPROX_THREADS)")
+                       help="worker threads (or set COPROX_THREADS)")
 
     p = sub.add_parser("demo", help="write a built-in example cocycle file")
     p.add_argument("name", choices=sorted(DEMOS))

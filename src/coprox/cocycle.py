@@ -4,8 +4,8 @@ A window cocycle assigns an invertible d x d matrix to every admissible
 window of 2k+1 symbols; the matrix at a point reads coordinates -k..k.
 For such cocycles the stable/unstable holonomy limits stabilize after
 exactly k steps (all further factors coincide on a common leaf), so
-holonomies here are *exact* finite products.  Fiber-bunching is therefore
-not needed for existence and is only reported as a diagnostic.
+holonomies here are *exact* finite products, and fiber-bunching is not
+needed for their existence.
 
 Also provides the time-reversed (inverse) cocycle over the transposed
 subshift, exterior-power cocycles, and the one long-product kernel:
@@ -21,7 +21,7 @@ per product on every path and at most one worker pool per call.
 from __future__ import annotations
 
 import json
-import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -42,6 +42,7 @@ from .sft import (
     Sft,
     Symbols,
     bracket,
+    count_words,
     enumerate_words,
     extend_words,
     in_local_stable,
@@ -168,12 +169,12 @@ def orbit_mu_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     rescaling, so every ladder rung is a top quantity of an accurately
     represented matrix.
     """
-    return _ladder(A, _orbit_rows(A, x, n), _identity_trunks(A, 1), 0, "svd")[0]
+    return _ladder(A, _orbit_rows(A, x, n), _identity_trunks(A, 1), np.zeros(1), "svd")[0]
 
 
 def orbit_chi_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     """Log eigenvalue moduli of the product along the orbit, any length n >= 0."""
-    return _ladder(A, _orbit_rows(A, x, n), _identity_trunks(A, 1), 0, "eig")[0]
+    return _ladder(A, _orbit_rows(A, x, n), _identity_trunks(A, 1), np.zeros(1), "eig")[0]
 
 
 def cycle_chi_rows(A: WindowCocycle, cycles: np.ndarray) -> np.ndarray:
@@ -181,7 +182,7 @@ def cycle_chi_rows(A: WindowCocycle, cycles: np.ndarray) -> np.ndarray:
     given by a row of an array of admissible cycles, as orbit_chi_vec."""
     n, k = cycles.shape[1], A.radius
     rows = _window_rows(A, cycles[:, np.arange(-k, n + k) % n])
-    return _ladder(A, rows, _identity_trunks(A, len(rows)), 0, "eig")
+    return _ladder(A, rows, _identity_trunks(A, len(rows)), np.zeros(len(rows)), "eig")
 
 
 def holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec,
@@ -265,17 +266,6 @@ def rectangle(A: WindowCocycle, p: PointSpec, q: PointSpec) -> np.ndarray:
         @ holonomy_u(A, qp, q)
         @ holonomy_s(A, p, qp)
     )
-
-
-def fiber_bunching_margin(A: WindowCocycle) -> float:
-    """max over windows of |A| |A^-1| / 2; < 1 means fiber-bunched (alpha = 1).
-
-    Diagnostic only: window cocycles have exact holonomies regardless.
-    """
-    worst = 0.0
-    for m in A.table.values():
-        worst = max(worst, np.linalg.norm(m, 2) * np.linalg.norm(np.linalg.inv(m), 2) * 0.5)
-    return worst
 
 
 def distortion_residual(A: WindowCocycle, x: PointSpec, y: PointSpec, n: int) -> float:
@@ -400,44 +390,46 @@ def _identity_trunks(A: WindowCocycle, count: int) -> list:
             for m in A._rungs]
 
 
-def _ladder(A: WindowCocycle, idx: np.ndarray, trunks: list, first: int,
+def _logdet_sum(A: WindowCocycle, idx: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """start plus the log determinants of the windows of each row of idx,
+    added left to right (``np.cumsum`` is a sequential fold)."""
+    sums = np.concatenate([start[:, None], A._logdets[idx]], axis=1)
+    return np.cumsum(sums, axis=1, out=sums)[:, -1]
+
+
+def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarray,
             top: str = "svd") -> np.ndarray:
-    """Rows of rung differences for products with window rows idx, each
-    rung's product continued from its trunk through windows first, ...
+    """Rows of rung differences for products continued through the window
+    rows tail from their trunks: per exterior rung, the rescaled products
+    over the windows before tail, and logdets, the left-to-right sum of
+    those windows' log determinants.
 
     Rung t < d is the log top singular value (top="svd": log singular
-    values) or top eigenvalue modulus (top="eig": log eigenvalue moduli) of
-    the t-th exterior power product; the determinant rung is the
-    left-to-right sum of per-window log determinants.
+    values) or top eigenvalue modulus (top="eig": log eigenvalue moduli)
+    of the t-th exterior power product; the determinant rung continues the
+    log-determinant sum through tail.
     """
-    rungs = [np.zeros(len(idx))]
+    out = [np.zeros(len(tail))]
     for mats, (prods, scales) in zip(A._rungs, trunks):
-        prods, scales = _extend_products(mats, idx[:, first:], prods, scales)
+        prods, scales = _extend_products(mats, tail, prods, scales)
         tops = (np.max(np.abs(np.linalg.eigvals(prods)), axis=1) if top == "eig"
                 else np.linalg.svd(prods, compute_uv=False)[:, 0])
-        rungs.append(scales + np.log(tops))
-    logdets = A._logdets[idx]
-    rungs.append(np.cumsum(logdets, axis=1, out=logdets)[:, -1] if idx.shape[1] else rungs[0])
-    return np.diff(np.column_stack(rungs), axis=1)
-
-
-def _pin_worker_blas():
-    """Pool initializer: one BLAS thread per worker so processes do not
-    oversubscribe the cores (results are unaffected)."""
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=1)
-    except ImportError:
-        pass
+        out.append(scales + np.log(tops))
+    out.append(_logdet_sum(A, tail, logdets))
+    return np.diff(np.column_stack(out), axis=1)
 
 
 class WorkerPool(AbstractContextManager):
-    """Order-preserving map on at most one fork pool.
+    """Order-preserving map on at most one in-process thread pool.
 
-    The pool starts at the first map of more than one task and closes with
-    the ``with`` block, so kernels handed the same WorkerPool as
-    ``workers`` share one pool; with one worker everything runs in-process.
+    The pool starts at the first map of more than one task and shuts down
+    with the ``with`` block, so kernels handed the same WorkerPool as
+    ``workers`` share one pool; with one worker everything runs in the
+    calling thread.  Tasks share the caller's arrays, with nothing to fork
+    or pickle, and the batched matmul, SVD and eigenvalue kernels release
+    the GIL, so threads run them on separate cores.  Tasks only read shared
+    state: the kernel builds its cached tables before the first map (see
+    :func:`_kernel_tables`).
     """
 
     def __init__(self, workers: int):
@@ -447,13 +439,12 @@ class WorkerPool(AbstractContextManager):
         if self.workers <= 1 or len(tasks) <= 1:
             return [fn(task) for task in tasks]
         if self._pool is None:
-            self._pool = multiprocessing.get_context("fork").Pool(
-                self.workers, initializer=_pin_worker_blas)
-        return self._pool.map(fn, tasks)
+            self._pool = ThreadPoolExecutor(self.workers)
+        return list(self._pool.map(fn, tasks))
 
     def __exit__(self, *exc):
         if self._pool is not None:
-            self._pool.terminate()
+            self._pool.shutdown(cancel_futures=True)
 
 
 def _pool_of(workers):
@@ -461,15 +452,27 @@ def _pool_of(workers):
     return nullcontext(workers) if isinstance(workers, WorkerPool) else WorkerPool(workers)
 
 
-def _blocks(count: int, workers: int) -> list[slice]:
-    """Contiguous row blocks, one per worker when each gets four or more."""
-    parts = workers if workers > 1 and count >= 4 * workers else 1
-    bounds = np.linspace(0, count, parts + 1).astype(int)
+def _kernel_tables(A: WindowCocycle) -> None:
+    """Build the cached per-window tables the kernel reads, so that pool
+    tasks never build one concurrently."""
+    A._lookup, A._rungs, A._logdets
+
+
+ROW_CAP = 1024
+"""Most rows one kernel batch carries: sweep levels and word batches with
+more are cut into contiguous blocks."""
+
+
+def _blocks(count: int) -> list[slice]:
+    """The fewest contiguous near-equal row blocks of at most ROW_CAP rows."""
+    parts = -(-count // ROW_CAP)
+    bounds = [count * i // parts for i in range(parts + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _batch_rows(A: WindowCocycle, pads, words: np.ndarray) -> np.ndarray:
-    return _ladder(A, _window_rows(A, _canonical(words, pads)), _identity_trunks(A, len(words)), 0)
+    return _ladder(A, _window_rows(A, _canonical(words, pads)),
+                   _identity_trunks(A, len(words)), np.zeros(len(words)))
 
 
 def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols], base_symbol: int,
@@ -479,48 +482,80 @@ def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols], base_symbol: 
 
     The ladder is the one :func:`sweep_log_singular` runs, started from
     the identity for every word, so a word gets the same bytes from both.
-    ``workers`` is a count or a shared :class:`WorkerPool`; words go to it
-    in contiguous blocks merged back in order, so results do not depend
-    on the worker count.
+    Words run in contiguous blocks of at most ``ROW_CAP`` rows, merged
+    back in order; ``workers`` is a count or a shared :class:`WorkerPool`
+    that runs the blocks, so results do not depend on the worker count.
     """
     if len(words) == 0:
         return np.empty((0, A.dim))
     words = np.asarray(words, dtype=np.int64)
+    _kernel_tables(A)
     with _pool_of(workers) as pool:
         parts = pool.map(partial(_batch_rows, A, _pads(A, base_symbol)),
-                         [words[b] for b in _blocks(len(words), pool.workers)])
+                         [words[b] for b in _blocks(len(words))])
     return np.concatenate(parts)
 
 
-def _sweep(A: WindowCocycle, pads, state, targets: frozenset, top: int,
-           pool: Optional[WorkerPool] = None) -> dict:
-    """Rows at every target length up to top, sweeping on from a state.
+def _edge(words: np.ndarray, lpads: np.ndarray, width: int) -> np.ndarray:
+    """The last ``width`` symbols of each word with its left pad in front
+    (all of them when the padded word is shorter)."""
+    left = np.concatenate([lpads[words[:, 0]], words[:, max(0, words.shape[1] - width):]],
+                          axis=1)
+    return left[:, max(0, left.shape[1] - width):]
 
-    A level-L state is (words, trunks): the length-L words as sorted rows
-    and, per rung, the rescaled products over windows 0..L-k-1, which stop
-    at the last symbol and so are shared by every extension; the k windows
-    reading the right pad are applied per target in ``_ladder``.  With a
-    pool, the first level with four rows per worker is cut into contiguous
-    blocks swept one per worker, whose rows concatenate in order.
+
+def _sweep(A: WindowCocycle, pads, state, out: dict,
+           pool: Optional[WorkerPool] = None) -> None:
+    """Sweep on from a state, writing the rows of each target length n
+    left to sweep into ``out[n]`` from row ``at[n]`` on.
+
+    A level-L state is (words, trunks, logdets, at): the length-L words as
+    sorted rows; per rung, the rescaled products over windows 0..L-k-2,
+    which stop before the last symbol, with the running sum of their log
+    determinants; and ``at``, per target n not yet reached, the row of
+    the first level-n descendant of these words.  The window the last
+    symbol completes is applied first, as one new column; the trunks then
+    cover every window that reads no right pad, so all extensions share
+    them, and the k windows reading the right pad are applied per target
+    in ``_ladder``.  Only these tail windows are ever read.
+
+    A level of more than ``ROW_CAP`` rows is cut into contiguous blocks,
+    each the words of a run of subtrees, swept on depth-first; a block's
+    descendants at each target start after those of the blocks before
+    it.  No kernel batch has more than ``ROW_CAP`` rows, and a sweep holds
+    the children of at most ``ROW_CAP`` words per level of depth.  The
+    first cut goes to the pool, a block per task; cuts inside a task run
+    serially, so no task waits on the pool it runs in.
     """
-    words, trunks = state
-    out = {}
-    while words.shape[1] < top:
-        blocks = _blocks(len(words), pool.workers) if pool is not None else [slice(None)]
-        if len(blocks) > 1:
-            parts = pool.map(partial(_sweep, A, pads, targets=targets, top=top),
-                             [(words[b], [(p[b], s[b]) for p, s in trunks]) for b in blocks])
-            return out | {n: np.concatenate([part[n] for part in parts]) for n in parts[0]}
+    lpads, rpads = pads
+    k = A.radius
+    words, trunks, logdets, at = state
+    while True:
+        n = words.shape[1]
+        if len(words) > ROW_CAP:
+            pool = pool if pool is not None else WorkerPool(1)
+            T = A.base.matrix()
+            # level-m descendants of the words before each row
+            before = {m: np.concatenate([[0], np.cumsum(
+                np.linalg.matrix_power(T, m - n).sum(axis=1)[words[:, -1]])]) for m in at}
+            tasks = [(words[b], [(p[b], s[b]) for p, s in trunks], logdets[b],
+                      {m: at[m] + int(before[m][b.start]) for m in at})
+                     for b in _blocks(len(words))]
+            pool.map(partial(_sweep, A, pads, out=out), tasks)
+            return
+        if n > k:
+            col = _window_rows(A, _edge(words, lpads, 2 * k + 1))
+            trunks = [_extend_products(m, col, p, s) for m, (p, s) in zip(A._rungs, trunks)]
+            logdets = logdets + A._logdets[col[:, 0]]
+        if n in at:
+            tail = np.concatenate([_edge(words, lpads, 2 * k), rpads[words[:, -1]]], axis=1)
+            start = at.pop(n)
+            out[n][start:start + len(words)] = _ladder(A, _window_rows(A, tail), trunks, logdets)
+        if not at:
+            return
         parent, words = extend_words(A.base, words)
         trunks = [(p[parent], s[parent]) for p, s in trunks]
-        padded = _canonical(words, pads)
-        pos = words.shape[1] - 1 - A.radius  # the window the new symbol completes
-        if pos >= 0:
-            col = _window_rows(A, padded[:, pos:pos + 2 * A.radius + 1])
-            trunks = [_extend_products(m, col, p, s) for m, (p, s) in zip(A._rungs, trunks)]
-        if words.shape[1] in targets:
-            out[words.shape[1]] = _ladder(A, _window_rows(A, padded), trunks, max(0, pos + 1))
-    return out
+        logdets = logdets[parent]
 
 
 def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int,
@@ -533,17 +568,23 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
     a range of lengths costs about as much as the longest.  Each word's
     arithmetic (identity start, per-step rescaling, left-to-right log
     scales, log-determinant sum) is that of :func:`batch_log_singular`, so
-    the rows are byte-identical to it.  ``workers`` is a count or a shared
-    :class:`WorkerPool`; a sweep starts at most one pool, and its rows do
-    not depend on the worker count.
+    the rows are byte-identical to it.  Levels are swept in blocks of at
+    most ``ROW_CAP`` rows, written in place into the returned arrays, so
+    memory beyond those rows stays bounded.  ``workers`` is a count or a
+    shared :class:`WorkerPool`; a sweep starts at most one pool, and its
+    rows do not depend on the worker count.
     """
-    targets = frozenset(n_list)
-    if targets and min(targets) < 1:
+    targets = sorted(set(n_list))
+    if targets and targets[0] < 1:
         raise ValueError("lengths must be >= 1")
+    out = {n: np.empty((count_words(A.base, n), A.dim)) for n in targets}
     empty = np.zeros((1, 0), dtype=np.min_scalar_type(A.base.alphabet_size - 1))
+    _kernel_tables(A)
     with _pool_of(workers) as pool:
-        return _sweep(A, _pads(A, base_symbol), (empty, _identity_trunks(A, 1)),
-                      targets, max(targets, default=0), pool)
+        _sweep(A, _pads(A, base_symbol),
+               (empty, _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)),
+               out, pool)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import asin, atan2, cos, pi, sin, sqrt
+from math import asin, atan2, cos, pi, sin
 
 import numpy as np
 
@@ -207,11 +207,6 @@ class Cone:
 
 def cone_contains_cone(outer: Cone, inner: Cone) -> bool:
     return rho(outer.center, inner.center) + inner.radius <= outer.radius
-
-
-def rho_to_cone(u: np.ndarray, cone: Cone) -> float:
-    """Distance from a direction to a cone: center distance less radius."""
-    return max(0.0, rho(u, cone.center) - cone.radius)
 
 
 def _sine_factor_to_rho_bound(k: float) -> float:

@@ -340,7 +340,8 @@ def enumerate_periodic(s: Sft, n: int) -> list[PeriodicWord]:
 
 def lyndon_mask(words: np.ndarray) -> np.ndarray:
     """Rows strictly smaller than each of their proper rotations (the Lyndon
-    words: the cycles equal to their :func:`orbit_key`), compared as base-b
+    words: primitive cycles that are their own least rotation, one per
+    periodic orbit), compared as base-b
     integer keys, b above the largest symbol; keys beyond int64 are Python
     ints.  Rotating a key left by r: (key mod b^(n-r)) b^r + key div b^(n-r)."""
     n = words.shape[1]
@@ -455,23 +456,6 @@ def unstable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
     if xs[:period] != ys[:period]:
         return None
     return next((1 - i for i in range(l0 + 1, 1) if xs[i - 1] != ys[i - 1]), 0)
-
-
-def cyclic_min_rotation(word: Symbols) -> Symbols:
-    return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
-
-
-def primitive_root(word: Symbols) -> Symbols:
-    n = len(word)
-    for r in range(1, n + 1):
-        if n % r == 0 and word == word[:r] * (n // r):
-            return word[:r]
-    return word
-
-
-def orbit_key(w: PeriodicWord) -> Symbols:
-    """Canonical key of the periodic orbit: min rotation of the primitive root."""
-    return cyclic_min_rotation(primitive_root(w.symbols))
 
 
 def full_shift(q: int) -> Sft:

@@ -28,6 +28,7 @@ from .cocycle import (
     WindowCocycle,
     _extend_products,
     _ladder,
+    _logdet_sum,
     _memoised,
     _orbit_rows,
     exterior_cocycle,
@@ -561,7 +562,8 @@ def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
     # the members are A's exterior powers, so their products around q are
     # the rungs of A's eigenvalue ladder with every window already applied
     rows = closing[0][0]
-    chi = _ladder(A, rows, [scaled for _, scaled in closing], rows.shape[1], "eig")[0]
+    chi = _ladder(A, rows[:, :0], [scaled for _, scaled in closing],
+                  _logdet_sum(A, rows, np.zeros(1)), "eig")[0]
     bound = float(np.linalg.norm(orbit_mu_vec(A, x, report.n) - chi))
     return replace(report, bound_value=bound)
 

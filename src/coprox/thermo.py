@@ -1,7 +1,6 @@
 """Subadditive thermodynamic formalism at desk scale: singular value
-potentials, pressure from cylinder sums with Cesaro extrapolation, a
-Gibbs-ratio diagnostic, and the equal-equilibrium-state experiment for a
-pair of cocycles.
+potentials, pressure from cylinder sums with Cesaro extrapolation, and
+the equal-equilibrium-state experiment for a pair of cocycles.
 
 The measure proxy throughout is the vector of normalized cylinder
 weights; all statements are diagnostics of trends in n, never claims
@@ -20,7 +19,7 @@ from scipy.special import logsumexp
 from .cocycle import batch_log_singular  # noqa: F401  (part of this module's API)
 from .cocycle import WindowCocycle, sweep_log_singular
 from .errors import NotConstant
-from .sft import Symbols, enumerate_words, word_array
+from .sft import Symbols, enumerate_words
 from .analysis import periodic_lyapunov, periodic_spectrum, _base_symbol, _sampled_words
 from .synthesis import build_family_context, synthesize_family
 from .typicality import TypicalityCertificate
@@ -58,9 +57,10 @@ def phi_s(g: np.ndarray, s: float) -> float:
 def _log_weights(A: WindowCocycle, s: float, n_list: Sequence[int],
                  workers: int = 1) -> dict[int, np.ndarray]:
     """Log potentials of all length-n words, lexicographic, for each n:
-    one level sweep and one vectorized potential per length."""
+    one level sweep and one vectorized potential per length, each length's
+    rows dropped once its potentials are taken."""
     rows = sweep_log_singular(A, n_list, _base_symbol(A), workers=workers)
-    return {n: log_phi_s(r, s) for n, r in rows.items()}
+    return {n: log_phi_s(rows.pop(n), s) for n in list(rows)}
 
 
 @dataclass(frozen=True)
@@ -164,41 +164,6 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
         value = float(np.mean(quotients[-take:]))
         method = f"difference-quotient-top-quartile({take})"
     return PressureEstimate(s, n_range, tuple(p_n), value, method, _known_oracle(A, s))
-
-
-@dataclass(frozen=True)
-class GibbsDiagnostic:
-    """Spread of the measure-proxy to potential ratio over level-n cylinders.
-
-    The proxy mass of a cylinder is the normalized weight summed over its
-    depth-deeper refinements; ratios are against e^{-n P_ref} phi^s.
-    """
-
-    n: int
-    depth: int
-    min_ratio: float
-    max_ratio: float
-
-    @property
-    def spread(self) -> float:
-        return self.max_ratio / self.min_ratio
-
-
-def gibbs_diagnostic(A: WindowCocycle, s: float, n: int, p_ref: float, *,
-                     depth: int = 5, workers: int = 1) -> GibbsDiagnostic:
-    lw = _log_weights(A, s, (n, n + depth), workers)
-    deep = lw[n + depth] - float(logsumexp(lw[n + depth]))
-    # the refinements of each level-n word are one contiguous run of the
-    # lexicographic level-(n + depth) words, runs in level-n order
-    prefixes = word_array(A.base, n + depth)[:, :n]
-    starts = 1 + np.flatnonzero(np.any(prefixes[1:] != prefixes[:-1], axis=1))
-    log_ratios = [
-        float(logsumexp(run)) - (-n * p_ref + shallow)
-        for run, shallow in zip(np.split(deep, starts), lw[n])
-    ]
-    return GibbsDiagnostic(
-        n, depth, float(np.exp(min(log_ratios))), float(np.exp(max(log_ratios)))
-    )
 
 
 @dataclass(frozen=True)

@@ -54,16 +54,27 @@ def _tri_radius1():
     return WindowCocycle(base, 3, 1, table)
 
 
+def _skew_radius1():
+    """Radius 1 over a 3-symbol base whose symbols have different numbers
+    of successors and of predecessors (0 -> 0, 1; 1 -> 0, 2; 2 -> 0)."""
+    base = sft.Sft.from_matrix([[1, 1, 0], [1, 0, 1], [1, 0, 0]])
+    rng = np.random.default_rng(12)
+    table = {w: rng.normal(size=(2, 2)) + 2 * np.eye(2)
+             for w in sft.enumerate_words(base, 3)}
+    return WindowCocycle(base, 2, 1, table)
+
+
 @pytest.fixture(scope="session")
 def cocycles(typical3, radius1, radius2):
-    """Radii 0-2, full and golden-mean bases and a base with bridged pads,
-    all with the fixed symbol 0."""
+    """Radii 0-2, full and golden-mean bases, a base with bridged pads and
+    one with an asymmetric adjacency, all with the fixed symbol 0."""
     return {
         "full r0": typical3,
         "golden r0": demos.golden_typical_3x3(),
         "full r1": radius1,
         "full r2": radius2,
         "tri r1": _tri_radius1(),
+        "skew r1": _skew_radius1(),
     }
 
 
@@ -95,3 +106,21 @@ def random_invertible(rng, d, spread=2.0):
         g = rng.normal(size=(d, d)) * spread
         if abs(np.linalg.det(g)) > 1e-3:
             return g
+
+
+def cyclic_min_rotation(word):
+    return min(tuple(word[i:] + word[:i]) for i in range(len(word)))
+
+
+def primitive_root(word):
+    n = len(word)
+    for r in range(1, n + 1):
+        if n % r == 0 and word == word[:r] * (n // r):
+            return word[:r]
+    return word
+
+
+def orbit_key(w):
+    """Reference key of a periodic orbit (a ``sft.PeriodicWord``): the least
+    rotation of its primitive root, one rotation compare at a time."""
+    return cyclic_min_rotation(primitive_root(w.symbols))

@@ -7,7 +7,6 @@ from coprox.analysis import (
     markov_sample,
     periodic_lyapunov,
     periodic_spectrum,
-    pointwise_estimate,
     theorem_b_check,
     theorem_d_check,
 )
@@ -123,20 +122,6 @@ def test_theorem_b_planted_rotation():
     # the planted fixed orbit pins the gap at zero; other elliptic orbits
     # may tie, so only the value is asserted
     assert not rep.verdict
-
-
-def test_pointwise_estimate_constant_exact():
-    A = demos.constant_diag_4_1()
-    est = pointwise_estimate(A, (0, 1, 1, 0, 1))
-    assert np.allclose(est, [np.log(4.0), 0.0], atol=1e-12)
-
-
-def test_pointwise_estimate_scalar_birkhoff():
-    A = demos.scalar_2_3()
-    word = (0, 1, 1, 0)
-    est = pointwise_estimate(A, word)
-    expect = np.mean([np.log(2.0), np.log(3.0), np.log(3.0), np.log(2.0)])
-    assert est[0] == pytest.approx(expect)
 
 
 def test_markov_sample_deterministic(typical2):

@@ -5,6 +5,7 @@ import pytest
 
 from coprox import cli
 from coprox.cli import main
+from conftest import orbit_key
 
 CERT_SCHEMA = {
     "type": "object",
@@ -108,6 +109,23 @@ def test_synthesize(demo_file, tmp_path):
     assert "111" in q + q  # literal shadowing, cyclically
 
 
+def test_synthesize_long_word_failure_exits_two(tmp_path, capsys):
+    # a 160-symbol typical3x3 word (markov_sample(A, 160, 5)) that hits the
+    # long-word defect: SingularMatrix is a synthesis failure, not an error
+    path = tmp_path / "typical3x3.json"
+    assert main(["demo", "typical3x3", "--out", str(path)]) == 0
+    word = ("11010110100010000001011000010111001011101110010001010011110011100100"
+            "10100100000110011000011101101001101100111001011001011110100110011110"
+            "010000011001010111110100")
+    out = tmp_path / "syn.json"
+    capsys.readouterr()
+    assert main(["synthesize", "--input", str(path), "--word", word,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("synthesis failed: ") and "\n" not in err
+    assert set(json.loads(out.read_text())) == {"schema", "failed"}
+
+
 def test_spectrum_row_count(demo_file, tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--input", str(demo_file), "--max-period", "3",
@@ -131,7 +149,7 @@ def test_spectrum_golden_orbit_count(tmp_path):
     orbits = set()
     for n in (1, 2, 3):
         for w in sft.enumerate_periodic(golden, n):
-            orbits.add(sft.orbit_key(w))
+            orbits.add(orbit_key(w))
     rows = out.read_text().strip().split("\n")[2:]
     assert len(rows) == len(orbits)
 

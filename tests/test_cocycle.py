@@ -11,7 +11,6 @@ from coprox.cocycle import (
     cocycle_to_dict,
     distortion_residual,
     exterior_cocycle,
-    fiber_bunching_margin,
     global_holonomy_s,
     holonomy_loop,
     holonomy_s,
@@ -198,12 +197,6 @@ def test_distortion_identity(radius1, typical2):
     y = sft.point_from_word(radius1.base, (1, 0, 1, 1, 1, 0), 0)
     assert distortion_residual(radius1, x, y, 4) < 1e-10
     assert distortion_residual(typical2, x, y, 4) < 1e-12
-
-
-def test_fiber_bunching_margin_conformal(full2):
-    table = {(0,): 3 * demos.rotation2(0.2), (1,): 0.25 * demos.rotation2(1.0)}
-    A = WindowCocycle(full2, 2, 0, table)
-    assert fiber_bunching_margin(A) == pytest.approx(0.5)
 
 
 def test_inverse_cocycle_involution(radius1):

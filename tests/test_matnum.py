@@ -125,13 +125,6 @@ def test_rho_to_hyperplane():
     assert matnum.rho_to_hyperplane(e[1], e[0]) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_rho_to_cone():
-    cone = matnum.Cone(np.array([1.0, 0.0]), 0.2)
-    assert matnum.rho_to_cone(np.array([1.0, 0.0]), cone) == 0.0
-    v = np.array([np.cos(0.5), np.sin(0.5)])
-    assert matnum.rho_to_cone(v, cone) == pytest.approx(0.3, abs=1e-12)
-
-
 def test_hyperplane_basis_orthonormal():
     rng = np.random.default_rng(5)
     for d in (2, 3, 5):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coprox import cocycle, demos, matnum, sft, thermo
+from conftest import orbit_key
 
 GOLDEN = sft.golden_mean_shift()
 FULL2 = sft.full_shift(2)
@@ -126,7 +127,7 @@ def test_orbit_key_is_rotation_invariant(word):
         return
     w = sft.PeriodicWord(word)
     keys = {
-        sft.orbit_key(sft.PeriodicWord(word[i:] + word[:i]))
+        orbit_key(sft.PeriodicWord(word[i:] + word[:i]))
         for i in range(len(word))
         if sft.is_admissible(GOLDEN, word[i:] + word[:i])
     }

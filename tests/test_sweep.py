@@ -10,7 +10,7 @@ their results must equal the per-step loops kept below as references byte
 for byte.
 """
 
-import multiprocessing.pool
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from coprox import analysis, cocycle, demos, sft, thermo
 from coprox.cocycle import batch_log_singular, sweep_log_singular
+from conftest import orbit_key
 
 
-NAMES = ("full r0", "golden r0", "full r1", "full r2", "tri r1")
+NAMES = ("full r0", "golden r0", "full r1", "full r2", "tri r1", "skew r1")
 LENGTHS = st.sets(st.integers(1, 9), min_size=1, max_size=4)
 ORBIT_LENGTHS = st.sampled_from([0, 1, 7, 8, 9]) | st.integers(0, 600)
 
@@ -37,34 +38,66 @@ def test_sweep_rows_equal_batch_on_enumerated_words(cocycles, name, n_set):
         assert np.array_equal(rows[n], ref)
 
 
-@settings(max_examples=8, deadline=None)
-@given(name=st.sampled_from(NAMES), n_set=LENGTHS)
-def test_sweep_independent_of_worker_count(cocycles, name, n_set):
+def _first_length_over_cap(A):
+    return next(n for n in range(1, 64) if sft.count_words(A.base, n) > cocycle.ROW_CAP)
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(NAMES), n_set=LENGTHS, over=st.sampled_from([(), (0,), (1, 2)]))
+def test_sweep_independent_of_worker_count(cocycles, name, n_set, over):
+    # ``over`` adds lengths whose levels are cut into blocks of ROW_CAP rows
     A = cocycles[name]
+    n_set = set(n_set) | {_first_length_over_cap(A) + e for e in over}
     one = sweep_log_singular(A, n_set, 0, workers=1)
-    two = sweep_log_singular(A, n_set, 0, workers=2)
-    assert sorted(one) == sorted(two)
-    assert all(np.array_equal(one[n], two[n]) for n in one)
+    for workers in (2, 3):
+        rows = sweep_log_singular(A, n_set, 0, workers=workers)
+        assert sorted(rows) == sorted(one)
+        assert all(np.array_equal(one[n], rows[n]) for n in one)
+    for n in n_set:
+        assert np.array_equal(one[n], batch_log_singular(A, sft.enumerate_words(A.base, n), 0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name, n", [("full r0", 13), ("golden r0", 20), ("skew r1", 14)])
+def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, workers, name, n):
+    # levels several times the cap, cut again below the first cut; on the
+    # skew base, blocks differ in how many descendants they have
+    A = cocycles[name]
+    assert sft.count_words(A.base, n) > 4 * cocycle.ROW_CAP
+    sizes = []
+    extend = cocycle._extend_products
+
+    def recorded(mats, idx, prods, scales):
+        sizes.append(len(prods))
+        return extend(mats, idx, prods, scales)
+
+    monkeypatch.setattr(cocycle, "_extend_products", recorded)
+    rows = sweep_log_singular(A, [n - 2, n], 0, workers=workers)
+    for m in (n - 2, n):
+        words = sft.enumerate_words(A.base, m)
+        assert np.array_equal(rows[m], batch_log_singular(A, words, 0, workers=workers))
+    assert sizes and max(sizes) <= cocycle.ROW_CAP
 
 
 @pytest.fixture
 def pool_starts(monkeypatch):
     starts = []
-    init = multiprocessing.pool.Pool.__init__
+    init = ThreadPoolExecutor.__init__
 
     def counted(self, *args, **kwargs):
         starts.append(1)
         return init(self, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counted)
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counted)
     return starts
 
 
 def test_pressure_starts_one_pool(pool_starts):
+    # levels 15 to 17 (1,597 to 4,181 words) are over the row cap
     A = demos.golden_typical_3x3()
-    est = thermo.pressure(A, 1.5, range(2, 13), workers=2)
+    est = thermo.pressure(A, 1.5, range(2, 18), workers=2)
     assert len(pool_starts) == 1
-    assert est.p_n == thermo.pressure(A, 1.5, range(2, 13)).p_n
+    assert est.p_n == thermo.pressure(A, 1.5, range(2, 18)).p_n
 
 
 def test_gap_profile_starts_at_most_one_pool(pool_starts):
@@ -162,7 +195,7 @@ def test_product_scaled_backward_equals_reference(cocycles, name, n, length, see
 def test_periodic_spectrum_equals_per_orbit_references(cocycles, name):
     A = cocycles[name]
     spectrum = analysis.periodic_spectrum(A, 6)
-    assert len(spectrum) == len({sft.orbit_key(w) for n in range(1, 7)
+    assert len(spectrum) == len({orbit_key(w) for n in range(1, 7)
                                  for w in sft.enumerate_periodic(A.base, n)})
     for q, lam in spectrum:
         assert np.array_equal(lam, analysis.periodic_lyapunov(A, q))
@@ -174,7 +207,7 @@ def _ref_periodic_spectrum(A, max_period):
     """Orbit selection by one orbit_key call per enumerated cycle."""
     out = []
     for n in range(1, max_period + 1):
-        cycles = [w for w in sft.enumerate_periodic(A.base, n) if sft.orbit_key(w) == w.symbols]
+        cycles = [w for w in sft.enumerate_periodic(A.base, n) if orbit_key(w) == w.symbols]
         if cycles:
             rows = cocycle.cycle_chi_rows(A, np.array([w.symbols for w in cycles]))
             out += zip(cycles, rows / n)

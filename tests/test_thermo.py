@@ -5,7 +5,6 @@ from coprox import cocycle, demos, thermo, typicality
 from coprox.errors import NotConstant
 from coprox.thermo import (
     cylinder_weights,
-    gibbs_diagnostic,
     phi_s,
     pressure,
     theorem_c_experiment,
@@ -101,29 +100,6 @@ def test_pressure_subadditive_up_to_distortion(radius1, typical2):
             for m in ns:
                 if n + m in S:
                     assert S[n + m] <= S[n] + S[m] + D + 1e-9
-
-
-def test_gibbs_constant_cocycle_spread_one():
-    A = demos.constant_diag_4_1()
-    est = pressure(A, 1.0, list(range(2, 7)))
-    diag = gibbs_diagnostic(A, 1.0, 4, est.value, depth=4)
-    assert diag.spread == pytest.approx(1.0, abs=1e-10)
-
-
-def test_gibbs_d1_bounded_and_stable():
-    A = demos.golden_scalar_2_3()
-    est = pressure(A, 1.0, list(range(2, 15)))
-    spreads = [gibbs_diagnostic(A, 1.0, n, est.value, depth=6).spread
-               for n in (3, 5, 7)]
-    assert all(s < 4.0 for s in spreads)
-    assert abs(spreads[-1] - spreads[-2]) < 0.5
-
-
-def test_gibbs_demo_bounded(typical2):
-    est = pressure(typical2, 1.0, list(range(2, 13)))
-    spreads = [gibbs_diagnostic(typical2, 1.0, n, est.value, depth=5).spread
-               for n in (4, 6, 8)]
-    assert all(np.isfinite(s) and s < 50.0 for s in spreads)
 
 
 def test_cylinder_weights_normalized(typical2):
