@@ -194,6 +194,8 @@ def holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec,
     if not in_local_stable(x, y):
         raise NotOnLocalLeaf("y is not in the local stable set of x")
     m = A.radius if steps is None else steps
+    if m == 0:
+        return np.eye(A.dim)  # the empty products' quotient, exactly
     return np.linalg.inv(product(A, y, m)) @ product(A, x, m)
 
 
@@ -203,6 +205,8 @@ def holonomy_u(A: WindowCocycle, x: PointSpec, y: PointSpec,
     if not in_local_unstable(x, y):
         raise NotOnLocalLeaf("y is not in the local unstable set of x")
     m = A.radius if steps is None else steps
+    if m == 0:
+        return np.eye(A.dim)
     return np.linalg.inv(product(A, y, -m)) @ product(A, x, -m)
 
 
@@ -375,7 +379,18 @@ def _extend_products(mats: np.ndarray, idx: np.ndarray, prods: np.ndarray,
     """Multiply the products e^scales * prods on the left by the window
     matrices of each column of idx in turn, rescaling every product to
     unit max-entry after each step: the one long-product kernel, run by
-    sweeps, word batches, single orbits (batches of one) and cycles."""
+    sweeps, word batches, single orbits and synthesis folds (batches of
+    one) and cycles.  A batch of one takes a scalar peak and log scale per
+    step: the same IEEE operations, so the bytes of a batch row.
+    """
+    if len(prods) == 1 == len(idx):
+        m, s = prods[0], scales[0]
+        for step in mats[idx[0]]:
+            m = np.matmul(step, m)
+            peak = np.maximum.reduce(np.abs(m), axis=None)
+            m /= peak
+            s += np.log(peak)
+        return m[None], np.array([s])
     for step in mats[idx.T]:
         prods = step @ prods
         peak = np.abs(prods).reshape(len(prods), -1).max(axis=1)

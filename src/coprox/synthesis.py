@@ -3,10 +3,15 @@ simultaneous transversality, and the shadowing periodic orbit builder.
 
 A path from x to y is symbolic data (x, x0, n, y) with x0 on the local
 unstable set of x and sigma^n x0 on the local stable set of y; its matrix
-for a cocycle is  H^s(sigma^n x0 -> y) A^n(x0) H^u(x -> x0), always
-recomputed from the symbols.  Two paths meeting at a point concatenate
-through a bracket, and the concatenated matrix differs from the plain
-product of the two by a holonomy rectangle (an identity the tests verify).
+for a cocycle is  H^s(sigma^n x0 -> y) A^n(x0) H^u(x -> x0).  Two paths
+meeting at a point concatenate through a bracket, and the concatenated
+matrix differs from the plain product of the two by a holonomy rectangle
+(an identity the tests verify).
+
+A concatenation keeps its first path's carrier up to the joint, so a
+member's rescaled product along it continues the first path's fold (see
+:func:`_fold`): the orbit builder folds each window of the closing orbit
+once per member, not afresh for every path that contains it.
 
 The periodic-orbit builder works against a finite family of cocycles over
 a common base with a common certified pair (p, z); exterior powers of a
@@ -38,7 +43,6 @@ from .cocycle import (
     orbit_chi_vec,
     orbit_mu_vec,
     product,
-    product_scaled,
 )
 from .errors import (
     DegenerateTopSingularValue,
@@ -86,7 +90,7 @@ class EndpointMismatch(Exception):
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Symbolic path data x -> x0 -> sigma^n x0 -> y (matrices recomputed)."""
+    """Symbolic path data x -> x0 -> sigma^n x0 -> y."""
 
     x: PointSpec
     x0: PointSpec
@@ -115,12 +119,35 @@ def path_matrix(A: WindowCocycle, path: PathSpec) -> np.ndarray:
     )
 
 
-def path_direction(A: WindowCocycle, path: PathSpec, v: np.ndarray) -> np.ndarray:
+def _fold(B: WindowCocycle, rows: np.ndarray, trunk):
+    """Member B's rescaled product over n window rows (one row of table
+    rows) and the trunk a later fold continues: the product over the rows
+    0..n-k-1, whose windows read no symbol past the n-th, where a path
+    extending this one or the orbit closing it may differ.
+
+    A trunk is a (rows, prods, scales) triple, None for none.  It is
+    continued only when its rows are a prefix of these rows 0..n-k-1; any
+    other fold starts over from the identity.  The kernel folds the windows
+    strictly left to right, so both give the bytes of ``product_scaled``.
+    """
+    cut = max(rows.shape[1] - B.radius, 0)
+    if trunk is None or not (trunk[0].shape[1] <= cut
+                             and np.array_equal(rows[:, :trunk[0].shape[1]], trunk[0])):
+        trunk = (rows[:, :0], np.eye(B.dim)[None], np.zeros(1))
+    done, prods, scales = trunk
+    prods, scales = _extend_products(B._mats, rows[:, done.shape[1]:cut], prods, scales)
+    return (_extend_products(B._mats, rows[:, cut:], prods, scales),
+            (rows[:, :cut], prods, scales))
+
+
+def path_direction(A: WindowCocycle, path: PathSpec, v: np.ndarray, trunk=None):
     """Unit direction of the path matrix applied to v, overflow-safe for
-    long paths (the product is rescaled in flight)."""
-    m, _ = product_scaled(A, path.x0, path.n)
-    out = holonomy_s(A, path.end, path.y) @ (m @ (holonomy_u(A, path.x, path.x0) @ unit(v)))
-    return unit(out)
+    long paths (the product is rescaled in flight), and the trunk of that
+    product: passed back in for a path that extends this one, it spares
+    refolding their common windows (see :func:`_fold`)."""
+    (prods, _), trunk = _fold(A, _orbit_rows(A, path.x0, path.n), trunk)
+    out = holonomy_s(A, path.end, path.y) @ (prods[0] @ (holonomy_u(A, path.x, path.x0) @ unit(v)))
+    return unit(out), trunk
 
 
 def connect(path1: PathSpec, path2: PathSpec) -> PathSpec:
@@ -246,28 +273,27 @@ def _entry_path(base, x: PointSpec, p: PointSpec, slack: int) -> PathSpec:
     return PathSpec(x, w0, n0, p)
 
 
+def _worst_angle(frames, u) -> float:
+    return max(rho(v, f.vector(0)) for f, v in zip(frames, u))
+
+
 def _path_to_top(family, frames, base, p, z, exc_end, x, dirs, eps_target,
-                 delta, ell) -> Optional[PathSpec]:
+                 delta, ell):
     """Path x -> p taking every direction within eps_target of its frame's
-    top eigendirection, or None if this (delta, ell) attempt falls short."""
+    top eigendirection, with each member's trunk of its product, or None
+    if this (delta, ell) attempt falls short.  The loop extends the turned
+    entry path, so its products continue the entry path's."""
     entry = _entry_path(base, x, p, slack=2)
-    u = [path_direction(A, entry, v) for A, v in zip(family, dirs)]
+    u, trunks = zip(*(path_direction(A, entry, v) for A, v in zip(family, dirs)))
     try:
         a = turn_direction(frames, u, delta, TURN_CAP)
     except TurnCapExceeded:
         return None
-
-    def worst_angle(path):
-        return max(
-            rho(path_direction(A, path, v), f.vector(0))
-            for A, v, f in zip(family, dirs, frames)
-        )
-
-    turned = extend_at_fixed_target(entry, a)
-    if a == 0 and worst_angle(turned) <= eps_target:
-        return turned  # already aligned with the top directions, no twist needed
-    cand = connect(turned, loop_path(p, z, max(ell, exc_end + 2)))
-    return cand if worst_angle(cand) <= eps_target else None
+    if a == 0 and _worst_angle(frames, u) <= eps_target:
+        return entry, trunks  # already aligned with the top directions, no twist needed
+    cand = connect(extend_at_fixed_target(entry, a), loop_path(p, z, max(ell, exc_end + 2)))
+    u, trunks = zip(*(path_direction(A, cand, v, t) for A, v, t in zip(family, dirs, trunks)))
+    return (cand, trunks) if _worst_angle(frames, u) <= eps_target else None
 
 
 def _reversed_to_forward(path_rev: PathSpec, p: PointSpec, y: PointSpec) -> PathSpec:
@@ -280,9 +306,10 @@ def _reversed_to_forward(path_rev: PathSpec, p: PointSpec, y: PointSpec) -> Path
 def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
                      dirs: Sequence[np.ndarray], normals: Sequence[np.ndarray],
                      attempts: int = 9,
-                     margin_floor: float = 1e-7) -> tuple[PathSpec, list[float]]:
+                     margin_floor: float = 1e-7) -> tuple[PathSpec, list[float], tuple]:
     """Path x -> y whose member matrices move each direction away from the
-    corresponding hyperplane; margins are computed, never assumed.
+    corresponding hyperplane, its margins (computed, never assumed) and
+    each member's trunk of its product (see :func:`path_direction`).
 
     Two turning passes into p: the given directions ride the forward family
     toward the top eigendirections while, on the reversed subshift, the
@@ -315,13 +342,12 @@ def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
                            y_rev, wedge_dirs, eps, delta, ell)
         if rev is None:
             continue
-        path = connect(fwd, _reversed_to_forward(rev, ctx.p, y))
-        margins = [
-            rho_to_hyperplane(path_direction(A, path, v), nrm)
-            for A, v, nrm in zip(ctx.family, dirs, normals)
-        ]
+        path = connect(fwd[0], _reversed_to_forward(rev[0], ctx.p, y))
+        u, trunks = zip(*(path_direction(A, path, v, t)
+                          for A, v, t in zip(ctx.family, dirs, fwd[1])))
+        margins = [rho_to_hyperplane(w, nrm) for w, nrm in zip(u, normals)]
         if min(margins) >= margin_floor:
-            return path, margins
+            return path, margins, trunks
     raise TransversalityFailed(
         f"margins stayed below {margin_floor} after {attempts} attempts"
     )
@@ -342,7 +368,6 @@ class SynthesisReport:
     bound_value: Optional[float]
     ell_used: int
     retries: int
-    factorization_residual: float
 
     def to_dict(self) -> dict:
         return {
@@ -358,7 +383,6 @@ class SynthesisReport:
             "bound_value": self.bound_value,
             "ell_used": self.ell_used,
             "retries": self.retries,
-            "factorization_residual": self.factorization_residual,
         }
 
 
@@ -370,44 +394,6 @@ def _shadow_offset(q: PeriodicWord, word: Symbols) -> int:
     if not 0 <= j < q.period:
         raise AssertionError("constructed orbit does not contain the target word")
     return j
-
-
-def _closing_factorization_residual(A: WindowCocycle, qpt: PointSpec,
-                                  final: PathSpec) -> float:
-    """Relative residual of the closing factorization A^{n_q}(q) = H1 B~ H2
-    along the carrier w of the final loop path, with r = [w, q]."""
-    w = final.x0
-    n_q = final.n
-    p = final.y
-    w_t = w.shift(n_q)
-    r = bracket(w, qpt)
-    r_t = r.shift(n_q)
-    btilde = path_matrix(A, final)
-    h1 = holonomy_s(A, r_t, qpt) @ holonomy_u(A, w_t, r_t) @ holonomy_s(A, p, w_t)
-    h2 = holonomy_u(A, r, p) @ holonomy_s(A, qpt, r)
-    lhs = product(A, qpt, n_q)
-    rhs = h1 @ btilde @ h2
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
-
-
-def _around(B: WindowCocycle, qpt: PointSpec, n_q: int, trunk):
-    """Member B's window rows once around q, the rescaled product over
-    them, and the trunk for the next attempt: the product over the rows
-    0..n_q-k-1, whose windows do not read past the end of q into its start.
-
-    A trunk whose rows are a prefix of these is continued; any other
-    starts over from the identity.  The kernel folds the windows strictly
-    left to right, so both give the bytes of ``product_scaled``.
-    """
-    rows = _orbit_rows(B, qpt, n_q)
-    cut = max(n_q - B.radius, 0)
-    if trunk is None or not (trunk[0].shape[1] <= cut
-                             and np.array_equal(rows[:, :trunk[0].shape[1]], trunk[0])):
-        trunk = (rows[:, :0], np.eye(B.dim)[None], np.zeros(1))
-    done, prods, scales = trunk
-    prods, scales = _extend_products(B._mats, rows[:, done.shape[1]:cut], prods, scales)
-    trunk = (rows[:, :cut], prods, scales)
-    return rows, _extend_products(B._mats, rows[:, cut:], prods, scales), trunk
 
 
 def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float, *,
@@ -436,10 +422,11 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int,
     """:func:`synthesize_family`, returning with the report the accepted
     closing's per-member window rows and rescaled products around q.
 
-    The loop-length attempts share their products: a longer loop only
-    appends fixed symbols, so each attempt continues every member's trunk
-    from the attempt before and multiplies only the new and the wrapped
-    windows.
+    Every member's products continue one chain of folds (see
+    :func:`_fold`): the transversal path's into the path's through g, that
+    one into the first closing attempt's, and each attempt's into the
+    next, since a longer loop only appends fixed symbols.  An attempt
+    multiplies only its new and its wrapped windows.
     """
     base = ctx.family[0].base
     a = ctx.p.coord(0)
@@ -462,12 +449,12 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int,
             if g_extra > 64:
                 raise
     dirs = [f.vector(0) for f in ctx.frames]
-    bpath, margins = transversal_path(ctx, ctx.p, x, dirs, normals)
+    bpath, margins, trunks = transversal_path(ctx, ctx.p, x, dirs, normals)
     gb = connect(bpath, g_path)
-    u = [path_direction(A, gb, v) for A, v in zip(ctx.family, dirs)]
+    u, trunks = zip(*(path_direction(A, gb, v, t) for A, v, t in zip(ctx.family, dirs, trunks)))
     a_turn = turn_direction(ctx.frames, u, 0.05, TURN_CAP)
     turned = extend_at_fixed_target(gb, a_turn)
-    trunks = [None] * len(ctx.family)
+    trunks = list(trunks)
 
     def attempt(ell):
         final = connect(turned, loop_path(ctx.p, ctx.z, ell))
@@ -476,7 +463,8 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int,
         qpt = periodic_point(q)
         closing = []
         for i, B in enumerate(ctx.family):
-            rows, scaled, trunks[i] = _around(B, qpt, n_q, trunks[i])
+            rows = _orbit_rows(B, qpt, n_q)
+            scaled, trunks[i] = _fold(B, rows, trunks[i])
             closing.append((rows, scaled))
         # the witness conditions are scale-invariant, so certify the
         # rescaled products (raw ones can overflow for large ell)
@@ -506,9 +494,6 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int,
                 bound_value=None,
                 ell_used=ell,
                 retries=retries,
-                factorization_residual=_closing_factorization_residual(
-                    ctx.family[0], qpt, final
-                ),
             ), closing
         retries += 1
         ell *= 2
@@ -539,7 +524,6 @@ def _closure_d1(A: WindowCocycle, x_word: Symbols, base_symbol: int) -> Synthesi
         bound_value=bound,
         ell_used=0,
         retries=0,
-        factorization_residual=0.0,
     )
 
 

@@ -79,6 +79,37 @@ def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, workers, nam
     assert sizes and max(sizes) <= cocycle.ROW_CAP
 
 
+def _dim4():
+    """A 4x4 cocycle over the full 2-shift: a diagonal and a rotation."""
+    rng = np.random.default_rng(5)
+    q_mat, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    return cocycle.WindowCocycle(sft.full_shift(2), 4, 0,
+                                 {(0,): np.diag([16.0, 7.0, 3.0, 1.0]), (1,): q_mat})
+
+
+KERNEL_COCYCLES = {**demos.DEMOS, "dim4": _dim4}
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_COCYCLES)), count=st.integers(2, 5),
+       steps=st.integers(0, 1000), seed=st.integers(0, 2**16))
+def test_kernel_batch_rows_equal_rows_folded_alone(name, count, steps, seed):
+    # a batch of one takes the kernel's scalar path: every row of a larger
+    # batch must get the same bytes from it, on every exterior rung
+    A = KERNEL_COCYCLES[name]()
+    rng = np.random.default_rng(seed)
+    for mats in A._rungs or (A._mats,):
+        d = mats.shape[1]
+        idx = rng.integers(0, len(mats), size=(count, steps))
+        prods, scales = rng.normal(size=(count, d, d)), rng.normal(size=count)
+        batch_prods, batch_scales = cocycle._extend_products(mats, idx, prods, scales)
+        for i in range(count):
+            one_prods, one_scales = cocycle._extend_products(
+                mats, idx[i:i + 1], prods[i:i + 1], scales[i:i + 1])
+            assert np.array_equal(one_prods[0], batch_prods[i])
+            assert one_scales[0] == batch_scales[i]
+
+
 @pytest.fixture
 def pool_starts(monkeypatch):
     starts = []

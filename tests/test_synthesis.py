@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from coprox import analysis, cocycle, demos, matnum, sft, synthesis, typicality
 from coprox.cocycle import (holonomy_loop, orbit_chi_vec, orbit_mu_vec, product,
                             product_scaled, rectangle)
-from coprox.errors import TurnCapExceeded
+from coprox.errors import SingularMatrix, TurnCapExceeded
 from coprox.proximal import eps_proximal_witness, is_eps_proximal
 from coprox.synthesis import (
     SYNTHESIS_ERRORS,
@@ -114,7 +116,7 @@ def test_transversal_path_demo(typical2, typical2_cert):
     x = sft.point_from_word(typical2.base, (1, 0, 1), 0)
     dirs = [np.array([0.0, 1.0])]
     normals = [np.array([0.0, 1.0])]  # keep e2-direction away from span(e1)...
-    path, margins = transversal_path(ctx, p, x, dirs, normals)
+    path, margins, _ = transversal_path(ctx, p, x, dirs, normals)
     assert margins[0] > 0
     bv = path_matrix(typical2, path) @ dirs[0]
     assert matnum.rho_to_hyperplane(bv, normals[0]) == pytest.approx(margins[0], rel=1e-6)
@@ -127,7 +129,7 @@ def test_transversal_path_d3(typical3, typical3_cert):
     x = sft.point_from_word(typical3.base, (1, 1, 0), 0)
     dirs = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.frames]
     normals = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.frames]
-    path, margins = transversal_path(ctx, x, x, dirs, normals)
+    path, margins, _ = transversal_path(ctx, x, x, dirs, normals)
     for A, v, nrm, m in zip(ctx.family, dirs, normals, margins):
         assert m > 0
         got = matnum.rho_to_hyperplane(path_matrix(A, path) @ v, nrm)
@@ -145,7 +147,6 @@ def test_build_proximal_periodic_demo(typical2, typical2_cert):
     m, _ = cocycle.product_scaled(typical2, qpt, n_q)
     assert is_eps_proximal(m, 0.05)
     assert all(w.verdict for w in rep.witnesses)
-    assert rep.factorization_residual < 1e-8
 
 
 def test_build_oracle_independent_routes(typical2, typical2_cert):
@@ -278,15 +279,39 @@ def synth_demos():
     return out
 
 
-@pytest.mark.parametrize("length", [5, 24, 96])
-def test_shared_closing_products_match_direct_products(synth_demos, length):
-    # witnesses and bound come from products shared across loop-length
-    # attempts; each must equal the product taken afresh around q
+def _traced_transversal(monkeypatch):
+    """Record each transversal path the synthesis builds, with its
+    directions and normals."""
+    calls = []
+    real = synthesis.transversal_path
+
+    def traced(ctx, x, y, dirs, normals, **kwargs):
+        out = real(ctx, x, y, dirs, normals, **kwargs)
+        calls.append((out[0], dirs, normals))
+        return out
+
+    monkeypatch.setattr(synthesis, "transversal_path", traced)
+    return calls
+
+
+@pytest.mark.parametrize("length", [5, 24, 96, 300])
+def test_shared_closing_products_match_direct_products(synth_demos, length, monkeypatch):
+    # margins, witnesses and bound come from folds continued along the
+    # construction; each must equal the product taken afresh
+    calls = _traced_transversal(monkeypatch)
     for A, cert in synth_demos:
         word = analysis.markov_sample(A, length, 2)
         rep = build_proximal_periodic(A, cert, word, 0.05)
-        qpt = sft.periodic_point(rep.q)
         members = [cocycle.exterior_cocycle(A, t) for t in range(1, A.dim)]
+        path, dirs, normals = calls[-1]
+        fresh = []
+        for B, v, nrm in zip(members, dirs, normals):
+            m, _ = product_scaled(B, path.x0, path.n)
+            w = cocycle.holonomy_s(B, path.end, path.y) @ (
+                m @ (cocycle.holonomy_u(B, path.x, path.x0) @ matnum.unit(v)))
+            fresh.append(matnum.rho_to_hyperplane(matnum.unit(w), nrm))
+        assert rep.transversality_margins == tuple(fresh)
+        qpt = sft.periodic_point(rep.q)
         assert rep.witnesses == tuple(
             eps_proximal_witness(product_scaled(B, qpt, rep.n_q)[0], 0.05) for B in members)
         x = sft.point_from_word(A.base, word, cert.p.coord(0))
@@ -294,31 +319,111 @@ def test_shared_closing_products_match_direct_products(synth_demos, length):
             orbit_mu_vec(A, x, rep.n) - orbit_chi_vec(A, qpt, rep.n_q)))
 
 
+@pytest.mark.parametrize("length", [24, 200])
+def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
+    # kernel steps per member, by phase: each transversal attempt, then
+    # everything after the transversal path.  A fold continuing another
+    # multiplies its new windows plus the k tail windows the other's trunk
+    # left out; nothing else is folded twice.
+    steps, phase, periods, paths = Counter(), [None], [], []
+    kernel, to_top = synthesis._extend_products, synthesis._path_to_top
+    periodic, transversal = synthesis.make_periodic, synthesis.transversal_path
+
+    def counted(mats, idx, prods, scales):
+        steps[phase[0], id(mats)] += idx.size
+        return kernel(mats, idx, prods, scales)
+
+    def attempt(family, *args):
+        if family[0] is cocycle.exterior_cocycle(forward, 1):  # the forward leg opens an attempt
+            phase[0] = 0 if phase[0] is None else phase[0] + 1
+        return to_top(family, *args)
+
+    def closing(base, symbols):
+        periods.append(len(symbols))
+        return periodic(base, symbols)
+
+    def traced(*args, **kwargs):
+        out = transversal(*args, **kwargs)
+        paths.append(out[0])
+        phase[0] = "after"
+        return out
+
+    monkeypatch.setattr(synthesis, "_extend_products", counted)
+    monkeypatch.setattr(synthesis, "_path_to_top", attempt)
+    monkeypatch.setattr(synthesis, "make_periodic", closing)
+    monkeypatch.setattr(synthesis, "transversal_path", traced)
+    for forward, cert in synth_demos:
+        word = analysis.markov_sample(forward, length, 2)
+        steps.clear()
+        periods.clear()
+        paths.clear()
+        phase[0] = None
+        try:
+            rep = build_proximal_periodic(forward, cert, word, 0.05)
+        except SingularMatrix:
+            continue  # the long-word defect ends the synthesis before any fold
+        k, (path,) = forward.radius, paths
+        last = max(key for key, _ in steps if isinstance(key, int))
+        assert rep.n_q in periods
+        for t in range(1, forward.dim):
+            mats = id(cocycle.exterior_cocycle(forward, t)._mats)
+            # the accepted attempt: the entry path, its loop and the path on
+            # to the word, each continuing the one before
+            assert steps[last, mats] <= path.n + 2 * k
+            # g and the turn, then every loop once: the path through g
+            # continues the transversal path, each closing the fold before
+            assert steps["after", mats] <= periods[-1] - path.n + k * (1 + len(periods))
+
+
 def test_closing_trunk_continued_only_on_its_own_rows(radius1):
-    def around(word, trunk=None):
-        q = sft.make_periodic(radius1.base, word)
-        return synthesis._around(radius1, sft.periodic_point(q), len(word), trunk)
+    def fold(word, trunk=None):
+        qpt = sft.periodic_point(sft.make_periodic(radius1.base, word))
+        rows = cocycle._orbit_rows(radius1, qpt, len(word))
+        return (rows, *synthesis._fold(radius1, rows, trunk))
 
     head = (0, 1, 1, 0, 1, 1)
-    rows, (prods, scales), _ = around(head + (0,) * 24)
+    rows, (prods, scales), _ = fold(head + (0,) * 24)
     fresh_m, fresh_s = product_scaled(radius1, sft.periodic_point(
         sft.make_periodic(radius1.base, head + (0,) * 24)), 30)
     assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s
-    _, _, (done, t_prods, t_scales) = around(head + (0,) * 8)
+    _, _, (done, t_prods, t_scales) = fold(head + (0,) * 8)
     assert done.shape[1] == 13 and np.array_equal(rows[:, :13], done)
     # the rows extend the trunk's: its product is continued (an offset
     # planted in its log scale survives), giving the same matrix
-    _, (prods, scales), _ = around(head + (0,) * 24, (done, t_prods, t_scales + 1.0))
+    _, (prods, scales), _ = fold(head + (0,) * 24, (done, t_prods, t_scales + 1.0))
     assert np.array_equal(prods[0], fresh_m) and scales[0] != fresh_s
     assert scales[0] == pytest.approx(fresh_s + 1.0)
     # a trunk from another orbit is not continued, nor one reaching into the
     # new orbit's wrapped windows, although here its rows agree with them
-    _, _, (o_done, o_prods, o_scales) = around((1, 1, 1, 1, 0, 1) + (0,) * 8)
-    _, _, (l_done, l_prods, l_scales) = around(head + (0,) * 25)
+    _, _, (o_done, o_prods, o_scales) = fold((1, 1, 1, 1, 0, 1) + (0,) * 8)
+    _, _, (l_done, l_prods, l_scales) = fold(head + (0,) * 25)
     assert np.array_equal(rows[:, :30], l_done)
     for trunk in ((o_done, o_prods, o_scales + 1.0), (l_done, l_prods, l_scales + 1.0)):
-        _, (prods, scales), _ = around(head + (0,) * 24, trunk)
+        _, (prods, scales), _ = fold(head + (0,) * 24, trunk)
         assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s
+
+
+def test_path_trunk_continued_only_by_its_extensions(radius1, radius1_cert):
+    # the turned and looped entry path continues the entry path's trunk
+    # (the offset planted in its log scale survives); a path from another
+    # point starts over; both give the direction of a fresh product
+    p, z, _ = radius1_cert
+    x = sft.point_from_word(radius1.base, (1, 1, 0), 0)
+    v = np.array([1.0, 2.0])
+    entry = synthesis._entry_path(radius1.base, x, p, slack=2)
+    _, (done, prods, scales) = synthesis.path_direction(radius1, entry, v)
+    assert done.shape[1] == entry.n - 1
+    longer = connect(synthesis.extend_at_fixed_target(entry, 3), loop_path(p, z, 12))
+    other = synthesis._entry_path(radius1.base, sft.point_from_word(radius1.base, (0, 1), 0),
+                                  p, slack=2)
+    for path, offset in ((longer, 1.0), (other, 0.0)):
+        u, (_, _, got) = synthesis.path_direction(radius1, path, v, (done, prods, scales + 1.0))
+        m, _ = product_scaled(radius1, path.x0, path.n)
+        assert np.array_equal(u, matnum.unit(
+            cocycle.holonomy_s(radius1, path.end, path.y)
+            @ (m @ (cocycle.holonomy_u(radius1, path.x, path.x0) @ matnum.unit(v)))))
+        # the trunk handed on stops k windows short of the path's end
+        assert got[0] == pytest.approx(product_scaled(radius1, path.x0, path.n - 1)[1] + offset)
 
 
 def test_family_context_built_once_per_cocycle_and_pair(monkeypatch):
