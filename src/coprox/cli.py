@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import tempfile
-from math import pi
+from math import inf, pi
 
 import numpy as np
 
@@ -88,6 +88,15 @@ def _positive_int(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _positive_float(text: str) -> float:
+    try:
+        if 0 < float(text) < inf:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
 
 
 def _word(text: str):
@@ -236,8 +245,8 @@ def cmd_pressure(args) -> int:
     A = load_cocycle(args.input)
     if args.n_min > args.n_max:
         return _bad_parameter(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
-    if args.s < 0:
-        return _bad_parameter(f"--s must be >= 0, got {args.s}")
+    if not 0 <= args.s < inf:
+        return _bad_parameter(f"--s must be >= 0 and finite, got {args.s}")
     n_list = list(range(args.n_min, args.n_max + 1))
     est = thermo.pressure(A, args.s, n_list, workers=args.threads)
     _write_series(args, "pressure", est.to_dict(), "pressure",
@@ -252,6 +261,9 @@ def cmd_compare(args) -> int:
     B = load_cocycle(args.input_b)
     if not 0 < args.tau < pi / 4:
         return _bad_parameter(f"--tau must lie in (0, pi/4), got {args.tau}")
+    if not 0 <= args.compare_tol < inf:
+        return _bad_parameter(
+            f"--compare-tol must be >= 0 and finite, got {args.compare_tol}")
     found = _find_pair(A, args)
     if found is None:
         print("no typical pair for the first cocycle", file=sys.stderr)
@@ -301,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="cocycle JSON file")
         p.add_argument("--out", help="report path")
-        p.add_argument("--tol", type=float, default=1e-8, help="typicality tolerance")
+        p.add_argument("--tol", type=_positive_float, default=1e-8, help="typicality tolerance")
         p.add_argument("--max-excursion", type=_positive_int, default=6)
         p.add_argument("--exterior-collections", choices=("all", "pairs"),
                        default="all",

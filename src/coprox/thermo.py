@@ -10,11 +10,10 @@ about the genuine invariant measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
+from math import floor, inf
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .cocycle import batch_log_singular  # noqa: F401  (part of this module's API)
 from .cocycle import WindowCocycle, sweep_log_singular
@@ -25,6 +24,29 @@ from .synthesis import build_family_context, synthesize_family
 from .typicality import TypicalityCertificate
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array, shifted by its maximum: the
+    maximal entries are counted and split out of the shifted sum, and a
+    non-finite result falls back to the direct formula.  The operations
+    and their order are fixed; the tests hold the result to the bytes of
+    the log-sum-exp that P_n were first computed with."""
+    with np.errstate(all="ignore"):
+        top = np.max(a, keepdims=True)
+        at_top = a == top
+        m = np.sum(at_top, dtype=float, keepdims=True)
+        s = np.sum(np.exp(np.where(at_top, -inf, a) - top), keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + top
+        if not np.isfinite(out[0]):
+            out = np.log(np.sum(np.exp(a), keepdims=True))
+    return float(out[0])
+
+
+def _require_s(s: float) -> None:
+    if not 0 <= s < inf:
+        raise ValueError(f"s must be >= 0 and finite, got {s}")
+
+
 def log_phi_s(log_alpha: np.ndarray, s: float):
     """log of the singular value potential from log singular values.
 
@@ -33,8 +55,7 @@ def log_phi_s(log_alpha: np.ndarray, s: float):
     float; a 2-D array gives one value per row, each equal to the float of
     that row.
     """
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    _require_s(s)
     log_alpha = np.asarray(log_alpha)
     d = log_alpha.shape[-1]
     if s > d:
@@ -74,7 +95,7 @@ class CylinderWeights:
 
     @property
     def log_normalizer(self) -> float:
-        return float(logsumexp(self.log_weights))
+        return _logsumexp(self.log_weights)
 
     def normalized(self) -> np.ndarray:
         return np.exp(self.log_weights - self.log_normalizer)
@@ -147,10 +168,9 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
         raise ValueError(f"lengths must be >= 1, got {n_range[0]}")
     if len(set(n_range)) != len(n_range):
         raise ValueError(f"n_range repeats a length: {list(n_range)}")
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    _require_s(s)
     lw = _log_weights(A, s, n_range, workers)
-    p_n = [float(logsumexp(lw[n])) / n for n in n_range]
+    p_n = [_logsumexp(lw[n]) / n for n in n_range]
     if len(n_range) == 1:
         value = p_n[0]
         method = "single-n"
@@ -212,6 +232,8 @@ def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
     Raises NotConstant (with a witness pair of orbits) when the per-orbit
     differences spread beyond tol; that negative is the informative result.
     """
+    if not 0 <= tol < inf:
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     if not cert_pair.passed:
         raise ValueError("the pair certificate does not pass")
     diffs = top_exponent_differences(A, B, max_period)

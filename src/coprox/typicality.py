@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 from typing import Optional, Sequence
 
 import numpy as np
@@ -192,6 +193,11 @@ def _require_pair(A: WindowCocycle, p: PointSpec, z: PointSpec) -> None:
         raise NotHomoclinic("z is not homoclinic to p")
 
 
+def _require_tol(tol: float) -> None:
+    if not 0 < tol < inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol}")
+
+
 def check_members(members: Sequence[tuple[str, np.ndarray, np.ndarray, str]],
                   tol: float) -> tuple[MemberCheck, ...]:
     """Pinch/twist margins for (label, P, psi, collections) tuples."""
@@ -219,6 +225,7 @@ def typicality_check(A: WindowCocycle, p: PointSpec, z: PointSpec,
     (see :func:`twisting_margin`), so d >= 4 certification must use
     "pairs".
     """
+    _require_tol(tol)
     _require_pair(A, p, z)
     P = product(A, p, 1)
     psi = holonomy_loop(A, p, z)
@@ -233,6 +240,7 @@ def typicality_check(A: WindowCocycle, p: PointSpec, z: PointSpec,
 def family_certificate(cocycles: Sequence[WindowCocycle], p: PointSpec, z: PointSpec,
                        tol: float = DEFAULT_TOL) -> TypicalityCertificate:
     """Certify that every cocycle in the family is 1-typical for the common pair."""
+    _require_tol(tol)
     for A in cocycles:
         _require_pair(A, p, z)
     members = []
@@ -268,6 +276,7 @@ def find_typical_pair(A: WindowCocycle, max_excursion_len: int = 6,
 
     Returns (p, z, certificate) for the first passing pair, or None.
     """
+    _require_tol(tol)
     symbols = A.base.fixed_symbols()
     if not symbols:
         raise NoFixedSymbol("no symbol a with T[a][a] = 1")

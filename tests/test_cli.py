@@ -243,6 +243,29 @@ def test_usage_errors_exit_one(demo_file, capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("demo,argv", [
+    ("constant_diag41", ["check", "--tol", "-1"]),
+    ("constant_diag41", ["check", "--tol", "nan"]),
+    ("rotation", ["check", "--tol", "-1"]),
+    ("rotation", ["check", "--tol", "nan"]),
+    ("typical2x2", ["check", "--tol", "0"]),
+    ("typical2x2", ["pressure", "--s", "nan"]),
+    ("typical2x2", ["pressure", "--s", "inf"]),
+    ("typical2x2", ["compare", "--input-b", None, "--compare-tol", "nan"]),
+    ("typical2x2", ["compare", "--input-b", None, "--compare-tol", "-1"]),
+], ids=["diag41-tol-neg", "diag41-tol-nan", "rotation-tol-neg", "rotation-tol-nan",
+        "tol-zero", "s-nan", "s-inf", "compare-tol-nan", "compare-tol-neg"])
+def test_bad_float_parameters_exit_one(tmp_path, capsys, demo, argv):
+    path = tmp_path / f"{demo}.json"
+    assert main(["demo", demo, "--out", str(path)]) == 0
+    capsys.readouterr()
+    argv = [str(path) if a is None else a for a in argv]
+    assert main(argv + ["--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "passes" not in out
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--help"])

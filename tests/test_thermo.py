@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coprox import cocycle, demos, thermo, typicality
 from coprox.errors import NotConstant
@@ -169,3 +176,48 @@ def test_log_phi_s_rows_match_scalar():
     for s in (0.0, 0.5, 1.0, 2.3, 4.0, 5.5):
         rows = thermo.log_phi_s(logs, s)
         assert np.array_equal(rows, [thermo.log_phi_s(r, s) for r in logs])
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "neg"])
+def test_potential_and_pressure_reject_bad_s(typical2, s):
+    with pytest.raises(ValueError, match="s must be >= 0 and finite"):
+        thermo.log_phi_s(np.zeros(2), s)
+    with pytest.raises(ValueError, match="s must be >= 0 and finite"):
+        pressure(typical2, s, (2, 3))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "neg"])
+def test_theorem_c_rejects_bad_tol(typical2, tol):
+    p, z, _ = typicality.find_typical_pair(typical2)
+    cert = typicality.family_certificate([typical2, typical2], p, z)
+    with pytest.raises(ValueError, match="tol must be >= 0 and finite"):
+        theorem_c_experiment(typical2, typical2, cert, 3, tol)
+
+
+SPECIALS = st.sampled_from([float("inf"), -float("inf"), float("nan")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4096), scale=st.floats(1e-12, 700.0), seed=st.integers(0, 2**16),
+       ties=st.lists(st.integers(0, 4095), max_size=4),
+       specials=st.lists(st.tuples(st.integers(0, 4095), SPECIALS), max_size=3))
+def test_logsumexp_bytes_match_scipy(n, scale, seed, ties, specials):
+    # the reference P_n were computed with; scipy < 1.15 used another formula
+    from scipy.special import logsumexp
+
+    a = np.random.default_rng(seed).uniform(-scale, scale, n)
+    a[[i % n for i in ties]] = a.max()
+    for i, v in specials:
+        a[i % n] = v
+    with np.errstate(all="ignore"):
+        want = np.float64(logsumexp(a))
+    assert np.float64(thermo._logsumexp(a)).tobytes() == want.tobytes()
+
+
+def test_import_loads_no_scipy():
+    src = Path(thermo.__file__).resolve().parents[1]
+    code = ("import sys, coprox, coprox.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "[]\n"

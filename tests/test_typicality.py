@@ -141,6 +141,17 @@ def test_no_fixed_symbol():
         find_typical_pair(A)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_tol_must_be_positive_and_finite(typical2, typical2_cert, tol):
+    p, z, _ = typical2_cert
+    with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+        typicality_check(typical2, p, z, tol=tol)
+    with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+        find_typical_pair(typical2, tol=tol)
+    with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+        family_certificate([typical2], p, z, tol=tol)
+
+
 def test_certificate_monotone_in_tol(typical2, typical2_cert):
     p, z, _ = typical2_cert
     loose = typicality_check(typical2, p, z, tol=1e-10)
