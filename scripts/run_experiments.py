@@ -23,7 +23,7 @@ from coprox import analysis, cocycle, demos, synthesis, thermo, typicality
 from coprox.cli import write_csv, write_json
 
 
-def experiment_theorem_a(outdir, seed, samples, threads):
+def experiment_theorem_a(outdir, seed, samples):
     A = demos.typical_2x2()
     _, _, cert = typicality.find_typical_pair(A)
     words = [analysis.markov_sample(A, 4 + (i * 36) // max(1, samples - 1), seed + i)
@@ -114,7 +114,7 @@ def main(argv=None):
         args.samples = 10
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    rep_a = experiment_theorem_a(args.outdir, args.seed, args.samples, args.threads)
+    rep_a = experiment_theorem_a(args.outdir, args.seed, args.samples)
     experiment_theorem_b(args.outdir, args.threads)
     experiment_theorem_c(args.outdir, args.seed, args.threads)
     experiment_theorem_d(args.outdir, args.seed, rep_a.empirical_c)

@@ -120,7 +120,8 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int], *,
     exhaustive = [n for n in n_list if count_words(A.base, n) <= exhaustive_budget]
     sampled = [n for n in n_list if n not in exhaustive]
     if sampled and seed is None:
-        raise ValueError("sampled mode requires a seed")
+        raise ValueError(f"lengths {sampled} have more than {exhaustive_budget} words, "
+                         "the exhaustive budget; sampling them requires a seed")
     with WorkerPool(workers) as pool:
         logs = sweep_log_singular(A, exhaustive, base_symbol, workers=pool)
         for n in sampled:
@@ -162,9 +163,12 @@ class DominationReport:
         }
 
 
+R2_THRESHOLD = 0.99
+"""Least R^2 of the gap-profile fit that counts as evidence of domination."""
+
+
 def theorem_b_check(A: WindowCocycle, cert, i: int, max_period: int,
-                    n_list: Sequence[int], *, r2_threshold: float = 0.99,
-                    workers: int = 1) -> DominationReport:
+                    n_list: Sequence[int], *, workers: int = 1) -> DominationReport:
     """Cross-validate the periodic-gap hypothesis against the uniform
     singular-gap growth it predicts.
 
@@ -185,8 +189,8 @@ def theorem_b_check(A: WindowCocycle, cert, i: int, max_period: int,
     profile = gap_profile(A, i, n_list, workers=workers)
     # slope must be positive with a two-sigma interval clear of zero
     verdict = (gap > 0 and profile.slope - 2 * profile.slope_se > 0
-               and profile.r_squared > r2_threshold)
-    return DominationReport(i, gap, profile, argmin, bool(verdict), r2_threshold)
+               and profile.r_squared > R2_THRESHOLD)
+    return DominationReport(i, gap, profile, argmin, bool(verdict), R2_THRESHOLD)
 
 
 def markov_sample(A: WindowCocycle, length: int, seed: int) -> Symbols:
@@ -239,8 +243,7 @@ class TheoremDReport:
 
 
 def theorem_d_check(A: WindowCocycle, cert, words: Sequence[Symbols], c_emp: float,
-                    tau: float, *, slack: float = 1e-9,
-                    ell_cap: int = 2**14) -> TheoremDReport:
+                    tau: float, *, slack: float = 1e-9) -> TheoremDReport:
     """For each word: synthesize a shadowing orbit q and compare
     (1/n) mu-vector against (n_q/n) times the orbit's exponent vector;
     the allowance is c_emp/n + slack with c_emp from the bound experiment."""
@@ -250,7 +253,7 @@ def theorem_d_check(A: WindowCocycle, cert, words: Sequence[Symbols], c_emp: flo
         w = tuple(w)
         n = len(w)
         try:
-            rep = build_proximal_periodic(A, cert, w, tau, ell_cap=ell_cap)
+            rep = build_proximal_periodic(A, cert, w, tau)
         except SYNTHESIS_ERRORS as exc:
             failures.append((w, str(exc)))
             continue

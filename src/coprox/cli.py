@@ -3,8 +3,8 @@
 Loads cocycle files, runs certifications and experiments, and writes
 machine-readable reports (JSON) and tabular series (CSV).  Exit codes:
 0 success, 2 informative negative (a certificate or experiment said no),
-1 error (bad input or unexpected failure).  Output files are written
-atomically (temp file then rename) and all sampled modes require a seed.
+1 error (bad input, a parameter the library rejects, or unexpected
+failure).  Output files are written atomically (temp file then rename).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from math import inf, pi
@@ -76,6 +77,13 @@ def _write_series(args, kind: str, payload: dict, csv_kind: str, header, rows) -
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1 and -.5 but reads -1e-3 and -inf
+        # as option names
+        self._negative_number_matcher = re.compile(
+            r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf)$", re.IGNORECASE)
+
     def error(self, message):
         """Raise instead of exiting 2, which means "informative negative"."""
         raise argparse.ArgumentError(None, message)
@@ -261,9 +269,6 @@ def cmd_compare(args) -> int:
     B = load_cocycle(args.input_b)
     if not 0 < args.tau < pi / 4:
         return _bad_parameter(f"--tau must lie in (0, pi/4), got {args.tau}")
-    if not 0 <= args.compare_tol < inf:
-        return _bad_parameter(
-            f"--compare-tol must be >= 0 and finite, got {args.compare_tol}")
     found = _find_pair(A, args)
     if found is None:
         print("no typical pair for the first cocycle", file=sys.stderr)
@@ -309,18 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentError(None, f"COPROX_THREADS: {exc}") from None
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="cocycle JSON file")
+    def common(p, pair_search=True, threads=False):
+        p.add_argument("--input", required=True, help="cocycle JSON file")
         p.add_argument("--out", help="report path")
-        p.add_argument("--tol", type=_positive_float, default=1e-8, help="typicality tolerance")
-        p.add_argument("--max-excursion", type=_positive_int, default=6)
-        p.add_argument("--exterior-collections", choices=("all", "pairs"),
-                       default="all",
-                       help="twisting index collections on exterior powers "
-                            "(dimensions >= 4 need 'pairs')")
-        p.add_argument("--threads", type=_positive_int, default=default_threads,
-                       help="worker threads (or set COPROX_THREADS)")
+        if pair_search:
+            p.add_argument("--tol", type=_positive_float, default=1e-8,
+                           help="typicality tolerance")
+            p.add_argument("--max-excursion", type=_positive_int, default=6)
+            p.add_argument("--exterior-collections", choices=("all", "pairs"),
+                           default="all",
+                           help="twisting index collections on exterior powers "
+                                "(dimensions >= 4 need 'pairs')")
+        if threads:
+            p.add_argument("--threads", type=_positive_int, default=default_threads,
+                           help="worker threads (or set COPROX_THREADS)")
 
     p = sub.add_parser("demo", help="write a built-in example cocycle file")
     p.add_argument("name", choices=sorted(DEMOS))
@@ -335,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--word", type=_word, required=True)
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--ell-cap", type=_positive_int, default=2**14)
+    p.add_argument("--ell-cap", type=_positive_int, default=synthesis.ELL_CAP)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify-bound", help="singular/eigenvalue comparison experiment")
@@ -347,12 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=_positive_int, default=4)
     p.add_argument("--n-max", type=_positive_int, default=40)
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--ell-cap", type=_positive_int, default=2**14)
+    p.add_argument("--ell-cap", type=_positive_int, default=synthesis.ELL_CAP)
     p.add_argument("--csv", help="per-sample CSV path")
     p.set_defaults(func=cmd_verify_bound)
 
     p = sub.add_parser("dominate", help="domination evidence from gaps")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="what --out emits")
     p.add_argument("--index", type=_positive_int, default=1)
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("pressure", help="subadditive pressure estimate")
-    common(p)
+    common(p, pair_search=False, threads=True)
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="what --out emits")
     p.add_argument("--s", type=float, required=True)
@@ -379,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pressure)
 
     p = sub.add_parser("compare", help="equal-equilibrium-state experiment")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--input-b", required=True, help="second cocycle JSON file")
     p.add_argument("--max-period", type=_positive_int, default=6)
     p.add_argument("--compare-tol", type=float, default=1e-9)
@@ -403,7 +410,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
         return 1
-    except CoproxError as exc:
+    except (CoproxError, ValueError) as exc:  # ValueError: a library boundary check
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

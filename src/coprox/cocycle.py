@@ -49,8 +49,8 @@ from .sft import (
     in_local_unstable,
     is_fixed_point,
     reverse_sft,
+    point_from_word,
     same_point,
-    shortest_bridge,
     stable_shift,
     unstable_shift,
 )
@@ -345,13 +345,11 @@ def scaled_cocycle(A: WindowCocycle, log_factor: float) -> WindowCocycle:
 
 def _pads(A: WindowCocycle, base_symbol: int) -> tuple[np.ndarray, np.ndarray]:
     """The k symbols before and after a word in its canonical representative,
-    per first (resp. last) symbol: shortest bridges to the base symbol."""
-    k, s = A.radius, A.base
-    if k == 0:
-        return (np.zeros((s.alphabet_size, 0), dtype=np.int64),) * 2
-    fill, symbols = (base_symbol,) * k, range(s.alphabet_size)
-    return (np.array([(fill + shortest_bridge(s, base_symbol, c))[-k:] for c in symbols]),
-            np.array([(shortest_bridge(s, c, base_symbol) + fill)[:k] for c in symbols]))
+    per first (resp. last) symbol: those around the one-symbol word's."""
+    k = A.radius
+    points = [point_from_word(A.base, (c,), base_symbol) for c in range(A.base.alphabet_size)]
+    return (np.array([x.coords(-k, -1) for x in points], dtype=np.int64),
+            np.array([x.coords(1, k) for x in points], dtype=np.int64))
 
 
 def _canonical(words: np.ndarray, pads) -> np.ndarray:

@@ -417,18 +417,16 @@ def reverse_sft(s: Sft) -> Sft:
     return Sft.from_matrix(s.matrix().T)
 
 
-def in_local_stable(x: PointSpec, y: PointSpec, horizon: Optional[int] = None) -> bool:
+def in_local_stable(x: PointSpec, y: PointSpec) -> bool:
     """y in the local stable set of x: coordinates agree for all i >= 0."""
-    if horizon is None:
-        horizon = _equality_horizon(x, y)
-    return x.coords(0, horizon) == y.coords(0, horizon)
+    h = _equality_horizon(x, y)
+    return x.coords(0, h) == y.coords(0, h)
 
 
-def in_local_unstable(x: PointSpec, y: PointSpec, horizon: Optional[int] = None) -> bool:
+def in_local_unstable(x: PointSpec, y: PointSpec) -> bool:
     """y in the local unstable set of x: coordinates agree for all i <= 0."""
-    if horizon is None:
-        horizon = _equality_horizon(x, y)
-    return x.coords(-horizon, 0) == y.coords(-horizon, 0)
+    h = _equality_horizon(x, y)
+    return x.coords(-h, 0) == y.coords(-h, 0)
 
 
 def stable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:

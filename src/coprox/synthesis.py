@@ -197,57 +197,59 @@ def turn_direction(frames: Sequence[EigenFrame], dirs: Sequence[np.ndarray],
     raise TurnCapExceeded(f"directions not aligned within {delta} after {cap} turns")
 
 
+TURN_CAP = 512
+AMS_TOL = 1e-9
+PERIOD_QUANTUM = 16
+FRAME_TOL = 1e-10
+ELL_CAP = 2**14
+TRANSVERSAL_ATTEMPTS = 9
+MARGIN_FLOOR = 1e-7
+
+
 @dataclass(frozen=True)
-class FamilyContext:
-    """A cocycle family with a common certified pair, plus the mirrored data
-    (inverse cocycles on the reversed subshift acting on hyperplane wedges)
-    used to steer hyperplanes."""
+class Side:
+    """One turning pass: a cocycle family over one base subshift, each
+    member's return-map eigenframe at the fixed point p, and the homoclinic
+    point z aligned onto the local unstable set of p."""
 
     family: tuple[WindowCocycle, ...]
+    frames: tuple[EigenFrame, ...]
     p: PointSpec
     z: PointSpec
-    frames: tuple[EigenFrame, ...]
-    rev_wedge_family: tuple[WindowCocycle, ...]
-    rev_frames: tuple[EigenFrame, ...]
-    p_rev: PointSpec
-    z_rev: PointSpec
 
     @property
     def excursion_end(self) -> int:
         return stable_shift(self.z, self.p)
 
-    @property
-    def rev_excursion_end(self) -> int:
-        return stable_shift(self.z_rev, self.p_rev)
+
+def _side(family: tuple[WindowCocycle, ...], p: PointSpec, z: PointSpec) -> Side:
+    frames = tuple(eigen_frame(product(A, p, 1), FRAME_TOL) for A in family)
+    return Side(family, frames, p, z.shift(-unstable_shift(p, z)))
+
+
+@dataclass(frozen=True)
+class FamilyContext:
+    """A cocycle family with a common certified pair, as two mirrored
+    sides: ``forward`` turns directions with the family itself, and
+    ``reverse`` steers hyperplanes with the inverse cocycles on the reversed
+    subshift acting on hyperplane wedges."""
+
+    forward: Side
+    reverse: Side
 
 
 def build_family_context(family: Sequence[WindowCocycle], p: PointSpec,
-                         z: PointSpec, tol: float = 1e-10) -> FamilyContext:
+                         z: PointSpec) -> FamilyContext:
     family = tuple(family)
-    base = family[0].base
-    if any(A.base != base for A in family):
+    if any(A.base != family[0].base for A in family):
         raise ValueError("family members must share one base subshift")
-    z_aligned = z.shift(-unstable_shift(p, z))
-    frames = tuple(eigen_frame(product(A, p, 1), tol) for A in family)
+    forward = _side(family, p, z)
     rev_wedge = tuple(
         exterior_cocycle(inverse_cocycle(A), A.dim - 1) if A.dim > 1
         else inverse_cocycle(A)
         for A in family
     )
-    p_rev = reverse_point(p)
-    z_rev = reverse_point(z_aligned)
-    z_rev = z_rev.shift(-unstable_shift(p_rev, z_rev))
-    rev_frames = tuple(eigen_frame(product(B, p_rev, 1), tol) for B in rev_wedge)
-    return FamilyContext(
-        family=family,
-        p=p,
-        z=z_aligned,
-        frames=frames,
-        rev_wedge_family=rev_wedge,
-        rev_frames=rev_frames,
-        p_rev=p_rev,
-        z_rev=z_rev,
-    )
+    return FamilyContext(forward, _side(rev_wedge, reverse_point(p), reverse_point(forward.z)))
 
 
 def exterior_family_context(A: WindowCocycle, p: PointSpec, z: PointSpec) -> FamilyContext:
@@ -255,11 +257,6 @@ def exterior_family_context(A: WindowCocycle, p: PointSpec, z: PointSpec) -> Fam
     built once per cocycle and pair."""
     return _memoised(A, ("family", p, z), lambda: build_family_context(
         [exterior_cocycle(A, t) for t in range(1, A.dim)], p, z))
-
-
-TURN_CAP = 512
-AMS_TOL = 1e-9
-PERIOD_QUANTUM = 16
 
 
 def _entry_path(base, x: PointSpec, p: PointSpec, slack: int) -> PathSpec:
@@ -277,23 +274,23 @@ def _worst_angle(frames, u) -> float:
     return max(rho(v, f.vector(0)) for f, v in zip(frames, u))
 
 
-def _path_to_top(family, frames, base, p, z, exc_end, x, dirs, eps_target,
-                 delta, ell):
+def _path_to_top(side: Side, x, dirs, eps_target, delta, ell):
     """Path x -> p taking every direction within eps_target of its frame's
     top eigendirection, with each member's trunk of its product, or None
     if this (delta, ell) attempt falls short.  The loop extends the turned
     entry path, so its products continue the entry path's."""
-    entry = _entry_path(base, x, p, slack=2)
-    u, trunks = zip(*(path_direction(A, entry, v) for A, v in zip(family, dirs)))
+    entry = _entry_path(side.family[0].base, x, side.p, slack=2)
+    u, trunks = zip(*(path_direction(A, entry, v) for A, v in zip(side.family, dirs)))
     try:
-        a = turn_direction(frames, u, delta, TURN_CAP)
+        a = turn_direction(side.frames, u, delta, TURN_CAP)
     except TurnCapExceeded:
         return None
-    if a == 0 and _worst_angle(frames, u) <= eps_target:
+    if a == 0 and _worst_angle(side.frames, u) <= eps_target:
         return entry, trunks  # already aligned with the top directions, no twist needed
-    cand = connect(extend_at_fixed_target(entry, a), loop_path(p, z, max(ell, exc_end + 2)))
-    u, trunks = zip(*(path_direction(A, cand, v, t) for A, v, t in zip(family, dirs, trunks)))
-    return (cand, trunks) if _worst_angle(frames, u) <= eps_target else None
+    cand = connect(extend_at_fixed_target(entry, a),
+                   loop_path(side.p, side.z, max(ell, side.excursion_end + 2)))
+    u, trunks = zip(*(path_direction(A, cand, v, t) for A, v, t in zip(side.family, dirs, trunks)))
+    return (cand, trunks) if _worst_angle(side.frames, u) <= eps_target else None
 
 
 def _reversed_to_forward(path_rev: PathSpec, p: PointSpec, y: PointSpec) -> PathSpec:
@@ -304,9 +301,8 @@ def _reversed_to_forward(path_rev: PathSpec, p: PointSpec, y: PointSpec) -> Path
 
 
 def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
-                     dirs: Sequence[np.ndarray], normals: Sequence[np.ndarray],
-                     attempts: int = 9,
-                     margin_floor: float = 1e-7) -> tuple[PathSpec, list[float], tuple]:
+                     dirs: Sequence[np.ndarray],
+                     normals: Sequence[np.ndarray]) -> tuple[PathSpec, list[float], tuple]:
     """Path x -> y whose member matrices move each direction away from the
     corresponding hyperplane, its margins (computed, never assumed) and
     each member's trunk of its product (see :func:`path_direction`).
@@ -322,34 +318,30 @@ def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
     """
     if not dirs:
         raise ValueError("empty family")
+    fwd = ctx.forward
     eta = min(
-        rho_to_hyperplane(f.vector(0), f.hyperplane_normal(0)) for f in ctx.frames
+        rho_to_hyperplane(f.vector(0), f.hyperplane_normal(0)) for f in fwd.frames
     )
     wedge_dirs = [hyperplane_wedge(nrm) for nrm in normals]
     y_rev = reverse_point(y)
-    base = ctx.family[0].base
-    rev_base = ctx.rev_wedge_family[0].base
-    for k in range(attempts):
+    for k in range(TRANSVERSAL_ATTEMPTS):
         eps = eta / 4.0 / 2**k
         delta = 0.1 / 2**k
         ell = 8 * 2**k
-        fwd = _path_to_top(ctx.family, ctx.frames, base, ctx.p, ctx.z,
-                           ctx.excursion_end, x, dirs, eps, delta, ell)
-        if fwd is None:
+        leg = _path_to_top(fwd, x, dirs, eps, delta, ell)
+        if leg is None:
             continue
-        rev = _path_to_top(ctx.rev_wedge_family, ctx.rev_frames, rev_base,
-                           ctx.p_rev, ctx.z_rev, ctx.rev_excursion_end,
-                           y_rev, wedge_dirs, eps, delta, ell)
-        if rev is None:
+        rev_leg = _path_to_top(ctx.reverse, y_rev, wedge_dirs, eps, delta, ell)
+        if rev_leg is None:
             continue
-        path = connect(fwd[0], _reversed_to_forward(rev[0], ctx.p, y))
+        path = connect(leg[0], _reversed_to_forward(rev_leg[0], fwd.p, y))
         u, trunks = zip(*(path_direction(A, path, v, t)
-                          for A, v, t in zip(ctx.family, dirs, fwd[1])))
+                          for A, v, t in zip(fwd.family, dirs, leg[1])))
         margins = [rho_to_hyperplane(w, nrm) for w, nrm in zip(u, normals)]
-        if min(margins) >= margin_floor:
+        if min(margins) >= MARGIN_FLOOR:
             return path, margins, trunks
     raise TransversalityFailed(
-        f"margins stayed below {margin_floor} after {attempts} attempts"
+        f"margins stayed below {MARGIN_FLOOR} after {TRANSVERSAL_ATTEMPTS} attempts"
     )
 
 
@@ -396,9 +388,7 @@ def _shadow_offset(q: PeriodicWord, word: Symbols) -> int:
     return j
 
 
-def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float, *,
-                      ell_cap: int = 2**14, ams_tol: float = AMS_TOL,
-                      period_quantum: int = PERIOD_QUANTUM) -> SynthesisReport:
+def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float) -> SynthesisReport:
     """Periodic orbit q shadowing x_word whose member products are all
     certified tau-proximal.
 
@@ -409,16 +399,15 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float, *,
     homoclinic loop with adaptively doubled length; close into a periodic
     word and certify the products around it directly.
 
-    ``period_quantum`` pads the certified loop so the period overhead
-    n_q - n lands on a fixed multiple: the overhead plays the role of a
-    single per-cocycle constant, so batches report one common value
-    instead of per-word jitter (0 disables padding).
+    The certified loop is padded so the period overhead n_q - n lands on a
+    multiple of ``PERIOD_QUANTUM``: the overhead plays the role of a single
+    per-cocycle constant, so batches report one common value instead of
+    per-word jitter.
     """
-    return _synthesize(ctx, x_word, tau, ell_cap, ams_tol, period_quantum)[0]
+    return _synthesize(ctx, x_word, tau, ELL_CAP)[0]
 
 
-def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int,
-                ams_tol: float, period_quantum: int):
+def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int):
     """:func:`synthesize_family`, returning with the report the accepted
     closing's per-member window rows and rescaled products around q.
 
@@ -428,8 +417,9 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int,
     next, since a longer loop only appends fixed symbols.  An attempt
     multiplies only its new and its wrapped windows.
     """
-    base = ctx.family[0].base
-    a = ctx.p.coord(0)
+    fwd = ctx.forward
+    base = fwd.family[0].base
+    a = fwd.p.coord(0)
     n = len(x_word)
     x = point_from_word(base, x_word, a)
     # the canonical representative already carries a bridge to the fixed
@@ -438,31 +428,31 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int,
     retries = 0
     g_extra = 0
     while True:
-        g_path = PathSpec(x, x, tail_start + 3 + g_extra, ctx.p)
-        g_mats = [path_matrix(A, g_path) for A in ctx.family]
+        g_path = PathSpec(x, x, tail_start + 3 + g_extra, fwd.p)
+        g_mats = [path_matrix(A, g_path) for A in fwd.family]
         try:
-            normals = [ams_hyperplane(g, ams_tol) for g in g_mats]
+            normals = [ams_hyperplane(g, AMS_TOL) for g in g_mats]
             break
         except DegenerateTopSingularValue:
             retries += 1
             g_extra = 2 ** retries
             if g_extra > 64:
                 raise
-    dirs = [f.vector(0) for f in ctx.frames]
-    bpath, margins, trunks = transversal_path(ctx, ctx.p, x, dirs, normals)
+    dirs = [f.vector(0) for f in fwd.frames]
+    bpath, margins, trunks = transversal_path(ctx, fwd.p, x, dirs, normals)
     gb = connect(bpath, g_path)
-    u, trunks = zip(*(path_direction(A, gb, v, t) for A, v, t in zip(ctx.family, dirs, trunks)))
-    a_turn = turn_direction(ctx.frames, u, 0.05, TURN_CAP)
+    u, trunks = zip(*(path_direction(A, gb, v, t) for A, v, t in zip(fwd.family, dirs, trunks)))
+    a_turn = turn_direction(fwd.frames, u, 0.05, TURN_CAP)
     turned = extend_at_fixed_target(gb, a_turn)
     trunks = list(trunks)
 
     def attempt(ell):
-        final = connect(turned, loop_path(ctx.p, ctx.z, ell))
+        final = connect(turned, loop_path(fwd.p, fwd.z, ell))
         n_q = final.n
         q = make_periodic(base, final.x0.coords(0, n_q - 1))
         qpt = periodic_point(q)
         closing = []
-        for i, B in enumerate(ctx.family):
+        for i, B in enumerate(fwd.family):
             rows = _orbit_rows(B, qpt, n_q)
             scaled, trunks[i] = _fold(B, rows, trunks[i])
             closing.append((rows, scaled))
@@ -471,17 +461,16 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int,
         witnesses = tuple(eps_proximal_witness(prods[0], tau) for _, (prods, _) in closing)
         return final, q, qpt, witnesses, closing
 
-    ell = max(ctx.excursion_end + 2, 8)
+    ell = max(fwd.excursion_end + 2, 8)
     while ell <= ell_cap:
         final, q, qpt, witnesses, closing = attempt(ell)
         if all(w.verdict for w in witnesses):
-            if period_quantum:
-                overhang = (final.n - n) % period_quantum
-                if overhang:
-                    padded = attempt(ell + period_quantum - overhang)
-                    if all(w.verdict for w in padded[3]):
-                        ell = ell + period_quantum - overhang
-                        final, q, qpt, witnesses, closing = padded
+            overhang = (final.n - n) % PERIOD_QUANTUM
+            if overhang:
+                padded = attempt(ell + PERIOD_QUANTUM - overhang)
+                if all(w.verdict for w in padded[3]):
+                    ell = ell + PERIOD_QUANTUM - overhang
+                    final, q, qpt, witnesses, closing = padded
             return SynthesisReport(
                 x_word=tuple(x_word),
                 n=n,
@@ -528,7 +517,7 @@ def _closure_d1(A: WindowCocycle, x_word: Symbols, base_symbol: int) -> Synthesi
 
 
 def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
-                            *, ell_cap: int = 2**14) -> SynthesisReport:
+                            *, ell_cap: int = ELL_CAP) -> SynthesisReport:
     """Shadowing periodic orbit for a typical cocycle with every exterior
     power of the closing product certified tau-proximal; ``cert`` must be a
     passing typicality certificate (its pair steers the construction)."""
@@ -540,8 +529,7 @@ def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
     if cert is None or not cert.passed:
         raise ValueError("a passing typicality certificate is required")
     ctx = exterior_family_context(A, cert.p, cert.z)
-    report, closing = _synthesize(ctx, tuple(x_word), tau, ell_cap, AMS_TOL,
-                                  PERIOD_QUANTUM)
+    report, closing = _synthesize(ctx, tuple(x_word), tau, ell_cap)
     x = point_from_word(A.base, tuple(x_word), cert.p.coord(0))
     # the members are A's exterior powers, so their products around q are
     # the rungs of A's eigenvalue ladder with every window already applied
@@ -580,7 +568,7 @@ class TheoremAReport:
 
 
 def verify_theorem_a(A: WindowCocycle, cert, words: Sequence[Symbols], tau: float,
-                     *, ell_cap: int = 2**14) -> TheoremAReport:
+                     *, ell_cap: int = ELL_CAP) -> TheoremAReport:
     """Run the builder on each word and aggregate the bound values.
 
     ``empirical_c`` is the largest observed norm difference, ``empirical_k``

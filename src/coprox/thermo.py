@@ -18,7 +18,6 @@ import numpy as np
 from .cocycle import batch_log_singular  # noqa: F401  (part of this module's API)
 from .cocycle import WindowCocycle, sweep_log_singular
 from .errors import NotConstant
-from .sft import Symbols, enumerate_words
 from .analysis import periodic_lyapunov, periodic_spectrum, _base_symbol, _sampled_words
 from .synthesis import build_family_context, synthesize_family
 from .typicality import TypicalityCertificate
@@ -90,7 +89,6 @@ class CylinderWeights:
 
     n: int
     s: float
-    words: tuple[Symbols, ...]
     log_weights: np.ndarray
 
     @property
@@ -104,7 +102,7 @@ class CylinderWeights:
 def cylinder_weights(A: WindowCocycle, s: float, n: int, *,
                      workers: int = 1) -> CylinderWeights:
     lw = _log_weights(A, s, (n,), workers)[n]
-    return CylinderWeights(n, s, tuple(enumerate_words(A.base, n)), lw)
+    return CylinderWeights(n, s, lw)
 
 
 @dataclass(frozen=True)
@@ -218,12 +216,15 @@ def top_exponent_differences(A: WindowCocycle, B: WindowCocycle,
             for q, lam_b in periodic_spectrum(B, max_period)]
 
 
+SAMPLE_LENGTH = 6
+"""Length of the sampled words the equal-state experiment shadows."""
+
+
 def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
                          cert_pair: TypicalityCertificate, max_period: int,
                          tol: float, *, n_range: Sequence[int] = (4, 6, 8, 10, 12),
                          tv_levels: Sequence[int] = (2, 4, 6, 8),
-                         sample_words: int = 3, sample_length: int = 6,
-                         seed: int = 7, tau: float = 0.05,
+                         sample_words: int = 3, seed: int = 7, tau: float = 0.05,
                          workers: int = 1) -> EqualStateReport:
     """Decide per-orbit constancy of the top-exponent difference, then
     compare pressures and normalized cylinder-weight vectors, and exhibit
@@ -255,7 +256,7 @@ def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
         tv.append((n, float(0.5 * np.sum(np.abs(va - vb)))))
     ctx = build_family_context([A, B], cert_pair.p, cert_pair.z)
     paired = []
-    for w in _sampled_words(A, sample_length, sample_words, seed):
+    for w in _sampled_words(A, SAMPLE_LENGTH, sample_words, seed):
         rep = synthesize_family(ctx, w, tau)
         paired.append(
             {

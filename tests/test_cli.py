@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import jsonschema
@@ -243,27 +244,81 @@ def test_usage_errors_exit_one(demo_file, capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("demo,argv", [
-    ("constant_diag41", ["check", "--tol", "-1"]),
-    ("constant_diag41", ["check", "--tol", "nan"]),
-    ("rotation", ["check", "--tol", "-1"]),
-    ("rotation", ["check", "--tol", "nan"]),
-    ("typical2x2", ["check", "--tol", "0"]),
-    ("typical2x2", ["pressure", "--s", "nan"]),
-    ("typical2x2", ["pressure", "--s", "inf"]),
-    ("typical2x2", ["compare", "--input-b", None, "--compare-tol", "nan"]),
-    ("typical2x2", ["compare", "--input-b", None, "--compare-tol", "-1"]),
+TOL_RANGE = "expected a finite number > 0"
+S_RANGE = "--s must be >= 0 and finite"
+COMPARE_TOL_RANGE = "tol must be >= 0 and finite"
+
+
+@pytest.mark.parametrize("demo,argv,message", [
+    ("constant_diag41", ["check", "--tol", "-1"], TOL_RANGE),
+    ("constant_diag41", ["check", "--tol", "nan"], TOL_RANGE),
+    ("rotation", ["check", "--tol", "-1"], TOL_RANGE),
+    ("rotation", ["check", "--tol", "nan"], TOL_RANGE),
+    ("typical2x2", ["check", "--tol", "0"], TOL_RANGE),
+    ("typical2x2", ["check", "--tol", "-1e-3"], TOL_RANGE),
+    ("typical2x2", ["pressure", "--s", "nan"], S_RANGE),
+    ("typical2x2", ["pressure", "--s", "inf"], S_RANGE),
+    ("typical2x2", ["compare", "--input-b", None, "--compare-tol", "nan"], COMPARE_TOL_RANGE),
+    ("typical2x2", ["compare", "--input-b", None, "--compare-tol", "-1"], COMPARE_TOL_RANGE),
+    ("typical2x2", ["compare", "--input-b", None, "--compare-tol", "-inf"], COMPARE_TOL_RANGE),
 ], ids=["diag41-tol-neg", "diag41-tol-nan", "rotation-tol-neg", "rotation-tol-nan",
-        "tol-zero", "s-nan", "s-inf", "compare-tol-nan", "compare-tol-neg"])
-def test_bad_float_parameters_exit_one(tmp_path, capsys, demo, argv):
+        "tol-zero", "tol-neg-exponent", "s-nan", "s-inf", "compare-tol-nan",
+        "compare-tol-neg", "compare-tol-neg-inf"])
+def test_bad_float_parameters_exit_one(tmp_path, capsys, demo, argv, message):
     path = tmp_path / f"{demo}.json"
     assert main(["demo", demo, "--out", str(path)]) == 0
     capsys.readouterr()
     argv = [str(path) if a is None else a for a in argv]
     assert main(argv + ["--input", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert "Traceback" not in err and "passes" not in out
+
+
+def test_dominate_beyond_the_exhaustive_budget_is_an_error(tmp_path, capsys):
+    # dominate takes no seed, so lengths with more words than the exhaustive
+    # budget (2^18 > 200000 here) cannot be sampled: one error line, no traceback
+    dom = tmp_path / "dom.json"
+    assert main(["demo", "dominated2x2", "--out", str(dom)]) == 0
+    capsys.readouterr()
+    assert main(["dominate", "--input", str(dom), "--n-min", "17", "--n-max", "18",
+                 "--max-period", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: lengths [18] ")
+    assert "200000 words" in err and "requires a seed" in err
+
+
+def test_every_declared_option_is_read(demo_file, tmp_path):
+    # each subcommand declares only the options it reads: run each on a
+    # small demo with a namespace that records attribute reads
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    inp = ["--input", str(demo_file)]
+    commands = [
+        ["demo", "typical2x2", "--out", str(tmp_path / "d.json")],
+        ["check", *inp, "--out", str(tmp_path / "c.json")],
+        ["synthesize", *inp, "--word", "101", "--out", str(tmp_path / "s.json")],
+        ["verify-bound", *inp, "--seed", "1", "--samples", "2", "--n-max", "6",
+         "--out", str(tmp_path / "v.json")],
+        ["dominate", *inp, "--max-period", "3", "--n-max", "6",
+         "--out", str(tmp_path / "m.json")],
+        ["spectrum", *inp, "--max-period", "3", "--out", str(tmp_path / "sp.csv")],
+        ["pressure", *inp, "--s", "1", "--n-max", "6", "--out", str(tmp_path / "p.json")],
+        ["compare", *inp, "--input-b", str(demo_file), "--max-period", "3",
+         "--out", str(tmp_path / "e.json")],
+    ]
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv, namespace=Recording())
+        declared = set(vars(args)) - {"command", "func"}
+        func = args.func
+        reads.clear()
+        assert func(args) in (0, 2), argv
+        assert not declared - reads, (argv[0], sorted(declared - reads))
 
 
 def test_help_exits_zero(capsys):

@@ -103,9 +103,9 @@ def test_turn_direction_simultaneous(typical3, typical3_cert):
     p, z, _ = typical3_cert
     ctx = exterior_family_context(typical3, p, z)
     rng = np.random.default_rng(0)
-    dirs = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.frames]
-    a = turn_direction(ctx.frames, dirs, 0.08, 256)
-    for f, v in zip(ctx.frames, dirs):
+    dirs = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.forward.frames]
+    a = turn_direction(ctx.forward.frames, dirs, 0.08, 256)
+    for f, v in zip(ctx.forward.frames, dirs):
         turned = matnum.unit(np.linalg.matrix_power(f.matrix, a) @ v)
         assert min(matnum.rho(turned, f.vector(i)) for i in range(f.dim)) <= 0.08
 
@@ -127,10 +127,10 @@ def test_transversal_path_d3(typical3, typical3_cert):
     ctx = exterior_family_context(typical3, p, z)
     rng = np.random.default_rng(1)
     x = sft.point_from_word(typical3.base, (1, 1, 0), 0)
-    dirs = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.frames]
-    normals = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.frames]
+    dirs = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.forward.frames]
+    normals = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.forward.frames]
     path, margins, _ = transversal_path(ctx, x, x, dirs, normals)
-    for A, v, nrm, m in zip(ctx.family, dirs, normals, margins):
+    for A, v, nrm, m in zip(ctx.forward.family, dirs, normals, margins):
         assert m > 0
         got = matnum.rho_to_hyperplane(path_matrix(A, path) @ v, nrm)
         assert got == pytest.approx(m, rel=1e-6)
@@ -333,10 +333,10 @@ def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
         steps[phase[0], id(mats)] += idx.size
         return kernel(mats, idx, prods, scales)
 
-    def attempt(family, *args):
-        if family[0] is cocycle.exterior_cocycle(forward, 1):  # the forward leg opens an attempt
+    def attempt(side, *args):
+        if side.family[0] is cocycle.exterior_cocycle(forward, 1):  # the forward leg opens an attempt
             phase[0] = 0 if phase[0] is None else phase[0] + 1
-        return to_top(family, *args)
+        return to_top(side, *args)
 
     def closing(base, symbols):
         periods.append(len(symbols))
