@@ -15,6 +15,7 @@ import numpy as np
 
 from .cocycle import (WindowCocycle, WorkerPool, batch_log_singular, cycle_chi_rows,
                       orbit_mu_vec, sweep_log_singular)
+from .matnum import fit_line
 from .sft import (
     PeriodicWord,
     Symbols,
@@ -84,21 +85,6 @@ class GapProfile:
         return list(zip(self.n_list, self.minima))
 
 
-def _fit_line(ns, values):
-    ns = np.asarray(ns, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(ns) < 2 or np.ptp(ns) == 0:
-        return 0.0, float(values.mean()), 1.0, 0.0
-    slope, intercept = np.polyfit(ns, values, 1)
-    fitted = slope * ns + intercept
-    ss_res = float(np.sum((values - fitted) ** 2))
-    ss_tot = float(np.sum((values - values.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    dof = max(1, len(ns) - 2)
-    se = float(np.sqrt(ss_res / dof / np.sum((ns - ns.mean()) ** 2)))
-    return float(slope), float(intercept), r2, se
-
-
 def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int], *,
                 exhaustive_budget: int = 200_000,
                 sample_count: int = 512, seed: Optional[int] = None,
@@ -129,7 +115,7 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int], *,
                                          base_symbol, workers=pool)
     minima = [float(np.min(logs[n][:, i - 1] - logs[n][:, i])) for n in n_list]
     mode = f"sampled({sample_count},{seed})" if sampled else "exhaustive"
-    slope, intercept, r2, se = _fit_line(list(n_list), minima)
+    slope, intercept, r2, se = fit_line(list(n_list), minima)
     return GapProfile(i, tuple(n_list), tuple(minima), mode, slope, intercept,
                       r2, se)
 

@@ -269,6 +269,8 @@ def cmd_compare(args) -> int:
     B = load_cocycle(args.input_b)
     if not 0 < args.tau < pi / 4:
         return _bad_parameter(f"--tau must lie in (0, pi/4), got {args.tau}")
+    if not 0 <= args.compare_tol < inf:
+        return _bad_parameter(f"--compare-tol must be >= 0 and finite, got {args.compare_tol}")
     found = _find_pair(A, args)
     if found is None:
         print("no typical pair for the first cocycle", file=sys.stderr)

@@ -300,27 +300,20 @@ def inverse_cocycle(A: WindowCocycle) -> WindowCocycle:
     product(inverse, reversed x, n) = product(A, x, -n).  Built and
     validated once per cocycle.
     """
-    def build():
-        rev = reverse_sft(A.base)
-        table = {
-            w: np.linalg.inv(A.table[tuple(reversed(w))])
-            for w in enumerate_words(rev, 2 * A.radius + 1)
-        }
-        return WindowCocycle(rev, A.dim, A.radius, table)
-
-    return _memoised(A, "inverse", build)
+    return _memoised(A, "inverse", lambda: WindowCocycle(
+        reverse_sft(A.base), A.dim, A.radius,
+        {w[::-1]: np.linalg.inv(m) for w, m in A.table.items()}))
 
 
 def exterior_cocycle(A: WindowCocycle, t: int) -> WindowCocycle:
-    """Cocycle of t-th exterior powers over the same base, built and
-    validated once per cocycle and t."""
-    from math import comb
-
-    def build():
-        table = {w: exterior_power(m, t) for w, m in A.table.items()}
-        return WindowCocycle(A.base, comb(A.dim, t), A.radius, table)
-
-    return _memoised(A, ("exterior", t), build)
+    """Cocycle of t-th exterior powers (1 <= t < d) over the same base, its
+    table read from A's ladder rungs; built and validated once per cocycle
+    and t."""
+    if not 1 <= t < A.dim:
+        raise ValueError(f"need 1 <= t <= {A.dim - 1}")
+    return _memoised(A, ("exterior", t), lambda: WindowCocycle(
+        A.base, A._rungs[t - 1].shape[1], A.radius,
+        {w: A._rungs[t - 1][i] for w, i in A._rows.items()}))
 
 
 def _memoised(A: WindowCocycle, key, build):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from math import cos, pi, sin
 
 import numpy as np
@@ -50,23 +51,12 @@ def typical_3x3() -> WindowCocycle:
 
 def golden_typical_2x2() -> WindowCocycle:
     """Golden-mean shift variant of the 2x2 demo (forbidden word 11)."""
-    base = golden_mean_shift()
-    table = {
-        (0,): np.diag([2.0, 0.5]),
-        (1,): rotation2(pi / 4),
-    }
-    return WindowCocycle(base, 2, 0, table)
+    return replace(typical_2x2(), base=golden_mean_shift())
 
 
 def golden_typical_3x3() -> WindowCocycle:
     """Golden-mean shift, 3x3 (performance workloads)."""
-    base = golden_mean_shift()
-    rot = rotation3((0, 1), 0.7) @ rotation3((1, 2), 0.9) @ rotation3((0, 2), 1.1)
-    table = {
-        (0,): np.diag([4.0, 2.0, 1.0]),
-        (1,): rot,
-    }
-    return WindowCocycle(base, 3, 0, table)
+    return replace(typical_3x3(), base=golden_mean_shift())
 
 
 def radius1_2x2() -> WindowCocycle:
@@ -138,8 +128,7 @@ def scalar_2_3() -> WindowCocycle:
 def golden_scalar_2_3() -> WindowCocycle:
     """d = 1 on the golden-mean shift: a(0) = 2, a(1) = 3 (pressure has a
     weighted transfer-matrix closed form)."""
-    base = golden_mean_shift()
-    return WindowCocycle(base, 1, 0, {(0,): [[2.0]], (1,): [[3.0]]})
+    return replace(scalar_2_3(), base=golden_mean_shift())
 
 
 DEMOS = {

@@ -129,34 +129,30 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def rho(u: np.ndarray, v: np.ndarray) -> float:
-    """Angular metric on projective space, in [0, pi/2].
-
-    The sine is taken from the orthogonal rejection rather than
-    sqrt(1 - cos^2), which keeps full precision for nearly parallel
-    directions.
-    """
+def _cos_sin(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """cos and sin of rho(u, v).  The sine is taken from the orthogonal
+    rejection rather than sqrt(1 - cos^2), which keeps full precision for
+    nearly parallel directions."""
     u = unit(u)
     v = unit(v)
     dot = float(u @ v)
     if dot < 0:
         v = -v
         dot = -dot
-    s = float(np.linalg.norm(u - dot * v))
-    return atan2(s, dot)
+    return dot, float(np.linalg.norm(u - dot * v))
+
+
+def rho(u: np.ndarray, v: np.ndarray) -> float:
+    """Angular metric on projective space, in [0, pi/2]."""
+    c, s = _cos_sin(u, v)
+    return atan2(s, c)
 
 
 def rho_to_hyperplane(u: np.ndarray, normal: np.ndarray) -> float:
     """Angle from a direction to the hyperplane with the given normal,
     pi/2 - rho(u, normal)."""
-    u = unit(u)
-    n = unit(normal)
-    dot = float(u @ n)
-    if dot < 0:
-        n = -n
-        dot = -dot
-    s = float(np.linalg.norm(u - dot * n))
-    return atan2(dot, s)
+    c, s = _cos_sin(u, normal)
+    return atan2(c, s)
 
 
 def hyperplane_basis(normal: np.ndarray) -> np.ndarray:
@@ -222,14 +218,9 @@ def _sine_factor_to_rho_bound(k: float) -> float:
     return (pi / 2.0) / asin(1.0 / k)
 
 
-def _restricted_norms(g: np.ndarray, center: np.ndarray):
-    """(|g c|, operator norm of g restricted to c^perp)."""
-    c = unit(center)
-    gc = g @ c
-    if g.shape[0] == 1:
-        return float(np.linalg.norm(gc)), 0.0
-    S = np.linalg.norm(g @ hyperplane_basis(c), 2)
-    return float(np.linalg.norm(gc)), float(S)
+def restricted_operator_norm(g: np.ndarray, normal: np.ndarray) -> float:
+    """Operator norm of g restricted to the hyperplane normal^perp."""
+    return float(np.linalg.norm(g @ hyperplane_basis(normal), 2))
 
 
 def rho_norm_bound(g: np.ndarray, cone: Cone | None = None) -> float:
@@ -250,8 +241,9 @@ def rho_norm_bound(g: np.ndarray, cone: Cone | None = None) -> float:
     else:
         if cone.radius >= pi / 2:
             raise ValueError("cone must have radius < pi/2")
-        gc_norm, S = _restricted_norms(g, cone.center)
-        low = max(alpha[-1], cos(cone.radius) * gc_norm - sin(cone.radius) * S)
+        c = unit(cone.center)
+        low = max(alpha[-1], cos(cone.radius) * float(np.linalg.norm(g @ c))
+                  - sin(cone.radius) * restricted_operator_norm(g, c))
     return _sine_factor_to_rho_bound(top2 / low**2)
 
 
@@ -284,3 +276,20 @@ def ams_hyperplane(g: np.ndarray, tol: float = 1e-9):
         )
     return unit(Vt[0])
 
+
+def fit_line(xs, values) -> tuple[float, float, float, float]:
+    """Least-squares line through (xs, values): slope, intercept, R^2 and
+    the slope's standard error; a flat line at the mean when the xs do not
+    spread."""
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if len(xs) < 2 or np.ptp(xs) == 0:
+        return 0.0, float(values.mean()), 1.0, 0.0
+    slope, intercept = np.polyfit(xs, values, 1)
+    fitted = slope * xs + intercept
+    ss_res = float(np.sum((values - fitted) ** 2))
+    ss_tot = float(np.sum((values - values.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    dof = max(1, len(xs) - 2)
+    se = float(np.sqrt(ss_res / dof / np.sum((xs - xs.mean()) ** 2)))
+    return float(slope), float(intercept), r2, se

@@ -20,11 +20,11 @@ import numpy as np
 from .errors import NotProximal, SingularMatrix
 from .matnum import (
     Cone,
+    chi_vec,
     cone_contains_cone,
-    hyperplane_basis,
     map_cone,
     mu_vec,
-    chi_vec,
+    restricted_operator_norm,
     rho_norm_bound,
     rho_to_hyperplane,
     unit,
@@ -95,12 +95,6 @@ def is_proximal(g: np.ndarray, tol: float = PROXIMAL_TOL) -> bool:
         return True
     except NotProximal:
         return False
-
-
-def restricted_operator_norm(g: np.ndarray, normal: np.ndarray) -> float:
-    """Operator norm of g restricted to the hyperplane normal^perp."""
-    basis = hyperplane_basis(normal)
-    return float(np.linalg.norm(g @ basis, 2))
 
 
 @dataclass(frozen=True)

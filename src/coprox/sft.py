@@ -224,26 +224,18 @@ def bridge(s: Sft, a: Symbol, b: Symbol, length: int) -> Optional[Symbols]:
         raise ValueError("bridge length must be >= 0")
     T = s._arrows
     # reach_back[k] = symbols from which b is reachable in exactly k steps
-    reach_back = [np.zeros(s.alphabet_size, dtype=bool)]
-    reach_back[0][b] = True
+    reach_back = [np.arange(s.alphabet_size) == b]
     for _ in range(length):
         reach_back.append(T @ reach_back[-1])
-    if length == 0:
-        return () if s.allowed(a, b) else None
-    out = []
-    cur = a
-    for pos in range(length):
-        # after placing position pos, length - pos edges remain to reach b
-        nxt = next(
-            (c for c in range(s.alphabet_size)
-             if s.allowed(cur, c) and reach_back[length - pos][c]),
-            None,
-        )
-        if nxt is None:
+    # each step takes the least successor with k edges left to b; the last
+    # (k = 0) step lands on b itself
+    out = [a]
+    for k in range(length, -1, -1):
+        nxt = (T[out[-1]] & reach_back[k]).nonzero()[0]
+        if not len(nxt):
             return None
-        out.append(nxt)
-        cur = nxt
-    return tuple(out)
+        out.append(int(nxt[0]))
+    return tuple(out[1:-1])
 
 
 def shortest_bridge(s: Sft, a: Symbol, b: Symbol) -> Symbols:
@@ -267,11 +259,8 @@ def bracket(x: PointSpec, y: PointSpec) -> PointSpec:
     _, hi_y = y.reach()
     b = max(0, hi_y)
     core = x.coords(a, 0) + y.coords(1, b)
-    nl = len(x.left_cycle)
-    left = tuple(x.left_cycle[(x.anchor + a + k) % nl] for k in range(nl))
-    nr = len(y.right_cycle)
-    start = y.anchor + (b + 1) - len(y.core)
-    right = tuple(y.right_cycle[(start + k) % nr] for k in range(nr))
+    left = _cyclic(x.left_cycle, x.anchor + a, len(x.left_cycle))
+    right = _cyclic(y.right_cycle, y.anchor + b + 1 - len(y.core), len(y.right_cycle))
     return PointSpec(left, core, right, -a)
 
 

@@ -25,6 +25,7 @@ quantitatively proximal directly, member by member.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import pi
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,6 +54,7 @@ from .errors import (
 )
 from .matnum import (
     ams_hyperplane,
+    fit_line,
     hyperplane_wedge,
     rho,
     rho_to_hyperplane,
@@ -388,6 +390,11 @@ def _shadow_offset(q: PeriodicWord, word: Symbols) -> int:
     return j
 
 
+def _require_tau(tau: float) -> None:
+    if not 0 < tau < pi / 4:
+        raise ValueError(f"tau must lie in (0, pi/4), got {tau}")
+
+
 def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float) -> SynthesisReport:
     """Periodic orbit q shadowing x_word whose member products are all
     certified tau-proximal.
@@ -404,6 +411,7 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float) -> Synthe
     per-cocycle constant, so batches report one common value instead of
     per-word jitter.
     """
+    _require_tau(tau)
     return _synthesize(ctx, x_word, tau, ELL_CAP)[0]
 
 
@@ -459,18 +467,18 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int):
         # the witness conditions are scale-invariant, so certify the
         # rescaled products (raw ones can overflow for large ell)
         witnesses = tuple(eps_proximal_witness(prods[0], tau) for _, (prods, _) in closing)
-        return final, q, qpt, witnesses, closing
+        return final, q, witnesses, closing
 
     ell = max(fwd.excursion_end + 2, 8)
     while ell <= ell_cap:
-        final, q, qpt, witnesses, closing = attempt(ell)
+        final, q, witnesses, closing = attempt(ell)
         if all(w.verdict for w in witnesses):
             overhang = (final.n - n) % PERIOD_QUANTUM
             if overhang:
                 padded = attempt(ell + PERIOD_QUANTUM - overhang)
-                if all(w.verdict for w in padded[3]):
+                if all(w.verdict for w in padded[2]):
                     ell = ell + PERIOD_QUANTUM - overhang
-                    final, q, qpt, witnesses, closing = padded
+                    final, q, witnesses, closing = padded
             return SynthesisReport(
                 x_word=tuple(x_word),
                 n=n,
@@ -521,6 +529,7 @@ def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
     """Shadowing periodic orbit for a typical cocycle with every exterior
     power of the closing product certified tau-proximal; ``cert`` must be a
     passing typicality certificate (its pair steers the construction)."""
+    _require_tau(tau)
     if len(x_word) < 1:
         raise ValueError("x_word must be nonempty")
     if A.dim == 1:
@@ -585,17 +594,13 @@ def verify_theorem_a(A: WindowCocycle, cert, words: Sequence[Symbols], tau: floa
             failures.append((tuple(w), str(exc)))
     if not reports:
         raise SynthesisFailed("every sample failed")
-    ns = np.array([r.n for r in reports], dtype=float)
     bounds = np.array([r.bound_value for r in reports])
-    if len(reports) > 1 and np.ptp(ns) > 0:
-        slope, intercept = np.polyfit(ns, bounds, 1)
-    else:
-        slope, intercept = 0.0, float(bounds.mean())
+    slope, intercept, _, _ = fit_line([r.n for r in reports], bounds)
     return TheoremAReport(
         samples=tuple(reports),
         failures=tuple(failures),
         empirical_c=float(bounds.max()),
         empirical_k=int(max(r.n_q - r.n for r in reports)),
-        slope=float(slope),
-        intercept=float(intercept),
+        slope=slope,
+        intercept=intercept,
     )

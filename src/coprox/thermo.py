@@ -9,7 +9,7 @@ about the genuine invariant measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import floor, inf
 from typing import Optional, Sequence
 
@@ -19,7 +19,7 @@ from .cocycle import batch_log_singular  # noqa: F401  (part of this module's AP
 from .cocycle import WindowCocycle, sweep_log_singular
 from .errors import NotConstant
 from .analysis import periodic_lyapunov, periodic_spectrum, _base_symbol, _sampled_words
-from .synthesis import build_family_context, synthesize_family
+from .synthesis import _require_tau, build_family_context, synthesize_family
 from .typicality import TypicalityCertificate
 
 
@@ -121,15 +121,7 @@ class PressureEstimate:
     method: str
     oracle: Optional[float]
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "n_range": list(self.n_range),
-            "p_n": list(self.p_n),
-            "value": self.value,
-            "method": self.method,
-            "oracle": self.oracle,
-        }
+    to_dict = asdict
 
 
 def _known_oracle(A: WindowCocycle, s: float) -> Optional[float]:
@@ -233,6 +225,7 @@ def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
     Raises NotConstant (with a witness pair of orbits) when the per-orbit
     differences spread beyond tol; that negative is the informative result.
     """
+    _require_tau(tau)
     if not 0 <= tol < inf:
         raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     if not cert_pair.passed:

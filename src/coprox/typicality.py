@@ -19,17 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cocycle import WindowCocycle, holonomy_loop, product
-from .errors import NoFixedSymbol, NotFixedPoint, NotHomoclinic
+from .errors import NoFixedSymbol, NotFixedPoint
 from .matnum import exterior_power, unit
-from .sft import (
-    PointSpec,
-    fixed_point,
-    homoclinic_point,
-    is_fixed_point,
-    same_point,
-    stable_shift,
-    unstable_shift,
-)
+from .sft import PointSpec, Sft, Symbols, fixed_point, homoclinic_point, is_fixed_point, word_array
 
 DEFAULT_TOL = 1e-8
 
@@ -181,16 +173,14 @@ class TypicalityCertificate:
         }
 
 
-def _require_pair(A: WindowCocycle, p: PointSpec, z: PointSpec) -> None:
+def _require_fixed_point(p: PointSpec) -> None:
+    """The pair's own check; :func:`holonomy_loop` checks that z is
+    homoclinic to p."""
     if not is_fixed_point(p):
         raise NotFixedPoint(
             "p must be a fixed point of the shift; reduce periodic p by "
             "passing to the power cocycle first"
         )
-    if same_point(p, z):
-        raise NotHomoclinic("z equals p")
-    if stable_shift(z, p) is None or unstable_shift(p, z) is None:
-        raise NotHomoclinic("z is not homoclinic to p")
 
 
 def _require_tol(tol: float) -> None:
@@ -226,7 +216,7 @@ def typicality_check(A: WindowCocycle, p: PointSpec, z: PointSpec,
     "pairs".
     """
     _require_tol(tol)
-    _require_pair(A, p, z)
+    _require_fixed_point(p)
     P = product(A, p, 1)
     psi = holonomy_loop(A, p, z)
     members = [
@@ -241,31 +231,18 @@ def family_certificate(cocycles: Sequence[WindowCocycle], p: PointSpec, z: Point
                        tol: float = DEFAULT_TOL) -> TypicalityCertificate:
     """Certify that every cocycle in the family is 1-typical for the common pair."""
     _require_tol(tol)
-    for A in cocycles:
-        _require_pair(A, p, z)
-    members = []
-    for i, A in enumerate(cocycles):
-        members.append((f"member{i}", product(A, p, 1), holonomy_loop(A, p, z),
-                        "all"))
+    _require_fixed_point(p)
+    members = [(f"member{i}", product(A, p, 1), holonomy_loop(A, p, z), "all")
+               for i, A in enumerate(cocycles)]
     return TypicalityCertificate(p, z, check_members(members, tol), tol)
 
 
-def _excursions(s, a: int, length: int):
-    """Admissible excursions u (a.u.a admissible, u != a^len), lexicographic."""
-    word = [0] * length
-
-    def extend(pos: int):
-        if pos == length:
-            if s.allowed(word[-1], a) and any(c != a for c in word):
-                yield tuple(word)
-            return
-        prev = a if pos == 0 else word[pos - 1]
-        for c in range(s.alphabet_size):
-            if s.allowed(prev, c):
-                word[pos] = c
-                yield from extend(pos + 1)
-
-    yield from extend(0)
+def _excursions(s: Sft, a: int, length: int) -> list[Symbols]:
+    """Admissible excursions u (a.u.a admissible, u != a^len), lexicographic:
+    the rows of :func:`word_array` that leave and return to a."""
+    words = word_array(s, length)
+    keep = s._arrows[a, words[:, 0]] & s._arrows[words[:, -1], a] & (words != a).any(axis=1)
+    return [tuple(w) for w in words[keep].tolist()]
 
 
 def find_typical_pair(A: WindowCocycle, max_excursion_len: int = 6,

@@ -16,6 +16,13 @@ def golden():
 
 
 @pytest.fixture(scope="session")
+def tri_base():
+    """Three symbols, 0 and 2 fixed; 2 -> 0 is forbidden, so bridging 2
+    back to 0 needs an intermediate symbol."""
+    return sft.Sft.from_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+
+
+@pytest.fixture(scope="session")
 def typical2():
     return demos.typical_2x2()
 
@@ -44,10 +51,9 @@ def radius2():
     return WindowCocycle(base, 2, 2, table)
 
 
-def _tri_radius1():
-    """Radius 1 over a 3-symbol base where bridging 2 back to the fixed
+def _tri_radius1(base):
+    """Radius 1 over the 3-symbol base, where bridging 2 back to the fixed
     symbol 0 needs an intermediate symbol, so the pads are nontrivial."""
-    base = sft.Sft.from_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
     rng = np.random.default_rng(11)
     table = {w: rng.normal(size=(3, 3)) + 3 * np.eye(3)
              for w in sft.enumerate_words(base, 3)}
@@ -65,7 +71,7 @@ def _skew_radius1():
 
 
 @pytest.fixture(scope="session")
-def cocycles(typical3, radius1, radius2):
+def cocycles(typical3, radius1, radius2, tri_base):
     """Radii 0-2, full and golden-mean bases, a base with bridged pads and
     one with an asymmetric adjacency, all with the fixed symbol 0."""
     return {
@@ -73,7 +79,7 @@ def cocycles(typical3, radius1, radius2):
         "golden r0": demos.golden_typical_3x3(),
         "full r1": radius1,
         "full r2": radius2,
-        "tri r1": _tri_radius1(),
+        "tri r1": _tri_radius1(tri_base),
         "skew r1": _skew_radius1(),
     }
 

@@ -4,7 +4,7 @@ import json
 import jsonschema
 import pytest
 
-from coprox import cli
+from coprox import cli, typicality
 from coprox.cli import main
 from conftest import orbit_key
 
@@ -246,7 +246,7 @@ def test_usage_errors_exit_one(demo_file, capsys, argv):
 
 TOL_RANGE = "expected a finite number > 0"
 S_RANGE = "--s must be >= 0 and finite"
-COMPARE_TOL_RANGE = "tol must be >= 0 and finite"
+COMPARE_TOL_RANGE = "--compare-tol must be >= 0 and finite"
 
 
 @pytest.mark.parametrize("demo,argv,message", [
@@ -264,10 +264,15 @@ COMPARE_TOL_RANGE = "tol must be >= 0 and finite"
 ], ids=["diag41-tol-neg", "diag41-tol-nan", "rotation-tol-neg", "rotation-tol-nan",
         "tol-zero", "tol-neg-exponent", "s-nan", "s-inf", "compare-tol-nan",
         "compare-tol-neg", "compare-tol-neg-inf"])
-def test_bad_float_parameters_exit_one(tmp_path, capsys, demo, argv, message):
+def test_bad_float_parameters_exit_one(tmp_path, capsys, monkeypatch, demo, argv, message):
     path = tmp_path / f"{demo}.json"
     assert main(["demo", demo, "--out", str(path)]) == 0
     capsys.readouterr()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a bad parameter must be rejected before the pair search")
+
+    monkeypatch.setattr(typicality, "find_typical_pair", no_search)
     argv = [str(path) if a is None else a for a in argv]
     assert main(argv + ["--input", str(path)]) == 1
     out, err = capsys.readouterr()

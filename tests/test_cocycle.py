@@ -238,6 +238,10 @@ def test_exterior_cocycle_products(typical3):
     lhs = product(A2, x, 3)
     rhs = matnum.exterior_power(product(typical3, x, 3), 2)
     assert np.allclose(lhs, rhs, atol=1e-10)
+    # the table is the ladder rung, which stops below the determinant
+    for t in (0, 3):
+        with pytest.raises(ValueError, match="need 1 <= t <= 2"):
+            exterior_cocycle(typical3, t)
 
 
 def test_scaled_cocycle(typical2):

@@ -2,8 +2,9 @@
 
 The radius-2 table (the ``radius2`` fixture in conftest) exercises the window machinery past the radius-1
 demos (5-symbol windows, two-step holonomy stabilization, batch padding
-with depth-2 contexts); the 3-symbol base forces nonempty bridges through
-the canonical-representative and synthesis paths.
+with depth-2 contexts); the 3-symbol base (``tri_base`` in conftest)
+forces nonempty bridges through the canonical-representative and
+synthesis paths.
 """
 
 import numpy as np
@@ -21,13 +22,6 @@ from coprox.cocycle import (
     product,
 )
 from coprox.proximal import is_eps_proximal
-
-
-@pytest.fixture(scope="module")
-def tri_base():
-    # three symbols; 0 is the only fixed symbol and 2 -> 0 is forbidden,
-    # so bridging 2 back to 0 needs an intermediate symbol
-    return sft.Sft.from_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
 
 @pytest.fixture(scope="module")

@@ -34,14 +34,14 @@ def test_bridge_examples(full2, golden):
     assert sft.bridge(golden, 1, 1, 0) is None
 
 
-def test_bridge_is_lexicographic_least(golden):
-    for a in range(2):
-        for b in range(2):
+def test_bridge_is_lexicographic_least(golden, full2, tri_base):
+    for s in (golden, full2, tri_base):
+        for a, b in itertools.product(range(s.alphabet_size), repeat=2):
             for n in range(4):
-                got = sft.bridge(golden, a, b, n)
+                got = sft.bridge(s, a, b, n)
                 words = [
-                    w for w in (sft.enumerate_words(golden, n) if n else [()])
-                    if sft.is_admissible(golden, (a,) + tuple(w) + (b,))
+                    w for w in (sft.enumerate_words(s, n) if n else [()])
+                    if sft.is_admissible(s, (a,) + tuple(w) + (b,))
                 ]
                 assert got == (min(words) if words else None)
 

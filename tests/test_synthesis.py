@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from coprox import analysis, cocycle, demos, matnum, sft, synthesis, typicality
+from coprox import analysis, cocycle, demos, matnum, sft, synthesis, thermo, typicality
 from coprox.cocycle import (holonomy_loop, orbit_chi_vec, orbit_mu_vec, product,
                             product_scaled, rectangle)
 from coprox.errors import SingularMatrix, TurnCapExceeded
@@ -228,6 +228,27 @@ def test_family_mode_two_cocycles(typical2):
     for A in (typical2, B):
         m, _ = cocycle.product_scaled(A, qpt, rep.n_q)
         assert is_eps_proximal(m, 0.05)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.9, float("nan")])
+@pytest.mark.parametrize("entry", ["build", "family", "theorem_c"])
+def test_tau_is_checked_first(typical2, typical2_cert, monkeypatch, entry, tau):
+    # each entry point names tau itself, before any sweep or synthesis runs
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("tau must be rejected before the pressure sweeps")
+
+    monkeypatch.setattr(thermo, "sweep_log_singular", no_sweep)
+    p, z, cert = typical2_cert
+    calls = {
+        "build": lambda: build_proximal_periodic(typical2, cert, (0, 1, 1), tau),
+        "family": lambda: synthesize_family(
+            exterior_family_context(typical2, p, z), (0, 1, 1), tau),
+        "theorem_c": lambda: thermo.theorem_c_experiment(
+            typical2, typical2, typicality.family_certificate([typical2, typical2], p, z),
+            4, 1e-9, tau=tau),
+    }
+    with pytest.raises(ValueError, match=r"^tau must lie in \(0, pi/4\), got "):
+        calls[entry]()
 
 
 def test_loop_identity_at_used_ell(typical2, typical2_cert):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,16 @@ def test_check_preconditions(typical2, full2):
     p = sft.fixed_point(full2, 0)
     with pytest.raises(NotHomoclinic):
         typicality_check(typical2, p, p)
+
+
+@pytest.mark.parametrize("base", ["golden", "full2", "tri_base"])
+def test_excursions_are_the_brute_force_words_in_order(request, base):
+    s = request.getfixturevalue(base)
+    for a in s.fixed_symbols():
+        for n in range(1, 6):
+            expected = [u for u in itertools.product(range(s.alphabet_size), repeat=n)
+                        if sft.is_admissible(s, (a,) + u + (a,)) and u != (a,) * n]
+            assert list(typicality._excursions(s, a, n)) == expected
 
 
 def test_find_typical_pair_demo(typical2, typical2_cert):
