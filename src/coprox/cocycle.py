@@ -15,7 +15,10 @@ over those rows (``_extend_products``) feed the spectral ladder
 (``sweep_log_singular``), given words (``batch_log_singular``), single
 orbits as batches of one (``product_scaled``, ``orbit_mu_vec``,
 ``orbit_chi_vec``) and cycles (``cycle_chi_rows``), with the same bytes
-per product on every path and at most one worker pool per call.
+per product on every path and at most one worker pool per call.  The
+ladder reads only the top of each rung: a top singular value is the root
+of the top eigenvalue of the rescaled product's Gram matrix, accurate to
+a few ulps by Weyl's inequality (see ``_ladder``).
 """
 
 from __future__ import annotations
@@ -414,12 +417,23 @@ def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarra
     values) or top eigenvalue modulus (top="eig": log eigenvalue moduli)
     of the t-th exterior power product; the determinant rung continues the
     log-determinant sum through tail.
+
+    A top singular value is the root of the top eigenvalue of the rescaled
+    product's Gram matrix M^T M, which is at least 1 (M has a unit entry)
+    and cannot overflow.  Forming the Gram and solving it each perturb it
+    by a few ulps of its norm, which is that top eigenvalue, so by Weyl's
+    inequality the top is good to a few ulps, relative, however the
+    eigenvalues cluster.  The Gram's left operand is a contiguous copy: on
+    the transposed view the batched matmul is several times slower.
     """
     out = [np.zeros(len(tail))]
     for mats, (prods, scales) in zip(A._rungs, trunks):
         prods, scales = _extend_products(mats, tail, prods, scales)
-        tops = (np.max(np.abs(np.linalg.eigvals(prods)), axis=1) if top == "eig"
-                else np.linalg.svd(prods, compute_uv=False)[:, 0])
+        if top == "eig":
+            tops = np.max(np.abs(np.linalg.eigvals(prods)), axis=1)
+        else:
+            gram = np.ascontiguousarray(prods.transpose(0, 2, 1)) @ prods
+            tops = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
         out.append(scales + np.log(tops))
     out.append(_logdet_sum(A, tail, logdets))
     return np.diff(np.column_stack(out), axis=1)
@@ -432,8 +446,8 @@ class WorkerPool(AbstractContextManager):
     with the ``with`` block, so kernels handed the same WorkerPool as
     ``workers`` share one pool; with one worker everything runs in the
     calling thread.  Tasks share the caller's arrays, with nothing to fork
-    or pickle, and the batched matmul, SVD and eigenvalue kernels release
-    the GIL, so threads run them on separate cores.  Tasks only read shared
+    or pickle, and the batched matmul and eigenvalue kernels release the
+    GIL, so threads run them on separate cores.  Tasks only read shared
     state: the kernel builds its cached tables before the first map (see
     :func:`_kernel_tables`).
     """

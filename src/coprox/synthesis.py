@@ -412,11 +412,14 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float) -> Synthe
     per-word jitter.
     """
     _require_tau(tau)
-    return _synthesize(ctx, x_word, tau, ELL_CAP)[0]
+    x = point_from_word(ctx.forward.family[0].base, x_word, ctx.forward.p.coord(0))
+    return _synthesize(ctx, x_word, x, tau, ELL_CAP)[0]
 
 
-def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int):
-    """:func:`synthesize_family`, returning with the report the accepted
+def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
+                ell_cap: int):
+    """:func:`synthesize_family` for x_word at its canonical point x (for
+    the fixed symbol of p), returning with the report the accepted
     closing's per-member window rows and rescaled products around q.
 
     Every member's products continue one chain of folds (see
@@ -427,12 +430,11 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, tau: float, ell_cap: int):
     """
     fwd = ctx.forward
     base = fwd.family[0].base
-    a = fwd.p.coord(0)
     n = len(x_word)
-    x = point_from_word(base, x_word, a)
     # the canonical representative already carries a bridge to the fixed
-    # symbol; shortly after time n its orbit sits on the stable set of p
-    tail_start = n + len(shortest_bridge(base, x_word[-1], a))
+    # symbol, ending at its reach; shortly after that its orbit sits on the
+    # stable set of p
+    tail_start = x.reach()[1] + 1
     retries = 0
     g_extra = 0
     while True:
@@ -538,8 +540,8 @@ def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
     if cert is None or not cert.passed:
         raise ValueError("a passing typicality certificate is required")
     ctx = exterior_family_context(A, cert.p, cert.z)
-    report, closing = _synthesize(ctx, tuple(x_word), tau, ell_cap)
-    x = point_from_word(A.base, tuple(x_word), cert.p.coord(0))
+    x = point_from_word(A.base, x_word, cert.p.coord(0))
+    report, closing = _synthesize(ctx, tuple(x_word), x, tau, ell_cap)
     # the members are A's exterior powers, so their products around q are
     # the rungs of A's eigenvalue ladder with every window already applied
     rows = closing[0][0]

@@ -176,7 +176,8 @@ def _ref_ladder(A, x, n, top):
 
 
 def _svd_top(m):
-    return np.linalg.norm(m, 2)
+    # the kernel's rule: the root of the top eigenvalue of the Gram matrix
+    return np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1])
 
 
 def _eig_top(m):
@@ -264,3 +265,67 @@ def test_batch_rows_equal_reference_ladder(cocycles, name, n, seed):
     for row, w in zip(rows, words):
         x = sft.point_from_word(A.base, w, 0)
         assert np.array_equal(row, _ref_ladder(A, x, n, _svd_top))
+
+
+# -- the Gram rule against np.linalg.svd -------------------------------------
+#
+# The kernel takes each rung's top singular value from the Gram matrix of
+# the rescaled product (the references above follow the same rule, byte for
+# byte).  Here the log tops are checked against np.linalg.svd of the
+# kernel's rescaled products, which those byte tests pin to the per-step
+# reference.  The error is relative to max(1, |log top|): the log top of a
+# rescaled product lies in [0, log r] for an r x r rung, so the rule's error
+# is absolute there and relative only in the scale it is added to.
+
+GRAM_TOL = 16 * np.finfo(float).eps
+GRAM_DEMOS = sorted(name for name, build in demos.DEMOS.items() if build().dim >= 2)
+
+
+def _rescaled(A, rows):
+    """Per exterior rung, the kernel's rescaled products (and log scales)
+    over each row of window rows, started from the identity."""
+    return [cocycle._extend_products(mats, rows, p, s)
+            for mats, (p, s) in zip(A._rungs, cocycle._identity_trunks(A, len(rows)))]
+
+
+def _assert_log_tops_match_svd(A, rows, got):
+    ref = np.column_stack([s + np.log(np.linalg.svd(p, compute_uv=False)[:, 0])
+                           for p, s in _rescaled(A, rows)])
+    # ladder rows are rung differences: their running sums are the log tops
+    err = np.abs(np.cumsum(got, axis=1)[:, :-1] - ref)
+    scale = np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
+    assert (err <= GRAM_TOL * scale).all(), float((err / scale).max())
+
+
+def _canonical_rows(A, n):
+    a = A.base.fixed_symbols()[0]
+    words = np.array(sft.enumerate_words(A.base, n), dtype=np.int64)
+    return cocycle._window_rows(A, cocycle._canonical(words, cocycle._pads(A, a)))
+
+
+@pytest.mark.parametrize("name", GRAM_DEMOS)
+def test_sweep_log_tops_match_svd(name):
+    A = demos.DEMOS[name]()
+    rows = sweep_log_singular(A, range(1, 11), A.base.fixed_symbols()[0])
+    for n, got in rows.items():
+        _assert_log_tops_match_svd(A, _canonical_rows(A, n), got)
+
+
+@pytest.mark.parametrize("name", GRAM_DEMOS)
+def test_orbit_log_tops_match_svd(name):
+    A = demos.DEMOS[name]()
+    for n in (1, 37, 1000, 10**4):
+        x = _point(A, 40, n, 0)
+        got = cocycle.orbit_mu_vec(A, x, n)[None]
+        _assert_log_tops_match_svd(A, cocycle._orbit_rows(A, x, n), got)
+
+
+def test_gram_top_where_singular_values_cluster():
+    # every product of rotations is a rotation: sigma1 = sigma2, so the two
+    # Gram eigenvalues coincide up to rounding
+    A = demos.rotation_only_2x2()
+    rows = _canonical_rows(A, 10)
+    (prods, _), = _rescaled(A, rows)
+    sv = np.linalg.svd(prods, compute_uv=False)
+    assert np.allclose(sv[:, 1], sv[:, 0], rtol=1e-13, atol=0)
+    _assert_log_tops_match_svd(A, rows, sweep_log_singular(A, [10], 0)[10])
