@@ -21,6 +21,7 @@ from .sft import (
     Symbols,
     count_words,
     cycle_array,
+    least_fixed_symbol,
     lyndon_mask,
     point_from_word,
 )
@@ -45,13 +46,6 @@ def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicW
             out += zip([PeriodicWord(tuple(w)) for w in cycles.tolist()],
                        cycle_chi_rows(A, cycles) / n)
     return sorted(out, key=lambda item: item[0].symbols)
-
-
-def _base_symbol(A: WindowCocycle) -> int:
-    symbols = A.base.fixed_symbols()
-    if not symbols:
-        raise ValueError("base subshift has no fixed symbol")
-    return symbols[0]
 
 
 def _sampled_words(A: WindowCocycle, n: int, count: int, seed: int) -> list[Symbols]:
@@ -102,7 +96,7 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int], *,
         raise ValueError("need 1 <= i <= d-1")
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
-    base_symbol = _base_symbol(A)
+    base_symbol = least_fixed_symbol(A.base)
     exhaustive = [n for n in n_list if count_words(A.base, n) <= exhaustive_budget]
     sampled = [n for n in n_list if n not in exhaustive]
     if sampled and seed is None:
@@ -228,11 +222,16 @@ class TheoremDReport:
         }
 
 
+THEOREM_D_SLACK = 1e-9
+"""Absolute slack added to each theorem D allowance c_emp/n."""
+
+
 def theorem_d_check(A: WindowCocycle, cert, words: Sequence[Symbols], c_emp: float,
-                    tau: float, *, slack: float = 1e-9) -> TheoremDReport:
+                    tau: float) -> TheoremDReport:
     """For each word: synthesize a shadowing orbit q and compare
     (1/n) mu-vector against (n_q/n) times the orbit's exponent vector;
-    the allowance is c_emp/n + slack with c_emp from the bound experiment."""
+    the allowance is c_emp/n + ``THEOREM_D_SLACK`` with c_emp from the
+    bound experiment."""
     samples = []
     failures = []
     for w in words:
@@ -243,9 +242,9 @@ def theorem_d_check(A: WindowCocycle, cert, words: Sequence[Symbols], c_emp: flo
         except SYNTHESIS_ERRORS as exc:
             failures.append((w, str(exc)))
             continue
-        x = point_from_word(A.base, w, cert.p.coord(0) if cert else _base_symbol(A))
+        x = point_from_word(A.base, w, cert.p.coord(0) if cert else least_fixed_symbol(A.base))
         mu = orbit_mu_vec(A, x, n) / n
         lam = periodic_lyapunov(A, rep.q) * (rep.n_q / n)
         dist = float(np.linalg.norm(mu - lam))
-        samples.append(SpectrumComparison(w, n, rep.n_q, dist, c_emp / n + slack))
+        samples.append(SpectrumComparison(w, n, rep.n_q, dist, c_emp / n + THEOREM_D_SLACK))
     return TheoremDReport(tuple(samples), tuple(failures), c_emp)

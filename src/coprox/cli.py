@@ -119,9 +119,8 @@ def _bad_parameter(message: str) -> int:
 
 
 def _find_pair(A, args):
-    return typicality.find_typical_pair(
-        A, max_excursion_len=args.max_excursion, tol=args.tol,
-        exterior_collections=args.exterior_collections)
+    return typicality.find_typical_pair(A, max_excursion_len=args.max_excursion,
+                                        tol=args.tol)
 
 
 def cmd_demo(args) -> int:
@@ -323,10 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=_positive_float, default=1e-8,
                            help="typicality tolerance")
             p.add_argument("--max-excursion", type=_positive_int, default=6)
-            p.add_argument("--exterior-collections", choices=("all", "pairs"),
-                           default="all",
-                           help="twisting index collections on exterior powers "
-                                "(dimensions >= 4 need 'pairs')")
         if threads:
             p.add_argument("--threads", type=_positive_int, default=default_threads,
                            help="worker threads (or set COPROX_THREADS)")

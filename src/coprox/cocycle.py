@@ -13,12 +13,12 @@ symbol arrays become table rows (``_window_rows``), and rescaled products
 over those rows (``_extend_products``) feed the spectral ladder
 (``_ladder``).  It serves level sweeps over all admissible words
 (``sweep_log_singular``), given words (``batch_log_singular``), single
-orbits as batches of one (``product_scaled``, ``orbit_mu_vec``,
-``orbit_chi_vec``) and cycles (``cycle_chi_rows``), with the same bytes
-per product on every path and at most one worker pool per call.  The
-ladder reads only the top of each rung: a top singular value is the root
-of the top eigenvalue of the rescaled product's Gram matrix, accurate to
-a few ulps by Weyl's inequality (see ``_ladder``).
+orbits as batches of one (``orbit_mu_vec``, synthesis folds) and cycles
+(``cycle_chi_rows``), with the same bytes per product on every path and
+at most one worker pool per call.  The ladder reads only the top of each
+rung: a top singular value is the root of the top eigenvalue of the
+rescaled product's Gram matrix, accurate to a few ulps by Weyl's
+inequality (see ``_ladder``).
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ class WindowCocycle:
         frozen = {}
         for w, m in self.table.items():
             m = np.asarray(m, dtype=float)
+            if m.shape != (self.dim, self.dim):
+                raise ValueError(f"matrix for window {w} has shape {m.shape}")
             if not np.isfinite(m).all():
                 raise ValueError(f"matrix for window {w} has non-finite entries")
             m = require_invertible(m)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"matrix for window {w} has shape {m.shape}")
             m.setflags(write=False)
             frozen[w] = m
         object.__setattr__(self, "table", frozen)
@@ -150,21 +150,6 @@ def product(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     return out
 
 
-def product_scaled(A: WindowCocycle, x: PointSpec, n: int) -> tuple[np.ndarray, float]:
-    """(M, s) with the cocycle product equal to e^s M and M kept at unit
-    max-entry; safe for orbit lengths whose raw product would overflow.
-
-    Negative n multiplies the inverse window matrices at -1, -2, ..., n in
-    turn, so no long product is ever inverted.
-    """
-    if n < 0:
-        mats, rows = np.linalg.inv(A._mats), _orbit_rows(A, x.shift(n), -n)[:, ::-1]
-    else:
-        mats, rows = A._mats, _orbit_rows(A, x, n)
-    prods, scales = _extend_products(mats, rows, np.eye(A.dim)[None], np.zeros(1))
-    return prods[0], float(scales[0])
-
-
 def orbit_mu_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     """Log singular values of the product along the orbit, any length n >= 0.
 
@@ -175,66 +160,51 @@ def orbit_mu_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     return _ladder(A, _orbit_rows(A, x, n), _identity_trunks(A, 1), np.zeros(1), "svd")[0]
 
 
-def orbit_chi_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
-    """Log eigenvalue moduli of the product along the orbit, any length n >= 0."""
-    return _ladder(A, _orbit_rows(A, x, n), _identity_trunks(A, 1), np.zeros(1), "eig")[0]
-
-
 def cycle_chi_rows(A: WindowCocycle, cycles: np.ndarray) -> np.ndarray:
     """Log eigenvalue moduli of the product once around each periodic point
-    given by a row of an array of admissible cycles, as orbit_chi_vec."""
+    given by a row of an array of admissible cycles."""
     n, k = cycles.shape[1], A.radius
     rows = _window_rows(A, cycles[:, np.arange(-k, n + k) % n])
     return _ladder(A, rows, _identity_trunks(A, len(rows)), np.zeros(len(rows)), "eig")
 
 
-def holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec,
-               steps: Optional[int] = None) -> np.ndarray:
-    """Local stable holonomy from x to y (coordinates agree for i >= 0).
-
-    Exact at steps = radius; larger values reproduce the same matrix.
-    """
+def holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec) -> np.ndarray:
+    """Local stable holonomy from x to y (coordinates agree for i >= 0):
+    the quotient of the products over radius steps, where it is exact
+    (more steps reproduce the same matrix)."""
     if not in_local_stable(x, y):
         raise NotOnLocalLeaf("y is not in the local stable set of x")
-    m = A.radius if steps is None else steps
-    if m == 0:
+    if A.radius == 0:
         return np.eye(A.dim)  # the empty products' quotient, exactly
-    return np.linalg.inv(product(A, y, m)) @ product(A, x, m)
+    return np.linalg.inv(product(A, y, A.radius)) @ product(A, x, A.radius)
 
 
-def holonomy_u(A: WindowCocycle, x: PointSpec, y: PointSpec,
-               steps: Optional[int] = None) -> np.ndarray:
+def holonomy_u(A: WindowCocycle, x: PointSpec, y: PointSpec) -> np.ndarray:
     """Local unstable holonomy from x to y (coordinates agree for i <= 0)."""
     if not in_local_unstable(x, y):
         raise NotOnLocalLeaf("y is not in the local unstable set of x")
-    m = A.radius if steps is None else steps
-    if m == 0:
+    if A.radius == 0:
         return np.eye(A.dim)
-    return np.linalg.inv(product(A, y, -m)) @ product(A, x, -m)
+    return np.linalg.inv(product(A, y, -A.radius)) @ product(A, x, -A.radius)
 
 
-def global_holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec,
-                      ell: Optional[int] = None) -> np.ndarray:
-    """Stable holonomy extended along orbits: A^l(y)^-1 H^s(s^l x, s^l y) A^l(x).
-
-    ``ell`` defaults to the least shift putting the pair on a local leaf;
-    the value is independent of any valid choice.
-    """
+def global_holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec) -> np.ndarray:
+    """Stable holonomy extended along orbits: A^l(y)^-1 H^s(s^l x, s^l y) A^l(x)
+    with l the least shift putting the pair on a local leaf (the value is
+    the same for any larger shift)."""
+    ell = stable_shift(x, y)
     if ell is None:
-        ell = stable_shift(x, y)
-        if ell is None:
-            raise NotOnGlobalLeaf("points are not on a common stable set")
+        raise NotOnGlobalLeaf("points are not on a common stable set")
     local = holonomy_s(A, x.shift(ell), y.shift(ell))
     return np.linalg.inv(product(A, y, ell)) @ local @ product(A, x, ell)
 
 
-def global_holonomy_u(A: WindowCocycle, x: PointSpec, y: PointSpec,
-                      ell: Optional[int] = None) -> np.ndarray:
-    """Unstable holonomy extended along backward orbits."""
+def global_holonomy_u(A: WindowCocycle, x: PointSpec, y: PointSpec) -> np.ndarray:
+    """Unstable holonomy extended along backward orbits, with the least
+    leaf shift."""
+    ell = unstable_shift(x, y)
     if ell is None:
-        ell = unstable_shift(x, y)
-        if ell is None:
-            raise NotOnGlobalLeaf("points are not on a common unstable set")
+        raise NotOnGlobalLeaf("points are not on a common unstable set")
     local = holonomy_u(A, x.shift(-ell), y.shift(-ell))
     return product(A, y.shift(-ell), ell) @ local @ np.linalg.inv(product(A, x.shift(-ell), ell))
 
@@ -317,6 +287,13 @@ def exterior_cocycle(A: WindowCocycle, t: int) -> WindowCocycle:
     return _memoised(A, ("exterior", t), lambda: WindowCocycle(
         A.base, A._rungs[t - 1].shape[1], A.radius,
         {w: A._rungs[t - 1][i] for w, i in A._rows.items()}))
+
+
+def require_common_base(family: Sequence[WindowCocycle]) -> None:
+    """Reject a family whose members live over different subshifts: a
+    common pair (p, z), a common orbit or a common cylinder needs one base."""
+    if any(A.base != family[0].base for A in family):
+        raise ValueError("family members must share one base subshift")
 
 
 def _memoised(A: WindowCocycle, key, build):

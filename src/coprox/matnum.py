@@ -33,6 +33,9 @@ import numpy as np
 from .errors import DegenerateTopSingularValue, SingularMatrix
 
 DET_TOL = 1e-12
+AMS_TOL = 1e-9
+"""Least relative gap between the top two singular values that
+:func:`ams_hyperplane` accepts."""
 
 
 def require_invertible(g: np.ndarray) -> np.ndarray:
@@ -257,7 +260,7 @@ def map_cone(g: np.ndarray, cone: Cone) -> Cone:
     return Cone(center, radius)
 
 
-def ams_hyperplane(g: np.ndarray, tol: float = 1e-9):
+def ams_hyperplane(g: np.ndarray):
     """Unit normal of the contraction hyperplane from the SVD.
 
     The hyperplane is spanned by all right-singular vectors except the top
@@ -270,7 +273,7 @@ def ams_hyperplane(g: np.ndarray, tol: float = 1e-9):
     _, alpha, Vt = np.linalg.svd(g)
     if len(alpha) < 2:
         raise ValueError("no hyperplane in dimension 1")
-    if alpha[0] - alpha[1] <= tol * alpha[0]:
+    if alpha[0] - alpha[1] <= AMS_TOL * alpha[0]:
         raise DegenerateTopSingularValue(
             f"alpha1 = {alpha[0]:.6g} and alpha2 = {alpha[1]:.6g} too close"
         )

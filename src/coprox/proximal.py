@@ -56,13 +56,13 @@ class ProximalData:
     angle: float               # rho(v, hyperplane)
 
 
-def proximal_data(g: np.ndarray, tol: float = PROXIMAL_TOL) -> ProximalData:
+def proximal_data(g: np.ndarray) -> ProximalData:
     """Eigendata of a proximal map.
 
     The hyperplane normal is the top eigenvector of g^T (left eigenvector),
     which annihilates the complementary invariant subspace.  Raises
-    NotProximal when the top modulus is not simple and dominant within tol,
-    or the top eigenvalue is not real.
+    NotProximal when the top modulus is not simple and dominant within
+    ``PROXIMAL_TOL``, relative, or the top eigenvalue is not real.
     """
     g = _require_finite(g)
     d = g.shape[0]
@@ -74,7 +74,7 @@ def proximal_data(g: np.ndarray, tol: float = PROXIMAL_TOL) -> ProximalData:
     vals = vals[order]
     vecs = vecs[:, order]
     top, second = np.abs(vals[0]), np.abs(vals[1])
-    if top - second <= tol * top or abs(vals[0].imag) > tol * top:
+    if top - second <= PROXIMAL_TOL * top or abs(vals[0].imag) > PROXIMAL_TOL * top:
         raise NotProximal("no simple dominant real top eigenvalue")
     v = unit(vecs[:, 0].real)
     lvals, lvecs = np.linalg.eig(g.T)
@@ -89,9 +89,9 @@ def proximal_data(g: np.ndarray, tol: float = PROXIMAL_TOL) -> ProximalData:
     )
 
 
-def is_proximal(g: np.ndarray, tol: float = PROXIMAL_TOL) -> bool:
+def is_proximal(g: np.ndarray) -> bool:
     try:
-        proximal_data(g, tol)
+        proximal_data(g)
         return True
     except NotProximal:
         return False
@@ -115,8 +115,7 @@ class EpsProximalWitness:
     reasons: tuple[str, ...]
 
 
-def eps_proximal_witness(g: np.ndarray, eps: float,
-                         tol: float = PROXIMAL_TOL) -> EpsProximalWitness:
+def eps_proximal_witness(g: np.ndarray, eps: float) -> EpsProximalWitness:
     """Check the three quantified-proximality conditions with explicit bounds.
 
     Conditions: (1) rho(v_g, V^<) >= 2 eps; (2) g maps the complement of the
@@ -132,7 +131,7 @@ def eps_proximal_witness(g: np.ndarray, eps: float,
     if d == 1:
         return EpsProximalWitness(eps, pi / 2, 0.0, 0.0, True, ())
     try:
-        data = proximal_data(g, tol)
+        data = proximal_data(g)
     except NotProximal:
         return EpsProximalWitness(eps, 0.0, 1.0, np.inf, False, ("not proximal",))
     reasons = []
@@ -162,8 +161,8 @@ def eps_proximal_witness(g: np.ndarray, eps: float,
     )
 
 
-def is_eps_proximal(g: np.ndarray, eps: float, tol: float = PROXIMAL_TOL) -> bool:
-    return eps_proximal_witness(g, eps, tol).verdict
+def is_eps_proximal(g: np.ndarray, eps: float) -> bool:
+    return eps_proximal_witness(g, eps).verdict
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def proximality_defect(g: np.ndarray) -> float:
     return max(0.0, float(mu_vec(g)[0] - chi_vec(g)[0]))
 
 
-def certified_defect_bound(g: np.ndarray, tol: float = PROXIMAL_TOL) -> float:
+def certified_defect_bound(g: np.ndarray) -> float:
     """Instance-wise certified upper bound for the proximality defect.
 
     From |g u| <= |c| |eig1| + |g restricted to V^<| (1 + |c|) with
@@ -207,7 +206,7 @@ def certified_defect_bound(g: np.ndarray, tol: float = PROXIMAL_TOL) -> float:
 
         defect <= log( 1/sin(angle) + (|g|_V / |eig1|) (1 + 1/sin(angle)) ).
     """
-    data = proximal_data(g, tol)
+    data = proximal_data(g)
     s = sin(data.angle)
     ratio = restricted_operator_norm(g, data.hyperplane_normal) / abs(data.top_eig)
     return float(np.log(1.0 / s + ratio * (1.0 + 1.0 / s)))

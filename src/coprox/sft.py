@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotPrimitive, SymbolMismatch
+from .errors import NoFixedSymbol, NotPrimitive, SymbolMismatch
 
 Symbol = int
 Symbols = tuple[int, ...]
@@ -74,6 +74,15 @@ class Sft:
 
     def fixed_symbols(self) -> list[Symbol]:
         return [a for a in range(self.alphabet_size) if self.adjacency[a][a] == 1]
+
+
+def least_fixed_symbol(s: Sft) -> Symbol:
+    """The least symbol a with T[a][a] = 1: the fixed point that canonical
+    representatives bridge to when no certified pair names one."""
+    symbols = s.fixed_symbols()
+    if not symbols:
+        raise NoFixedSymbol("no symbol a with T[a][a] = 1")
+    return symbols[0]
 
 
 def _mixing_rate(s: Sft) -> int:

@@ -37,13 +37,14 @@ from .cocycle import (
     _logdet_sum,
     _memoised,
     _orbit_rows,
+    cycle_chi_rows,
     exterior_cocycle,
     holonomy_s,
     holonomy_u,
     inverse_cocycle,
-    orbit_chi_vec,
     orbit_mu_vec,
     product,
+    require_common_base,
 )
 from .errors import (
     DegenerateTopSingularValue,
@@ -68,6 +69,7 @@ from .sft import (
     bracket,
     in_local_stable,
     in_local_unstable,
+    least_fixed_symbol,
     make_periodic,
     periodic_point,
     point_from_word,
@@ -130,7 +132,8 @@ def _fold(B: WindowCocycle, rows: np.ndarray, trunk):
     A trunk is a (rows, prods, scales) triple, None for none.  It is
     continued only when its rows are a prefix of these rows 0..n-k-1; any
     other fold starts over from the identity.  The kernel folds the windows
-    strictly left to right, so both give the bytes of ``product_scaled``.
+    strictly left to right, so both give the bytes of one fold from the
+    identity over all n rows.
     """
     cut = max(rows.shape[1] - B.radius, 0)
     if trunk is None or not (trunk[0].shape[1] <= cut
@@ -200,7 +203,6 @@ def turn_direction(frames: Sequence[EigenFrame], dirs: Sequence[np.ndarray],
 
 
 TURN_CAP = 512
-AMS_TOL = 1e-9
 PERIOD_QUANTUM = 16
 FRAME_TOL = 1e-10
 ELL_CAP = 2**14
@@ -243,8 +245,7 @@ class FamilyContext:
 def build_family_context(family: Sequence[WindowCocycle], p: PointSpec,
                          z: PointSpec) -> FamilyContext:
     family = tuple(family)
-    if any(A.base != family[0].base for A in family):
-        raise ValueError("family members must share one base subshift")
+    require_common_base(family)
     forward = _side(family, p, z)
     rev_wedge = tuple(
         exterior_cocycle(inverse_cocycle(A), A.dim - 1) if A.dim > 1
@@ -441,7 +442,7 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
         g_path = PathSpec(x, x, tail_start + 3 + g_extra, fwd.p)
         g_mats = [path_matrix(A, g_path) for A in fwd.family]
         try:
-            normals = [ams_hyperplane(g, AMS_TOL) for g in g_mats]
+            normals = [ams_hyperplane(g) for g in g_mats]
             break
         except DegenerateTopSingularValue:
             retries += 1
@@ -507,10 +508,8 @@ def _closure_d1(A: WindowCocycle, x_word: Symbols, base_symbol: int) -> Synthesi
     q = make_periodic(base, tuple(x_word) + u)
     n = len(x_word)
     x = point_from_word(base, x_word, base_symbol)
-    bound = abs(
-        float(orbit_mu_vec(A, x, n)[0]
-              - orbit_chi_vec(A, periodic_point(q), q.period)[0])
-    )
+    bound = abs(float(orbit_mu_vec(A, x, n)[0]
+                      - cycle_chi_rows(A, np.array([q.symbols]))[0, 0]))
     return SynthesisReport(
         x_word=tuple(x_word),
         n=n,
@@ -535,7 +534,7 @@ def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
     if len(x_word) < 1:
         raise ValueError("x_word must be nonempty")
     if A.dim == 1:
-        sym = cert.p.coord(0) if cert is not None else A.base.fixed_symbols()[0]
+        sym = cert.p.coord(0) if cert is not None else least_fixed_symbol(A.base)
         return _closure_d1(A, tuple(x_word), sym)
     if cert is None or not cert.passed:
         raise ValueError("a passing typicality certificate is required")

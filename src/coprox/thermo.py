@@ -16,9 +16,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cocycle import batch_log_singular  # noqa: F401  (part of this module's API)
-from .cocycle import WindowCocycle, sweep_log_singular
+from .cocycle import WindowCocycle, require_common_base, sweep_log_singular
 from .errors import NotConstant
-from .analysis import periodic_lyapunov, periodic_spectrum, _base_symbol, _sampled_words
+from .analysis import periodic_lyapunov, periodic_spectrum, _sampled_words
+from .sft import least_fixed_symbol
 from .synthesis import _require_tau, build_family_context, synthesize_family
 from .typicality import TypicalityCertificate
 
@@ -79,7 +80,7 @@ def _log_weights(A: WindowCocycle, s: float, n_list: Sequence[int],
     """Log potentials of all length-n words, lexicographic, for each n:
     one level sweep and one vectorized potential per length, each length's
     rows dropped once its potentials are taken."""
-    rows = sweep_log_singular(A, n_list, _base_symbol(A), workers=workers)
+    rows = sweep_log_singular(A, n_list, least_fixed_symbol(A.base), workers=workers)
     return {n: log_phi_s(rows.pop(n), s) for n in list(rows)}
 
 
@@ -228,6 +229,7 @@ def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
     _require_tau(tau)
     if not 0 <= tol < inf:
         raise ValueError(f"tol must be >= 0 and finite, got {tol}")
+    require_common_base([A, B])
     if not cert_pair.passed:
         raise ValueError("the pair certificate does not pass")
     diffs = top_exponent_differences(A, B, max_period)

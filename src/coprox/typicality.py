@@ -4,9 +4,11 @@ homoclinic point z, for every exterior power with the common pair.
 Pinching asks the return map P at p for simple eigenvalues of distinct
 moduli; twisting asks the holonomy loop psi_z to put every collection
 {psi v_i : i in I} u {v_j : j in J} with |I| + |J| <= d in general
-position.  Margins are the minimal log-modulus gap and the minimal
-smallest singular value of the unit-column test matrices; a certificate
-passes when every margin exceeds the tolerance.
+position, or, on exterior powers of a base of dimension >= 4, where that
+is impossible, the pair collections the constructions use.  Margins are
+the minimal log-modulus gap and the minimal smallest singular value of
+the unit-column test matrices; a certificate passes when every margin
+exceeds the tolerance.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cocycle import WindowCocycle, holonomy_loop, product
-from .errors import NoFixedSymbol, NotFixedPoint
+from .cocycle import WindowCocycle, holonomy_loop, product, require_common_base
+from .errors import NotFixedPoint
 from .matnum import exterior_power, unit
-from .sft import PointSpec, Sft, Symbols, fixed_point, homoclinic_point, is_fixed_point, word_array
+from .sft import (PointSpec, Sft, Symbols, fixed_point, homoclinic_point, is_fixed_point,
+                  least_fixed_symbol, word_array)
 
 DEFAULT_TOL = 1e-8
 
@@ -204,16 +207,14 @@ def check_members(members: Sequence[tuple[str, np.ndarray, np.ndarray, str]],
 
 
 def typicality_check(A: WindowCocycle, p: PointSpec, z: PointSpec,
-                     tol: float = DEFAULT_TOL,
-                     exterior_collections: str = "all") -> TypicalityCertificate:
+                     tol: float = DEFAULT_TOL) -> TypicalityCertificate:
     """Certify pinching and twisting of every exterior power t = 1..d-1
     with the same pair (p, z).
 
-    ``exterior_collections`` selects the index collections checked on the
-    powers t >= 2 ("all" or "pairs"); the base level t = 1 always checks
-    the full set.  The full set is unsatisfiable for base dimension >= 4
-    (see :func:`twisting_margin`), so d >= 4 certification must use
-    "pairs".
+    Twisting checks every index collection at t = 1, and on the powers
+    t >= 2 when d <= 3.  For d >= 4 the full set is unsatisfiable on those
+    powers (see :func:`twisting_margin`), so they check the pair
+    collections, the ones the orbit constructions consume.
     """
     _require_tol(tol)
     _require_fixed_point(p)
@@ -221,7 +222,7 @@ def typicality_check(A: WindowCocycle, p: PointSpec, z: PointSpec,
     psi = holonomy_loop(A, p, z)
     members = [
         (f"t={t}", exterior_power(P, t), exterior_power(psi, t),
-         "all" if t == 1 else exterior_collections)
+         "all" if t == 1 or A.dim <= 3 else "pairs")
         for t in range(1, A.dim)
     ]
     return TypicalityCertificate(p, z, check_members(members, tol), tol)
@@ -230,6 +231,7 @@ def typicality_check(A: WindowCocycle, p: PointSpec, z: PointSpec,
 def family_certificate(cocycles: Sequence[WindowCocycle], p: PointSpec, z: PointSpec,
                        tol: float = DEFAULT_TOL) -> TypicalityCertificate:
     """Certify that every cocycle in the family is 1-typical for the common pair."""
+    require_common_base(cocycles)
     _require_tol(tol)
     _require_fixed_point(p)
     members = [(f"member{i}", product(A, p, 1), holonomy_loop(A, p, z), "all")
@@ -246,23 +248,21 @@ def _excursions(s: Sft, a: int, length: int) -> list[Symbols]:
 
 
 def find_typical_pair(A: WindowCocycle, max_excursion_len: int = 6,
-                      tol: float = DEFAULT_TOL,
-                      exterior_collections: str = "all"):
+                      tol: float = DEFAULT_TOL):
     """Deterministic scan for a passing pair: fixed symbols in order, then
     excursion words by length and lexicographic order.
 
     Returns (p, z, certificate) for the first passing pair, or None.
+    Raises NoFixedSymbol when the base has no fixed symbol.
     """
     _require_tol(tol)
-    symbols = A.base.fixed_symbols()
-    if not symbols:
-        raise NoFixedSymbol("no symbol a with T[a][a] = 1")
-    for a in symbols:
+    least_fixed_symbol(A.base)  # raises NoFixedSymbol when there is none
+    for a in A.base.fixed_symbols():
         p = fixed_point(A.base, a)
         for length in range(1, max_excursion_len + 1):
             for exc in _excursions(A.base, a, length):
                 z = homoclinic_point(A.base, a, exc)
-                cert = typicality_check(A, p, z, tol, exterior_collections)
+                cert = typicality_check(A, p, z, tol)
                 if cert.passed:
                     return p, z, cert
     return None

@@ -105,6 +105,20 @@ def radius1_cert(radius1):
     return found
 
 
+def ref_product_scaled(A, x, n):
+    """(M, s) with the product along n >= 0 steps of x's orbit equal to
+    e^s M: one matmul per step, each rescaled to unit max-entry, as a loop.
+    The kernel's folds must give these bytes."""
+    out = np.eye(A.dim)
+    logscale = 0.0
+    for j in range(n):
+        out = A.at(x, j) @ out
+        peak = np.max(np.abs(out))
+        out = out / peak
+        logscale += float(np.log(peak))
+    return out, logscale
+
+
 def random_invertible(rng, d, spread=2.0):
     """Random well-scaled invertible matrix (resampled until comfortably
     nonsingular)."""

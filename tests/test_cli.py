@@ -2,10 +2,12 @@ import argparse
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
-from coprox import cli, typicality
+from coprox import cli, sft, thermo, typicality
 from coprox.cli import main
+from coprox.cocycle import WindowCocycle, load_cocycle, save_cocycle, scaled_cocycle
 from conftest import orbit_key
 
 CERT_SCHEMA = {
@@ -99,6 +101,46 @@ def test_check_malformed_file(tmp_path):
     assert main(["check", "--input", str(bad)]) == 1
 
 
+def test_scalar_matrix_entry_is_an_input_error(demo_file, tmp_path, capsys):
+    data = json.loads(demo_file.read_text())
+    data["entries"][1]["matrix"] = 5
+    bad = tmp_path / "scalar.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == "input error: matrix for window (1,) has shape ()\n"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("command", ["synthesize", "verify-bound"])
+def test_base_without_fixed_symbol_is_an_error(tmp_path, capsys, command, dim):
+    # primitive, but no symbol may follow itself: no fixed point to bridge to
+    base = sft.Sft.from_matrix([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    path = tmp_path / "nofixed.json"
+    save_cocycle(WindowCocycle(base, dim, 0, {(a,): (a + 2.0) * np.eye(dim) for a in range(3)}),
+                 path)
+    argv = {"synthesize": ["--word", "012"],
+            "verify-bound": ["--seed", "1", "--samples", "2", "--n-max", "6"]}[command]
+    assert main([command, "--input", str(path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: no symbol a with T[a][a] = 1\n"
+
+
+@pytest.mark.parametrize("order", ["golden-first", "full-first"])
+def test_compare_over_different_subshifts_is_an_error(tmp_path, capsys, monkeypatch, order):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the shared base must be checked before any sweep")
+
+    monkeypatch.setattr(thermo, "sweep_log_singular", no_sweep)
+    names = ["golden2x2", "typical2x2"][::1 if order == "golden-first" else -1]
+    paths = [tmp_path / f"{name}.json" for name in names]
+    for name, path in zip(names, paths):
+        assert main(["demo", name, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--input", str(paths[0]), "--input-b", str(paths[1]),
+                 "--max-period", "3"]) == 1
+    assert capsys.readouterr().err == "error: family members must share one base subshift\n"
+
+
 def test_synthesize(demo_file, tmp_path):
     out = tmp_path / "syn.json"
     assert main(["synthesize", "--input", str(demo_file), "--word", "111",
@@ -139,8 +181,6 @@ def test_spectrum_row_count(demo_file, tmp_path):
 
 def test_spectrum_golden_orbit_count(tmp_path):
     # independent oracle: dedup the enumerated cycles by rotation class
-    from coprox import sft
-
     g_path = tmp_path / "g.json"
     assert main(["demo", "golden2x2", "--out", str(g_path)]) == 0
     out = tmp_path / "gspec.csv"
@@ -371,10 +411,6 @@ def test_dominate_report_schema(demo_file, tmp_path):
 
 
 def test_compare_scalar_multiple(demo_file, tmp_path):
-    import numpy as np
-
-    from coprox.cocycle import load_cocycle, save_cocycle, scaled_cocycle
-
     b_path = tmp_path / "b.json"
     save_cocycle(scaled_cocycle(load_cocycle(demo_file), 0.3), b_path)
     out = tmp_path / "cmp.json"
@@ -387,10 +423,6 @@ def test_compare_scalar_multiple(demo_file, tmp_path):
 
 
 def test_compare_not_constant(demo_file, tmp_path):
-    import numpy as np
-
-    from coprox.cocycle import WindowCocycle, load_cocycle, save_cocycle
-
     A = load_cocycle(demo_file)
     table = {w: m.copy() for w, m in A.table.items()}
     table[(1,)] = table[(1,)] + 1e-2 * np.eye(2)

@@ -16,10 +16,8 @@ from coprox.cocycle import (
     holonomy_s,
     holonomy_u,
     inverse_cocycle,
-    orbit_chi_vec,
     orbit_mu_vec,
     product,
-    product_scaled,
     rectangle,
     scaled_cocycle,
 )
@@ -96,13 +94,14 @@ def test_holonomy_truncation_exactness(radius1):
     nontrivial = 0
     for x, y in stable_pairs(radius1.base, rng, 20):
         h_r = holonomy_s(radius1, x, y)
-        h_deep = holonomy_s(radius1, x, y, steps=radius1.radius + 8)
+        m = radius1.radius + 8
+        h_deep = np.linalg.inv(product(radius1, y, m)) @ product(radius1, x, m)
         assert np.linalg.norm(h_r - h_deep) < 1e-12
         nontrivial += np.linalg.norm(h_r - np.eye(2)) > 1e-6
     assert nontrivial > 5  # the sampled holonomies are far from trivial
     for x, y in unstable_pairs(radius1.base, rng, 20):
         hu = holonomy_u(radius1, x, y)
-        hu_deep = holonomy_u(radius1, x, y, steps=radius1.radius + 8)
+        hu_deep = np.linalg.inv(product(radius1, y, -m)) @ product(radius1, x, -m)
         assert np.linalg.norm(hu - hu_deep) < 1e-12
         # radius-1 backward windows never see positive coordinates, so the
         # exact local unstable holonomy is the identity (depth >= 2 makes
@@ -145,10 +144,11 @@ def test_global_holonomy_consistency(radius1):
     y = sft.point_from_word(s, (0, 1, 0, 0, 1), 0)
     ell = sft.stable_shift(x, y)
     assert ell is not None and ell > 0
-    h1 = global_holonomy_s(radius1, x, y, ell)
-    h2 = global_holonomy_s(radius1, x, y, ell + 3)
+    h1 = global_holonomy_s(radius1, x, y)
+    m = ell + 3  # a longer shift gives the same holonomy
+    h2 = (np.linalg.inv(product(radius1, y, m))
+          @ holonomy_s(radius1, x.shift(m), y.shift(m)) @ product(radius1, x, m))
     assert np.linalg.norm(h1 - h2) < 1e-10
-    assert np.allclose(global_holonomy_s(radius1, x, y), h1)
 
 
 def test_holonomy_loop_identity(radius1, full2):
@@ -250,31 +250,14 @@ def test_scaled_cocycle(typical2):
     assert np.allclose(product(B, x, 3), np.exp(1.5) * product(typical2, x, 3))
 
 
-def test_product_scaled_consistency(typical2):
-    x = sft.point_from_word(typical2.base, (1, 0, 0, 1), 0)
-    m, s = product_scaled(typical2, x, 12)
-    assert np.allclose(np.exp(s) * m, product(typical2, x, 12), rtol=1e-12)
-    m_neg, s_neg = product_scaled(typical2, x, -5)
-    assert np.allclose(np.exp(s_neg) * m_neg, product(typical2, x, -5), rtol=1e-12)
-
-
-def test_product_scaled_long_backward_orbit_is_finite():
-    # 512 steps back through diag(4, 2, 1): the forward product has an entry
-    # of 2^-1024, so inverting it overflows; the backward product does not
-    A = demos.typical_3x3()
-    x = sft.point_from_word(A.base, (1,), 0)
-    m, s = product_scaled(A, x, -512)
-    assert np.isfinite(m).all() and np.isfinite(s)
-    m_rev, s_rev = product_scaled(inverse_cocycle(A), sft.reverse_point(x), 512)
-    assert np.allclose(m, m_rev, rtol=1e-12, atol=0) and np.isclose(s, s_rev)
-
-
 def test_orbit_ladders_match_direct(typical2, radius1):
     for A in (typical2, radius1):
         x = sft.point_from_word(A.base, (1, 0, 1, 1, 0, 0), 0)
         g = product(A, x, 6)
         assert np.allclose(orbit_mu_vec(A, x, 6), matnum.mu_vec(g), atol=1e-10)
-        assert np.allclose(orbit_chi_vec(A, x, 6), matnum.chi_vec(g), atol=1e-10)
+        q = sft.make_periodic(A.base, (1, 0, 1, 1, 0, 0))
+        assert np.allclose(cocycle.cycle_chi_rows(A, np.array([q.symbols]))[0],
+                           matnum.chi_vec(product(A, sft.periodic_point(q), 6)), atol=1e-10)
 
 
 def test_orbit_ladders_long_product(typical2):
@@ -329,6 +312,10 @@ def test_malformed_cocycle_files(tmp_path):
     bad["entries"] = bad["entries"][:1]
     with pytest.raises(InputFormatError):
         cocycle_from_dict(bad)
+    scalar = cocycle_to_dict(demos.typical_2x2())
+    scalar["entries"][1]["matrix"] = 5
+    with pytest.raises(InputFormatError, match=r"matrix for window \(1,\) has shape \(\)"):
+        cocycle_from_dict(scalar)
     p = tmp_path / "bad.json"
     p.write_text("{not json")
     with pytest.raises(InputFormatError):

@@ -1,16 +1,19 @@
 """Dimension-4 behavior: the full twisting index-set condition is
 structurally unsatisfiable on the second exterior power (wedge families
 through a common factor are never in general position), while the pairwise
-conditions the constructions consume remain generic and the synthesizer
-still certifies all exterior powers."""
+conditions the constructions consume remain generic, so certification
+checks those on the powers t >= 2 and the synthesizer still certifies all
+exterior powers."""
 
 import numpy as np
 import pytest
 
 from coprox import cocycle, sft, synthesis, typicality
+from coprox.cli import main
 from coprox.matnum import exterior_power, unit
 from coprox.proximal import is_eps_proximal
 from coprox.typicality import eigen_frame, twisting_margin
+from conftest import ref_product_scaled
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +60,7 @@ def _wedge(a, b):
 
 
 def test_pairs_mode_certifies_and_synthesizes(dim4):
-    found = typicality.find_typical_pair(dim4, exterior_collections="pairs")
+    found = typicality.find_typical_pair(dim4)
     assert found is not None
     p, z, cert = found
     assert cert.passed
@@ -66,11 +69,27 @@ def test_pairs_mode_certifies_and_synthesizes(dim4):
     qpt = sft.periodic_point(rep.q)
     for t in (1, 2, 3):
         At = cocycle.exterior_cocycle(dim4, t)
-        m, _ = cocycle.product_scaled(At, qpt, rep.n_q)
+        m, _ = ref_product_scaled(At, qpt, rep.n_q)
         assert is_eps_proximal(m, 0.04)
     n_q = rep.n_q
     assert all(rep.q.symbols[(rep.j + i) % n_q] == (1, 0, 1)[i] for i in range(3))
 
 
-def test_full_mode_returns_none_at_dim4(dim4):
-    assert typicality.find_typical_pair(dim4, max_excursion_len=2) is None
+def test_default_certifies_dim4_with_pair_margins(dim4):
+    # at t = 1 every collection is checked; at t >= 2 only the pairs
+    found = typicality.find_typical_pair(dim4, max_excursion_len=2)
+    assert found is not None
+    p, z, cert = found
+    assert cert.passed and [m.label for m in cert.per_member] == ["t=1", "t=2", "t=3"]
+    P = cocycle.product(dim4, p, 1)
+    psi = cocycle.holonomy_loop(dim4, p, z)
+    for m, t in zip(cert.per_member, (1, 2, 3)):
+        frame = eigen_frame(exterior_power(P, t))
+        margin = twisting_margin(exterior_power(psi, t), frame, "all" if t == 1 else "pairs")
+        assert m.twist_margin == margin
+
+
+def test_check_cli_certifies_dim4_without_options(dim4, tmp_path):
+    path = tmp_path / "dim4.json"
+    cocycle.save_cocycle(dim4, path)
+    assert main(["check", "--input", str(path), "--max-excursion", "2"]) == 0

@@ -41,18 +41,19 @@ def test_radius2_holonomy_stabilizes_at_two(radius2):
     assert past.coord(0) == x.coord(0)
     y = sft.bracket(past, x)
     assert sft.dist(x, y) > 0
-    h2 = holonomy_s(radius2, x, y)  # steps defaults to the radius
-    h10 = holonomy_s(radius2, x, y, steps=10)
+    h2 = holonomy_s(radius2, x, y)  # radius steps
+    h10 = np.linalg.inv(product(radius2, y, 10)) @ product(radius2, x, 10)
     assert np.linalg.norm(h2 - h10) < 1e-12
     assert y.coord(-1) != x.coord(-1)  # the depth-2 window sees the change
-    h1 = holonomy_s(radius2, x, y, steps=1)
+    h1 = np.linalg.inv(product(radius2, y, 1)) @ product(radius2, x, 1)
     assert np.linalg.norm(h1 - h10) > 1e-6  # one step is genuinely short
     xu = sft.point_from_word(radius2.base, (0, 1, 1, 0, 1, 1), 0)
     future = sft.point_from_word(radius2.base, (0, 1, 0, 1, 0, 0), 0).shift(-1)
     yu = sft.bracket(xu, future)
     assert yu.coord(1) != xu.coord(1)  # within reach of the depth-2 windows
     hu = holonomy_u(radius2, xu, yu)
-    assert np.linalg.norm(hu - holonomy_u(radius2, xu, yu, steps=9)) < 1e-12
+    hu9 = np.linalg.inv(product(radius2, yu, -9)) @ product(radius2, xu, -9)
+    assert np.linalg.norm(hu - hu9) < 1e-12
     # depth-2 backward windows reach coordinate +1, so this one is nontrivial
     assert np.linalg.norm(hu - np.eye(2)) > 1e-6
 

@@ -5,9 +5,9 @@ The sweep shares each word's prefix products with its extensions, but
 every word's arithmetic is the same as a from-scratch ladder, so its rows
 must equal ``batch_log_singular`` on the enumerated words byte for byte,
 whatever the radius, the base, the requested lengths or the worker count.
-Single orbits and cycles run through the same kernel as batches of one;
-their results must equal the per-step loops kept below as references byte
-for byte.
+Single orbits, synthesis folds and cycles run through the same kernel as
+batches of one; their results must equal per-step loops (kept below and
+in ``conftest``) as references byte for byte.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprox import analysis, cocycle, demos, sft, thermo
+from coprox import analysis, cocycle, demos, sft, synthesis, thermo
 from coprox.cocycle import batch_log_singular, sweep_log_singular
-from conftest import orbit_key
+from conftest import orbit_key, ref_product_scaled
 
 
 NAMES = ("full r0", "golden r0", "full r1", "full r2", "tri r1", "skew r1")
@@ -149,24 +149,11 @@ def test_gap_profile_starts_at_most_one_pool(pool_starts):
 # -- per-step references: one rescaled matmul per step, as a loop -----------
 
 
-def _ref_product_scaled(A, x, n):
-    out = np.eye(A.dim)
-    logscale = 0.0
-    steps = [A.at(x, j) for j in range(n)] if n >= 0 else \
-        [np.linalg.inv(A.at(x, j)) for j in range(-1, n - 1, -1)]
-    for step in steps:
-        out = step @ out
-        peak = np.max(np.abs(out))
-        out = out / peak
-        logscale += float(np.log(peak))
-    return out, logscale
-
-
 def _ref_ladder(A, x, n, top):
     logs = np.empty(A.dim)
     prev = 0.0
     for t in range(1, A.dim):
-        m, s = _ref_product_scaled(cocycle.exterior_cocycle(A, t), x, n)
+        m, s = ref_product_scaled(cocycle.exterior_cocycle(A, t), x, n)
         cur = s + float(np.log(top(m)))
         logs[t - 1] = cur - prev
         prev = cur
@@ -189,38 +176,16 @@ def _point(A, length, seed, offset):
     return sft.point_from_word(A.base, word, 0).shift(offset)
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except np.linalg.LinAlgError as exc:
-        return type(exc)
-
-
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(NAMES), n=ORBIT_LENGTHS, length=st.integers(1, 40),
        seed=st.integers(0, 2**16), offset=st.integers(-3, 3))
 def test_orbit_paths_equal_per_step_references(cocycles, name, n, length, seed, offset):
     A = cocycles[name]
     x = _point(A, length, seed, offset)
-    m, s = cocycle.product_scaled(A, x, n)
-    ref_m, ref_s = _ref_product_scaled(A, x, n)
-    assert np.array_equal(m, ref_m) and s == ref_s
+    (m, s), _ = synthesis._fold(A, cocycle._orbit_rows(A, x, n), None)
+    ref_m, ref_s = ref_product_scaled(A, x, n)
+    assert np.array_equal(m[0], ref_m) and s[0] == ref_s
     assert np.array_equal(cocycle.orbit_mu_vec(A, x, n), _ref_ladder(A, x, n, _svd_top))
-    assert np.array_equal(cocycle.orbit_chi_vec(A, x, n), _ref_ladder(A, x, n, _eig_top))
-
-
-@settings(max_examples=25, deadline=None)
-@given(name=st.sampled_from(NAMES), n=ORBIT_LENGTHS, length=st.integers(1, 40),
-       seed=st.integers(0, 2**16), offset=st.integers(-3, 3))
-def test_product_scaled_backward_equals_reference(cocycles, name, n, length, seed, offset):
-    A = cocycles[name]
-    x = _point(A, length, seed, offset)
-    got = _outcome(cocycle.product_scaled, A, x, -n)
-    ref = _outcome(_ref_product_scaled, A, x, -n)
-    if isinstance(ref, tuple):
-        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
-    else:
-        assert got is ref
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from coprox import analysis, cocycle, demos, matnum, sft, synthesis, thermo, typicality
-from coprox.cocycle import (holonomy_loop, orbit_chi_vec, orbit_mu_vec, product,
-                            product_scaled, rectangle)
+from coprox.cocycle import holonomy_loop, orbit_mu_vec, product, rectangle
 from coprox.errors import SingularMatrix, TurnCapExceeded
 from coprox.proximal import eps_proximal_witness, is_eps_proximal
 from coprox.synthesis import (
@@ -24,6 +23,7 @@ from coprox.synthesis import (
     verify_theorem_a,
 )
 from coprox.typicality import eigen_frame
+from conftest import ref_product_scaled
 
 
 def make_path(A, word_in, word_out, base_symbol=0):
@@ -144,7 +144,7 @@ def test_build_proximal_periodic_demo(typical2, typical2_cert):
     assert all(rep.q.symbols[(rep.j + i) % n_q] == (1, 1, 1)[i] for i in range(3))
     # certified quantified proximality of the closing product
     qpt = sft.periodic_point(rep.q)
-    m, _ = cocycle.product_scaled(typical2, qpt, n_q)
+    m, _ = ref_product_scaled(typical2, qpt, n_q)
     assert is_eps_proximal(m, 0.05)
     assert all(w.verdict for w in rep.witnesses)
 
@@ -158,7 +158,7 @@ def test_build_oracle_independent_routes(typical2, typical2_cert):
     n_q = rep.n_q
     assert rep.n <= n_q <= rep.n + (n_q - rep.n)  # window recorded
     qpt = sft.periodic_point(rep.q)
-    m, _ = cocycle.product_scaled(typical2, qpt, n_q)
+    m, _ = ref_product_scaled(typical2, qpt, n_q)
     eigs = np.sort(np.abs(np.linalg.eigvals(m)))[::-1]
     assert eigs[0] > eigs[1] * np.exp(2 * 0.05)  # decisive dominant eigenvalue
     offsets = [
@@ -213,7 +213,7 @@ def test_synthesis_3x3_all_powers(typical3, typical3_cert):
     qpt = sft.periodic_point(rep.q)
     for t in (1, 2):
         At = cocycle.exterior_cocycle(typical3, t)
-        m, _ = cocycle.product_scaled(At, qpt, n_q)
+        m, _ = ref_product_scaled(At, qpt, n_q)
         assert is_eps_proximal(m, 0.05)
 
 
@@ -226,7 +226,7 @@ def test_family_mode_two_cocycles(typical2):
     rep = synthesize_family(ctx, (1, 0, 0, 1), 0.05)
     qpt = sft.periodic_point(rep.q)
     for A in (typical2, B):
-        m, _ = cocycle.product_scaled(A, qpt, rep.n_q)
+        m, _ = ref_product_scaled(A, qpt, rep.n_q)
         assert is_eps_proximal(m, 0.05)
 
 
@@ -327,17 +327,17 @@ def test_shared_closing_products_match_direct_products(synth_demos, length, monk
         path, dirs, normals = calls[-1]
         fresh = []
         for B, v, nrm in zip(members, dirs, normals):
-            m, _ = product_scaled(B, path.x0, path.n)
+            m, _ = ref_product_scaled(B, path.x0, path.n)
             w = cocycle.holonomy_s(B, path.end, path.y) @ (
                 m @ (cocycle.holonomy_u(B, path.x, path.x0) @ matnum.unit(v)))
             fresh.append(matnum.rho_to_hyperplane(matnum.unit(w), nrm))
         assert rep.transversality_margins == tuple(fresh)
         qpt = sft.periodic_point(rep.q)
         assert rep.witnesses == tuple(
-            eps_proximal_witness(product_scaled(B, qpt, rep.n_q)[0], 0.05) for B in members)
+            eps_proximal_witness(ref_product_scaled(B, qpt, rep.n_q)[0], 0.05) for B in members)
         x = sft.point_from_word(A.base, word, cert.p.coord(0))
-        assert rep.bound_value == float(np.linalg.norm(
-            orbit_mu_vec(A, x, rep.n) - orbit_chi_vec(A, qpt, rep.n_q)))
+        chi = cocycle.cycle_chi_rows(A, np.array([rep.q.symbols]))[0]
+        assert rep.bound_value == float(np.linalg.norm(orbit_mu_vec(A, x, rep.n) - chi))
 
 
 @pytest.mark.parametrize("length", [24, 200])
@@ -404,7 +404,7 @@ def test_closing_trunk_continued_only_on_its_own_rows(radius1):
 
     head = (0, 1, 1, 0, 1, 1)
     rows, (prods, scales), _ = fold(head + (0,) * 24)
-    fresh_m, fresh_s = product_scaled(radius1, sft.periodic_point(
+    fresh_m, fresh_s = ref_product_scaled(radius1, sft.periodic_point(
         sft.make_periodic(radius1.base, head + (0,) * 24)), 30)
     assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s
     _, _, (done, t_prods, t_scales) = fold(head + (0,) * 8)
@@ -439,12 +439,13 @@ def test_path_trunk_continued_only_by_its_extensions(radius1, radius1_cert):
                                   p, slack=2)
     for path, offset in ((longer, 1.0), (other, 0.0)):
         u, (_, _, got) = synthesis.path_direction(radius1, path, v, (done, prods, scales + 1.0))
-        m, _ = product_scaled(radius1, path.x0, path.n)
+        m, _ = ref_product_scaled(radius1, path.x0, path.n)
         assert np.array_equal(u, matnum.unit(
             cocycle.holonomy_s(radius1, path.end, path.y)
             @ (m @ (cocycle.holonomy_u(radius1, path.x, path.x0) @ matnum.unit(v)))))
         # the trunk handed on stops k windows short of the path's end
-        assert got[0] == pytest.approx(product_scaled(radius1, path.x0, path.n - 1)[1] + offset)
+        trunk_scale = ref_product_scaled(radius1, path.x0, path.n - 1)[1]
+        assert got[0] == pytest.approx(trunk_scale + offset)
 
 
 def test_family_context_built_once_per_cocycle_and_pair(monkeypatch):
