@@ -42,30 +42,24 @@ def require_invertible(g: np.ndarray) -> np.ndarray:
     """Reject matrices whose determinant is negligible against norm^d.
 
     Appropriate for externally supplied matrices of moderate condition; use
-    :func:`require_nonsingular` for long orbit products, whose condition
+    :func:`require_finite` for long orbit products, whose condition
     legitimately exceeds any fixed relative threshold.
     """
-    g = np.asarray(g, dtype=float)
-    d = g.shape[0]
-    if g.shape != (d, d):
-        raise ValueError("matrix must be square")
-    scale = np.linalg.norm(g, 2)
-    if scale == 0 or abs(np.linalg.det(g)) <= DET_TOL * scale**d:
+    g = require_finite(g)
+    if abs(np.linalg.det(g)) <= DET_TOL * np.linalg.norm(g, 2)**g.shape[0]:
         raise SingularMatrix("determinant below tolerance")
     return g
 
 
-def require_nonsingular(g: np.ndarray) -> np.ndarray:
-    """Reject only genuinely singular or non-finite matrices."""
+def require_finite(g: np.ndarray) -> np.ndarray:
+    """Finite nonzero square matrix; rank is left to the spectral tests
+    (long ill-conditioned products legitimately underflow their
+    determinants without affecting the top-of-spectrum data)."""
     g = np.asarray(g, dtype=float)
-    d = g.shape[0]
-    if g.shape != (d, d):
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(g)):
-        raise SingularMatrix("non-finite entries")
-    sign, logdet = np.linalg.slogdet(g)
-    if sign == 0 or not np.isfinite(logdet):
-        raise SingularMatrix("zero determinant")
+    if not np.all(np.isfinite(g)) or not np.any(g):
+        raise SingularMatrix("non-finite or zero matrix")
     return g
 
 
@@ -96,10 +90,13 @@ def exterior_power(g: np.ndarray, t: int) -> np.ndarray:
 
 def _ladder(g: np.ndarray, top) -> np.ndarray:
     """Rung differences of the exterior-power ladder: rung t < d is
-    log top(Lambda^t g), rung d is log |det g|."""
-    g = require_nonsingular(g)
+    log top(Lambda^t g), rung d is log |det g|, so g must be nonsingular."""
+    g = require_finite(g)
+    sign, logdet = np.linalg.slogdet(g)
+    if sign == 0:
+        raise SingularMatrix("zero determinant")
     rungs = [float(np.log(top(exterior_power(g, t)))) for t in range(1, g.shape[0])]
-    return np.diff(rungs + [float(np.linalg.slogdet(g)[1])], prepend=0.0)
+    return np.diff(rungs + [float(logdet)], prepend=0.0)
 
 
 def mu_vec(g: np.ndarray) -> np.ndarray:
@@ -200,9 +197,6 @@ class Cone:
         if not 0.0 <= self.radius <= pi / 2:
             raise ValueError("radius must lie in [0, pi/2]")
 
-    def contains_direction(self, v: np.ndarray, slack: float = 0.0) -> bool:
-        return rho(v, self.center) <= self.radius + slack
-
 
 def cone_contains_cone(outer: Cone, inner: Cone) -> bool:
     return rho(outer.center, inner.center) + inner.radius <= outer.radius
@@ -267,9 +261,11 @@ def ams_hyperplane(g: np.ndarray):
     one; its normal is the top right-singular vector.  Raises when the top
     two singular values are relatively degenerate, in which case no
     canonical choice exists.  Accepts arbitrarily ill-conditioned inputs
-    (long orbit products): only the top of the spectrum is consumed.
+    (rescaled long orbit products, whose lower singular values may
+    underflow): only the top of the spectrum is consumed, so only a
+    non-finite or zero input is rejected.
     """
-    g = require_nonsingular(g)
+    g = require_finite(g)
     _, alpha, Vt = np.linalg.svd(g)
     if len(alpha) < 2:
         raise ValueError("no hyperplane in dimension 1")

@@ -17,13 +17,14 @@ from math import asin, pi, sin
 
 import numpy as np
 
-from .errors import NotProximal, SingularMatrix
+from .errors import NotProximal
 from .matnum import (
     Cone,
     chi_vec,
     cone_contains_cone,
     map_cone,
     mu_vec,
+    require_finite,
     restricted_operator_norm,
     rho_norm_bound,
     rho_to_hyperplane,
@@ -31,18 +32,6 @@ from .matnum import (
 )
 
 PROXIMAL_TOL = 1e-9
-
-
-def _require_finite(g: np.ndarray) -> np.ndarray:
-    """Finite square matrix; rank degeneracy is handled by the eigengap
-    tests (long ill-conditioned products legitimately underflow their
-    determinants without affecting the certified top-of-spectrum data)."""
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(g)) or not np.any(g):
-        raise SingularMatrix("non-finite or zero matrix")
-    return g
 
 
 @dataclass(frozen=True)
@@ -64,7 +53,7 @@ def proximal_data(g: np.ndarray) -> ProximalData:
     NotProximal when the top modulus is not simple and dominant within
     ``PROXIMAL_TOL``, relative, or the top eigenvalue is not real.
     """
-    g = _require_finite(g)
+    g = require_finite(g)
     d = g.shape[0]
     if d == 1:
         v = np.ones(1)
@@ -125,7 +114,7 @@ def eps_proximal_witness(g: np.ndarray, eps: float) -> EpsProximalWitness:
     """
     if not 0 < eps < pi / 4:
         raise ValueError("eps must lie in (0, pi/4)")
-    g = _require_finite(g)
+    g = require_finite(g)
     g = g / np.max(np.abs(g))  # all certified quantities are scale-invariant
     d = g.shape[0]
     if d == 1:

@@ -10,8 +10,11 @@ matrix differs from the plain product of the two by a holonomy rectangle
 
 A concatenation keeps its first path's carrier up to the joint, so a
 member's rescaled product along it continues the first path's fold (see
-:func:`_fold`): the orbit builder folds each window of the closing orbit
-once per member, not afresh for every path that contains it.
+:func:`_fold`); past the joint it follows the second path's carrier, so
+its product is the second path's fold joined on through the stable
+holonomy (see :func:`_join`).  The orbit builder folds each window of the
+word and of the closing orbit once per member, not afresh for every path
+that contains it, and never forms a raw long product.
 
 The periodic-orbit builder works against a finite family of cocycles over
 a common base with a common certified pair (p, z); exterior powers of a
@@ -115,7 +118,9 @@ class PathSpec:
 
 
 def path_matrix(A: WindowCocycle, path: PathSpec) -> np.ndarray:
-    """H^s(end -> y) A^n(x0) H^u(x -> x0) for the given cocycle."""
+    """H^s(end -> y) A^n(x0) H^u(x -> x0) for the given cocycle, with the
+    raw product: the reference the concatenation identity tests check,
+    while it neither overflows nor underflows."""
     return (
         holonomy_s(A, path.end, path.y)
         @ product(A, path.x0, path.n)
@@ -132,8 +137,8 @@ def _fold(B: WindowCocycle, rows: np.ndarray, trunk):
     A trunk is a (rows, prods, scales) triple, None for none.  It is
     continued only when its rows are a prefix of these rows 0..n-k-1; any
     other fold starts over from the identity.  The kernel folds the windows
-    strictly left to right, so both give the bytes of one fold from the
-    identity over all n rows.
+    strictly left to right, so a continued fold has the bytes of the
+    trunk's product continued over the remaining rows.
     """
     cut = max(rows.shape[1] - B.radius, 0)
     if trunk is None or not (trunk[0].shape[1] <= cut
@@ -143,6 +148,29 @@ def _fold(B: WindowCocycle, rows: np.ndarray, trunk):
     prods, scales = _extend_products(B._mats, rows[:, done.shape[1]:cut], prods, scales)
     return (_extend_products(B._mats, rows[:, cut:], prods, scales),
             (rows[:, :cut], prods, scales))
+
+
+def _join(B: WindowCocycle, rows: np.ndarray, n1: int, x: PointSpec, head, tail):
+    """Member B's trunk of a concatenation from the trunks of its parts.
+
+    rows are the window rows of connect(path1, path2), path1 has n1 steps
+    and head is its trunk; tail is the trunk of path2's fold from the
+    identity along the orbit of its carrier x, over m >= k rows.  The
+    joined carrier w shifted by n1 lies on the local stable set of x, so
+    its product over n1 + m steps is
+
+        A^m(x) A^k(x)^-1 A^(n1+k)(w):
+
+    the 2k joint windows continue head to A^(n1+k)(w), and one rescaled
+    product joins tail to it, so path2's windows are not folded again.
+    """
+    k = B.radius
+    (prods, scales), _ = _fold(B, rows[:, :n1 + k], head)
+    done, g, g_scales = tail
+    m = g[0] @ np.linalg.solve(product(B, x, k), prods[0])
+    peak = np.max(np.abs(m))
+    return (rows[:, :n1 + done.shape[1]], (m / peak)[None],
+            np.array([g_scales[0] + scales[0] + np.log(peak)]))
 
 
 def path_direction(A: WindowCocycle, path: PathSpec, v: np.ndarray, trunk=None):
@@ -208,6 +236,7 @@ FRAME_TOL = 1e-10
 ELL_CAP = 2**14
 TRANSVERSAL_ATTEMPTS = 9
 MARGIN_FLOOR = 1e-7
+ENTRY_SLACK = 2
 
 
 @dataclass(frozen=True)
@@ -262,14 +291,14 @@ def exterior_family_context(A: WindowCocycle, p: PointSpec, z: PointSpec) -> Fam
         [exterior_cocycle(A, t) for t in range(1, A.dim)], p, z))
 
 
-def _entry_path(base, x: PointSpec, p: PointSpec, slack: int) -> PathSpec:
+def _entry_path(base, x: PointSpec, p: PointSpec) -> PathSpec:
     """Shortest-bridge path from x into the local stable set of p, with
-    ``slack`` extra steps at the fixed symbol."""
+    ``ENTRY_SLACK`` extra steps at the fixed symbol."""
     a = p.coord(0)
     bridgew = shortest_bridge(base, x.coord(0), a)
     t0 = point_from_word(base, (x.coord(0),) + bridgew + (a,), a)
     w0 = bracket(x, t0)
-    n0 = len(bridgew) + 2 + slack
+    n0 = len(bridgew) + 2 + ENTRY_SLACK
     return PathSpec(x, w0, n0, p)
 
 
@@ -282,7 +311,7 @@ def _path_to_top(side: Side, x, dirs, eps_target, delta, ell):
     top eigendirection, with each member's trunk of its product, or None
     if this (delta, ell) attempt falls short.  The loop extends the turned
     entry path, so its products continue the entry path's."""
-    entry = _entry_path(side.family[0].base, x, side.p, slack=2)
+    entry = _entry_path(side.family[0].base, x, side.p)
     u, trunks = zip(*(path_direction(A, entry, v) for A, v in zip(side.family, dirs)))
     try:
         a = turn_direction(side.frames, u, delta, TURN_CAP)
@@ -420,29 +449,41 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float) -> Synthe
 def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
                 ell_cap: int):
     """:func:`synthesize_family` for x_word at its canonical point x (for
-    the fixed symbol of p), returning with the report the accepted
-    closing's per-member window rows and rescaled products around q.
+    the fixed symbol of p), returning with the report the per-member window
+    rows and rescaled products over the word and around q.
 
-    Every member's products continue one chain of folds (see
-    :func:`_fold`): the transversal path's into the path's through g, that
-    one into the first closing attempt's, and each attempt's into the
-    next, since a longer loop only appends fixed symbols.  An attempt
-    multiplies only its new and its wrapped windows.
+    Each member folds x's windows once, from the identity (see
+    :func:`_fold`): the word's n rows, then on through the path g.  The
+    path through g joins g's fold to the transversal path's (see
+    :func:`_join`); the first closing attempt continues that fold, and
+    each attempt the next, since a longer loop only appends fixed symbols.
+    An attempt multiplies only its new and its wrapped windows.
     """
     fwd = ctx.forward
-    base = fwd.family[0].base
+    base, k = fwd.family[0].base, fwd.family[0].radius
     n = len(x_word)
     # the canonical representative already carries a bridge to the fixed
     # symbol, ending at its reach; shortly after that its orbit sits on the
     # stable set of p
     tail_start = x.reach()[1] + 1
+    rows = _orbit_rows(fwd.family[0], x, n)
+    word = [(rows, _extend_products(B._mats, rows, np.eye(B.dim)[None], np.zeros(1)))
+            for B in fwd.family]
+    trunks = [(rows, *scaled) for rows, scaled in word]
     retries = 0
     g_extra = 0
     while True:
-        g_path = PathSpec(x, x, tail_start + 3 + g_extra, fwd.p)
-        g_mats = [path_matrix(A, g_path) for A in fwd.family]
+        # at least 2k steps, so g's trunk covers the k windows the join
+        # replaces
+        g_path = PathSpec(x, x, max(tail_start + 3, 2 * k) + g_extra, fwd.p)
+        rows = _orbit_rows(fwd.family[0], x, g_path.n)
+        folds = [_fold(B, rows, t) for B, t in zip(fwd.family, trunks)]
+        trunks = [t for _, t in folds]
         try:
-            normals = [ams_hyperplane(g) for g in g_mats]
+            # the rescaled product: the hyperplane reads only the top of
+            # the spectrum, which rescaling keeps
+            normals = [ams_hyperplane(holonomy_s(B, g_path.end, fwd.p) @ prods[0])
+                       for B, ((prods, _), _) in zip(fwd.family, folds)]
             break
         except DegenerateTopSingularValue:
             retries += 1
@@ -450,8 +491,11 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
             if g_extra > 64:
                 raise
     dirs = [f.vector(0) for f in fwd.frames]
-    bpath, margins, trunks = transversal_path(ctx, fwd.p, x, dirs, normals)
+    bpath, margins, heads = transversal_path(ctx, fwd.p, x, dirs, normals)
     gb = connect(bpath, g_path)
+    rows = _orbit_rows(fwd.family[0], gb.x0, gb.n)
+    trunks = [_join(B, rows, bpath.n, x, h, t)
+              for B, h, t in zip(fwd.family, heads, trunks)]
     u, trunks = zip(*(path_direction(A, gb, v, t) for A, v, t in zip(fwd.family, dirs, trunks)))
     a_turn = turn_direction(fwd.frames, u, 0.05, TURN_CAP)
     turned = extend_at_fixed_target(gb, a_turn)
@@ -494,7 +538,7 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
                 bound_value=None,
                 ell_used=ell,
                 retries=retries,
-            ), closing
+            ), word, closing
         retries += 1
         ell *= 2
     raise SynthesisFailed(f"loop length cap {ell_cap} reached without certifying")
@@ -540,14 +584,20 @@ def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
         raise ValueError("a passing typicality certificate is required")
     ctx = exterior_family_context(A, cert.p, cert.z)
     x = point_from_word(A.base, x_word, cert.p.coord(0))
-    report, closing = _synthesize(ctx, tuple(x_word), x, tau, ell_cap)
-    # the members are A's exterior powers, so their products around q are
-    # the rungs of A's eigenvalue ladder with every window already applied
-    rows = closing[0][0]
-    chi = _ladder(A, rows[:, :0], [scaled for _, scaled in closing],
-                  _logdet_sum(A, rows, np.zeros(1)), "eig")[0]
-    bound = float(np.linalg.norm(orbit_mu_vec(A, x, report.n) - chi))
-    return replace(report, bound_value=bound)
+    report, word, closing = _synthesize(ctx, tuple(x_word), x, tau, ell_cap)
+    # the members are A's exterior powers, so their products over the word
+    # and around q are the rungs of A's ladders with every window already
+    # applied: the word's are those orbit_mu_vec folds, byte for byte
+    mu, chi = (_rung_ladder(A, folds, top) for folds, top in ((word, "svd"), (closing, "eig")))
+    return replace(report, bound_value=float(np.linalg.norm(mu - chi)))
+
+
+def _rung_ladder(A: WindowCocycle, folds, top: str) -> np.ndarray:
+    """A's ladder row from its exterior powers' (rows, rescaled product)
+    folds over one orbit."""
+    rows = folds[0][0]
+    return _ladder(A, rows[:, :0], [scaled for _, scaled in folds],
+                   _logdet_sum(A, rows, np.zeros(1)), top)[0]
 
 
 @dataclass(frozen=True)

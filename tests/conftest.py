@@ -105,13 +105,14 @@ def radius1_cert(radius1):
     return found
 
 
-def ref_product_scaled(A, x, n):
+def ref_product_scaled(A, x, n, start=None, first=0):
     """(M, s) with the product along n >= 0 steps of x's orbit equal to
     e^s M: one matmul per step, each rescaled to unit max-entry, as a loop.
-    The kernel's folds must give these bytes."""
-    out = np.eye(A.dim)
-    logscale = 0.0
-    for j in range(n):
+    The kernel's folds must give these bytes.  Given start = (M0, s0), the
+    product over steps 0..first-1 as e^s0 M0, only the later steps are
+    applied to it."""
+    out, logscale = (np.eye(A.dim), 0.0) if start is None else start
+    for j in range(first, n):
         out = A.at(x, j) @ out
         peak = np.max(np.abs(out))
         out = out / peak

@@ -1,6 +1,6 @@
-"""Every public module-level function and class of the library has a
-caller outside the tests: something in ``src/``, ``scripts/`` or ``bench/``
-names it.  A name only tests reach is code the program does not run, so it
+"""Every public module-level function and class of the library, and every
+public method of a public class, has a caller outside the tests:
+something in ``src/``, ``scripts/`` or ``bench/`` names it.  A name only tests reach is code the program does not run, so it
 is deleted, or kept here with the reason it stays."""
 
 import ast
@@ -19,15 +19,26 @@ KEPT_FOR_TESTS = {
     "proximal.proximality_defect": "criterion-3 oracle: norm-vs-spectral-radius defect",
     "proximal.certified_defect_bound": "criterion-3 oracle: bound on that defect",
     "proximal.is_eps_proximal": "criterion-3 oracle: the witness verdict alone",
+    "synthesis.path_matrix": "raw path matrix the concatenation identities are "
+                             "checked against",
 }
 
 
+def _public(nodes):
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
 def _public_definitions():
+    """(qualified name, name) of each public function and class, and of
+    each public method of a public class, as ``module.Class.method``."""
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield f"{path.stem}.{node.name}", node.name
+        for node in _public(ast.parse(path.read_text()).body):
+            yield f"{path.stem}.{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                for method in _public(node.body):
+                    yield f"{path.stem}.{node.name}.{method.name}", method.name
 
 
 def _referenced_names() -> set[str]:

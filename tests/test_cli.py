@@ -5,9 +5,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from coprox import cli, sft, thermo, typicality
+from coprox import cli, sft, synthesis, thermo, typicality
 from coprox.cli import main
 from coprox.cocycle import WindowCocycle, load_cocycle, save_cocycle, scaled_cocycle
+from coprox.errors import SynthesisFailed
 from conftest import orbit_key
 
 CERT_SCHEMA = {
@@ -152,21 +153,32 @@ def test_synthesize(demo_file, tmp_path):
     assert "111" in q + q  # literal shadowing, cyclically
 
 
-def test_synthesize_long_word_failure_exits_two(tmp_path, capsys):
-    # a 160-symbol typical3x3 word (markov_sample(A, 160, 5)) that hits the
-    # long-word defect: SingularMatrix is a synthesis failure, not an error
+def test_synthesize_long_word_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # a 160-symbol typical3x3 word (markov_sample(A, 160, 5)) certifies;
+    # a synthesis failure for it (planted here) is exit 2 with one line and
+    # a failed record, not an error
     path = tmp_path / "typical3x3.json"
     assert main(["demo", "typical3x3", "--out", str(path)]) == 0
     word = ("11010110100010000001011000010111001011101110010001010011110011100100"
             "10100100000110011000011101101001101100111001011001011110100110011110"
             "010000011001010111110100")
     out = tmp_path / "syn.json"
+    args = ["synthesize", "--input", str(path), "--word", word, "--out", str(out)]
+    assert main(args) == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, SYNTH_SCHEMA)
+    assert doc["proximal_all"] is True and doc["n"] == 160
+    assert np.isfinite(doc["bound_value"])
+
+    def failing(*args, **kwargs):
+        raise SynthesisFailed("planted failure")
+
+    monkeypatch.setattr(synthesis, "build_proximal_periodic", failing)
     capsys.readouterr()
-    assert main(["synthesize", "--input", str(path), "--word", word,
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("synthesis failed: ") and "\n" not in err
-    assert set(json.loads(out.read_text())) == {"schema", "failed"}
+    assert main(args) == 2
+    assert capsys.readouterr().err == "synthesis failed: planted failure\n"
+    assert json.loads(out.read_text()) == {"schema": "coprox/synthesis/1",
+                                           "failed": "planted failure"}
 
 
 def test_spectrum_row_count(demo_file, tmp_path):
@@ -435,16 +447,26 @@ def test_compare_not_constant(demo_file, tmp_path):
     assert doc["constant"] is False and len(doc["witness"]) == 2
 
 
-def test_verify_bound_counts_per_word_failures(tmp_path, capsys):
-    # long typical3x3 words can hit the long-word defect (SingularMatrix):
-    # a failed word is one failed sample, not a failed run
+def test_verify_bound_counts_per_word_failures(tmp_path, capsys, monkeypatch):
+    # a failed word (one failure planted on the second of six long
+    # typical3x3 words) is one failed sample, not a failed run
     path = tmp_path / "typical3x3.json"
     assert main(["demo", "typical3x3", "--out", str(path)]) == 0
+    real, calls = synthesis.build_proximal_periodic, []
+
+    def failing_second(*args, **kwargs):
+        calls.append(args[2])
+        if len(calls) == 2:
+            raise SynthesisFailed("planted failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "build_proximal_periodic", failing_second)
     out = tmp_path / "a.json"
     assert main(["verify-bound", "--input", str(path), "--seed", "1", "--n-min", "160",
                  "--n-max", "400", "--samples", "6", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, THEOREM_A_SCHEMA)
-    assert doc["num_samples"] == 6
-    assert len(doc["samples"]) + doc["num_failures"] == 6
-    assert f"{doc['num_failures']} failed" in capsys.readouterr().out
+    assert doc["num_samples"] == 6 and doc["num_failures"] == 1 and len(doc["samples"]) == 5
+    assert doc["failures"] == [{"x_word": "".join(map(str, calls[1])),
+                                "error": "planted failure"}]
+    assert "samples 5 ok, 1 failed" in capsys.readouterr().out

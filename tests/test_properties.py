@@ -1,10 +1,13 @@
 """Property-based checks over randomized words, matrices, and directions."""
 
+from collections import Counter
+from functools import cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from coprox import cocycle, demos, matnum, sft, thermo
+from coprox import analysis, cocycle, demos, matnum, sft, synthesis, thermo, typicality
 from conftest import orbit_key
 
 GOLDEN = sft.golden_mean_shift()
@@ -132,3 +135,47 @@ def test_orbit_key_is_rotation_invariant(word):
         if sft.is_admissible(GOLDEN, word[i:] + word[:i])
     }
     assert len(keys) == 1
+
+
+@cache
+def _typical_demo(name):
+    """A demo with its passing certificate, or None without one."""
+    A = demos.get_demo(name)
+    found = typicality.find_typical_pair(A) if A.dim >= 2 else None
+    return (A, found[2]) if found is not None and found[2].passed else None
+
+
+TYPICAL_DEMOS = sorted(name for name in demos.DEMOS if _typical_demo(name) is not None)
+WORK_SLACK = 32
+"""Kernel steps a member may take beyond the period n_q: the 2k joint
+windows, the k tail windows each continued fold takes again and any
+retried transversal leg.  Over 2,100 random words of the demos below the
+most seen is 11 (radius1; 0 on every radius-0 demo)."""
+
+
+@pytest.mark.filterwarnings("error")
+@given(st.sampled_from(TYPICAL_DEMOS), st.integers(1, 10_000), st.integers(0, 2**32 - 1))
+@example("typical3x3", 10_000, 1)
+@example("golden3x3", 10_000, 1)
+@settings(max_examples=30, deadline=None)
+def test_synthesis_certifies_at_every_length(name, n, seed):
+    # every d >= 2 demo with a typical pair, words up to 10^4 symbols: no
+    # floating-point warning, a certified report with a finite bound, and
+    # work linear in the period, each member folding at most WORK_SLACK
+    # windows beyond one pass around q
+    A, cert = _typical_demo(name)
+    word = analysis.markov_sample(A, n, seed)
+    steps, kernel = Counter(), synthesis._extend_products
+
+    def counted(mats, idx, prods, scales):
+        steps[id(mats)] += idx.size
+        return kernel(mats, idx, prods, scales)
+
+    synthesis._extend_products = counted
+    try:
+        rep = synthesis.build_proximal_periodic(A, cert, word, 0.05)
+    finally:
+        synthesis._extend_products = kernel
+    assert rep.n == n and all(w.verdict for w in rep.witnesses)
+    assert np.isfinite(rep.bound_value)
+    assert max(steps.values()) <= rep.n_q + WORK_SLACK

@@ -5,7 +5,7 @@ import pytest
 
 from coprox import analysis, cocycle, demos, matnum, sft, synthesis, thermo, typicality
 from coprox.cocycle import holonomy_loop, orbit_mu_vec, product, rectangle
-from coprox.errors import SingularMatrix, TurnCapExceeded
+from coprox.errors import SynthesisFailed, TurnCapExceeded
 from coprox.proximal import eps_proximal_witness, is_eps_proximal
 from coprox.synthesis import (
     SYNTHESIS_ERRORS,
@@ -315,11 +315,45 @@ def _traced_transversal(monkeypatch):
     return calls
 
 
+def _traced_connect(monkeypatch):
+    """Record each concatenation the synthesis makes: (path1, path2, joined)."""
+    calls = []
+    real = synthesis.connect
+
+    def traced(path1, path2):
+        out = real(path1, path2)
+        calls.append((path1, path2, out))
+        return out
+
+    monkeypatch.setattr(synthesis, "connect", traced)
+    return calls
+
+
+def _ref_closing(B, n1, g, gb, qpt, n_q):
+    """The closing product the declared grouping gives, one step at a time:
+    the 2k joint windows continue the transversal path's fold (its first
+    n1 - k windows are those of gb's carrier), one rescaled product joins
+    g's fold up to g.n - k windows through A^k(x)^-1, and the closing
+    windows from gb.n - k on continue that."""
+    k = B.radius
+    head, s_head = ref_product_scaled(B, gb.x0, n1 + k)
+    tail, s_tail = ref_product_scaled(B, g.x0, g.n - k)
+    m = tail @ np.linalg.solve(product(B, g.x0, k), head)
+    peak = np.max(np.abs(m))
+    return ref_product_scaled(B, qpt, n_q, start=(m / peak, s_tail + s_head + np.log(peak)),
+                              first=gb.n - k)
+
+
 @pytest.mark.parametrize("length", [5, 24, 96, 300])
 def test_shared_closing_products_match_direct_products(synth_demos, length, monkeypatch):
-    # margins, witnesses and bound come from folds continued along the
-    # construction; each must equal the product taken afresh
+    # margins and bound come from folds continued along the construction
+    # and must equal the products taken afresh; the closing products join
+    # g's fold instead of refolding g, so they must equal a reference with
+    # that grouping byte for byte, and a fresh left-to-right fold to 1e-11
+    # (the worst seen over these demos, n = 5..2000, is 2e-14; the bound
+    # then moves by at most 1e-13)
     calls = _traced_transversal(monkeypatch)
+    joins = _traced_connect(monkeypatch)
     for A, cert in synth_demos:
         word = analysis.markov_sample(A, length, 2)
         rep = build_proximal_periodic(A, cert, word, 0.05)
@@ -332,23 +366,43 @@ def test_shared_closing_products_match_direct_products(synth_demos, length, monk
                 m @ (cocycle.holonomy_u(B, path.x, path.x0) @ matnum.unit(v)))
             fresh.append(matnum.rho_to_hyperplane(matnum.unit(w), nrm))
         assert rep.transversality_margins == tuple(fresh)
+        (g, gb), = [(p2, out) for p1, p2, out in joins if p1 is path]
         qpt = sft.periodic_point(rep.q)
-        assert rep.witnesses == tuple(
-            eps_proximal_witness(ref_product_scaled(B, qpt, rep.n_q)[0], 0.05) for B in members)
+        rungs = [0.0]
+        for B, witness in zip(members, rep.witnesses):
+            m, s = _ref_closing(B, path.n, g, gb, qpt, rep.n_q)
+            assert witness == eps_proximal_witness(m, 0.05)
+            rungs.append(s + np.log(np.max(np.abs(np.linalg.eigvals(m)))))
+            m_fresh, s_fresh = ref_product_scaled(B, qpt, rep.n_q)
+            a, b = m / np.linalg.norm(m), m_fresh / np.linalg.norm(m_fresh)
+            assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= 1e-11
+            log_norm = s_fresh + np.log(np.linalg.norm(m_fresh))
+            assert abs(s + np.log(np.linalg.norm(m)) - log_norm) <= 1e-11 * max(1.0, abs(log_norm))
+            assert eps_proximal_witness(m_fresh, 0.05).verdict
+        # the bound: the word's ladder is orbit_mu_vec's, byte for byte;
+        # the closing's reads the joined products
+        logdet = 0.0
+        for j in range(rep.n_q):
+            logdet += np.linalg.slogdet(A.at(qpt, j))[1]
         x = sft.point_from_word(A.base, word, cert.p.coord(0))
+        mu = orbit_mu_vec(A, x, rep.n)
+        assert rep.bound_value == float(np.linalg.norm(mu - np.diff(rungs + [logdet])))
         chi = cocycle.cycle_chi_rows(A, np.array([rep.q.symbols]))[0]
-        assert rep.bound_value == float(np.linalg.norm(orbit_mu_vec(A, x, rep.n) - chi))
+        assert rep.bound_value == pytest.approx(float(np.linalg.norm(mu - chi)), abs=1e-10)
 
 
-@pytest.mark.parametrize("length", [24, 200])
+@pytest.mark.parametrize("length", [24, 200, 1000])
 def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
-    # kernel steps per member, by phase: each transversal attempt, then
-    # everything after the transversal path.  A fold continuing another
-    # multiplies its new windows plus the k tail windows the other's trunk
-    # left out; nothing else is folded twice.
+    # kernel steps per member, by phase: the word and g before the first
+    # transversal attempt, each attempt, then everything after the
+    # transversal path.  Each window of the word and of g is folded once;
+    # the path through g folds only its 2k joint windows and its last k,
+    # and a fold continuing another multiplies its new windows plus the k
+    # tail windows the other's trunk left out.  Nothing else is folded twice.
     steps, phase, periods, paths = Counter(), [None], [], []
     kernel, to_top = synthesis._extend_products, synthesis._path_to_top
     periodic, transversal = synthesis.make_periodic, synthesis.transversal_path
+    joins = _traced_connect(monkeypatch)
 
     def counted(mats, idx, prods, scales):
         steps[phase[0], id(mats)] += idx.size
@@ -379,21 +433,21 @@ def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
         periods.clear()
         paths.clear()
         phase[0] = None
-        try:
-            rep = build_proximal_periodic(forward, cert, word, 0.05)
-        except SingularMatrix:
-            continue  # the long-word defect ends the synthesis before any fold
+        rep = build_proximal_periodic(forward, cert, word, 0.05)
         k, (path,) = forward.radius, paths
+        (g, gb), = [(p2, out) for p1, p2, out in joins if p1 is path]
         last = max(key for key, _ in steps if isinstance(key, int))
-        assert rep.n_q in periods
+        assert rep.n_q in periods and g.n > len(word)
         for t in range(1, forward.dim):
             mats = id(cocycle.exterior_cocycle(forward, t)._mats)
+            # the word's windows, then g's on from them
+            assert steps[None, mats] == g.n
             # the accepted attempt: the entry path, its loop and the path on
             # to the word, each continuing the one before
             assert steps[last, mats] <= path.n + 2 * k
-            # g and the turn, then every loop once: the path through g
-            # continues the transversal path, each closing the fold before
-            assert steps["after", mats] <= periods[-1] - path.n + k * (1 + len(periods))
+            # the path through g joins g's fold, then every loop once, each
+            # closing continuing the fold before
+            assert steps["after", mats] == 3 * k + periods[-1] - gb.n + k * len(periods)
 
 
 def test_closing_trunk_continued_only_on_its_own_rows(radius1):
@@ -431,12 +485,12 @@ def test_path_trunk_continued_only_by_its_extensions(radius1, radius1_cert):
     p, z, _ = radius1_cert
     x = sft.point_from_word(radius1.base, (1, 1, 0), 0)
     v = np.array([1.0, 2.0])
-    entry = synthesis._entry_path(radius1.base, x, p, slack=2)
+    entry = synthesis._entry_path(radius1.base, x, p)
     _, (done, prods, scales) = synthesis.path_direction(radius1, entry, v)
     assert done.shape[1] == entry.n - 1
     longer = connect(synthesis.extend_at_fixed_target(entry, 3), loop_path(p, z, 12))
     other = synthesis._entry_path(radius1.base, sft.point_from_word(radius1.base, (0, 1), 0),
-                                  p, slack=2)
+                                  p)
     for path, offset in ((longer, 1.0), (other, 0.0)):
         u, (_, _, got) = synthesis.path_direction(radius1, path, v, (done, prods, scales + 1.0))
         m, _ = ref_product_scaled(radius1, path.x0, path.n)
@@ -486,12 +540,23 @@ def test_per_word_synthesis_errors_are_recorded(typical2, typical2_cert, monkeyp
     assert rep_d.failures == expect and len(rep_d.samples) == 2
 
 
-def test_long_word_failure_does_not_abort_theorem_a(typical3, typical3_cert):
-    # seed-5 words of length 160 hit the long-word defect on typical3x3
-    # (SingularMatrix); it must cost that word only
+def test_long_word_failure_does_not_abort_theorem_a(typical3, typical3_cert, monkeypatch):
+    # a failure planted on the 160-symbol word must cost that word only;
+    # both words certify on their own
     words = [analysis.markov_sample(typical3, n, 5) for n in (48, 160)]
     rep = verify_theorem_a(typical3, typical3_cert[2], words, 0.05)
-    assert len(rep.samples) + len(rep.failures) == 2 and rep.samples
+    assert not rep.failures and [r.n for r in rep.samples] == [48, 160]
+    real = synthesis.build_proximal_periodic
+
+    def failing_long(A, cert, word, tau, **kwargs):
+        if len(word) == 160:
+            raise SynthesisFailed("planted failure")
+        return real(A, cert, word, tau, **kwargs)
+
+    monkeypatch.setattr(synthesis, "build_proximal_periodic", failing_long)
+    rep = verify_theorem_a(typical3, typical3_cert[2], words, 0.05)
+    assert rep.failures == ((tuple(words[1]), "planted failure"),)
+    assert [r.n for r in rep.samples] == [48]
 
 
 @pytest.mark.parametrize("offset", [0, 1, 5, 11])
