@@ -10,15 +10,19 @@ needed for their existence.
 Also provides the time-reversed (inverse) cocycle over the transposed
 subshift, exterior-power cocycles, and the one long-product kernel:
 symbol arrays become table rows (``_window_rows``), and rescaled products
-over those rows (``_extend_products``) feed the spectral ladder
+over those rows (``_extend_products``), each held as 2^scale times a
+matrix with its peak entry in [0.5, 1), feed the spectral ladder
 (``_ladder``).  It serves level sweeps over all admissible words
 (``sweep_log_singular``), given words (``batch_log_singular``), single
 orbits as batches of one (``orbit_mu_vec``, synthesis folds) and cycles
 (``cycle_chi_rows``), with the same bytes per product on every path and
-at most one worker pool per call.  The ladder reads only the top of each
-rung: a top singular value is the root of the top eigenvalue of the
-rescaled product's Gram matrix, accurate to a few ulps by Weyl's
-inequality (see ``_ladder``).
+at most one worker pool per call.  Rescaling is by powers of two, which
+is exact, so a rescaled product holds the raw product's mantissas
+whatever the rescale cadence or the calls a fold is split into, and a
+raw product (``product``) is the kernel's output with its exponent put
+back.  The ladder reads only the top of each rung: a top singular value
+is the root of the top eigenvalue of the rescaled product's Gram matrix,
+accurate to a few ulps by Weyl's inequality (see ``_ladder``).
 """
 
 from __future__ import annotations
@@ -125,6 +129,16 @@ class WindowCocycle:
         return tuple(np.stack([exterior_power(m, t) for m in self._mats]) if t > 1
                      else self._mats for t in range(1, self.dim))
 
+    @cached_property
+    def _cadence(self) -> int:
+        """The kernel's rescale cadence for the window matrices."""
+        return _rescale_cadence(self._mats)
+
+    @cached_property
+    def _cadences(self) -> tuple[int, ...]:
+        """The kernel's rescale cadence per ladder rung."""
+        return tuple(map(_rescale_cadence, self._rungs))
+
 
 def _orbit_rows(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     """Table rows of the n windows read along the orbit of x, as one row."""
@@ -138,16 +152,15 @@ def product(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     """Cocycle product along the orbit: A(s^{n-1}x) ... A(x) for n >= 0.
 
     Negative n returns the inverse of the product along the pulled-back
-    orbit, so the cocycle equation holds for all integer times.
+    orbit, so the cocycle equation holds for all integer times.  The
+    kernel's fold with its binary exponent put back: rescaling by powers
+    of two is exact, so these are a plain matmul loop's bytes wherever
+    that loop neither overflows nor underflows.
     """
     if n < 0:
         return np.linalg.inv(product(A, x.shift(n), -n))
-    out = np.eye(A.dim)
-    if n == 0:
-        return out
-    for m in A._mats[_orbit_rows(A, x, n)[0]]:
-        out = m @ out
-    return out
+    prods, scales = _extend_products(A._mats, A._cadence, _orbit_rows(A, x, n), *_start(A.dim))
+    return np.ldexp(prods[0], scales[0])
 
 
 def orbit_mu_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
@@ -345,35 +358,76 @@ def _window_rows(A: WindowCocycle, symbols: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _extend_products(mats: np.ndarray, idx: np.ndarray, prods: np.ndarray,
+LN2 = np.log(2.0)
+
+
+def _rescale_cadence(mats: np.ndarray) -> int:
+    """Steps the kernel takes between rescales of products of a stack of
+    r x r matrices: a step moves a product's peak entry by at most
+    b = log2(r max(|A|max, |A^-1|max)) binary orders, so floor(128 / b)
+    steps, at most 32, keep it within 2^128 of [0.5, 1), far from overflow
+    and the subnormal range (b >= 1 is taken, for 1 x 1 stacks of units)."""
+    worst = max(np.abs(mats).max(), np.abs(np.linalg.inv(mats)).max())
+    return int(min(32, max(1, 128 // max(np.log2(mats.shape[1] * worst), 1.0))))
+
+
+def _start(dim: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """count empty products: the identity with binary scale 0."""
+    return np.repeat(np.eye(dim)[None], count, axis=0), np.zeros(count, dtype=np.int64)
+
+
+def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.ndarray,
                      scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multiply the products e^scales * prods on the left by the window
-    matrices of each column of idx in turn, rescaling every product to
-    unit max-entry after each step: the one long-product kernel, run by
-    sweeps, word batches, single orbits and synthesis folds (batches of
-    one) and cycles.  A batch of one takes a scalar peak and log scale per
-    step: the same IEEE operations, so the bytes of a batch row.
+    """Multiply the products 2^scales * prods on the left by the window
+    matrices of each column of idx in turn: the one long-product kernel,
+    run by sweeps, word batches, raw products, single orbits and synthesis
+    folds (batches of one) and cycles.
+
+    After every ``every``-th step (the stack's cadence, see
+    :func:`_rescale_cadence`) and after the last, each product is divided
+    by the power of two at its peak entry (``np.frexp``'s exponent, by
+    ``np.ldexp``), which leaves the peak in [0.5, 1), and the exponent is
+    added to its integer scale.  That is exact unless an entry overflows
+    or goes subnormal, so the products handed on are the raw product's
+    mantissas in one canonical form, their bytes independent of the
+    cadence and of how a fold is split across calls.  (Entries over 2^900
+    below their product's peak may go subnormal before one rescale and not
+    at another; the demos keep the identity there, diag(4, 1)^n included.)
+    A batch of one takes a scalar peak and exponent: the same IEEE
+    operations, so the bytes of a batch row.
     """
-    if len(prods) == 1 == len(idx):
+    if not idx.shape[1]:
+        return prods, scales
+    steps = mats[idx.T]
+    chunks = range(0, len(steps), every)
+    if len(prods) == 1:
         m, s = prods[0], scales[0]
-        for step in mats[idx[0]]:
-            m = np.matmul(step, m)
-            peak = np.maximum.reduce(np.abs(m), axis=None)
-            m /= peak
-            s += np.log(peak)
+        for c in chunks:
+            for step in steps[c:c + every, 0]:
+                m = np.matmul(step, m)
+            e = np.frexp(np.maximum.reduce(np.abs(m), axis=None))[1]
+            m, s = np.ldexp(m, -e), s + e
         return m[None], np.array([s])
-    for step in mats[idx.T]:
-        prods = step @ prods
-        peak = np.abs(prods).reshape(len(prods), -1).max(axis=1)
-        prods /= peak[:, None, None]
-        scales = scales + np.log(peak)
+    for c in chunks:
+        for step in steps[c:c + every]:
+            prods = step @ prods
+        prods, scales = _rescale(prods, scales)
     return prods, scales
 
 
+def _rescale(prods: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2^scales * prods with each product divided by the power of two at
+    its peak entry and the exponent added to its scale.  prods is
+    overwritten: in the sweep's pool threads a fresh array per rescale
+    costs measurably."""
+    e = np.frexp(np.abs(prods).max(axis=(1, 2)))[1]
+    np.negative(e, out=e)
+    return np.ldexp(prods, e[:, None, None], out=prods), scales - e
+
+
 def _identity_trunks(A: WindowCocycle, count: int) -> list:
-    """Empty products (identity, log scale 0) on every exterior rung."""
-    return [(np.repeat(np.eye(len(m[0]))[None], count, axis=0), np.zeros(count))
-            for m in A._rungs]
+    """Empty products (identity, binary scale 0) on every exterior rung."""
+    return [_start(len(m[0]), count) for m in A._rungs]
 
 
 def _logdet_sum(A: WindowCocycle, idx: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -395,23 +449,26 @@ def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarra
     of the t-th exterior power product; the determinant rung continues the
     log-determinant sum through tail.
 
-    A top singular value is the root of the top eigenvalue of the rescaled
-    product's Gram matrix M^T M, which is at least 1 (M has a unit entry)
-    and cannot overflow.  Forming the Gram and solving it each perturb it
-    by a few ulps of its norm, which is that top eigenvalue, so by Weyl's
+    A rung's products come as 2^scales M, with M's peak entry in [0.5, 1)
+    (or M the identity, over no windows); its log top is scales ln 2 +
+    log top(M), the binary scale turned into a natural log once, here.  A
+    top singular value is the root of the top eigenvalue of the rescaled
+    product's Gram matrix M^T M, which is at least 1/4 and cannot
+    overflow.  Forming the Gram and solving it each perturb it by a few
+    ulps of its norm, which is that top eigenvalue, so by Weyl's
     inequality the top is good to a few ulps, relative, however the
     eigenvalues cluster.  The Gram's left operand is a contiguous copy: on
     the transposed view the batched matmul is several times slower.
     """
     out = [np.zeros(len(tail))]
-    for mats, (prods, scales) in zip(A._rungs, trunks):
-        prods, scales = _extend_products(mats, tail, prods, scales)
+    for mats, every, (prods, scales) in zip(A._rungs, A._cadences, trunks):
+        prods, scales = _extend_products(mats, every, tail, prods, scales)
         if top == "eig":
             tops = np.max(np.abs(np.linalg.eigvals(prods)), axis=1)
         else:
             gram = np.ascontiguousarray(prods.transpose(0, 2, 1)) @ prods
             tops = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-        out.append(scales + np.log(tops))
+        out.append(scales * LN2 + np.log(tops))
     out.append(_logdet_sum(A, tail, logdets))
     return np.diff(np.column_stack(out), axis=1)
 
@@ -452,7 +509,7 @@ def _pool_of(workers):
 def _kernel_tables(A: WindowCocycle) -> None:
     """Build the cached per-window tables the kernel reads, so that pool
     tasks never build one concurrently."""
-    A._lookup, A._rungs, A._logdets
+    A._lookup, A._rungs, A._cadences, A._logdets
 
 
 ROW_CAP = 1024
@@ -542,7 +599,8 @@ def _sweep(A: WindowCocycle, pads, state, out: dict,
             return
         if n > k:
             col = _window_rows(A, _edge(words, lpads, 2 * k + 1))
-            trunks = [_extend_products(m, col, p, s) for m, (p, s) in zip(A._rungs, trunks)]
+            trunks = [_extend_products(m, every, col, p, s)
+                      for m, every, (p, s) in zip(A._rungs, A._cadences, trunks)]
             logdets = logdets + A._logdets[col[:, 0]]
         if n in at:
             tail = np.concatenate([_edge(words, lpads, 2 * k), rpads[words[:, -1]]], axis=1)

@@ -60,6 +60,7 @@ class Sft:
         arrows.setflags(write=False)
         object.__setattr__(self, "_arrows", arrows)
         object.__setattr__(self, "_mixing_rate", _mixing_rate(self))
+        object.__setattr__(self, "_bridges", {})  # (a, b) -> shortest_bridge
 
     @staticmethod
     def from_matrix(T) -> "Sft":
@@ -248,15 +249,17 @@ def bridge(s: Sft, a: Symbol, b: Symbol, length: int) -> Optional[Symbols]:
 
 
 def shortest_bridge(s: Sft, a: Symbol, b: Symbol) -> Symbols:
-    """Least-length (then lexicographic-least) bridge between two symbols.
+    """Least-length (then lexicographic-least) bridge between two symbols,
+    searched for once per subshift and pair.
 
     Primitivity guarantees one of length <= mixing_rate(s).
     """
-    for n in range(mixing_rate(s) + 1):
-        u = bridge(s, a, b, n)
-        if u is not None:
-            return u
-    raise NotPrimitive("no bridge within mixing rate; adjacency not primitive")
+    if (a, b) not in s._bridges:
+        s._bridges[a, b] = next((u for n in range(mixing_rate(s) + 1)
+                                 if (u := bridge(s, a, b, n)) is not None), None)
+    if s._bridges[a, b] is None:
+        raise NotPrimitive("no bridge within mixing rate; adjacency not primitive")
+    return s._bridges[a, b]
 
 
 def bracket(x: PointSpec, y: PointSpec) -> PointSpec:

@@ -40,6 +40,8 @@ from .cocycle import (
     _logdet_sum,
     _memoised,
     _orbit_rows,
+    _rescale,
+    _start,
     cycle_chi_rows,
     exterior_cocycle,
     holonomy_s,
@@ -143,10 +145,11 @@ def _fold(B: WindowCocycle, rows: np.ndarray, trunk):
     cut = max(rows.shape[1] - B.radius, 0)
     if trunk is None or not (trunk[0].shape[1] <= cut
                              and np.array_equal(rows[:, :trunk[0].shape[1]], trunk[0])):
-        trunk = (rows[:, :0], np.eye(B.dim)[None], np.zeros(1))
+        trunk = (rows[:, :0], *_start(B.dim))
     done, prods, scales = trunk
-    prods, scales = _extend_products(B._mats, rows[:, done.shape[1]:cut], prods, scales)
-    return (_extend_products(B._mats, rows[:, cut:], prods, scales),
+    prods, scales = _extend_products(B._mats, B._cadence, rows[:, done.shape[1]:cut],
+                                     prods, scales)
+    return (_extend_products(B._mats, B._cadence, rows[:, cut:], prods, scales),
             (rows[:, :cut], prods, scales))
 
 
@@ -161,16 +164,15 @@ def _join(B: WindowCocycle, rows: np.ndarray, n1: int, x: PointSpec, head, tail)
 
         A^m(x) A^k(x)^-1 A^(n1+k)(w):
 
-    the 2k joint windows continue head to A^(n1+k)(w), and one rescaled
-    product joins tail to it, so path2's windows are not folded again.
+    the 2k joint windows continue head to A^(n1+k)(w), and one product,
+    rescaled like the kernel's, joins tail to it, so path2's windows are
+    not folded again.
     """
     k = B.radius
     (prods, scales), _ = _fold(B, rows[:, :n1 + k], head)
     done, g, g_scales = tail
     m = g[0] @ np.linalg.solve(product(B, x, k), prods[0])
-    peak = np.max(np.abs(m))
-    return (rows[:, :n1 + done.shape[1]], (m / peak)[None],
-            np.array([g_scales[0] + scales[0] + np.log(peak)]))
+    return (rows[:, :n1 + done.shape[1]], *_rescale(m[None], g_scales + scales))
 
 
 def path_direction(A: WindowCocycle, path: PathSpec, v: np.ndarray, trunk=None):
@@ -467,7 +469,7 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
     # stable set of p
     tail_start = x.reach()[1] + 1
     rows = _orbit_rows(fwd.family[0], x, n)
-    word = [(rows, _extend_products(B._mats, rows, np.eye(B.dim)[None], np.zeros(1)))
+    word = [(rows, _extend_products(B._mats, B._cadence, rows, *_start(B.dim)))
             for B in fwd.family]
     trunks = [(rows, *scaled) for rows, scaled in word]
     retries = 0

@@ -107,17 +107,18 @@ def radius1_cert(radius1):
 
 def ref_product_scaled(A, x, n, start=None, first=0):
     """(M, s) with the product along n >= 0 steps of x's orbit equal to
-    e^s M: one matmul per step, each rescaled to unit max-entry, as a loop.
-    The kernel's folds must give these bytes.  Given start = (M0, s0), the
-    product over steps 0..first-1 as e^s0 M0, only the later steps are
-    applied to it."""
-    out, logscale = (np.eye(A.dim), 0.0) if start is None else start
+    2^s M: one matmul per step, each rescaled by the power of two at its
+    peak entry (so the peak lies in [0.5, 1)), with s the integer sum of
+    those exponents, as a loop.  The kernel's folds must give these bytes.
+    Given start = (M0, s0), the product over steps 0..first-1 as 2^s0 M0,
+    only the later steps are applied to it."""
+    out, exponent = (np.eye(A.dim), 0) if start is None else start
     for j in range(first, n):
         out = A.at(x, j) @ out
-        peak = np.max(np.abs(out))
-        out = out / peak
-        logscale += float(np.log(peak))
-    return out, logscale
+        e = int(np.frexp(np.max(np.abs(out)))[1])
+        out = np.ldexp(out, -e)
+        exponent += e
+    return out, exponent
 
 
 def random_invertible(rng, d, spread=2.0):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from coprox import cocycle, demos, matnum, sft
+from coprox import analysis, cocycle, demos, matnum, sft
 from coprox.cocycle import (
     WindowCocycle,
     batch_log_singular,
@@ -269,15 +269,52 @@ def test_orbit_ladders_long_product(typical2):
     assert mu[0] > 20.0  # genuine growth far beyond float roundoff of a raw SVD
 
 
+def _loop(A, x, n):
+    """The product over n >= 0 steps of x's orbit as a plain matmul loop."""
+    out = np.eye(A.dim)
+    for j in range(n):
+        out = A.at(x, j) @ out
+    return out
+
+
 def test_batch_products_match_loop(typical3):
     words = sft.word_array(typical3.base, 5)
     idx = cocycle._window_rows(typical3, cocycle._canonical(words, cocycle._pads(typical3, 0)))
     prods, scales = cocycle._extend_products(
-        typical3._rungs[0], idx, *cocycle._identity_trunks(typical3, len(words))[0])
+        typical3._rungs[0], typical3._cadences[0], idx,
+        *cocycle._identity_trunks(typical3, len(words))[0])
     for i, w in enumerate(words.tolist()):
         x = sft.point_from_word(typical3.base, w, 0)
-        assert np.allclose(np.exp(scales[i]) * prods[i], product(typical3, x, 5),
-                           rtol=1e-12)
+        # power-of-two rescaling is exact: the raw product's bytes come back
+        assert np.array_equal(np.ldexp(prods[i], scales[i]), _loop(typical3, x, 5))
+
+
+@pytest.mark.parametrize("name", sorted(demos.DEMOS))
+def test_product_is_a_plain_matmul_loop(name):
+    # product is the kernel's fold with its binary exponent put back, and
+    # power-of-two rescaling is exact: the bytes of the raw product
+    A = demos.DEMOS[name]()
+    a = A.base.fixed_symbols()[0]
+    for word in analysis._sampled_words(A, 20, 3, 7):
+        x = sft.point_from_word(A.base, word, a).shift(-2)
+        for n in range(65):
+            assert np.array_equal(product(A, x, n), _loop(A, x, n))
+
+
+def test_holonomy_bytes_are_quotients_of_plain_loops(cocycles):
+    # holonomies are quotients of k-step products, once taken with a plain
+    # matmul loop: the kernel's products give them the same bytes
+    rng = np.random.default_rng(3)
+    for A in cocycles.values():
+        k = A.radius
+        if k == 0:
+            continue
+        for x, y in stable_pairs(A.base, rng, 8):
+            assert np.array_equal(holonomy_s(A, x, y),
+                                  np.linalg.inv(_loop(A, y, k)) @ _loop(A, x, k))
+        for x, y in unstable_pairs(A.base, rng, 8):
+            back = [np.linalg.inv(_loop(A, z.shift(-k), k)) for z in (y, x)]
+            assert np.array_equal(holonomy_u(A, x, y), np.linalg.inv(back[0]) @ back[1])
 
 
 def test_batch_log_singular_matches_ladder(radius1):

@@ -167,9 +167,9 @@ def test_synthesis_certifies_at_every_length(name, n, seed):
     word = analysis.markov_sample(A, n, seed)
     steps, kernel = Counter(), synthesis._extend_products
 
-    def counted(mats, idx, prods, scales):
+    def counted(mats, every, idx, prods, scales):
         steps[id(mats)] += idx.size
-        return kernel(mats, idx, prods, scales)
+        return kernel(mats, every, idx, prods, scales)
 
     synthesis._extend_products = counted
     try:

@@ -67,9 +67,9 @@ def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, workers, nam
     sizes = []
     extend = cocycle._extend_products
 
-    def recorded(mats, idx, prods, scales):
+    def recorded(mats, every, idx, prods, scales):
         sizes.append(len(prods))
-        return extend(mats, idx, prods, scales)
+        return extend(mats, every, idx, prods, scales)
 
     monkeypatch.setattr(cocycle, "_extend_products", recorded)
     rows = sweep_log_singular(A, [n - 2, n], 0, workers=workers)
@@ -99,13 +99,13 @@ def test_kernel_batch_rows_equal_rows_folded_alone(name, count, steps, seed):
     A = KERNEL_COCYCLES[name]()
     rng = np.random.default_rng(seed)
     for mats in A._rungs or (A._mats,):
-        d = mats.shape[1]
+        d, every = mats.shape[1], cocycle._rescale_cadence(mats)
         idx = rng.integers(0, len(mats), size=(count, steps))
-        prods, scales = rng.normal(size=(count, d, d)), rng.normal(size=count)
-        batch_prods, batch_scales = cocycle._extend_products(mats, idx, prods, scales)
+        prods, scales = rng.normal(size=(count, d, d)), rng.integers(-64, 64, size=count)
+        batch_prods, batch_scales = cocycle._extend_products(mats, every, idx, prods, scales)
         for i in range(count):
             one_prods, one_scales = cocycle._extend_products(
-                mats, idx[i:i + 1], prods[i:i + 1], scales[i:i + 1])
+                mats, every, idx[i:i + 1], prods[i:i + 1], scales[i:i + 1])
             assert np.array_equal(one_prods[0], batch_prods[i])
             assert one_scales[0] == batch_scales[i]
 
@@ -154,7 +154,7 @@ def _ref_ladder(A, x, n, top):
     prev = 0.0
     for t in range(1, A.dim):
         m, s = ref_product_scaled(cocycle.exterior_cocycle(A, t), x, n)
-        cur = s + float(np.log(top(m)))
+        cur = s * np.log(2.0) + float(np.log(top(m)))
         logs[t - 1] = cur - prev
         prev = cur
     logdet = float(sum(np.linalg.slogdet(A.at(x, j))[1] for j in range(n)))
@@ -247,14 +247,14 @@ GRAM_DEMOS = sorted(name for name, build in demos.DEMOS.items() if build().dim >
 
 
 def _rescaled(A, rows):
-    """Per exterior rung, the kernel's rescaled products (and log scales)
-    over each row of window rows, started from the identity."""
-    return [cocycle._extend_products(mats, rows, p, s)
-            for mats, (p, s) in zip(A._rungs, cocycle._identity_trunks(A, len(rows)))]
+    """Per exterior rung, the kernel's rescaled products (and binary
+    scales) over each row of window rows, started from the identity."""
+    return [cocycle._extend_products(mats, every, rows, p, s) for mats, every, (p, s)
+            in zip(A._rungs, A._cadences, cocycle._identity_trunks(A, len(rows)))]
 
 
 def _assert_log_tops_match_svd(A, rows, got):
-    ref = np.column_stack([s + np.log(np.linalg.svd(p, compute_uv=False)[:, 0])
+    ref = np.column_stack([s * np.log(2.0) + np.log(np.linalg.svd(p, compute_uv=False)[:, 0])
                            for p, s in _rescaled(A, rows)])
     # ladder rows are rung differences: their running sums are the log tops
     err = np.abs(np.cumsum(got, axis=1)[:, :-1] - ref)
@@ -294,3 +294,32 @@ def test_gram_top_where_singular_values_cluster():
     sv = np.linalg.svd(prods, compute_uv=False)
     assert np.allclose(sv[:, 1], sv[:, 0], rtol=1e-13, atol=0)
     _assert_log_tops_match_svd(A, rows, sweep_log_singular(A, [10], 0)[10])
+
+
+# -- power-of-two rescaling ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", GRAM_DEMOS)
+def test_fold_bytes_do_not_depend_on_split_points(name):
+    # one kernel call per window column rescales after every step, one call
+    # over all columns only at its cadence: rescaling by powers of two is
+    # exact, so both hand on the same bytes.  constant_diag41's products
+    # diag(4^n, 1) spread by more than 2^1022: at n = 530 the small entry of
+    # the rescaled product is subnormal, at n = 10^4 it is 0
+    A = demos.DEMOS[name]()
+    for n in (530, 10**4):
+        x = _point(A, 40, n, 0)
+        rows = cocycle._orbit_rows(A, x, n)
+        for mats, every in zip(A._rungs, A._cadences):
+            whole, whole_scales = cocycle._extend_products(
+                mats, every, rows, *cocycle._start(len(mats[0])))
+            prods, scales = cocycle._start(len(mats[0]))
+            for c in range(n):
+                prods, scales = cocycle._extend_products(mats, every, rows[:, c:c + 1],
+                                                         prods, scales)
+            assert np.array_equal(whole, prods) and np.array_equal(whole_scales, scales)
+        if name == "constant_diag41":
+            mu = cocycle.orbit_mu_vec(A, x, n)
+            assert (mu[0] - mu[1]) / np.log(2.0) > 1022
+            assert abs(whole[0, 1, 1]) < np.finfo(float).tiny
+            assert (whole[0, 1, 1] > 0) == (n == 530)

@@ -339,8 +339,8 @@ def _ref_closing(B, n1, g, gb, qpt, n_q):
     head, s_head = ref_product_scaled(B, gb.x0, n1 + k)
     tail, s_tail = ref_product_scaled(B, g.x0, g.n - k)
     m = tail @ np.linalg.solve(product(B, g.x0, k), head)
-    peak = np.max(np.abs(m))
-    return ref_product_scaled(B, qpt, n_q, start=(m / peak, s_tail + s_head + np.log(peak)),
+    e = int(np.frexp(np.max(np.abs(m)))[1])
+    return ref_product_scaled(B, qpt, n_q, start=(np.ldexp(m, -e), s_tail + s_head + e),
                               first=gb.n - k)
 
 
@@ -372,12 +372,13 @@ def test_shared_closing_products_match_direct_products(synth_demos, length, monk
         for B, witness in zip(members, rep.witnesses):
             m, s = _ref_closing(B, path.n, g, gb, qpt, rep.n_q)
             assert witness == eps_proximal_witness(m, 0.05)
-            rungs.append(s + np.log(np.max(np.abs(np.linalg.eigvals(m)))))
+            rungs.append(s * np.log(2.0) + np.log(np.max(np.abs(np.linalg.eigvals(m)))))
             m_fresh, s_fresh = ref_product_scaled(B, qpt, rep.n_q)
             a, b = m / np.linalg.norm(m), m_fresh / np.linalg.norm(m_fresh)
             assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= 1e-11
-            log_norm = s_fresh + np.log(np.linalg.norm(m_fresh))
-            assert abs(s + np.log(np.linalg.norm(m)) - log_norm) <= 1e-11 * max(1.0, abs(log_norm))
+            log_norm = s_fresh * np.log(2.0) + np.log(np.linalg.norm(m_fresh))
+            assert (abs(s * np.log(2.0) + np.log(np.linalg.norm(m)) - log_norm)
+                    <= 1e-11 * max(1.0, abs(log_norm)))
             assert eps_proximal_witness(m_fresh, 0.05).verdict
         # the bound: the word's ladder is orbit_mu_vec's, byte for byte;
         # the closing's reads the joined products
@@ -404,9 +405,9 @@ def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
     periodic, transversal = synthesis.make_periodic, synthesis.transversal_path
     joins = _traced_connect(monkeypatch)
 
-    def counted(mats, idx, prods, scales):
+    def counted(mats, every, idx, prods, scales):
         steps[phase[0], id(mats)] += idx.size
-        return kernel(mats, idx, prods, scales)
+        return kernel(mats, every, idx, prods, scales)
 
     def attempt(side, *args):
         if side.family[0] is cocycle.exterior_cocycle(forward, 1):  # the forward leg opens an attempt
@@ -464,23 +465,22 @@ def test_closing_trunk_continued_only_on_its_own_rows(radius1):
     _, _, (done, t_prods, t_scales) = fold(head + (0,) * 8)
     assert done.shape[1] == 13 and np.array_equal(rows[:, :13], done)
     # the rows extend the trunk's: its product is continued (an offset
-    # planted in its log scale survives), giving the same matrix
-    _, (prods, scales), _ = fold(head + (0,) * 24, (done, t_prods, t_scales + 1.0))
-    assert np.array_equal(prods[0], fresh_m) and scales[0] != fresh_s
-    assert scales[0] == pytest.approx(fresh_s + 1.0)
+    # planted in its binary scale survives), giving the same matrix
+    _, (prods, scales), _ = fold(head + (0,) * 24, (done, t_prods, t_scales + 1))
+    assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s + 1
     # a trunk from another orbit is not continued, nor one reaching into the
     # new orbit's wrapped windows, although here its rows agree with them
     _, _, (o_done, o_prods, o_scales) = fold((1, 1, 1, 1, 0, 1) + (0,) * 8)
     _, _, (l_done, l_prods, l_scales) = fold(head + (0,) * 25)
     assert np.array_equal(rows[:, :30], l_done)
-    for trunk in ((o_done, o_prods, o_scales + 1.0), (l_done, l_prods, l_scales + 1.0)):
+    for trunk in ((o_done, o_prods, o_scales + 1), (l_done, l_prods, l_scales + 1)):
         _, (prods, scales), _ = fold(head + (0,) * 24, trunk)
         assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s
 
 
 def test_path_trunk_continued_only_by_its_extensions(radius1, radius1_cert):
     # the turned and looped entry path continues the entry path's trunk
-    # (the offset planted in its log scale survives); a path from another
+    # (the offset planted in its binary scale survives); a path from another
     # point starts over; both give the direction of a fresh product
     p, z, _ = radius1_cert
     x = sft.point_from_word(radius1.base, (1, 1, 0), 0)
@@ -491,15 +491,15 @@ def test_path_trunk_continued_only_by_its_extensions(radius1, radius1_cert):
     longer = connect(synthesis.extend_at_fixed_target(entry, 3), loop_path(p, z, 12))
     other = synthesis._entry_path(radius1.base, sft.point_from_word(radius1.base, (0, 1), 0),
                                   p)
-    for path, offset in ((longer, 1.0), (other, 0.0)):
-        u, (_, _, got) = synthesis.path_direction(radius1, path, v, (done, prods, scales + 1.0))
+    for path, offset in ((longer, 1), (other, 0)):
+        u, (_, _, got) = synthesis.path_direction(radius1, path, v, (done, prods, scales + 1))
         m, _ = ref_product_scaled(radius1, path.x0, path.n)
         assert np.array_equal(u, matnum.unit(
             cocycle.holonomy_s(radius1, path.end, path.y)
             @ (m @ (cocycle.holonomy_u(radius1, path.x, path.x0) @ matnum.unit(v)))))
         # the trunk handed on stops k windows short of the path's end
         trunk_scale = ref_product_scaled(radius1, path.x0, path.n - 1)[1]
-        assert got[0] == pytest.approx(trunk_scale + offset)
+        assert got[0] == trunk_scale + offset
 
 
 def test_family_context_built_once_per_cocycle_and_pair(monkeypatch):
@@ -518,6 +518,32 @@ def test_family_context_built_once_per_cocycle_and_pair(monkeypatch):
     assert len(rep.samples) + len(rep.failures) == 10
     verify_theorem_a(A, cert, words[:2], 0.05)
     assert len(calls) == 1
+
+
+def test_shortest_bridges_found_once_per_subshift_and_pair(monkeypatch):
+    # canonical points, entry paths and closings ask for the same few
+    # bridges in every synthesis; each is searched for once per subshift
+    A = demos.golden_typical_3x3()  # a new subshift: no bridge is known yet
+    cert = typicality.find_typical_pair(A)[2]
+    tried, asked, bases = Counter(), [], []
+    bridge, shortest = sft.bridge, sft.shortest_bridge
+
+    def counted(s, a, b, length):
+        tried[id(s), a, b, length] += 1
+        bases.append(s)  # keeps each id distinct
+        return bridge(s, a, b, length)
+
+    def asking(*args):
+        asked.append(args)
+        return shortest(*args)
+
+    monkeypatch.setattr(sft, "bridge", counted)
+    monkeypatch.setattr(sft, "shortest_bridge", asking)
+    monkeypatch.setattr(synthesis, "shortest_bridge", asking)
+    for i in range(4):
+        build_proximal_periodic(A, cert, analysis.markov_sample(A, 12 + 5 * i, i), 0.05)
+    assert tried and max(tried.values()) == 1
+    assert len(asked) >= 4 * 4 > len({key[:3] for key in tried})
 
 
 @pytest.mark.parametrize("error", SYNTHESIS_ERRORS)
