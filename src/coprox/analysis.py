@@ -9,12 +9,11 @@ their budgets and never claim limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cocycle import (WindowCocycle, WorkerPool, batch_log_singular, cycle_chi_rows,
-                      orbit_mu_vec, sweep_log_singular)
+from .cocycle import WindowCocycle, cycle_chi_rows, orbit_mu_vec, sweep_log_singular
 from .matnum import fit_line
 from .sft import (
     PeriodicWord,
@@ -69,7 +68,7 @@ class GapProfile:
     index: int
     n_list: tuple[int, ...]
     minima: tuple[float, ...]
-    mode: str
+    mode: str         # "exhaustive": every word of each length is evaluated
     slope: float      # fitted growth rate per step
     intercept: float  # fitted offset (negative of the usual constant)
     r_squared: float
@@ -79,38 +78,31 @@ class GapProfile:
         return list(zip(self.n_list, self.minima))
 
 
-def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int], *,
-                exhaustive_budget: int = 200_000,
-                sample_count: int = 512, seed: Optional[int] = None,
-                workers: int = 1) -> GapProfile:
-    """Minimum of mu_i - mu_{i+1} over length-n words, for each n.
+EXHAUSTIVE_BUDGET = 200_000
+"""Most words a gap-profile length may have: every word is evaluated."""
 
-    Exhaustive when the word count fits the budget, otherwise a
-    seed-deterministic sample (seed then mandatory).  Words are evaluated
-    at canonical representative points.  All exhaustive lengths come from
-    one level sweep (:func:`coprox.cocycle.sweep_log_singular`); with
-    workers > 1 the sweep and the sampled batches share at most one
-    worker pool.
+
+def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int], *,
+                workers: int = 1) -> GapProfile:
+    """Minimum of mu_i - mu_{i+1} over all length-n words, for each n.
+
+    Words are evaluated at canonical representative points, and all
+    lengths come from one level sweep
+    (:func:`coprox.cocycle.sweep_log_singular`) on ``workers`` threads.
+    A length with more than ``EXHAUSTIVE_BUDGET`` words is an error.
     """
     if not 1 <= i <= A.dim - 1:
         raise ValueError("need 1 <= i <= d-1")
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
-    base_symbol = least_fixed_symbol(A.base)
-    exhaustive = [n for n in n_list if count_words(A.base, n) <= exhaustive_budget]
-    sampled = [n for n in n_list if n not in exhaustive]
-    if sampled and seed is None:
-        raise ValueError(f"lengths {sampled} have more than {exhaustive_budget} words, "
-                         "the exhaustive budget; sampling them requires a seed")
-    with WorkerPool(workers) as pool:
-        logs = sweep_log_singular(A, exhaustive, base_symbol, workers=pool)
-        for n in sampled:
-            logs[n] = batch_log_singular(A, _sampled_words(A, n, sample_count, seed + n),
-                                         base_symbol, workers=pool)
+    too_long = [n for n in n_list if count_words(A.base, n) > EXHAUSTIVE_BUDGET]
+    if too_long:
+        raise ValueError(f"lengths {too_long} have more than {EXHAUSTIVE_BUDGET} words, "
+                         "the exhaustive budget")
+    logs = sweep_log_singular(A, n_list, least_fixed_symbol(A.base), workers=workers)
     minima = [float(np.min(logs[n][:, i - 1] - logs[n][:, i])) for n in n_list]
-    mode = f"sampled({sample_count},{seed})" if sampled else "exhaustive"
     slope, intercept, r2, se = fit_line(list(n_list), minima)
-    return GapProfile(i, tuple(n_list), tuple(minima), mode, slope, intercept,
+    return GapProfile(i, tuple(n_list), tuple(minima), "exhaustive", slope, intercept,
                       r2, se)
 
 

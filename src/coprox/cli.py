@@ -65,13 +65,9 @@ def write_csv(path: str, kind: str, header: list[str], rows) -> None:
 
 
 def _write_series(args, kind: str, payload: dict, csv_kind: str, header, rows) -> None:
-    """--out as the JSON report (or the CSV series with --format csv) and
-    --csv as the CSV series."""
+    """--out as the JSON report and --csv as the CSV series."""
     if args.out:
-        if args.format == "csv":
-            write_csv(args.out, csv_kind, header, rows)
-        else:
-            write_json(args.out, kind, payload)
+        write_json(args.out, kind, payload)
     if args.csv:
         write_csv(args.csv, csv_kind, header, rows)
 
@@ -310,11 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    try:
-        default_threads = _positive_int(os.environ.get("COPROX_THREADS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise argparse.ArgumentError(None, f"COPROX_THREADS: {exc}") from None
-
     def common(p, pair_search=True, threads=False):
         p.add_argument("--input", required=True, help="cocycle JSON file")
         p.add_argument("--out", help="report path")
@@ -323,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="typicality tolerance")
             p.add_argument("--max-excursion", type=_positive_int, default=6)
         if threads:
-            p.add_argument("--threads", type=_positive_int, default=default_threads,
-                           help="worker threads (or set COPROX_THREADS)")
+            p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
 
     p = sub.add_parser("demo", help="write a built-in example cocycle file")
     p.add_argument("name", choices=sorted(DEMOS))
@@ -344,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bound", help="singular/eigenvalue comparison experiment")
     common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="what --out emits")
     p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n-min", type=_positive_int, default=4)
@@ -357,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dominate", help="domination evidence from gaps")
     common(p, threads=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="what --out emits")
     p.add_argument("--index", type=_positive_int, default=1)
     p.add_argument("--max-period", type=_positive_int, default=8)
     p.add_argument("--n-min", type=_positive_int, default=2)
@@ -374,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pressure", help="subadditive pressure estimate")
     common(p, pair_search=False, threads=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="what --out emits")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--n-min", type=_positive_int, default=4)
     p.add_argument("--n-max", type=_positive_int, default=12)

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -473,37 +472,19 @@ def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarra
     return np.diff(np.column_stack(out), axis=1)
 
 
-class WorkerPool(AbstractContextManager):
-    """Order-preserving map on at most one in-process thread pool.
-
-    The pool starts at the first map of more than one task and shuts down
-    with the ``with`` block, so kernels handed the same WorkerPool as
-    ``workers`` share one pool; with one worker everything runs in the
-    calling thread.  Tasks share the caller's arrays, with nothing to fork
-    or pickle, and the batched matmul and eigenvalue kernels release the
-    GIL, so threads run them on separate cores.  Tasks only read shared
-    state: the kernel builds its cached tables before the first map (see
-    :func:`_kernel_tables`).
+def _map(workers: int, fn, tasks: list) -> list:
+    """fn over tasks, in order: in the calling thread with one worker or
+    one task, otherwise on one in-process pool of ``workers`` threads that
+    shuts down on return.  Tasks share the caller's arrays, with nothing
+    to fork or pickle, and the batched matmul and eigenvalue kernels
+    release the GIL, so threads run them on separate cores.  Tasks only
+    read shared state: the kernel builds its cached tables before the
+    first map (see :func:`_kernel_tables`).
     """
-
-    def __init__(self, workers: int):
-        self.workers, self._pool = workers, None
-
-    def map(self, fn, tasks: list) -> list:
-        if self.workers <= 1 or len(tasks) <= 1:
-            return [fn(task) for task in tasks]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(self.workers)
-        return list(self._pool.map(fn, tasks))
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-
-
-def _pool_of(workers):
-    """Context giving the caller's WorkerPool, or a new one for a count."""
-    return nullcontext(workers) if isinstance(workers, WorkerPool) else WorkerPool(workers)
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _kernel_tables(A: WindowCocycle) -> None:
@@ -530,24 +511,22 @@ def _batch_rows(A: WindowCocycle, pads, words: np.ndarray) -> np.ndarray:
 
 
 def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols], base_symbol: int,
-                       workers=1) -> np.ndarray:
+                       workers: int = 1) -> np.ndarray:
     """Log singular values (rows nonincreasing) of arbitrary equal-length
     words at their canonical representatives.
 
     The ladder is the one :func:`sweep_log_singular` runs, started from
     the identity for every word, so a word gets the same bytes from both.
     Words run in contiguous blocks of at most ``ROW_CAP`` rows, merged
-    back in order; ``workers`` is a count or a shared :class:`WorkerPool`
-    that runs the blocks, so results do not depend on the worker count.
+    back in order on ``workers`` threads, so results do not depend on the
+    worker count.
     """
     if len(words) == 0:
         return np.empty((0, A.dim))
     words = np.asarray(words, dtype=np.int64)
     _kernel_tables(A)
-    with _pool_of(workers) as pool:
-        parts = pool.map(partial(_batch_rows, A, _pads(A, base_symbol)),
-                         [words[b] for b in _blocks(len(words))])
-    return np.concatenate(parts)
+    return np.concatenate(_map(workers, partial(_batch_rows, A, _pads(A, base_symbol)),
+                               [words[b] for b in _blocks(len(words))]))
 
 
 def _edge(words: np.ndarray, lpads: np.ndarray, width: int) -> np.ndarray:
@@ -558,8 +537,7 @@ def _edge(words: np.ndarray, lpads: np.ndarray, width: int) -> np.ndarray:
     return left[:, max(0, left.shape[1] - width):]
 
 
-def _sweep(A: WindowCocycle, pads, state, out: dict,
-           pool: Optional[WorkerPool] = None) -> None:
+def _sweep(A: WindowCocycle, pads, state, out: dict, workers: int = 1) -> None:
     """Sweep on from a state, writing the rows of each target length n
     left to sweep into ``out[n]`` from row ``at[n]`` on.
 
@@ -578,8 +556,8 @@ def _sweep(A: WindowCocycle, pads, state, out: dict,
     descendants at each target start after those of the blocks before
     it.  No kernel batch has more than ``ROW_CAP`` rows, and a sweep holds
     the children of at most ``ROW_CAP`` words per level of depth.  The
-    first cut goes to the pool, a block per task; cuts inside a task run
-    serially, so no task waits on the pool it runs in.
+    first cut maps its blocks on ``workers`` threads; cuts inside a block
+    run serially, so a sweep starts at most one pool.
     """
     lpads, rpads = pads
     k = A.radius
@@ -587,7 +565,6 @@ def _sweep(A: WindowCocycle, pads, state, out: dict,
     while True:
         n = words.shape[1]
         if len(words) > ROW_CAP:
-            pool = pool if pool is not None else WorkerPool(1)
             T = A.base.matrix()
             # level-m descendants of the words before each row
             before = {m: np.concatenate([[0], np.cumsum(
@@ -595,7 +572,7 @@ def _sweep(A: WindowCocycle, pads, state, out: dict,
             tasks = [(words[b], [(p[b], s[b]) for p, s in trunks], logdets[b],
                       {m: at[m] + int(before[m][b.start]) for m in at})
                      for b in _blocks(len(words))]
-            pool.map(partial(_sweep, A, pads, out=out), tasks)
+            _map(workers, partial(_sweep, A, pads, out=out), tasks)
             return
         if n > k:
             col = _window_rows(A, _edge(words, lpads, 2 * k + 1))
@@ -614,7 +591,7 @@ def _sweep(A: WindowCocycle, pads, state, out: dict,
 
 
 def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int,
-                       workers=1) -> dict[int, np.ndarray]:
+                       workers: int = 1) -> dict[int, np.ndarray]:
     """Log singular values of every admissible word of each length in
     n_list, at canonical representatives: {n: rows, lexicographic order}.
 
@@ -625,9 +602,9 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
     scales, log-determinant sum) is that of :func:`batch_log_singular`, so
     the rows are byte-identical to it.  Levels are swept in blocks of at
     most ``ROW_CAP`` rows, written in place into the returned arrays, so
-    memory beyond those rows stays bounded.  ``workers`` is a count or a
-    shared :class:`WorkerPool`; a sweep starts at most one pool, and its
-    rows do not depend on the worker count.
+    memory beyond those rows stays bounded.  A sweep starts at most one
+    pool, of ``workers`` threads, and its rows do not depend on the worker
+    count.
     """
     targets = sorted(set(n_list))
     if targets and targets[0] < 1:
@@ -635,10 +612,9 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
     out = {n: np.empty((count_words(A.base, n), A.dim)) for n in targets}
     empty = np.zeros((1, 0), dtype=np.min_scalar_type(A.base.alphabet_size - 1))
     _kernel_tables(A)
-    with _pool_of(workers) as pool:
-        _sweep(A, _pads(A, base_symbol),
-               (empty, _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)),
-               out, pool)
+    _sweep(A, _pads(A, base_symbol),
+           (empty, _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)),
+           out, workers)
     return out
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NotProximal
 from .matnum import (
     Cone,
+    _sine_factor_to_rho_bound,
     chi_vec,
     cone_contains_cone,
     map_cone,
@@ -136,8 +137,7 @@ def eps_proximal_witness(g: np.ndarray, eps: float) -> EpsProximalWitness:
     if not (image_sin < 1.0 and asin(image_sin) <= eps):
         reasons.append("certified image cone exceeds eps")
     alpha = np.linalg.svd(g, compute_uv=False)
-    k = (alpha[0] * alpha[1]) / (lam * s_eps) ** 2
-    contraction = k if k <= 1.0 else (pi / 2.0) * k
+    contraction = _sine_factor_to_rho_bound((alpha[0] * alpha[1]) / (lam * s_eps) ** 2)
     if contraction > eps:
         reasons.append("certified rho-norm on the domain exceeds eps")
     return EpsProximalWitness(

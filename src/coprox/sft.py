@@ -154,7 +154,7 @@ class PointSpec:
     so ``coord(i)`` reads internal position ``anchor + i``.
 
     Field equality is representational; two specs may denote the same
-    sequence (use :func:`same_point` / ``dist(x, y) == 0`` for that).
+    sequence (use :func:`same_point` for that).
     """
 
     left_cycle: Symbols
@@ -290,20 +290,6 @@ def same_point(x: PointSpec, y: PointSpec) -> bool:
     return x.coords(-h, h) == y.coords(-h, h)
 
 
-def dist(x: PointSpec, y: PointSpec) -> float:
-    """2^-k with k the largest integer such that x_i = y_i for all |i| < k.
-
-    Returns 0.0 exactly when the specs denote the same sequence (decidable
-    because both are eventually periodic).
-    """
-    h = _equality_horizon(x, y)
-    xs, ys = x.coords(-h, h), y.coords(-h, h)
-    if xs == ys:
-        return 0.0
-    # k is the distance from coordinate 0 (index h) to the nearest disagreement
-    return 2.0 ** -min(abs(i - h) for i, (a, b) in enumerate(zip(xs, ys)) if a != b)
-
-
 def extend_words(s: Sft, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(parent row, word) of every admissible one-symbol extension of the
     rows of a word array; sorted rows give sorted children, and rows of
@@ -332,11 +318,6 @@ def cycle_array(s: Sft, n: int) -> np.ndarray:
         raise ValueError("period must be >= 1")
     words = word_array(s, n)
     return words[s._arrows[words[:, -1], words[:, 0]]]
-
-
-def enumerate_periodic(s: Sft, n: int) -> list[PeriodicWord]:
-    """All admissible cycles of length n in lexicographic order."""
-    return [PeriodicWord(tuple(w)) for w in cycle_array(s, n).tolist()]
 
 
 def lyndon_mask(words: np.ndarray) -> np.ndarray:

@@ -212,12 +212,19 @@ def top_exponent_differences(A: WindowCocycle, B: WindowCocycle,
 SAMPLE_LENGTH = 6
 """Length of the sampled words the equal-state experiment shadows."""
 
+SAMPLE_WORDS = 3
+"""Number of sampled words the equal-state experiment shadows."""
+
+N_RANGE = (4, 6, 8, 10, 12)
+"""Lengths of the equal-state experiment's two pressure estimates."""
+
+TV_LEVELS = (2, 4, 6, 8)
+"""Lengths at which the equal-state experiment compares cylinder weights."""
+
 
 def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
                          cert_pair: TypicalityCertificate, max_period: int,
-                         tol: float, *, n_range: Sequence[int] = (4, 6, 8, 10, 12),
-                         tv_levels: Sequence[int] = (2, 4, 6, 8),
-                         sample_words: int = 3, seed: int = 7, tau: float = 0.05,
+                         tol: float, *, seed: int = 7, tau: float = 0.05,
                          workers: int = 1) -> EqualStateReport:
     """Decide per-orbit constancy of the top-exponent difference, then
     compare pressures and normalized cylinder-weight vectors, and exhibit
@@ -242,16 +249,16 @@ def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
         raise NotConstant(
             f"differences spread {spread:.3e} > tol across orbits", witness=(lo, hi)
         )
-    pa = pressure(A, 1.0, n_range, workers=workers)
-    pb = pressure(B, 1.0, n_range, workers=workers)
+    pa = pressure(A, 1.0, N_RANGE, workers=workers)
+    pb = pressure(B, 1.0, N_RANGE, workers=workers)
     tv = []
-    for n in tv_levels:
+    for n in TV_LEVELS:
         va = cylinder_weights(A, 1.0, n, workers=workers).normalized()
         vb = cylinder_weights(B, 1.0, n, workers=workers).normalized()
         tv.append((n, float(0.5 * np.sum(np.abs(va - vb)))))
     ctx = build_family_context([A, B], cert_pair.p, cert_pair.z)
     paired = []
-    for w in _sampled_words(A, SAMPLE_LENGTH, sample_words, seed):
+    for w in _sampled_words(A, SAMPLE_LENGTH, SAMPLE_WORDS, seed):
         rep = synthesize_family(ctx, w, tau)
         paired.append(
             {

@@ -52,7 +52,7 @@ def stable_pairs(s, rng, count):
         x = sft.point_from_word(s, w1, 0)
         past = sft.point_from_word(s, w2, 0).shift(k)
         y = sft.bracket(past, x)
-        if sft.dist(x, y) > 0:
+        if not sft.same_point(x, y):
             out.append((x, y))
     return out
 
@@ -71,7 +71,7 @@ def unstable_pairs(s, rng, count):
         if future.coord(0) != x.coord(0):
             continue
         y = sft.bracket(x, future)
-        if sft.dist(x, y) > 0:
+        if not sft.same_point(x, y):
             out.append((x, y))
     return out
 
@@ -271,14 +271,14 @@ def test_criterion_5_theorem_b():
            f"< 0.05*{lam_scale:.2f}; times {times}")
 
 
-def test_criterion_6_theorem_c(typical2):
+def test_criterion_6_theorem_c(typical2, monkeypatch):
     t0 = time.perf_counter()
     B = cocycle.scaled_cocycle(typical2, 0.3)
     p, z, _ = typicality.find_typical_pair(typical2)
     cert = typicality.family_certificate([typical2, B], p, z)
-    rep = thermo.theorem_c_experiment(
-        typical2, B, cert, 5, 1e-9,
-        n_range=(3, 4, 5, 6, 7, 8, 9, 10), tv_levels=(2, 4, 6, 8))
+    monkeypatch.setattr(thermo, "N_RANGE", (3, 4, 5, 6, 7, 8, 9, 10))
+    monkeypatch.setattr(thermo, "TV_LEVELS", (2, 4, 6, 8))
+    rep = thermo.theorem_c_experiment(typical2, B, cert, 5, 1e-9)
     diffs_ok = rep.max_deviation < 1e-12 and abs(rep.constant_c + 0.3) < 1e-12
     gap = rep.pressure_b.value - rep.pressure_a.value
     pressure_ok = abs(gap - 0.3) < 1e-4
@@ -403,7 +403,7 @@ def test_criterion_10_combinatorial_oracles():
         built += 1
         for n in range(1, 13):
             expect = int(np.trace(np.linalg.matrix_power(Tm, n)))
-            assert len(sft.enumerate_periodic(s, n)) == expect
+            assert len(sft.cycle_array(s, n)) == expect
             checked_counts += 1
         m = sft.mixing_rate(s)
         for a in range(q):

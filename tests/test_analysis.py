@@ -89,20 +89,13 @@ def test_gap_profile_rotation_zero():
     assert abs(prof.slope) < 1e-9
 
 
-def test_gap_profile_sampled_minima_dominate_exhaustive():
+def test_gap_profile_rejects_lengths_over_the_budget(monkeypatch):
+    # dominated2x2 has 2^n words of length n: 16 fit a budget of 20, 32 do not
     A = demos.dominated_2x2()
-    ns = [4, 6, 8]
-    exhaustive = gap_profile(A, 1, ns)
-    sampled = gap_profile(A, 1, ns, exhaustive_budget=0, sample_count=64, seed=5)
-    assert "sampled" in sampled.mode
-    for lo, hi in zip(exhaustive.minima, sampled.minima):
-        assert hi >= lo - 1e-12
-
-
-def test_gap_profile_needs_seed_when_sampled():
-    A = demos.dominated_2x2()
-    with pytest.raises(ValueError):
-        gap_profile(A, 1, [4], exhaustive_budget=0)
+    monkeypatch.setattr(analysis, "EXHAUSTIVE_BUDGET", 20)
+    assert gap_profile(A, 1, [3, 4]).mode == "exhaustive"
+    with pytest.raises(ValueError, match=r"^lengths \[5, 6\] have more than 20 words"):
+        gap_profile(A, 1, [4, 5, 6])
 
 
 def test_theorem_b_dominated_demo():

@@ -39,7 +39,7 @@ def stable_pairs(s, rng, count):
         x = sft.point_from_word(s, w1, 0)
         past = sft.point_from_word(s, w2, 0).shift(k)
         y = sft.bracket(past, x)
-        if sft.dist(x, y) > 0:
+        if not sft.same_point(x, y):
             out.append((x, y))
     return out
 
@@ -60,7 +60,7 @@ def unstable_pairs(s, rng, count):
         if future.coord(0) != x.coord(0):
             continue
         y = sft.bracket(x, future)
-        if sft.dist(x, y) > 0:
+        if not sft.same_point(x, y):
             out.append((x, y))
     return out
 

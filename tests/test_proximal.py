@@ -101,6 +101,18 @@ def test_eps_proximal_witness_certified_against_sampling():
             assert angle <= eps + 1e-9
 
 
+def test_failing_witness_reports_the_certified_rho_bound():
+    # diag(12.5, 1) at eps = 0.2 has sine factor k = 0.08 / sin(0.2)^2, about 2:
+    # above 1 the certified rho-bound is (pi/2) / arcsin(1/k), below (pi/2) k
+    eps = 0.2
+    k = (1.0 / 12.5) / np.sin(eps) ** 2
+    wit = eps_proximal_witness(np.diag([12.5, 1.0]), eps)
+    assert k > 1 and not wit.verdict
+    assert "certified rho-norm on the domain exceeds eps" in wit.reasons
+    assert wit.contraction == pytest.approx((np.pi / 2) / np.arcsin(1 / k), rel=1e-12)
+    assert wit.contraction < (np.pi / 2) * k
+
+
 def test_proximality_defect_examples():
     assert proximality_defect(np.diag([3.0, 1.0])) == pytest.approx(0.0, abs=1e-10)
     assert proximality_defect(rotation2(0.9)) == pytest.approx(0.0, abs=1e-10)

@@ -55,17 +55,16 @@ def test_bridge_exists_at_mixing_rate_all_pairs(golden, full2):
 
 
 def test_enumerate_periodic_counts(full2, golden):
-    assert [w.symbols for w in sft.enumerate_periodic(full2, 2)] == [
-        (0, 0), (0, 1), (1, 0), (1, 1)]
-    assert len(sft.enumerate_periodic(golden, 2)) == 3
-    assert [w.symbols for w in sft.enumerate_periodic(golden, 1)] == [(0,)]
+    assert sft.cycle_array(full2, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert len(sft.cycle_array(golden, 2)) == 3
+    assert sft.cycle_array(golden, 1).tolist() == [[0]]
 
 
 def test_trace_identity(golden, full2):
     for s in (golden, full2):
         T = s.matrix().astype(np.int64)
         for n in range(1, 13):
-            assert len(sft.enumerate_periodic(s, n)) == int(
+            assert len(sft.cycle_array(s, n)) == int(
                 np.trace(np.linalg.matrix_power(T, n)))
 
 
@@ -96,37 +95,6 @@ def test_bracket_with_fixed_point(golden):
     pz = sft.bracket(z, p)  # z-past, all-p future
     assert all(pz.coord(i) == z.coord(i) for i in range(-30, 1))
     assert all(pz.coord(i) == 0 for i in range(0, 31))
-
-
-def test_dist(golden):
-    p = sft.fixed_point(golden, 0)
-    z = sft.homoclinic_point(golden, 0, (1,))
-    assert sft.dist(p, p) == 0.0
-    assert sft.dist(p, z) == 0.5  # first disagreement at coordinate 1
-    assert sft.dist(z, z.shift(1)) == 1.0  # disagree already at coordinate 0
-    # two representations of the same sequence
-    q = sft.periodic_point(sft.make_periodic(golden, (0, 1)))
-    q2 = sft.periodic_point(sft.make_periodic(golden, (0, 1, 0, 1)))
-    assert sft.dist(q, q2) == 0.0
-    assert sft.same_point(q, q2)
-
-
-def test_dist_window_formula(full2):
-    # agree exactly on |i| <= 2 means k = 3, distance 1/8
-    x = sft.PointSpec((0,), (1, 0, 0, 0, 0, 0, 1), (0,), 3)
-    y = sft.fixed_point(full2, 0)
-    assert x.coords(-2, 2) == (0,) * 5
-    assert sft.dist(x, y) == pytest.approx(0.125)
-
-
-@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
-@settings(max_examples=40, deadline=None)
-def test_dist_ultrametric(i, j, k):
-    g = sft.golden_mean_shift()
-    words = [(0,), (1, 0), (0, 1, 0)]
-    pts = [sft.point_from_word(g, w, 0) for w in words]
-    x, y, z = pts[i], pts[j], pts[k]
-    assert sft.dist(x, z) <= max(sft.dist(x, y), sft.dist(y, z)) + 1e-15
 
 
 def test_shift_roundtrip(golden):
@@ -201,7 +169,6 @@ def test_cycle_array_is_the_closed_words(full2, golden):
                      if sft.is_admissible(s, w) and s.allowed(w[-1], w[0])]
             assert cycles.dtype == np.uint8 and cycles.shape == (len(brute), n)
             assert [tuple(w) for w in cycles.tolist()] == brute
-            assert [w.symbols for w in sft.enumerate_periodic(s, n)] == brute
 
 
 def _mobius(n):
@@ -247,7 +214,7 @@ def test_random_primitive_sfts_trace_identity():
         built += 1
         Tm = s.matrix().astype(object)
         for n in range(1, 13):
-            assert len(sft.enumerate_periodic(s, n)) == int(
+            assert len(sft.cycle_array(s, n)) == int(
                 np.trace(np.linalg.matrix_power(Tm, n)))
 
 
@@ -265,16 +232,6 @@ def _ref_in_local_unstable(x, y, h):
 def _ref_same_point(x, y):
     h = sft._equality_horizon(x, y)
     return all(x.coord(i) == y.coord(i) for i in range(-h, h + 1))
-
-
-def _ref_dist(x, y):
-    if x.coord(0) != y.coord(0):
-        return 1.0
-    h = sft._equality_horizon(x, y)
-    for k in range(1, h + 1):
-        if x.coord(k) != y.coord(k) or x.coord(-k) != y.coord(-k):
-            return 2.0 ** (-k)
-    return 0.0
 
 
 def _ref_stable_shift(x, y):
@@ -336,7 +293,6 @@ def test_window_compares_match_coordinatewise_references(x, y, shift, shared):
         assert sft.in_local_unstable(u, v) == _ref_in_local_unstable(
             u, v, sft._equality_horizon(u, v))
         assert sft.same_point(u, v) == _ref_same_point(u, v)
-        assert sft.dist(u, v) == _ref_dist(u, v)
         assert sft.stable_shift(u, v) == _ref_stable_shift(u, v)
         assert sft.unstable_shift(u, v) == _ref_unstable_shift(u, v)
         assert sft.is_fixed_point(u) == _ref_is_fixed_point(u)

@@ -136,14 +136,6 @@ def test_gap_profile_starts_at_most_one_pool(pool_starts):
     prof = analysis.gap_profile(A, 1, range(2, 12), workers=2)
     assert len(pool_starts) == 1
     assert prof.minima == analysis.gap_profile(A, 1, range(2, 12)).minima
-    # exhaustive and sampled lengths in one call share the one pool
-    pool_starts.clear()
-    mixed = analysis.gap_profile(A, 1, [3, 10, 11], exhaustive_budget=600,
-                                 sample_count=64, seed=5, workers=2)
-    assert len(pool_starts) <= 1
-    assert mixed.mode == "sampled(64,5)"
-    assert mixed.minima == analysis.gap_profile(
-        A, 1, [3, 10, 11], exhaustive_budget=600, sample_count=64, seed=5).minima
 
 
 # -- per-step references: one rescaled matmul per step, as a loop -----------
@@ -192,8 +184,8 @@ def test_orbit_paths_equal_per_step_references(cocycles, name, n, length, seed, 
 def test_periodic_spectrum_equals_per_orbit_references(cocycles, name):
     A = cocycles[name]
     spectrum = analysis.periodic_spectrum(A, 6)
-    assert len(spectrum) == len({orbit_key(w) for n in range(1, 7)
-                                 for w in sft.enumerate_periodic(A.base, n)})
+    assert len(spectrum) == len({orbit_key(sft.PeriodicWord(tuple(w))) for n in range(1, 7)
+                                 for w in sft.cycle_array(A.base, n).tolist()})
     for q, lam in spectrum:
         assert np.array_equal(lam, analysis.periodic_lyapunov(A, q))
         ref = _ref_ladder(A, sft.periodic_point(q), q.period, _eig_top) / q.period
@@ -204,7 +196,8 @@ def _ref_periodic_spectrum(A, max_period):
     """Orbit selection by one orbit_key call per enumerated cycle."""
     out = []
     for n in range(1, max_period + 1):
-        cycles = [w for w in sft.enumerate_periodic(A.base, n) if orbit_key(w) == w.symbols]
+        cycles = [w for w in map(sft.PeriodicWord, map(tuple, sft.cycle_array(A.base, n).tolist()))
+                  if orbit_key(w) == w.symbols]
         if cycles:
             rows = cocycle.cycle_chi_rows(A, np.array([w.symbols for w in cycles]))
             out += zip(cycles, rows / n)

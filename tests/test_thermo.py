@@ -116,12 +116,13 @@ def test_cylinder_weights_normalized(typical2):
     assert np.sum(v) == pytest.approx(1.0)
 
 
-def test_theorem_c_scalar_multiple(typical2):
+def test_theorem_c_scalar_multiple(typical2, monkeypatch):
     B = cocycle.scaled_cocycle(typical2, 0.3)
     p, z, _ = typicality.find_typical_pair(typical2)
     cert = typicality.family_certificate([typical2, B], p, z)
-    rep = theorem_c_experiment(typical2, B, cert, 5, 1e-9,
-                               n_range=(3, 4, 5, 6, 7, 8), tv_levels=(2, 4, 6))
+    monkeypatch.setattr(thermo, "N_RANGE", (3, 4, 5, 6, 7, 8))
+    monkeypatch.setattr(thermo, "TV_LEVELS", (2, 4, 6))
+    rep = theorem_c_experiment(typical2, B, cert, 5, 1e-9)
     assert rep.constant_c == pytest.approx(-0.3, abs=1e-12)
     assert rep.max_deviation < 1e-12
     assert (rep.pressure_b.value - rep.pressure_a.value) == pytest.approx(
@@ -134,12 +135,13 @@ def test_theorem_c_scalar_multiple(typical2):
         assert o["lambda1_a"] - o["lambda1_b"] == pytest.approx(-0.3, abs=1e-10)
 
 
-def test_theorem_c_identical_cocycles(typical2):
+def test_theorem_c_identical_cocycles(typical2, monkeypatch):
     p, z, _ = typicality.find_typical_pair(typical2)
     cert = typicality.family_certificate([typical2, typical2], p, z)
-    rep = theorem_c_experiment(typical2, typical2, cert, 4, 1e-12,
-                               n_range=(3, 4, 5, 6), tv_levels=(2, 4),
-                               sample_words=2)
+    monkeypatch.setattr(thermo, "N_RANGE", (3, 4, 5, 6))
+    monkeypatch.setattr(thermo, "TV_LEVELS", (2, 4))
+    monkeypatch.setattr(thermo, "SAMPLE_WORDS", 2)
+    rep = theorem_c_experiment(typical2, typical2, cert, 4, 1e-12)
     assert rep.constant_c == pytest.approx(0.0, abs=1e-14)
     assert rep.pressure_a.value == rep.pressure_b.value
     for _, tv in rep.tv_by_n:

@@ -131,7 +131,7 @@ def test_excursions_are_the_brute_force_words_in_order(request, base):
 def test_find_typical_pair_demo(typical2, typical2_cert):
     p, z, cert = typical2_cert
     assert p.coord(0) == 0
-    assert sft.dist(z, sft.homoclinic_point(typical2.base, 0, (1,))) == 0.0
+    assert sft.same_point(z, sft.homoclinic_point(typical2.base, 0, (1,)))
 
 
 def test_find_typical_pair_identity_none(full2):
