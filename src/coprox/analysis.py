@@ -48,15 +48,19 @@ def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicW
 
 
 def _sampled_words(A: WindowCocycle, n: int, count: int, seed: int) -> list[Symbols]:
-    """Seed-deterministic admissible words, uniform over continuations."""
+    """Seed-deterministic admissible words, uniform over continuations:
+    each symbol after the first is drawn among its predecessor's
+    successors, tabulated once per call."""
     rng = np.random.default_rng(seed)
     s = A.base
+    nexts = [[c for c in range(s.alphabet_size) if s.allowed(a, c)]
+             for a in range(s.alphabet_size)]
     out = []
     for _ in range(count):
         word = [int(rng.integers(s.alphabet_size))]
         for _ in range(n - 1):
-            options = [c for c in range(s.alphabet_size) if s.allowed(word[-1], c)]
-            word.append(int(options[rng.integers(len(options))]))
+            options = nexts[word[-1]]
+            word.append(options[rng.integers(len(options))])
         out.append(tuple(word))
     return out
 

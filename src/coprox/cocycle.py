@@ -21,8 +21,9 @@ is exact, so a rescaled product holds the raw product's mantissas
 whatever the rescale cadence or the calls a fold is split into, and a
 raw product (``product``) is the kernel's output with its exponent put
 back.  The ladder reads only the top of each rung: a top singular value
-is the root of the top eigenvalue of the rescaled product's Gram matrix,
-accurate to a few ulps by Weyl's inequality (see ``_ladder``).
+comes from a closed form on 2 x 2 and 3 x 3 rungs and from the top
+eigenvalue of the rescaled product's Gram matrix on larger ones, by one
+rule per row, accurate to a few ulps (see ``_top_singular``).
 """
 
 from __future__ import annotations
@@ -436,6 +437,55 @@ def _logdet_sum(A: WindowCocycle, idx: np.ndarray, start: np.ndarray) -> np.ndar
     return np.cumsum(sums, axis=1, out=sums)[:, -1]
 
 
+CLUSTERED = 1e-2
+"""A 3x3 rung's row whose Smith parameter r has 1 + r below this (its
+Gram's top two eigenvalues cluster), or is nan (p = 0, a scalar Gram),
+takes its top from ``np.linalg.eigvalsh``: see :func:`_top_singular`."""
+
+
+def _top_singular(prods: np.ndarray) -> np.ndarray:
+    """Top singular value of each r x r matrix of a stack, by one rule per
+    row whatever the stack's size, so a product gets the same bytes in any
+    batch.
+
+    2 x 2, [[a, b], [c, d]]: (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2,
+    a sum of two nonnegative terms, which cannot cancel.  3 x 3: the root
+    of the top eigenvalue q + 2p cos(arccos(r) / 3) of the Gram matrix
+    G = M^T M, with q = tr G / 3, p = |G - qI|_F / sqrt(6) and r = det((G -
+    qI) / p) / 2 (Smith, CACM 1961), again a sum of nonnegative terms.  It
+    loses accuracy only where arccos does, as r -> -1, where the top two
+    eigenvalues meet; rows with 1 + r < ``CLUSTERED`` (or r nan) take the
+    root of the top ``np.linalg.eigvalsh`` eigenvalue of G, as larger
+    rungs do.  Forming G and solving it perturb it by a few ulps of its
+    norm, its top eigenvalue, so by Weyl's inequality that top is good to
+    a few ulps however the eigenvalues cluster.  G's left operand is a
+    contiguous copy: on the transposed view the batched matmul is several
+    times slower.
+    """
+    size = prods.shape[1]
+    if size == 2:
+        a, b, c, d = prods[:, 0, 0], prods[:, 0, 1], prods[:, 1, 0], prods[:, 1, 1]
+        return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
+    gram = np.ascontiguousarray(prods.transpose(0, 2, 1)) @ prods
+    if size != 3:
+        return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+    g00, g01, g02 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 0, 2]
+    g11, g12, g22 = gram[:, 1, 1], gram[:, 1, 2], gram[:, 2, 2]
+    q = (g00 + g11 + g22) / 3
+    b00, b11, b22 = g00 - q, g11 - q, g22 - q
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                 + 2 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b00, b11, b22, b01, b02, b12 = b00 / p, b11 / p, b22 / p, g01 / p, g02 / p, g12 / p
+        r = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+             + b02 * (b01 * b12 - b11 * b02)) / 2
+        tops = np.sqrt(q + 2 * p * np.cos(np.arccos(np.minimum(r, 1.0)) / 3))
+    fall = ~(1 + r >= CLUSTERED)
+    if fall.any():
+        tops[fall] = np.sqrt(np.linalg.eigvalsh(gram[fall])[:, -1])
+    return tops
+
+
 def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarray,
             top: str = "svd") -> np.ndarray:
     """Rows of rung differences for products continued through the window
@@ -450,14 +500,12 @@ def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarra
 
     A rung's products come as 2^scales M, with M's peak entry in [0.5, 1)
     (or M the identity, over no windows); its log top is scales ln 2 +
-    log top(M), the binary scale turned into a natural log once, here.  A
-    top singular value is the root of the top eigenvalue of the rescaled
-    product's Gram matrix M^T M, which is at least 1/4 and cannot
-    overflow.  Forming the Gram and solving it each perturb it by a few
-    ulps of its norm, which is that top eigenvalue, so by Weyl's
-    inequality the top is good to a few ulps, relative, however the
-    eigenvalues cluster.  The Gram's left operand is a contiguous copy: on
-    the transposed view the batched matmul is several times slower.
+    log top(M), the binary scale turned into a natural log once, here.
+    Top singular values come from :func:`_top_singular`: closed forms for
+    2 x 2 and 3 x 3 rungs, the top eigenvalue of the Gram matrix M^T M
+    from ``np.linalg.eigvalsh`` otherwise, each good to a few ulps,
+    relative.  M's peak entry keeps that top at least 1/2 and far from
+    overflow.
     """
     out = [np.zeros(len(tail))]
     for mats, every, (prods, scales) in zip(A._rungs, A._cadences, trunks):
@@ -465,8 +513,7 @@ def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarra
         if top == "eig":
             tops = np.max(np.abs(np.linalg.eigvals(prods)), axis=1)
         else:
-            gram = np.ascontiguousarray(prods.transpose(0, 2, 1)) @ prods
-            tops = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+            tops = _top_singular(prods)
         out.append(scales * LN2 + np.log(tops))
     out.append(_logdet_sum(A, tail, logdets))
     return np.diff(np.column_stack(out), axis=1)

@@ -75,15 +75,6 @@ def phi_s(g: np.ndarray, s: float) -> float:
     return float(np.exp(log_phi_s(mu_vec(np.asarray(g, dtype=float)), s)))
 
 
-def _log_weights(A: WindowCocycle, s: float, n_list: Sequence[int],
-                 workers: int = 1) -> dict[int, np.ndarray]:
-    """Log potentials of all length-n words, lexicographic, for each n:
-    one level sweep and one vectorized potential per length, each length's
-    rows dropped once its potentials are taken."""
-    rows = sweep_log_singular(A, n_list, least_fixed_symbol(A.base), workers=workers)
-    return {n: log_phi_s(rows.pop(n), s) for n in list(rows)}
-
-
 @dataclass(frozen=True)
 class CylinderWeights:
     """Potential weights of all length-n cylinders plus the normalizer."""
@@ -100,10 +91,13 @@ class CylinderWeights:
         return np.exp(self.log_weights - self.log_normalizer)
 
 
-def cylinder_weights(A: WindowCocycle, s: float, n: int, *,
-                     workers: int = 1) -> CylinderWeights:
-    lw = _log_weights(A, s, (n,), workers)[n]
-    return CylinderWeights(n, s, lw)
+def cylinder_weights(A: WindowCocycle, s: float, n_list: Sequence[int], *,
+                     workers: int = 1) -> dict[int, CylinderWeights]:
+    """Potential weights of all length-n words, lexicographic, for each n
+    in n_list: one level sweep and one vectorized potential per length,
+    each length's rows dropped once its potentials are taken."""
+    rows = sweep_log_singular(A, n_list, least_fixed_symbol(A.base), workers=workers)
+    return {n: CylinderWeights(n, s, log_phi_s(rows.pop(n), s)) for n in list(rows)}
 
 
 @dataclass(frozen=True)
@@ -160,8 +154,13 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
     if len(set(n_range)) != len(n_range):
         raise ValueError(f"n_range repeats a length: {list(n_range)}")
     _require_s(s)
-    lw = _log_weights(A, s, n_range, workers)
-    p_n = [_logsumexp(lw[n]) / n for n in n_range]
+    return _estimate(A, s, n_range, cylinder_weights(A, s, n_range, workers=workers))
+
+
+def _estimate(A: WindowCocycle, s: float, n_range: tuple[int, ...],
+              weights: dict[int, CylinderWeights]) -> PressureEstimate:
+    """The pressure estimate over n_range from each length's weights."""
+    p_n = [weights[n].log_normalizer / n for n in n_range]
     if len(n_range) == 1:
         value = p_n[0]
         method = "single-n"
@@ -249,13 +248,12 @@ def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
         raise NotConstant(
             f"differences spread {spread:.3e} > tol across orbits", witness=(lo, hi)
         )
-    pa = pressure(A, 1.0, N_RANGE, workers=workers)
-    pb = pressure(B, 1.0, N_RANGE, workers=workers)
-    tv = []
-    for n in TV_LEVELS:
-        va = cylinder_weights(A, 1.0, n, workers=workers).normalized()
-        vb = cylinder_weights(B, 1.0, n, workers=workers).normalized()
-        tv.append((n, float(0.5 * np.sum(np.abs(va - vb)))))
+    # one sweep per cocycle serves both the pressures and the weights
+    wa, wb = (cylinder_weights(C, 1.0, sorted(set(N_RANGE) | set(TV_LEVELS)), workers=workers)
+              for C in (A, B))
+    pa, pb = _estimate(A, 1.0, N_RANGE, wa), _estimate(B, 1.0, N_RANGE, wb)
+    tv = [(n, float(0.5 * np.sum(np.abs(wa[n].normalized() - wb[n].normalized()))))
+          for n in TV_LEVELS]
     ctx = build_family_context([A, B], cert_pair.p, cert_pair.z)
     paired = []
     for w in _sampled_words(A, SAMPLE_LENGTH, SAMPLE_WORDS, seed):

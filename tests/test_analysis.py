@@ -131,6 +131,31 @@ def test_markov_sample_golden_admissible():
         assert sft.is_admissible(A.base, w)
 
 
+def _per_symbol_sampled_words(A, n, count, seed):
+    """The sampler as it was first written: the continuations of each
+    drawn symbol listed afresh, one ``rng.integers`` call per symbol."""
+    rng = np.random.default_rng(seed)
+    s = A.base
+    out = []
+    for _ in range(count):
+        word = [int(rng.integers(s.alphabet_size))]
+        for _ in range(n - 1):
+            options = [c for c in range(s.alphabet_size) if s.allowed(word[-1], c)]
+            word.append(int(options[rng.integers(len(options))]))
+        out.append(tuple(word))
+    return out
+
+
+def test_sampled_words_keep_every_seed(cocycles):
+    # the continuation table draws the same words as the per-symbol loop
+    for A in [demos.DEMOS[name]() for name in sorted(demos.DEMOS)] + list(cocycles.values()):
+        for seed in (0, 1, 7, 2**31 + 5):
+            for n, count in ((1, 3), (2, 4), (40, 5)):
+                got = analysis._sampled_words(A, n, count, seed)
+                assert got == _per_symbol_sampled_words(A, n, count, seed)
+                assert all(type(c) is int for w in got for c in w)
+
+
 def test_theorem_d_small(typical2, typical2_cert):
     words = [markov_sample(typical2, 12, 100 + i) for i in range(4)]
     rep = theorem_d_check(typical2, typical2_cert[2], words, c_emp=40.0, tau=0.05)

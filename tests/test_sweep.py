@@ -10,8 +10,10 @@ batches of one; their results must equal per-step loops (kept below and
 in ``conftest``) as references byte for byte.
 """
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,8 +157,26 @@ def _ref_ladder(A, x, n, top):
 
 
 def _svd_top(m):
-    # the kernel's rule: the root of the top eigenvalue of the Gram matrix
-    return np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1])
+    # the kernel's rule, one matrix at a time: closed forms on 2x2 and on
+    # 3x3 Grams whose top two eigenvalues do not cluster, else the root of
+    # the top eigenvalue of the Gram matrix
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
+    g = m.T @ m
+    if len(m) == 3:
+        q = (g[0, 0] + g[1, 1] + g[2, 2]) / 3
+        b = g - q * np.eye(3)
+        p = np.sqrt((b[0, 0] * b[0, 0] + b[1, 1] * b[1, 1] + b[2, 2] * b[2, 2]
+                     + 2 * (g[0, 1] * g[0, 1] + g[0, 2] * g[0, 2] + g[1, 2] * g[1, 2])) / 6)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            b = b / p
+            r = (b[0, 0] * (b[1, 1] * b[2, 2] - b[1, 2] * b[1, 2])
+                 - b[0, 1] * (b[0, 1] * b[2, 2] - b[1, 2] * b[0, 2])
+                 + b[0, 2] * (b[0, 1] * b[1, 2] - b[1, 1] * b[0, 2])) / 2
+        if 1 + r >= cocycle.CLUSTERED:
+            return np.sqrt(q + 2 * p * np.cos(np.arccos(min(r, 1.0)) / 3))
+    return np.sqrt(np.linalg.eigvalsh(g)[-1])
 
 
 def _eig_top(m):
@@ -225,15 +245,16 @@ def test_batch_rows_equal_reference_ladder(cocycles, name, n, seed):
         assert np.array_equal(row, _ref_ladder(A, x, n, _svd_top))
 
 
-# -- the Gram rule against np.linalg.svd -------------------------------------
+# -- the top rule against np.linalg.svd --------------------------------------
 #
-# The kernel takes each rung's top singular value from the Gram matrix of
-# the rescaled product (the references above follow the same rule, byte for
-# byte).  Here the log tops are checked against np.linalg.svd of the
-# kernel's rescaled products, which those byte tests pin to the per-step
-# reference.  The error is relative to max(1, |log top|): the log top of a
-# rescaled product lies in [0, log r] for an r x r rung, so the rule's error
-# is absolute there and relative only in the scale it is added to.
+# The kernel takes each rung's top singular value from a closed form (2x2,
+# and 3x3 Grams) or the Gram matrix of the rescaled product (the references
+# above follow the same rule, byte for byte).  Here the log tops are checked
+# against np.linalg.svd of the kernel's rescaled products, which those byte
+# tests pin to the per-step reference.  The error is relative to max(1,
+# |log top|): the log top of a rescaled product lies in [log 1/2, log r] for
+# an r x r rung, so the rule's error is absolute there and relative only in
+# the scale it is added to.
 
 GRAM_TOL = 16 * np.finfo(float).eps
 GRAM_DEMOS = sorted(name for name, build in demos.DEMOS.items() if build().dim >= 2)
@@ -287,6 +308,129 @@ def test_gram_top_where_singular_values_cluster():
     sv = np.linalg.svd(prods, compute_uv=False)
     assert np.allclose(sv[:, 1], sv[:, 0], rtol=1e-13, atol=0)
     _assert_log_tops_match_svd(A, rows, sweep_log_singular(A, [10], 0)[10])
+
+
+# -- the top rule against 50-digit singular values ----------------------------
+#
+# Where the top two singular values cluster, np.linalg.svd itself is off by
+# tens of eps on 3x3 inputs, so the reference is mpmath's SVD of the same
+# float matrices at 50 digits.
+
+CLUSTER_GAPS = [10.0 ** -e for e in range(1, 15)]
+TOP_TOL = 4 * np.finfo(float).eps
+
+
+def _clustered_products(r, rng):
+    """Random r x r products with peak entry in [0.5, 1), as the kernel
+    holds them, whose second singular value is 1 - gap times the first,
+    for each gap in CLUSTER_GAPS; 3x3 ones get a third in (0.05, 0.9) times
+    the first."""
+    out = []
+    for gap in CLUSTER_GAPS:
+        for _ in range(12):
+            u, _ = np.linalg.qr(rng.normal(size=(r, r)))
+            v, _ = np.linalg.qr(rng.normal(size=(r, r)))
+            sv = [1.0, 1.0 - gap] + list(rng.uniform(0.05, 0.9, size=r - 2))
+            m = (u * sv) @ v.T
+            out.append(np.ldexp(m, -np.frexp(np.abs(m).max())[1]))
+    return np.array(out)
+
+
+def _mp_top(m):
+    with mpmath.workdps(50):
+        return mpmath.svd_r(mpmath.matrix(m.tolist()), compute_uv=False)[0]
+
+
+@pytest.mark.parametrize("name", ["typical2x2", "typical3x3"])
+def test_clustered_tops_match_50_digit_svd(monkeypatch, name):
+    A = demos.DEMOS[name]()
+    r = A.dim
+    prods = _clustered_products(r, np.random.default_rng(r))
+    fallback = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(gram):
+        fallback.append(len(gram))
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    tops = cocycle._top_singular(prods)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    if r == 3:
+        # the widest gaps take the closed form, the tightest fall back
+        assert 0 < sum(fallback) < len(prods)
+    else:
+        assert not fallback
+    # the ladder reads its rungs' tops off the trunks when no window follows
+    trunks = [(prods, np.zeros(len(prods), dtype=np.int64)) for _ in A._rungs]
+    rows = cocycle._ladder(A, np.zeros((len(prods), 0), dtype=np.int64), trunks,
+                           np.zeros(len(prods)))
+    ref = [_mp_top(m) for m in prods]
+    rel = np.array([float(abs(mpmath.mpf(t) / e - 1)) for t, e in zip(tops, ref)])
+    assert (rel <= TOP_TOL).all(), rel.max() / np.finfo(float).eps
+    log_ref = np.array([float(mpmath.log(e)) for e in ref])
+    for log_tops in np.cumsum(rows, axis=1)[:, :-1].T:
+        assert (np.abs(log_tops - log_ref) <= TOP_TOL).all()
+
+
+# -- the transfer-operator identity --------------------------------------------
+#
+# For every length n and rung t, the sum over length-n words of
+# e_t(sigma_1^2, ..., sigma_d^2) = |wedge^t A^n(w)|_F^2 equals u^T L_t^(n-1) v,
+# with L_t the window-transition matrix whose blocks are the Kronecker
+# squares of the windows' t-th exterior powers, and u, v the pad boundary
+# vectors.  The left side reads the sweep's rows, the right side only the
+# table, so the identity checks every level apart from the kernel, its
+# rescaling and its top rule.
+
+IDENTITY_COCYCLES = sorted(name for name, build in KERNEL_COCYCLES.items() if build().dim >= 2)
+
+
+def _wedge(m, t):
+    """t-th exterior power by t x t minors, lexicographic index sets."""
+    sets = list(itertools.combinations(range(len(m)), t))
+    return np.array([[np.linalg.det(m[np.ix_(rows, cols)]) for cols in sets] for rows in sets])
+
+
+def _log_transfer_sum(A, t, n):
+    """log u^T L_t^(n-1) v over window states, canonical pads from symbol 0."""
+    k, windows = A.radius, sorted(A.table)
+    points = [sft.point_from_word(A.base, (c,), 0) for c in range(A.base.alphabet_size)]
+    lpad = [p.coords(-k, -1) for p in points]
+    rpad = [p.coords(1, k) for p in points]
+    kron = [np.kron(_wedge(A.table[w], t), _wedge(A.table[w], t)) for w in windows]
+    e = np.eye(len(_wedge(A.table[windows[0]], t))).ravel()
+    size = len(e)
+    L = np.zeros((len(windows) * size, len(windows) * size))
+    for i, w in enumerate(windows):
+        for j, w2 in enumerate(windows):
+            if w2[:-1] == w[1:] and A.base.allowed(w[-1], w2[-1]):
+                L[j * size:(j + 1) * size, i * size:(i + 1) * size] = kron[j]
+    v = np.concatenate([kron[i] @ e if w[:k] == lpad[w[k]] else 0 * e
+                        for i, w in enumerate(windows)])
+    u = np.concatenate([e if w[k + 1:] == rpad[w[k]] else 0 * e for w in windows])
+    for _ in range(n - 1):
+        v = L @ v
+    return float(np.log(u @ v))
+
+
+def _log_sum_e_t(rows, t):
+    """log of the sum over rows of e_t(exp(2 rows)), by log-sum-exp."""
+    terms = np.column_stack([2 * rows[:, list(S)].sum(axis=1)
+                             for S in itertools.combinations(range(rows.shape[1]), t)]).ravel()
+    top = terms.max()
+    return float(top + np.log(np.sum(np.exp(terms - top))))
+
+
+@pytest.mark.parametrize("name", IDENTITY_COCYCLES)
+def test_sweep_levels_satisfy_the_transfer_identity(name):
+    A = KERNEL_COCYCLES[name]()
+    rows = sweep_log_singular(A, [6, 12], 0)
+    for n, level in rows.items():
+        for t in range(1, A.dim + 1):
+            ref = _log_transfer_sum(A, t, n)
+            err = abs(_log_sum_e_t(level, t) - ref)
+            assert err <= 8 * np.finfo(float).eps * max(1.0, abs(ref)), (n, t, err)
 
 
 # -- power-of-two rescaling ---------------------------------------------------

@@ -110,7 +110,7 @@ def test_pressure_subadditive_up_to_distortion(radius1, typical2):
 
 
 def test_cylinder_weights_normalized(typical2):
-    cw = cylinder_weights(typical2, 1.0, 5)
+    cw = cylinder_weights(typical2, 1.0, [5])[5]
     v = cw.normalized()
     assert np.all(v > 0)
     assert np.sum(v) == pytest.approx(1.0)
@@ -146,6 +146,32 @@ def test_theorem_c_identical_cocycles(typical2, monkeypatch):
     assert rep.pressure_a.value == rep.pressure_b.value
     for _, tv in rep.tv_by_n:
         assert tv == 0.0
+
+
+def test_theorem_c_sweeps_each_cocycle_once(typical2, monkeypatch):
+    # the pressures over N_RANGE and the weights at TV_LEVELS come from one
+    # sweep per cocycle, and match a pressure and weights of their own
+    B = cocycle.scaled_cocycle(typical2, 0.3)
+    p, z, _ = typicality.find_typical_pair(typical2)
+    cert = typicality.family_certificate([typical2, B], p, z)
+    calls = []
+    sweep = thermo.sweep_log_singular
+
+    def counted(A, n_list, *args, **kwargs):
+        calls.append(sorted(n_list))
+        return sweep(A, n_list, *args, **kwargs)
+
+    monkeypatch.setattr(thermo, "sweep_log_singular", counted)
+    rep = theorem_c_experiment(typical2, B, cert, 5, 1e-9)
+    levels = sorted(set(thermo.N_RANGE) | set(thermo.TV_LEVELS))
+    assert calls == [levels, levels]
+    monkeypatch.setattr(thermo, "sweep_log_singular", sweep)
+    assert rep.pressure_a == pressure(typical2, 1.0, thermo.N_RANGE)
+    assert rep.pressure_b == pressure(B, 1.0, thermo.N_RANGE)
+    for n, tv in rep.tv_by_n:
+        va = cylinder_weights(typical2, 1.0, [n])[n].normalized()
+        vb = cylinder_weights(B, 1.0, [n])[n].normalized()
+        assert tv == float(0.5 * np.sum(np.abs(va - vb)))
 
 
 def test_theorem_c_perturbed_not_constant(typical2):
