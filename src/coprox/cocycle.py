@@ -7,23 +7,24 @@ exactly k steps (all further factors coincide on a common leaf), so
 holonomies here are *exact* finite products, and fiber-bunching is not
 needed for their existence.
 
-Also provides the time-reversed (inverse) cocycle over the transposed
-subshift, exterior-power cocycles, and the one long-product kernel:
-symbol arrays become table rows (``_window_rows``), and rescaled products
-over those rows (``_extend_products``), each held as 2^scale times a
-matrix with its peak entry in [0.5, 1), feed the spectral ladder
-(``_ladder``).  It serves level sweeps over all admissible words
-(``sweep_log_singular``), given words (``batch_log_singular``), single
-orbits as batches of one (``orbit_mu_vec``, synthesis folds) and cycles
-(``cycle_chi_rows``), with the same bytes per product on every path and
-at most one worker pool per call.  Rescaling is by powers of two, which
-is exact, so a rescaled product holds the raw product's mantissas
-whatever the rescale cadence or the calls a fold is split into, and a
-raw product (``product``) is the kernel's output with its exponent put
-back.  The ladder reads only the top of each rung: a top singular value
-comes from a closed form on 2 x 2 and 3 x 3 rungs and from the top
-eigenvalue of the rescaled product's Gram matrix on larger ones, by one
-rule per row, accurate to a few ulps (see ``_top_singular``).
+Also provides the transposed cocycle over the time-reversed subshift,
+which moves hyperplane normals backward along orbits, exterior-power
+cocycles, and the one long-product kernel: symbol arrays become table
+rows (``_window_rows``), and rescaled products over those rows
+(``_extend_products``), each held as 2^scale times a matrix with its
+peak entry in [0.5, 1), feed the spectral ladder (``_ladder``).  It
+serves level sweeps over all admissible words (``sweep_log_singular``),
+given words (``batch_log_singular``), single orbits as batches of one
+(``orbit_mu_vec``, synthesis folds) and cycles (``cycle_chi_rows``),
+with the same bytes per product on every path and at most one worker
+pool per call.  Rescaling is by powers of two, which is exact, so a
+rescaled product holds the raw product's mantissas whatever the rescale
+cadence or the calls a fold is split into, and a raw product
+(``product``) is the kernel's output with its exponent put back.  The
+ladder reads only the top of each rung: a top singular value comes from
+a closed form on 2 x 2 and 3 x 3 rungs and from the top eigenvalue of
+the rescaled product's Gram matrix on larger ones, by one rule per row,
+accurate to a few ulps (see ``_top_singular``).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class WindowCocycle:
     dim: int
     radius: int
     table: Mapping[Symbols, np.ndarray]
-    # data derived from the cocycle alone (its exterior powers, its inverse,
+    # data derived from the cocycle alone (its exterior powers, its transpose,
     # synthesis contexts), built once per cocycle: see ``_memoised``
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -278,17 +279,19 @@ def distortion_residual(A: WindowCocycle, x: PointSpec, y: PointSpec, n: int) ->
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
 
 
-def inverse_cocycle(A: WindowCocycle) -> WindowCocycle:
-    """The time-reversed cocycle as a window cocycle over the transposed shift.
+def transpose_cocycle(A: WindowCocycle) -> WindowCocycle:
+    """The transposed cocycle over the time-reversed subshift.
 
-    Windows reverse, matrices invert; a point x corresponds to the reversed
-    point with coordinates x_{-1-i}, under which products satisfy
-    product(inverse, reversed x, n) = product(A, x, -n).  Built and
-    validated once per cocycle.
+    Windows reverse, matrices transpose; a point x corresponds to the
+    reversed point with coordinates x_{-1-i}, under which products satisfy
+    product(transpose, reversed x, n) = product(A, x.shift(-n), n)^T, so a
+    hyperplane with normal v moved back n steps by A has normal
+    product(transpose, reversed x, n) v.  Built and validated once per
+    cocycle.
     """
-    return _memoised(A, "inverse", lambda: WindowCocycle(
+    return _memoised(A, "transpose", lambda: WindowCocycle(
         reverse_sft(A.base), A.dim, A.radius,
-        {w[::-1]: np.linalg.inv(m) for w, m in A.table.items()}))
+        {w[::-1]: m.T for w, m in A.table.items()}))
 
 
 def exterior_cocycle(A: WindowCocycle, t: int) -> WindowCocycle:
@@ -697,9 +700,13 @@ def cocycle_from_dict(data: dict) -> WindowCocycle:
         raise InputFormatError(f"cocycle file missing or malformed field: {exc}") from exc
     if q > 10:
         raise InputFormatError("digit window strings support alphabets up to 10")
+    if not isinstance(entries, list):
+        raise InputFormatError("entries must be a list")
     try:
+        if np.ndim(adjacency) != 2:
+            raise ValueError("must be a matrix, a list of rows")
         base = Sft.from_matrix(adjacency)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputFormatError(f"adjacency: {exc}") from exc
     if base.alphabet_size != q:
         raise InputFormatError("alphabet size does not match adjacency shape")

@@ -170,21 +170,6 @@ def hyperplane_basis(normal: np.ndarray) -> np.ndarray:
     return Q[:, 1:]
 
 
-def wedge_coords(columns: np.ndarray) -> np.ndarray:
-    """Coordinates of col_1 ^ ... ^ col_t in the lexicographic basis."""
-    d, t = columns.shape
-    idx = _subsets(d, t)
-    out = np.empty(len(idx))
-    for i, I in enumerate(idx):
-        out[i] = np.linalg.det(columns[np.array(I), :])
-    return out
-
-
-def hyperplane_wedge(normal: np.ndarray) -> np.ndarray:
-    """Wedge-coordinate direction of the hyperplane normal^perp."""
-    return unit(wedge_coords(hyperplane_basis(normal)))
-
-
 @dataclass(frozen=True)
 class Cone:
     """Angular cone C(center, radius) = {u : rho(u, center) <= radius}."""

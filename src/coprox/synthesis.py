@@ -46,10 +46,10 @@ from .cocycle import (
     exterior_cocycle,
     holonomy_s,
     holonomy_u,
-    inverse_cocycle,
     orbit_mu_vec,
     product,
     require_common_base,
+    transpose_cocycle,
 )
 from .errors import (
     DegenerateTopSingularValue,
@@ -61,7 +61,6 @@ from .errors import (
 from .matnum import (
     ams_hyperplane,
     fit_line,
-    hyperplane_wedge,
     rho,
     rho_to_hyperplane,
     unit,
@@ -266,8 +265,8 @@ def _side(family: tuple[WindowCocycle, ...], p: PointSpec, z: PointSpec) -> Side
 class FamilyContext:
     """A cocycle family with a common certified pair, as two mirrored
     sides: ``forward`` turns directions with the family itself, and
-    ``reverse`` steers hyperplanes with the inverse cocycles on the reversed
-    subshift acting on hyperplane wedges."""
+    ``reverse`` steers hyperplane normals with the transposed family on the
+    reversed subshift (a hyperplane v^perp moved back by g is (g^T v)^perp)."""
 
     forward: Side
     reverse: Side
@@ -278,12 +277,8 @@ def build_family_context(family: Sequence[WindowCocycle], p: PointSpec,
     family = tuple(family)
     require_common_base(family)
     forward = _side(family, p, z)
-    rev_wedge = tuple(
-        exterior_cocycle(inverse_cocycle(A), A.dim - 1) if A.dim > 1
-        else inverse_cocycle(A)
-        for A in family
-    )
-    return FamilyContext(forward, _side(rev_wedge, reverse_point(p), reverse_point(forward.z)))
+    return FamilyContext(forward, _side(tuple(map(transpose_cocycle, family)),
+                                        reverse_point(p), reverse_point(forward.z)))
 
 
 def exterior_family_context(A: WindowCocycle, p: PointSpec, z: PointSpec) -> FamilyContext:
@@ -329,7 +324,7 @@ def _path_to_top(side: Side, x, dirs, eps_target, delta, ell):
 
 def _reversed_to_forward(path_rev: PathSpec, p: PointSpec, y: PointSpec) -> PathSpec:
     """Translate a reversed-subshift path rev(y) -> rev(p) into the forward
-    path p -> y (member matrices invert under the translation)."""
+    path p -> y (member matrices transpose under the translation)."""
     y1 = reverse_point(path_rev.x0.shift(path_rev.n))
     return PathSpec(p, y1, path_rev.n, y)
 
@@ -343,8 +338,8 @@ def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
 
     Two turning passes into p: the given directions ride the forward family
     toward the top eigendirections while, on the reversed subshift, the
-    hyperplane wedges ride the inverse family toward theirs; bracketing the
-    legs at p yields the path and the angular margins are read off
+    hyperplane normals ride the transposed family toward theirs; bracketing
+    the legs at p yields the path and the angular margins are read off
     directly.  The margins are intrinsically exponential in the leg
     lengths (the legs end in long runs of the return map), so the floor
     only guards against genuine degeneracy; deterministic retries sharpen
@@ -356,7 +351,6 @@ def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
     eta = min(
         rho_to_hyperplane(f.vector(0), f.hyperplane_normal(0)) for f in fwd.frames
     )
-    wedge_dirs = [hyperplane_wedge(nrm) for nrm in normals]
     y_rev = reverse_point(y)
     for k in range(TRANSVERSAL_ATTEMPTS):
         eps = eta / 4.0 / 2**k
@@ -365,7 +359,7 @@ def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
         leg = _path_to_top(fwd, x, dirs, eps, delta, ell)
         if leg is None:
             continue
-        rev_leg = _path_to_top(ctx.reverse, y_rev, wedge_dirs, eps, delta, ell)
+        rev_leg = _path_to_top(ctx.reverse, y_rev, normals, eps, delta, ell)
         if rev_leg is None:
             continue
         path = connect(leg[0], _reversed_to_forward(rev_leg[0], fwd.p, y))

@@ -51,6 +51,18 @@ def radius2():
     return WindowCocycle(base, 2, 2, table)
 
 
+@pytest.fixture(scope="session")
+def dim4():
+    """Full 2-shift, 4x4: a diagonal and a rotation."""
+    base = sft.full_shift(2)
+    rng = np.random.default_rng(5)
+    q_mat, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    if np.linalg.det(q_mat) < 0:
+        q_mat[:, 0] = -q_mat[:, 0]
+    # log-moduli with distinct subset sums, so every exterior power pinches
+    return WindowCocycle(base, 4, 0, {(0,): np.diag([16.0, 7.0, 3.0, 1.0]), (1,): q_mat})
+
+
 def _tri_radius1(base):
     """Radius 1 over the 3-symbol base, where bridging 2 back to the fixed
     symbol 0 needs an intermediate symbol, so the pads are nontrivial."""

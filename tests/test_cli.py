@@ -111,6 +111,19 @@ def test_scalar_matrix_entry_is_an_input_error(demo_file, tmp_path, capsys):
     assert capsys.readouterr().err == "input error: matrix for window (1,) has shape ()\n"
 
 
+@pytest.mark.parametrize("field, message", [
+    ("adjacency", "adjacency: must be a matrix, a list of rows"),
+    ("entries", "entries must be a list"),
+])
+def test_scalar_field_is_an_input_error(demo_file, tmp_path, capsys, field, message):
+    data = json.loads(demo_file.read_text())
+    data[field] = 5
+    bad = tmp_path / "scalar.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("command", ["synthesize", "verify-bound"])
 def test_base_without_fixed_symbol_is_an_error(tmp_path, capsys, command, dim):

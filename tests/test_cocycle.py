@@ -15,11 +15,11 @@ from coprox.cocycle import (
     holonomy_loop,
     holonomy_s,
     holonomy_u,
-    inverse_cocycle,
     orbit_mu_vec,
     product,
     rectangle,
     scaled_cocycle,
+    transpose_cocycle,
 )
 from coprox.errors import InputFormatError, NotHomoclinic, NotOnLocalLeaf
 
@@ -199,37 +199,47 @@ def test_distortion_identity(radius1, typical2):
     assert distortion_residual(typical2, x, y, 4) < 1e-12
 
 
-def test_inverse_cocycle_involution(radius1):
-    inv = inverse_cocycle(radius1)
-    back = inverse_cocycle(inv)
+def test_transpose_cocycle_involution(radius1):
+    tr = transpose_cocycle(radius1)
+    assert transpose_cocycle(radius1) is tr  # built once per cocycle
+    assert tr.base == sft.reverse_sft(radius1.base)
+    back = transpose_cocycle(tr)
+    assert back.base == radius1.base
     assert set(back.table) == set(radius1.table)
-    for w in radius1.table:
-        assert np.allclose(back.table[w], radius1.table[w], atol=1e-14)
+    for w, m in radius1.table.items():
+        assert np.array_equal(tr.table[w[::-1]], m.T)
+        assert np.array_equal(back.table[w], m)
 
 
-def test_inverse_cocycle_constant():
+def test_transpose_cocycle_constant():
     A = demos.constant_diag_4_1()
-    inv = inverse_cocycle(A)
-    for m in inv.table.values():
-        assert np.allclose(m, np.diag([0.25, 1.0]))
+    for m in transpose_cocycle(A).table.values():
+        assert np.array_equal(m, np.diag([4.0, 1.0]))
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    B = WindowCocycle(sft.full_shift(2), 2, 0, {(0,): shear, (1,): shear})
+    x = sft.point_from_word(B.base, (1, 0, 1), 0)
+    for n in (1, 2, 7):
+        assert np.array_equal(product(transpose_cocycle(B), x, n), [[1.0, 0.0], [n, 1.0]])
 
 
-def test_inverse_product_correspondence(radius1):
+def test_transpose_product_correspondence(radius1):
     x = sft.point_from_word(radius1.base, (1, 0, 0, 1, 1), 0)
-    inv = inverse_cocycle(radius1)
+    tr = transpose_cocycle(radius1)
     for n in (1, 2, 5):
-        got = product(inv, sft.reverse_point(x), n)
-        expect = product(radius1, x, -n)
+        got = product(tr, sft.reverse_point(x), n)
+        expect = product(radius1, x.shift(-n), n).T
         assert np.allclose(got, expect, atol=1e-12)
 
 
-def test_inverse_loop_is_inverse(radius1, full2):
+def test_transpose_loop_is_transpose(radius1, full2):
     p = sft.fixed_point(full2, 0)
     z = sft.homoclinic_point(full2, 0, (1, 1))
     psi = holonomy_loop(radius1, p, z)
-    inv = inverse_cocycle(radius1)
-    psi_rev = holonomy_loop(inv, sft.reverse_point(p), sft.reverse_point(z))
-    assert np.linalg.norm(psi_rev - np.linalg.inv(psi)) < 1e-10
+    tr = transpose_cocycle(radius1)
+    psi_rev = holonomy_loop(tr, sft.reverse_point(p), sft.reverse_point(z))
+    assert np.linalg.norm(psi_rev - psi.T) < 1e-10
+    # the loop is far from orthogonal, so this tells psi^T from psi^-T
+    assert np.linalg.norm(psi_rev - np.linalg.inv(psi).T) > 1e-2
 
 
 def test_exterior_cocycle_products(typical3):

@@ -6,7 +6,6 @@ checks those on the powers t >= 2 and the synthesizer still certifies all
 exterior powers."""
 
 import numpy as np
-import pytest
 
 from coprox import cocycle, sft, synthesis, typicality
 from coprox.cli import main
@@ -14,18 +13,6 @@ from coprox.matnum import exterior_power, unit
 from coprox.proximal import is_eps_proximal
 from coprox.typicality import eigen_frame, twisting_margin
 from conftest import ref_product_scaled
-
-
-@pytest.fixture(scope="module")
-def dim4():
-    base = sft.full_shift(2)
-    rng = np.random.default_rng(5)
-    q_mat, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-    if np.linalg.det(q_mat) < 0:
-        q_mat[:, 0] = -q_mat[:, 0]
-    # log-moduli with distinct subset sums, so every exterior power pinches
-    return cocycle.WindowCocycle(
-        base, 4, 0, {(0,): np.diag([16.0, 7.0, 3.0, 1.0]), (1,): q_mat})
 
 
 def test_full_collections_structurally_zero_on_wedge_square(dim4):

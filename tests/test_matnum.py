@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import pi, sqrt
 
 import numpy as np
@@ -133,6 +134,37 @@ def test_hyperplane_basis_orthonormal():
         assert b.shape == (d, d - 1)
         assert np.allclose(b.T @ b, np.eye(d - 1), atol=1e-12)
         assert np.allclose(b.T @ n, 0.0, atol=1e-12)
+
+
+def _hodge(d):
+    """Signed permutation e_I -> (-1)^j e_j on the lexicographic basis of
+    (d-1)-vectors, j the index missing from I."""
+    H = np.zeros((d, d))
+    for i, I in enumerate(combinations(range(d), d - 1)):
+        j = (set(range(d)) - set(I)).pop()
+        H[j, i] = (-1.0) ** j
+    return H
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_hodge_conjugates_inverse_wedge_to_transpose(d):
+    # why a hyperplane normal moved by g^T tracks the hyperplane's wedge
+    # moved by the (d-1)-th exterior power of g^-1, angle for angle
+    rng = np.random.default_rng(d)
+    H = _hodge(d)
+    assert np.array_equal(H.T @ H, np.eye(d))
+    for _ in range(8):
+        g = random_invertible(rng, d)
+        lhs = matnum.exterior_power(np.linalg.inv(g), d - 1)
+        rhs = H.T @ g.T @ H / np.linalg.det(g)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        n = matnum.unit(rng.normal(size=d))
+        b = matnum.hyperplane_basis(n)
+        wedge = np.array([np.linalg.det(b[list(I), :])
+                          for I in combinations(range(d), d - 1)])
+        assert min(np.linalg.norm(H @ wedge - n), np.linalg.norm(H @ wedge + n)) < 1e-12
+        u, v = rng.normal(size=(2, d))
+        assert matnum.rho(H @ u, H @ v) == pytest.approx(matnum.rho(u, v), abs=1e-14)
 
 
 # certified cone arithmetic ----------------------------------------------------

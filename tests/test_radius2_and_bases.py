@@ -72,10 +72,10 @@ def test_radius2_identities(radius2):
     rhs = holonomy_s(radius2, z.shift(ell), p) @ product(radius2, z, ell) \
         @ holonomy_u(radius2, p, z)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) < 1e-10
-    inv = cocycle.inverse_cocycle(radius2)
-    assert inv.radius == 2
-    psi_rev = holonomy_loop(inv, sft.reverse_point(p), sft.reverse_point(z))
-    assert np.linalg.norm(psi_rev - np.linalg.inv(psi)) < 1e-9
+    tr = cocycle.transpose_cocycle(radius2)
+    assert tr.radius == 2
+    psi_rev = holonomy_loop(tr, sft.reverse_point(p), sft.reverse_point(z))
+    assert np.linalg.norm(psi_rev - psi.T) < 1e-9
 
 
 def test_radius2_batch_matches_pointwise(radius2):

@@ -1,4 +1,6 @@
 from collections import Counter
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -134,6 +136,84 @@ def test_transversal_path_d3(typical3, typical3_cert):
         assert m > 0
         got = matnum.rho_to_hyperplane(path_matrix(A, path) @ v, nrm)
         assert got == pytest.approx(m, rel=1e-6)
+
+
+def _hyperplane_wedge(normal):
+    """Unit wedge coordinates, lexicographic basis, of an orthonormal
+    basis of normal^perp."""
+    b = matnum.hyperplane_basis(normal)
+    d = len(normal)
+    return matnum.unit(np.array([np.linalg.det(b[list(I), :])
+                                 for I in combinations(range(d), d - 1)]))
+
+
+def _wedge_reverse_side(ctx):
+    """The reverse side built the other way: each member's inverse cocycle
+    over the reversed subshift, its (d-1)-th exterior power moving
+    hyperplane wedges."""
+    family = tuple(
+        cocycle.exterior_cocycle(cocycle.WindowCocycle(
+            sft.reverse_sft(B.base), B.dim, B.radius,
+            {w[::-1]: np.linalg.inv(m) for w, m in B.table.items()}), B.dim - 1)
+        for B in ctx.forward.family)
+    return synthesis._side(family, sft.reverse_point(ctx.forward.p),
+                           sft.reverse_point(ctx.forward.z))
+
+
+@pytest.mark.parametrize("name", ["typical2", "typical3", "radius1", "dim4"])
+def test_normals_on_the_transposed_family_keep_the_wedge_paths(name, request, monkeypatch):
+    # the transposed family on normals and the inverse family's exterior
+    # power on wedges are conjugate by a signed permutation, so every angle
+    # the reverse leg compares is the same, and so are the paths, margins
+    # and trunks
+    A = request.getfixturevalue(name)
+    calls = []
+    real, to_top = synthesis.transversal_path, synthesis._path_to_top
+
+    def traced(ctx, x, y, dirs, normals):
+        calls.append((ctx, x, y, dirs, normals))
+        return real(ctx, x, y, dirs, normals)
+
+    monkeypatch.setattr(synthesis, "transversal_path", traced)
+    cert = typicality.find_typical_pair(A)[2]
+    for seed, length in enumerate((3, 7, 12, 20, 40, 64, 90, 130)):
+        build_proximal_periodic(A, cert, analysis.markov_sample(A, length, seed), 0.05)
+    assert len(calls) == 8
+    ctx = calls[0][0]
+    # and arbitrary hyperplanes, which send the reverse leg turning more often
+    rng = np.random.default_rng(7)
+    for seed in range(4):
+        x = sft.point_from_word(A.base, analysis.markov_sample(A, 6, seed), ctx.forward.p.coord(0))
+        dirs, normals = ([matnum.unit(rng.normal(size=f.dim)) for f in ctx.forward.frames]
+                         for _ in range(2))
+        calls.append((ctx, ctx.forward.p, x, dirs, normals))
+    wedge = replace(ctx, reverse=_wedge_reverse_side(ctx))
+
+    def wedge_to_top(side, x, dirs, *args):
+        if side is wedge.reverse:
+            dirs = [_hyperplane_wedge(nrm) for nrm in dirs]
+        return to_top(side, x, dirs, *args)
+
+    angles, worst = [], synthesis._worst_angle
+
+    def recorded(frames, u):
+        angles[-1].append(worst(frames, u))
+        return angles[-1][-1]
+
+    monkeypatch.setattr(synthesis, "_path_to_top", wedge_to_top)
+    monkeypatch.setattr(synthesis, "_worst_angle", recorded)
+    for _, x, y, dirs, normals in calls:
+        angles.append([])
+        path, margins, trunks = real(ctx, x, y, dirs, normals)
+        angles.append([])
+        path_w, margins_w, trunks_w = real(wedge, x, y, dirs, normals)
+        # the angles each leg tests against its target, in the same order
+        assert len(angles[-2]) == len(angles[-1])
+        assert np.allclose(angles[-2], angles[-1], rtol=0, atol=1e-9)
+        assert path == path_w
+        assert np.array(margins).tobytes() == np.array(margins_w).tobytes()
+        assert all(np.array_equal(a, b) for t, t_w in zip(trunks, trunks_w)
+                   for a, b in zip(t, t_w))
 
 
 def test_build_proximal_periodic_demo(typical2, typical2_cert):
