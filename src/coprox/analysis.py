@@ -91,7 +91,8 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int], *,
 
     Words are evaluated at canonical representative points, and all
     lengths come from one level sweep
-    (:func:`coprox.cocycle.sweep_log_singular`) on ``workers`` threads.
+    (:func:`coprox.cocycle.sweep_log_singular`) on ``workers`` threads,
+    whose row map keeps only each word's gap.
     A length with more than ``EXHAUSTIVE_BUDGET`` words is an error.
     """
     if not 1 <= i <= A.dim - 1:
@@ -102,8 +103,9 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int], *,
     if too_long:
         raise ValueError(f"lengths {too_long} have more than {EXHAUSTIVE_BUDGET} words, "
                          "the exhaustive budget")
-    logs = sweep_log_singular(A, n_list, least_fixed_symbol(A.base), workers=workers)
-    minima = [float(np.min(logs[n][:, i - 1] - logs[n][:, i])) for n in n_list]
+    gaps = sweep_log_singular(A, n_list, least_fixed_symbol(A.base), workers=workers,
+                              row_map=lambda rows: rows[:, i - 1] - rows[:, i])
+    minima = [float(np.min(gaps[n])) for n in n_list]
     slope, intercept, r2, se = fit_line(list(n_list), minima)
     return GapProfile(i, tuple(n_list), tuple(minima), "exhaustive", slope, intercept,
                       r2, se)

@@ -543,9 +543,12 @@ def _kernel_tables(A: WindowCocycle) -> None:
     A._lookup, A._rungs, A._cadences, A._logdets
 
 
-ROW_CAP = 1024
+ROW_CAP = 4096
 """Most rows one kernel batch carries: sweep levels and word batches with
-more are cut into contiguous blocks."""
+more are cut into contiguous blocks.  A sweep block costs a fixed few
+hundred microseconds of numpy and Python calls, which pool threads run
+one at a time, so blocks are large; on 3x3 rungs one holds about 0.6 MB
+of products.  Larger caps save little more time and cost memory."""
 
 
 def _blocks(count: int) -> list[slice]:
@@ -587,84 +590,110 @@ def _edge(words: np.ndarray, lpads: np.ndarray, width: int) -> np.ndarray:
     return left[:, max(0, left.shape[1] - width):]
 
 
-def _sweep(A: WindowCocycle, pads, state, out: dict, workers: int = 1) -> None:
+def _cut(T: np.ndarray, words: np.ndarray, trunks: list, logdets: np.ndarray,
+         at: dict) -> list:
+    """A level's sweep states cut into contiguous blocks of at most ROW_CAP
+    rows, each the words of a run of subtrees.  Blocks are copies, so the
+    level is freed once its caller lets go of it; a block's descendants at
+    each target start after those of the blocks before it."""
+    n = words.shape[1]
+    # level-m descendants of the words before each row
+    before = {m: np.concatenate([[0], np.cumsum(
+        np.linalg.matrix_power(T, m - n).sum(axis=1)[words[:, -1]])]) for m in at}
+    return [[words[b].copy(), [(p[b].copy(), s[b].copy()) for p, s in trunks],
+             logdets[b].copy(), {m: at[m] + int(before[m][b.start]) for m in at}]
+            for b in _blocks(len(words))]
+
+
+def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list, workers: int = 1) -> None:
     """Sweep on from a state, writing the rows of each target length n
-    left to sweep into ``out[n]`` from row ``at[n]`` on.
+    left to sweep into ``out[n]`` from row ``at[n]`` on, each block of rows
+    through ``row_map`` when one is given.
 
-    A level-L state is (words, trunks, logdets, at): the length-L words as
-    sorted rows; per rung, the rescaled products over windows 0..L-k-2,
-    which stop before the last symbol, with the running sum of their log
-    determinants; and ``at``, per target n not yet reached, the row of
-    the first level-n descendant of these words.  The window the last
-    symbol completes is applied first, as one new column; the trunks then
-    cover every window that reads no right pad, so all extensions share
-    them, and the k windows reading the right pad are applied per target
-    in ``_ladder``.  Only these tail windows are ever read.
+    A level-L state is the list [words, trunks, logdets, at]: the length-L
+    words as sorted rows; per rung, the rescaled products over windows
+    0..L-k-2, which stop before the last symbol, with the running sum of
+    their log determinants; and ``at``, per target n not yet reached, the
+    row of the first level-n descendant of these words.  The state is
+    handed over: it is emptied on entry, so each level is freed once the
+    next is built.  The window the last symbol completes is applied first,
+    as one new column; the trunks then cover every window that reads no
+    right pad, so all extensions share them, and the k windows reading
+    the right pad are applied per target in ``_ladder``.  Only these tail
+    windows are ever read.
 
-    A level of more than ``ROW_CAP`` rows is cut into contiguous blocks,
-    each the words of a run of subtrees, swept on depth-first; a block's
-    descendants at each target start after those of the blocks before
-    it.  No kernel batch has more than ``ROW_CAP`` rows, and a sweep holds
-    the children of at most ``ROW_CAP`` words per level of depth.  The
-    first cut maps its blocks on ``workers`` threads; cuts inside a block
-    run serially, so a sweep starts at most one pool.
+    A level of more than ``ROW_CAP`` rows is cut into contiguous blocks
+    (see :func:`_cut`) and dropped; each block is swept on depth-first and
+    dropped in turn.  No kernel batch has more than ``ROW_CAP`` rows, and
+    per cut it is inside a sweep holds only that cut's blocks not yet
+    swept on, never a level it has moved past.  The first cut maps its
+    blocks on ``workers`` threads; cuts inside a block run serially, so a
+    sweep starts at most one pool.
     """
     lpads, rpads = pads
     k = A.radius
     words, trunks, logdets, at = state
+    state.clear()
     while True:
         n = words.shape[1]
         if len(words) > ROW_CAP:
-            T = A.base.matrix()
-            # level-m descendants of the words before each row
-            before = {m: np.concatenate([[0], np.cumsum(
-                np.linalg.matrix_power(T, m - n).sum(axis=1)[words[:, -1]])]) for m in at}
-            tasks = [(words[b], [(p[b], s[b]) for p, s in trunks], logdets[b],
-                      {m: at[m] + int(before[m][b.start]) for m in at})
-                     for b in _blocks(len(words))]
-            _map(workers, partial(_sweep, A, pads, out=out), tasks)
+            tasks = _cut(A.base.matrix(), words, trunks, logdets, at)
+            del words, trunks, logdets
+            _map(workers, partial(_sweep, A, pads, row_map, out), tasks)
             return
+        # each level's temporaries go as soon as they are used, so that a
+        # cut below this level holds nothing of it but its blocks
         if n > k:
             col = _window_rows(A, _edge(words, lpads, 2 * k + 1))
             trunks = [_extend_products(m, every, col, p, s)
                       for m, every, (p, s) in zip(A._rungs, A._cadences, trunks)]
             logdets = logdets + A._logdets[col[:, 0]]
+            del col
         if n in at:
             tail = np.concatenate([_edge(words, lpads, 2 * k), rpads[words[:, -1]]], axis=1)
+            rows = _ladder(A, _window_rows(A, tail), trunks, logdets)
             start = at.pop(n)
-            out[n][start:start + len(words)] = _ladder(A, _window_rows(A, tail), trunks, logdets)
+            out[n][start:start + len(words)] = rows if row_map is None else row_map(rows)
+            del tail, rows
         if not at:
             return
         parent, words = extend_words(A.base, words)
         trunks = [(p[parent], s[parent]) for p, s in trunks]
         logdets = logdets[parent]
+        del parent
 
 
 def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int,
-                       workers: int = 1) -> dict[int, np.ndarray]:
+                       workers: int = 1, row_map=None) -> dict[int, np.ndarray]:
     """Log singular values of every admissible word of each length in
     n_list, at canonical representatives: {n: rows, lexicographic order}.
+
+    With a ``row_map``, a row-wise function taking an (N, d) block of
+    these rows to N values, each length gets those values in place of its
+    rows: the map runs on each block as it is written, so the sweep holds
+    one float per word, not d, and a value is the map of its row alone.
 
     One sweep over lengths 1..max(n_list) extends each length-(n-1) state
     to its admissible children with one batched step per exterior rung, so
     a range of lengths costs about as much as the longest.  Each word's
     arithmetic (identity start, per-step rescaling, left-to-right log
     scales, log-determinant sum) is that of :func:`batch_log_singular`, so
-    the rows are byte-identical to it.  Levels are swept in blocks of at
-    most ``ROW_CAP`` rows, written in place into the returned arrays, so
-    memory beyond those rows stays bounded.  A sweep starts at most one
-    pool, of ``workers`` threads, and its rows do not depend on the worker
+    the rows are byte-identical to it.  Levels are swept depth-first in
+    blocks of at most ``ROW_CAP`` rows, written in place into the returned
+    arrays, and each level is freed once its blocks are cut, so memory
+    beyond those arrays stays bounded.  A sweep starts at most one pool,
+    of ``workers`` threads, and its rows do not depend on the worker
     count.
     """
     targets = sorted(set(n_list))
     if targets and targets[0] < 1:
         raise ValueError("lengths must be >= 1")
-    out = {n: np.empty((count_words(A.base, n), A.dim)) for n in targets}
+    shape = (A.dim,) if row_map is None else ()
+    out = {n: np.empty((count_words(A.base, n),) + shape) for n in targets}
     empty = np.zeros((1, 0), dtype=np.min_scalar_type(A.base.alphabet_size - 1))
     _kernel_tables(A)
-    _sweep(A, _pads(A, base_symbol),
-           (empty, _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)),
-           out, workers)
+    _sweep(A, _pads(A, base_symbol), row_map, out,
+           [empty, _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)], workers)
     return out
 
 
@@ -690,14 +719,21 @@ def cocycle_to_dict(A: WindowCocycle) -> dict:
 
 
 def cocycle_from_dict(data: dict) -> WindowCocycle:
+    """The cocycle of a ``coprox/cocycle/1`` document; a document of
+    another schema, or with a size (alphabet, dim, radius) that is not a
+    JSON integer, is an input error."""
     try:
-        q = int(data["alphabet"])
+        schema = data["schema"]
+        q, dim, radius = data["alphabet"], data["dim"], data["radius"]
         adjacency = data["adjacency"]
-        dim = int(data["dim"])
-        radius = int(data["radius"])
         entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputFormatError(f"cocycle file missing or malformed field: {exc}") from exc
+    if schema != COCYCLE_SCHEMA:
+        raise InputFormatError(f"schema must be {COCYCLE_SCHEMA!r}, got {schema!r}")
+    for key, value in (("alphabet", q), ("dim", dim), ("radius", radius)):
+        if type(value) is not int:  # bools, floats and strings are not sizes
+            raise InputFormatError(f"{key} must be an integer, got {value!r}")
     if q > 10:
         raise InputFormatError("digit window strings support alphabets up to 10")
     if not isinstance(entries, list):

@@ -10,6 +10,7 @@ about the genuine invariant measures.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from math import floor, inf
 from typing import Optional, Sequence
 
@@ -94,10 +95,13 @@ class CylinderWeights:
 def cylinder_weights(A: WindowCocycle, s: float, n_list: Sequence[int], *,
                      workers: int = 1) -> dict[int, CylinderWeights]:
     """Potential weights of all length-n words, lexicographic, for each n
-    in n_list: one level sweep and one vectorized potential per length,
-    each length's rows dropped once its potentials are taken."""
-    rows = sweep_log_singular(A, n_list, least_fixed_symbol(A.base), workers=workers)
-    return {n: CylinderWeights(n, s, log_phi_s(rows.pop(n), s)) for n in list(rows)}
+    in n_list: one level sweep whose row map takes each block of log
+    singular values to its log potentials as it is written, so the sweep
+    holds one float per word (the potential is row-wise, so these are the
+    bytes of the potential of the whole level's rows)."""
+    log_weights = sweep_log_singular(A, n_list, least_fixed_symbol(A.base), workers=workers,
+                                     row_map=partial(log_phi_s, s=s))
+    return {n: CylinderWeights(n, s, w) for n, w in log_weights.items()}
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,31 @@ def test_scalar_field_is_an_input_error(demo_file, tmp_path, capsys, field, mess
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("schema", "x", "schema must be 'coprox/cocycle/1', got 'x'"),
+    ("schema", "coprox/certificate/1",
+     "schema must be 'coprox/cocycle/1', got 'coprox/certificate/1'"),
+    ("schema", None, "cocycle file missing or malformed field: 'schema'"),
+    ("dim", 2.5, "dim must be an integer, got 2.5"),
+    ("dim", 2.0, "dim must be an integer, got 2.0"),
+    ("dim", True, "dim must be an integer, got True"),
+    ("radius", "0", "radius must be an integer, got '0'"),
+    ("alphabet", 2.0, "alphabet must be an integer, got 2.0"),
+], ids=["other-schema", "certificate-schema", "no-schema", "fractional-dim", "float-dim",
+        "bool-dim", "string-radius", "float-alphabet"])
+def test_schema_and_sizes_are_checked(demo_file, tmp_path, capsys, field, value, message):
+    # None deletes the field
+    data = json.loads(demo_file.read_text())
+    if value is None:
+        del data[field]
+    else:
+        data[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("command", ["synthesize", "verify-bound"])
 def test_base_without_fixed_symbol_is_an_error(tmp_path, capsys, command, dim):

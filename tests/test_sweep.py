@@ -40,8 +40,11 @@ def test_sweep_rows_equal_batch_on_enumerated_words(cocycles, name, n_set):
         assert np.array_equal(rows[n], ref)
 
 
-def _first_length_over_cap(A):
-    return next(n for n in range(1, 64) if sft.count_words(A.base, n) > cocycle.ROW_CAP)
+def _first_length_over_cap(A, times=1):
+    """The least length with more than times x ROW_CAP words: test lengths
+    follow the cap, so each level they pick is still cut into blocks."""
+    return next(n for n in range(1, 64)
+                if sft.count_words(A.base, n) > times * cocycle.ROW_CAP)
 
 
 @settings(max_examples=12, deadline=None)
@@ -60,11 +63,12 @@ def test_sweep_independent_of_worker_count(cocycles, name, n_set, over):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name, n", [("full r0", 13), ("golden r0", 20), ("skew r1", 14)])
-def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, workers, name, n):
+@pytest.mark.parametrize("name", ["full r0", "golden r0", "skew r1"])
+def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, workers, name):
     # levels several times the cap, cut again below the first cut; on the
     # skew base, blocks differ in how many descendants they have
     A = cocycles[name]
+    n = _first_length_over_cap(A, 4)
     assert sft.count_words(A.base, n) > 4 * cocycle.ROW_CAP
     sizes = []
     extend = cocycle._extend_products
@@ -126,18 +130,61 @@ def pool_starts(monkeypatch):
 
 
 def test_pressure_starts_one_pool(pool_starts):
-    # levels 15 to 17 (1,597 to 4,181 words) are over the row cap
+    # the top three levels are over the row cap: the first is cut into
+    # blocks, and the blocks are cut again further down
     A = demos.golden_typical_3x3()
-    est = thermo.pressure(A, 1.5, range(2, 18), workers=2)
+    lengths = range(2, _first_length_over_cap(A) + 3)
+    est = thermo.pressure(A, 1.5, lengths, workers=2)
     assert len(pool_starts) == 1
-    assert est.p_n == thermo.pressure(A, 1.5, range(2, 18)).p_n
+    assert est.p_n == thermo.pressure(A, 1.5, lengths).p_n
 
 
 def test_gap_profile_starts_at_most_one_pool(pool_starts):
     A = demos.dominated_2x2()
-    prof = analysis.gap_profile(A, 1, range(2, 12), workers=2)
+    lengths = range(2, _first_length_over_cap(A) + 2)
+    prof = analysis.gap_profile(A, 1, lengths, workers=2)
     assert len(pool_starts) == 1
-    assert prof.minima == analysis.gap_profile(A, 1, range(2, 12)).minima
+    assert prof.minima == analysis.gap_profile(A, 1, lengths).minima
+
+
+# -- row maps: each block reduced to what its caller reads -----------------
+#
+# Potentials and gaps are row-wise, so mapping each block as it is written
+# gives the bytes of mapping each level's full rows afterwards.
+
+REDUCER_DEMOS = ["golden3x3", "dominated2x2", "radius1"]
+
+
+def _lengths_over_cap(A):
+    """A length below the cap, the first over it and the one after."""
+    n = _first_length_over_cap(A)
+    return [n - 3, n, n + 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", REDUCER_DEMOS)
+def test_cylinder_weights_equal_potentials_of_the_full_rows(name, workers):
+    A = demos.DEMOS[name]()
+    lengths = _lengths_over_cap(A)
+    rows = sweep_log_singular(A, lengths, sft.least_fixed_symbol(A.base), workers=workers)
+    for s in (0.0, 0.6, 1.0, 1.5, A.dim, A.dim + 0.7):
+        weights = thermo.cylinder_weights(A, s, lengths, workers=workers)
+        assert sorted(weights) == lengths
+        for n in lengths:
+            ref = thermo.log_phi_s(rows[n], s)
+            assert weights[n].log_weights.tobytes() == ref.tobytes(), (s, n)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", REDUCER_DEMOS)
+def test_gap_profile_minima_equal_those_of_the_full_rows(name, workers):
+    A = demos.DEMOS[name]()
+    lengths = _lengths_over_cap(A)
+    rows = sweep_log_singular(A, lengths, sft.least_fixed_symbol(A.base), workers=workers)
+    for i in range(1, A.dim):
+        prof = analysis.gap_profile(A, i, lengths, workers=workers)
+        ref = [float(np.min(rows[n][:, i - 1] - rows[n][:, i])) for n in lengths]
+        assert np.array(prof.minima).tobytes() == np.array(ref).tobytes(), i
 
 
 # -- per-step references: one rescaled matmul per step, as a loop -----------
