@@ -22,6 +22,7 @@ from .sft import (
     cycle_array,
     least_fixed_symbol,
     lyndon_mask,
+    word_arrays,
 )
 from .synthesis import SYNTHESIS_ERRORS, build_proximal_periodic
 
@@ -33,12 +34,13 @@ def periodic_lyapunov(A: WindowCocycle, q: PeriodicWord) -> np.ndarray:
 
 def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicWord, np.ndarray]]:
     """All periodic orbits of period <= max_period with their exponent
-    vectors, sorted by word.  Each orbit is its Lyndon word (its orbit
-    key), picked per period by one :func:`coprox.sft.lyndon_mask` over the
-    cycle array; one ladder runs over the kept rows."""
+    vectors, sorted by word.  One word array is extended period by period;
+    each orbit is its Lyndon word (its orbit key), picked per period by one
+    :func:`coprox.sft.lyndon_mask` over the cycles among the words, and
+    one ladder runs over the kept rows."""
     out = []
-    for n in range(1, max_period + 1):
-        cycles = cycle_array(A.base, n)
+    for n, words in zip(range(1, max_period + 1), word_arrays(A.base)):
+        cycles = cycle_array(A.base, words)
         cycles = cycles[lyndon_mask(cycles)]
         if len(cycles):
             out += zip([PeriodicWord(tuple(w)) for w in cycles.tolist()],

@@ -17,14 +17,18 @@ serves level sweeps over all admissible words (``sweep_log_singular``),
 given words (``batch_log_singular``), single orbits as batches of one
 (``orbit_mu_vec``, synthesis folds) and cycles (``cycle_chi_rows``),
 with the same bytes per product on every path and at most one worker
-pool per call.  Rescaling is by powers of two, which is exact, so a
-rescaled product holds the raw product's mantissas whatever the rescale
-cadence or the calls a fold is split into, and a raw product
-(``product``) is the kernel's output with its exponent put back.  The
-ladder reads only the top of each rung: a top singular value comes from
-a closed form on 2 x 2 and 3 x 3 rungs and from the top eigenvalue of
-the rescaled product's Gram matrix on larger ones, by one rule per row,
-accurate to a few ulps (see ``_top_singular``).
+pool per call.  The kernel holds its products column-major, as (r, r,
+rows) arrays whose every entry is a contiguous vector over the rows:
+a step by one window matrix over many rows is one GEMM, and rescales
+and tops are elementwise calls on those vectors.  Rescaling is by powers
+of two, which is exact, so a rescaled product holds the raw product's
+mantissas whatever the rescale cadence or the calls a fold is split
+into, and a raw product (``product``) is the kernel's output with its
+exponent put back.  The ladder reads only the top of each rung: a top
+singular value comes from a closed form on 2 x 2 and 3 x 3 rungs and
+from the top eigenvalue of the rescaled product's Gram matrix on larger
+ones, by one rule per row, accurate to a few ulps (see
+``_top_singular``).
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ def product(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     if n < 0:
         return np.linalg.inv(product(A, x.shift(n), -n))
     prods, scales = _extend_products(A._mats, A._cadence, _orbit_rows(A, x, n), *_start(A.dim))
-    return np.ldexp(prods[0], scales[0])
+    return np.ldexp(prods[:, :, 0], scales[0])
 
 
 def orbit_mu_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
@@ -375,16 +379,29 @@ def _rescale_cadence(mats: np.ndarray) -> int:
 
 
 def _start(dim: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """count empty products: the identity with binary scale 0."""
-    return np.repeat(np.eye(dim)[None], count, axis=0), np.zeros(count, dtype=np.int64)
+    """count empty products: the identity with binary scale 0, as a
+    column-major (dim, dim, count) stack."""
+    return np.repeat(np.eye(dim)[:, :, None], count, axis=2), np.zeros(count, dtype=np.int64)
 
 
 def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.ndarray,
-                     scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     scales: np.ndarray, take: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply the products 2^scales * prods on the left by the window
     matrices of each column of idx in turn: the one long-product kernel,
     run by sweeps, word batches, raw products, single orbits and synthesis
-    folds (batches of one) and cycles.
+    folds (batches of one) and cycles.  Row i of idx continues product
+    ``take[i]`` (product i without ``take``), so a sweep level forms its
+    children straight from their parents' products.
+
+    Products are column-major, an (r, r, rows) array: entry (i, j) of
+    every product is one contiguous vector over the rows.  A step by
+    window matrix M over many rows is then one GEMM, M @ P.reshape(r, r *
+    rows), and each step column runs one gather, one GEMM and one scatter
+    per window present (see :func:`_step`).  BLAS forms each entry of
+    each product as the same dot product whatever the GEMM's width (a
+    tier-1 test holds every row to a per-matrix matmul), so a row gets the
+    bytes it gets in a batch of one, which keeps its 2-D matmul loop.
 
     After every ``every``-th step (the stack's cadence, see
     :func:`_rescale_cadence`) and after the last, each product is divided
@@ -399,33 +416,60 @@ def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.nd
     A batch of one takes a scalar peak and exponent: the same IEEE
     operations, so the bytes of a batch row.
     """
+    if take is not None:
+        scales = scales[take]
+        if len(idx) == 1 or not idx.shape[1]:
+            prods, take = prods[:, :, take], None
     if not idx.shape[1]:
         return prods, scales
-    steps = mats[idx.T]
-    chunks = range(0, len(steps), every)
-    if len(prods) == 1:
-        m, s = prods[0], scales[0]
-        for c in chunks:
-            for step in steps[c:c + every, 0]:
+    if len(idx) == 1:
+        m, s, steps = np.ascontiguousarray(prods[:, :, 0]), scales[0], mats[idx[0]]
+        for c in range(0, len(steps), every):
+            for step in steps[c:c + every]:
                 m = np.matmul(step, m)
             e = np.frexp(np.maximum.reduce(np.abs(m), axis=None))[1]
             m, s = np.ldexp(m, -e), s + e
-        return m[None], np.array([s])
-    for c in chunks:
-        for step in steps[c:c + every]:
-            prods = step @ prods
+        return m[:, :, None], np.array([s])
+    cols = np.ascontiguousarray(idx.T)
+    for c in range(0, len(cols), every):
+        for col in cols[c:c + every]:
+            prods, take = _step(mats, col, prods, take), None
         prods, scales = _rescale(prods, scales)
     return prods, scales
 
 
+def _step(mats: np.ndarray, col: np.ndarray, prods: np.ndarray,
+          take: np.ndarray | None) -> np.ndarray:
+    """Each product of a column-major stack (the ``take`` rows of prods,
+    all of them without) multiplied on the left by the window matrix of
+    its row of col: per window present, one gather of its rows, one GEMM
+    and one scatter of the results; one GEMM alone when col names one
+    window only and the products are all taken in order."""
+    r = len(prods)
+    present = np.bincount(col).nonzero()[0]
+    if len(present) == 1 and take is None:
+        return (mats[present[0]] @ prods.reshape(r, -1)).reshape(r, r, -1)
+    out = np.empty((r, r, len(col)))
+    for w in present:
+        sel = (col == w).nonzero()[0]
+        block = prods.take(sel if take is None else take[sel], axis=2)
+        out[:, :, sel] = (mats[w] @ block.reshape(r, -1)).reshape(r, r, -1)
+    return out
+
+
 def _rescale(prods: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2^scales * prods with each product divided by the power of two at
-    its peak entry and the exponent added to its scale.  prods is
-    overwritten: in the sweep's pool threads a fresh array per rescale
-    costs measurably."""
-    e = np.frexp(np.abs(prods).max(axis=(1, 2)))[1]
+    """2^scales * prods with each product of a column-major stack divided
+    by the power of two at its peak entry and the exponent added to its
+    scale.  The peak is r^2 - 1 elementwise maxima over contiguous
+    vectors; prods is overwritten: in the sweep's pool threads a fresh
+    array per rescale costs measurably."""
+    entries = np.abs(prods.reshape(len(prods) ** 2, -1))
+    peak = entries[0]
+    for entry in entries[1:]:
+        np.maximum(peak, entry, out=peak)
+    e = np.frexp(peak)[1]
     np.negative(e, out=e)
-    return np.ldexp(prods, e[:, None, None], out=prods), scales - e
+    return np.ldexp(prods, e, out=prods), scales - e
 
 
 def _identity_trunks(A: WindowCocycle, count: int) -> list:
@@ -435,9 +479,15 @@ def _identity_trunks(A: WindowCocycle, count: int) -> list:
 
 def _logdet_sum(A: WindowCocycle, idx: np.ndarray, start: np.ndarray) -> np.ndarray:
     """start plus the log determinants of the windows of each row of idx,
-    added left to right (``np.cumsum`` is a sequential fold)."""
-    sums = np.concatenate([start[:, None], A._logdets[idx]], axis=1)
-    return np.cumsum(sums, axis=1, out=sums)[:, -1]
+    added left to right: by ``np.cumsum`` (a sequential fold) along a
+    single row, column by column over several."""
+    logs = A._logdets[idx]
+    if len(idx) == 1:
+        return np.cumsum(np.concatenate([start, logs[0]]))[-1:]
+    sums = start.copy()
+    for column in logs.T:
+        sums += column
+    return sums
 
 
 CLUSTERED = 1e-2
@@ -447,33 +497,34 @@ takes its top from ``np.linalg.eigvalsh``: see :func:`_top_singular`."""
 
 
 def _top_singular(prods: np.ndarray) -> np.ndarray:
-    """Top singular value of each r x r matrix of a stack, by one rule per
-    row whatever the stack's size, so a product gets the same bytes in any
-    batch.
+    """Top singular value of each r x r matrix of a column-major stack,
+    by one rule per row whatever the stack's size, so a product gets the
+    same bytes in any batch.
 
     2 x 2, [[a, b], [c, d]]: (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2,
-    a sum of two nonnegative terms, which cannot cancel.  3 x 3: the root
-    of the top eigenvalue q + 2p cos(arccos(r) / 3) of the Gram matrix
-    G = M^T M, with q = tr G / 3, p = |G - qI|_F / sqrt(6) and r = det((G -
-    qI) / p) / 2 (Smith, CACM 1961), again a sum of nonnegative terms.  It
-    loses accuracy only where arccos does, as r -> -1, where the top two
-    eigenvalues meet; rows with 1 + r < ``CLUSTERED`` (or r nan) take the
-    root of the top ``np.linalg.eigvalsh`` eigenvalue of G, as larger
-    rungs do.  Forming G and solving it perturb it by a few ulps of its
-    norm, its top eigenvalue, so by Weyl's inequality that top is good to
-    a few ulps however the eigenvalues cluster.  G's left operand is a
-    contiguous copy: on the transposed view the batched matmul is several
-    times slower.
+    a sum of two nonnegative terms, which cannot cancel.  Larger rungs read
+    the Gram matrix G = M^T M, each entry a dot product of two columns
+    summed left to right over contiguous vectors.  3 x 3: the root of the
+    top eigenvalue q + 2p cos(arccos(r) / 3) of G, with q = tr G / 3, p =
+    |G - qI|_F / sqrt(6) and r = det((G - qI) / p) / 2 (Smith, CACM 1961),
+    again a sum of nonnegative terms.  It loses accuracy only where arccos
+    does, as r -> -1, where the top two eigenvalues meet; rows with 1 + r <
+    ``CLUSTERED`` (or r nan) take the root of the top ``np.linalg.eigvalsh``
+    eigenvalue of G, as larger rungs do.  Forming G and solving it perturb
+    it by a few ulps of its norm, its top eigenvalue, so by Weyl's
+    inequality that top is good to a few ulps however the eigenvalues
+    cluster.
     """
-    size = prods.shape[1]
+    size = len(prods)
     if size == 2:
-        a, b, c, d = prods[:, 0, 0], prods[:, 0, 1], prods[:, 1, 0], prods[:, 1, 1]
+        (a, b), (c, d) = prods
         return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
-    gram = np.ascontiguousarray(prods.transpose(0, 2, 1)) @ prods
+    gram = prods[0][:, None] * prods[0][None]
+    for row in prods[1:]:
+        gram += row[:, None] * row[None]
     if size != 3:
-        return np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-    g00, g01, g02 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 0, 2]
-    g11, g12, g22 = gram[:, 1, 1], gram[:, 1, 2], gram[:, 2, 2]
+        return np.sqrt(np.linalg.eigvalsh(gram.transpose(2, 0, 1))[:, -1])
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
     q = (g00 + g11 + g22) / 3
     b00, b11, b22 = g00 - q, g11 - q, g22 - q
     p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
@@ -485,16 +536,16 @@ def _top_singular(prods: np.ndarray) -> np.ndarray:
         tops = np.sqrt(q + 2 * p * np.cos(np.arccos(np.minimum(r, 1.0)) / 3))
     fall = ~(1 + r >= CLUSTERED)
     if fall.any():
-        tops[fall] = np.sqrt(np.linalg.eigvalsh(gram[fall])[:, -1])
+        tops[fall] = np.sqrt(np.linalg.eigvalsh(gram[:, :, fall].transpose(2, 0, 1))[:, -1])
     return tops
 
 
 def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarray,
             top: str = "svd") -> np.ndarray:
     """Rows of rung differences for products continued through the window
-    rows tail from their trunks: per exterior rung, the rescaled products
-    over the windows before tail, and logdets, the left-to-right sum of
-    those windows' log determinants.
+    rows tail from their trunks: per exterior rung, the rescaled
+    column-major products over the windows before tail, and logdets, the
+    left-to-right sum of those windows' log determinants.
 
     Rung t < d is the log top singular value (top="svd": log singular
     values) or top eigenvalue modulus (top="eig": log eigenvalue moduli)
@@ -504,29 +555,30 @@ def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarra
     A rung's products come as 2^scales M, with M's peak entry in [0.5, 1)
     (or M the identity, over no windows); its log top is scales ln 2 +
     log top(M), the binary scale turned into a natural log once, here.
-    Top singular values come from :func:`_top_singular`: closed forms for
-    2 x 2 and 3 x 3 rungs, the top eigenvalue of the Gram matrix M^T M
-    from ``np.linalg.eigvalsh`` otherwise, each good to a few ulps,
-    relative.  M's peak entry keeps that top at least 1/2 and far from
-    overflow.
+    Top singular values come from :func:`_top_singular`: closed forms on
+    contiguous entry vectors for 2 x 2 and 3 x 3 rungs, the top eigenvalue
+    of the Gram matrix M^T M from ``np.linalg.eigvalsh`` otherwise, each
+    good to a few ulps, relative.  M's peak entry keeps that top at least
+    1/2 and far from overflow.  Eigenvalues come from ``np.linalg.eigvals``
+    on the stack's (rows, r, r) view, which it copies once.
     """
     out = [np.zeros(len(tail))]
     for mats, every, (prods, scales) in zip(A._rungs, A._cadences, trunks):
         prods, scales = _extend_products(mats, every, tail, prods, scales)
         if top == "eig":
-            tops = np.max(np.abs(np.linalg.eigvals(prods)), axis=1)
+            tops = np.max(np.abs(np.linalg.eigvals(prods.transpose(2, 0, 1))), axis=1)
         else:
             tops = _top_singular(prods)
         out.append(scales * LN2 + np.log(tops))
     out.append(_logdet_sum(A, tail, logdets))
-    return np.diff(np.column_stack(out), axis=1)
+    return np.diff(np.stack(out), axis=0).T
 
 
 def _map(workers: int, fn, tasks: list) -> list:
     """fn over tasks, in order: in the calling thread with one worker or
     one task, otherwise on one in-process pool of ``workers`` threads that
     shuts down on return.  Tasks share the caller's arrays, with nothing
-    to fork or pickle, and the batched matmul and eigenvalue kernels
+    to fork or pickle, and the GEMM, elementwise and eigenvalue kernels
     release the GIL, so threads run them on separate cores.  Tasks only
     read shared state: the kernel builds its cached tables before the
     first map (see :func:`_kernel_tables`).
@@ -545,10 +597,12 @@ def _kernel_tables(A: WindowCocycle) -> None:
 
 ROW_CAP = 4096
 """Most rows one kernel batch carries: sweep levels and word batches with
-more are cut into contiguous blocks.  A sweep block costs a fixed few
-hundred microseconds of numpy and Python calls, which pool threads run
-one at a time, so blocks are large; on 3x3 rungs one holds about 0.6 MB
-of products.  Larger caps save little more time and cost memory."""
+more are cut into contiguous blocks.  A sweep block makes a few dozen
+numpy calls per level whatever its rows (per window a gather, a GEMM and
+a scatter, then the rescale's maxima and the tops), so blocks are large;
+on 3x3 rungs one holds about 0.6 MB of products.  Larger caps shorten
+long single-thread sweeps a little more, but cost memory and leave fewer
+blocks to share between pool threads."""
 
 
 def _blocks(count: int) -> list[slice]:
@@ -582,27 +636,24 @@ def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols], base_symbol: 
                                [words[b] for b in _blocks(len(words))]))
 
 
-def _edge(words: np.ndarray, lpads: np.ndarray, width: int) -> np.ndarray:
-    """The last ``width`` symbols of each word with its left pad in front
-    (all of them when the padded word is shorter)."""
-    left = np.concatenate([lpads[words[:, 0]], words[:, max(0, words.shape[1] - width):]],
-                          axis=1)
-    return left[:, max(0, left.shape[1] - width):]
-
-
-def _cut(T: np.ndarray, words: np.ndarray, trunks: list, logdets: np.ndarray,
-         at: dict) -> list:
-    """A level's sweep states cut into contiguous blocks of at most ROW_CAP
-    rows, each the words of a run of subtrees.  Blocks are copies, so the
-    level is freed once its caller lets go of it; a block's descendants at
-    each target start after those of the blocks before it."""
-    n = words.shape[1]
+def _cut(T: np.ndarray, state: list) -> list:
+    """A level's sweep state cut into states of contiguous blocks of at
+    most ROW_CAP words, each the words of a run of subtrees with the run
+    of parents they extend.  Blocks are copies, so the level is freed once
+    its caller lets go of it; a block's descendants at each target start
+    after those of the blocks before it."""
+    n, words, parent, trunks, logdets, at = state
     # level-m descendants of the words before each row
     before = {m: np.concatenate([[0], np.cumsum(
         np.linalg.matrix_power(T, m - n).sum(axis=1)[words[:, -1]])]) for m in at}
-    return [[words[b].copy(), [(p[b].copy(), s[b].copy()) for p, s in trunks],
-             logdets[b].copy(), {m: at[m] + int(before[m][b.start]) for m in at}]
-            for b in _blocks(len(words))]
+    blocks = []
+    for b in _blocks(len(words)):
+        # children follow their parents' order, so a block's parents are a run
+        run = slice(parent[b.start], parent[b.stop - 1] + 1)
+        blocks.append([n, words[b].copy(), parent[b] - run.start,
+                       [(p[:, :, run].copy(), s[run].copy()) for p, s in trunks],
+                       logdets[run].copy(), {m: at[m] + int(before[m][b.start]) for m in at}])
+    return blocks
 
 
 def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list, workers: int = 1) -> None:
@@ -610,19 +661,22 @@ def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list, workers: int
     left to sweep into ``out[n]`` from row ``at[n]`` on, each block of rows
     through ``row_map`` when one is given.
 
-    A level-L state is the list [words, trunks, logdets, at]: the length-L
-    words as sorted rows; per rung, the rescaled products over windows
-    0..L-k-2, which stop before the last symbol, with the running sum of
-    their log determinants; and ``at``, per target n not yet reached, the
-    row of the first level-n descendant of these words.  The state is
-    handed over: it is emptied on entry, so each level is freed once the
-    next is built.  The window the last symbol completes is applied first,
-    as one new column; the trunks then cover every window that reads no
-    right pad, so all extensions share them, and the k windows reading
-    the right pad are applied per target in ``_ladder``.  Only these tail
-    windows are ever read.
+    A level-n state is the list [n, words, parent, trunks, logdets, at]:
+    the last 2k+1 symbols of each length-n word's padded form (all of them
+    while it is shorter), as rows in the words' sorted order; the parents'
+    per-rung rescaled products over windows 0..n-k-2, which stop before
+    the last symbol, with the running sums of their log determinants;
+    ``parent``, the parent row of each word; and ``at``, per target not
+    yet reached, the row of the first level-n descendant of these words.
+    No window reads more than 2k+1 symbols, so nothing else of a word is
+    kept.  The state is handed over: it is emptied on entry, so each level
+    is freed once the next is built.  The window the last symbol completes
+    forms the words' products straight from their parents' (see
+    :func:`_extend_products`); they then cover every window that reads no
+    right pad, so all extensions share them, and the k windows reading the
+    right pad are applied per target in ``_ladder``.
 
-    A level of more than ``ROW_CAP`` rows is cut into contiguous blocks
+    A level of more than ``ROW_CAP`` words is cut into contiguous blocks
     (see :func:`_cut`) and dropped; each block is swept on depth-first and
     dropped in turn.  No kernel batch has more than ``ROW_CAP`` rows, and
     per cut it is inside a sweep holds only that cut's blocks not yet
@@ -632,25 +686,24 @@ def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list, workers: int
     """
     lpads, rpads = pads
     k = A.radius
-    words, trunks, logdets, at = state
+    n, words, parent, trunks, logdets, at = state
     state.clear()
     while True:
-        n = words.shape[1]
         if len(words) > ROW_CAP:
-            tasks = _cut(A.base.matrix(), words, trunks, logdets, at)
-            del words, trunks, logdets
+            tasks = _cut(A.base.matrix(), [n, words, parent, trunks, logdets, at])
+            del words, parent, trunks, logdets
             _map(workers, partial(_sweep, A, pads, row_map, out), tasks)
             return
         # each level's temporaries go as soon as they are used, so that a
         # cut below this level holds nothing of it but its blocks
-        if n > k:
-            col = _window_rows(A, _edge(words, lpads, 2 * k + 1))
-            trunks = [_extend_products(m, every, col, p, s)
-                      for m, every, (p, s) in zip(A._rungs, A._cadences, trunks)]
-            logdets = logdets + A._logdets[col[:, 0]]
-            del col
+        col = _window_rows(A, words) if n > k else words[:, :0]
+        trunks = [_extend_products(m, every, col, p, s, parent)
+                  for m, every, (p, s) in zip(A._rungs, A._cadences, trunks)]
+        logdets = _logdet_sum(A, col, logdets[parent])
+        del col, parent
         if n in at:
-            tail = np.concatenate([_edge(words, lpads, 2 * k), rpads[words[:, -1]]], axis=1)
+            tail = np.concatenate([words[:, max(0, words.shape[1] - 2 * k):],
+                                   rpads[words[:, -1]]], axis=1)
             rows = _ladder(A, _window_rows(A, tail), trunks, logdets)
             start = at.pop(n)
             out[n][start:start + len(words)] = rows if row_map is None else row_map(rows)
@@ -658,9 +711,10 @@ def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list, workers: int
         if not at:
             return
         parent, words = extend_words(A.base, words)
-        trunks = [(p[parent], s[parent]) for p, s in trunks]
-        logdets = logdets[parent]
-        del parent
+        if not n:
+            words = np.concatenate([lpads[words[:, 0]], words], axis=1)
+        words = words[:, -(2 * k + 1):]
+        n += 1
 
 
 def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int,
@@ -674,8 +728,9 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
     one float per word, not d, and a value is the map of its row alone.
 
     One sweep over lengths 1..max(n_list) extends each length-(n-1) state
-    to its admissible children with one batched step per exterior rung, so
-    a range of lengths costs about as much as the longest.  Each word's
+    to its admissible children with one step per exterior rung, a GEMM per
+    window present, so a range of lengths costs about as much as the
+    longest.  Each word's
     arithmetic (identity start, per-step rescaling, left-to-right log
     scales, log-determinant sum) is that of :func:`batch_log_singular`, so
     the rows are byte-identical to it.  Levels are swept depth-first in
@@ -690,10 +745,10 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
         raise ValueError("lengths must be >= 1")
     shape = (A.dim,) if row_map is None else ()
     out = {n: np.empty((count_words(A.base, n),) + shape) for n in targets}
-    empty = np.zeros((1, 0), dtype=np.min_scalar_type(A.base.alphabet_size - 1))
     _kernel_tables(A)
-    _sweep(A, _pads(A, base_symbol), row_map, out,
-           [empty, _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)], workers)
+    root = [0, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64),
+            _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)]
+    _sweep(A, _pads(A, base_symbol), row_map, out, root, workers)
     return out
 
 

@@ -170,8 +170,8 @@ def _join(B: WindowCocycle, rows: np.ndarray, n1: int, x: PointSpec, head, tail)
     k = B.radius
     (prods, scales), _ = _fold(B, rows[:, :n1 + k], head)
     done, g, g_scales = tail
-    m = g[0] @ np.linalg.solve(product(B, x, k), prods[0])
-    return (rows[:, :n1 + done.shape[1]], *_rescale(m[None], g_scales + scales))
+    m = g[:, :, 0] @ np.linalg.solve(product(B, x, k), prods[:, :, 0])
+    return (rows[:, :n1 + done.shape[1]], *_rescale(m[:, :, None], g_scales + scales))
 
 
 def path_direction(A: WindowCocycle, path: PathSpec, v: np.ndarray, trunk=None):
@@ -180,7 +180,8 @@ def path_direction(A: WindowCocycle, path: PathSpec, v: np.ndarray, trunk=None):
     product: passed back in for a path that extends this one, it spares
     refolding their common windows (see :func:`_fold`)."""
     (prods, _), trunk = _fold(A, _orbit_rows(A, path.x0, path.n), trunk)
-    out = holonomy_s(A, path.end, path.y) @ (prods[0] @ (holonomy_u(A, path.x, path.x0) @ unit(v)))
+    out = holonomy_u(A, path.x, path.x0) @ unit(v)
+    out = holonomy_s(A, path.end, path.y) @ (prods[:, :, 0] @ out)
     return unit(out), trunk
 
 
@@ -478,7 +479,7 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
         try:
             # the rescaled product: the hyperplane reads only the top of
             # the spectrum, which rescaling keeps
-            normals = [ams_hyperplane(holonomy_s(B, g_path.end, fwd.p) @ prods[0])
+            normals = [ams_hyperplane(holonomy_s(B, g_path.end, fwd.p) @ prods[:, :, 0])
                        for B, ((prods, _), _) in zip(fwd.family, folds)]
             break
         except DegenerateTopSingularValue:
@@ -509,7 +510,7 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
             closing.append((rows, scaled))
         # the witness conditions are scale-invariant, so certify the
         # rescaled products (raw ones can overflow for large ell)
-        witnesses = tuple(eps_proximal_witness(prods[0], tau) for _, (prods, _) in closing)
+        witnesses = tuple(eps_proximal_witness(prods[:, :, 0], tau) for _, (prods, _) in closing)
         return final, q, witnesses, closing
 
     ell = max(fwd.excursion_end + 2, 8)

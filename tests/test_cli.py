@@ -239,7 +239,7 @@ def test_spectrum_golden_orbit_count(tmp_path):
     golden = sft.golden_mean_shift()
     orbits = set()
     for n in (1, 2, 3):
-        for w in sft.cycle_array(golden, n).tolist():
+        for w in sft.cycle_array(golden, sft.word_array(golden, n)).tolist():
             orbits.add(orbit_key(sft.PeriodicWord(tuple(w))))
     rows = out.read_text().strip().split("\n")[2:]
     assert len(rows) == len(orbits)

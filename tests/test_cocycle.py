@@ -296,7 +296,7 @@ def test_batch_products_match_loop(typical3):
     for i, w in enumerate(words.tolist()):
         x = sft.point_from_word(typical3.base, w, 0)
         # power-of-two rescaling is exact: the raw product's bytes come back
-        assert np.array_equal(np.ldexp(prods[i], scales[i]), _loop(typical3, x, 5))
+        assert np.array_equal(np.ldexp(prods[:, :, i], scales[i]), _loop(typical3, x, 5))
 
 
 @pytest.mark.parametrize("name", sorted(demos.DEMOS))

@@ -55,16 +55,17 @@ def test_bridge_exists_at_mixing_rate_all_pairs(golden, full2):
 
 
 def test_enumerate_periodic_counts(full2, golden):
-    assert sft.cycle_array(full2, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert len(sft.cycle_array(golden, 2)) == 3
-    assert sft.cycle_array(golden, 1).tolist() == [[0]]
+    cycles = sft.cycle_array(full2, sft.word_array(full2, 2))
+    assert cycles.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert len(sft.cycle_array(golden, sft.word_array(golden, 2))) == 3
+    assert sft.cycle_array(golden, sft.word_array(golden, 1)).tolist() == [[0]]
 
 
 def test_trace_identity(golden, full2):
     for s in (golden, full2):
         T = s.matrix().astype(np.int64)
         for n in range(1, 13):
-            assert len(sft.cycle_array(s, n)) == int(
+            assert len(sft.cycle_array(s, sft.word_array(s, n))) == int(
                 np.trace(np.linalg.matrix_power(T, n)))
 
 
@@ -164,7 +165,7 @@ def test_lyndon_mask_beyond_int64_keys(n):
 def test_cycle_array_is_the_closed_words(full2, golden):
     for s in (full2, golden, sft.full_shift(3)):
         for n in range(1, 8):
-            cycles = sft.cycle_array(s, n)
+            cycles = sft.cycle_array(s, sft.word_array(s, n))
             brute = [w for w in itertools.product(range(s.alphabet_size), repeat=n)
                      if sft.is_admissible(s, w) and s.allowed(w[-1], w[0])]
             assert cycles.dtype == np.uint8 and cycles.shape == (len(brute), n)
@@ -190,7 +191,8 @@ def test_orbit_counts_are_moebius_counts(full2, golden, cocycles):
             total = sum(_mobius(n // d) * int(np.trace(np.linalg.matrix_power(T, d)))
                         for d in range(1, n + 1) if n % d == 0)
             assert total % n == 0
-            assert int(sft.lyndon_mask(sft.cycle_array(s, n)).sum()) == total // n
+            cycles = sft.cycle_array(s, sft.word_array(s, n))
+            assert int(sft.lyndon_mask(cycles).sum()) == total // n
 
 
 def test_point_from_word_anchor(golden):
@@ -214,7 +216,7 @@ def test_random_primitive_sfts_trace_identity():
         built += 1
         Tm = s.matrix().astype(object)
         for n in range(1, 13):
-            assert len(sft.cycle_array(s, n)) == int(
+            assert len(sft.cycle_array(s, sft.word_array(s, n))) == int(
                 np.trace(np.linalg.matrix_power(Tm, n)))
 
 

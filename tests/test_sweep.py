@@ -73,9 +73,9 @@ def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, workers, nam
     sizes = []
     extend = cocycle._extend_products
 
-    def recorded(mats, every, idx, prods, scales):
-        sizes.append(len(prods))
-        return extend(mats, every, idx, prods, scales)
+    def recorded(mats, every, idx, prods, scales, take=None):
+        sizes.append(len(idx))
+        return extend(mats, every, idx, prods, scales, take)
 
     monkeypatch.setattr(cocycle, "_extend_products", recorded)
     rows = sweep_log_singular(A, [n - 2, n], 0, workers=workers)
@@ -107,13 +107,45 @@ def test_kernel_batch_rows_equal_rows_folded_alone(name, count, steps, seed):
     for mats in A._rungs or (A._mats,):
         d, every = mats.shape[1], cocycle._rescale_cadence(mats)
         idx = rng.integers(0, len(mats), size=(count, steps))
-        prods, scales = rng.normal(size=(count, d, d)), rng.integers(-64, 64, size=count)
+        prods, scales = rng.normal(size=(d, d, count)), rng.integers(-64, 64, size=count)
         batch_prods, batch_scales = cocycle._extend_products(mats, every, idx, prods, scales)
         for i in range(count):
             one_prods, one_scales = cocycle._extend_products(
-                mats, every, idx[i:i + 1], prods[i:i + 1], scales[i:i + 1])
-            assert np.array_equal(one_prods[0], batch_prods[i])
+                mats, every, idx[i:i + 1], prods[:, :, i:i + 1], scales[i:i + 1])
+            assert np.array_equal(one_prods[:, :, 0], batch_prods[:, :, i])
             assert one_scales[0] == batch_scales[i]
+
+
+# -- the GEMM against per-matrix matmuls --------------------------------------
+#
+# A step over many rows is one GEMM per window, M @ P.reshape(r, r * rows),
+# on column-major products.  Its bytes equal a per-matrix matmul's only as
+# long as BLAS forms every entry as the same dot product whatever the
+# matrix's width; a BLAS whose edge kernels round differently fails here.
+
+STEP_BATCHES = (1, 2, 3, 5, 8, 9, 4097)
+STEP_RUNGS = [pytest.param(mats, id=f"{name} t{t}")
+              for name, build in sorted(KERNEL_COCYCLES.items()) for A in [build()]
+              for t, mats in enumerate(A._rungs or (A._mats,), start=1)]
+
+
+@pytest.mark.parametrize("mats", STEP_RUNGS)
+def test_window_grouped_step_equals_per_matrix_matmul(mats):
+    # every demo rung, and the rungs of a 4x4 cocycle, a 6x6 one among them;
+    # rows of mixed windows and rows of one window, each from its own
+    # product or from a parent's
+    r = len(mats[0])
+    rng = np.random.default_rng(r)
+    for rows in STEP_BATCHES:
+        prods = rng.normal(size=(r, r, rows))
+        parent = np.sort(rng.integers(0, rows, size=rows))
+        for col in (rng.integers(0, len(mats), size=rows), np.full(rows, len(mats) - 1)):
+            for take in (None, parent):
+                got = cocycle._step(mats, col, prods, take)
+                src = np.arange(rows) if take is None else take
+                for i in range(rows):
+                    ref = np.matmul(mats[col[i]], np.ascontiguousarray(prods[:, :, src[i]]))
+                    assert got[:, :, i].tobytes() == ref.tobytes(), (rows, i, take is None)
 
 
 @pytest.fixture
@@ -210,7 +242,10 @@ def _svd_top(m):
     if len(m) == 2:
         (a, b), (c, d) = m
         return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
-    g = m.T @ m
+    # the Gram matrix's entries are column dot products, summed left to right
+    g = np.outer(m[0], m[0])
+    for row in m[1:]:
+        g = g + np.outer(row, row)
     if len(m) == 3:
         q = (g[0, 0] + g[1, 1] + g[2, 2]) / 3
         b = g - q * np.eye(3)
@@ -243,7 +278,7 @@ def test_orbit_paths_equal_per_step_references(cocycles, name, n, length, seed, 
     x = _point(A, length, seed, offset)
     (m, s), _ = synthesis._fold(A, cocycle._orbit_rows(A, x, n), None)
     ref_m, ref_s = ref_product_scaled(A, x, n)
-    assert np.array_equal(m[0], ref_m) and s[0] == ref_s
+    assert np.array_equal(m[:, :, 0], ref_m) and s[0] == ref_s
     assert np.array_equal(cocycle.orbit_mu_vec(A, x, n), _ref_ladder(A, x, n, _svd_top))
 
 
@@ -252,7 +287,8 @@ def test_periodic_spectrum_equals_per_orbit_references(cocycles, name):
     A = cocycles[name]
     spectrum = analysis.periodic_spectrum(A, 6)
     assert len(spectrum) == len({orbit_key(sft.PeriodicWord(tuple(w))) for n in range(1, 7)
-                                 for w in sft.cycle_array(A.base, n).tolist()})
+                                 for w in sft.cycle_array(A.base, sft.word_array(A.base, n))
+                                 .tolist()})
     for q, lam in spectrum:
         assert np.array_equal(lam, analysis.periodic_lyapunov(A, q))
         ref = _ref_ladder(A, sft.periodic_point(q), q.period, _eig_top) / q.period
@@ -263,7 +299,8 @@ def _ref_periodic_spectrum(A, max_period):
     """Orbit selection by one orbit_key call per enumerated cycle."""
     out = []
     for n in range(1, max_period + 1):
-        cycles = [w for w in map(sft.PeriodicWord, map(tuple, sft.cycle_array(A.base, n).tolist()))
+        words = sft.cycle_array(A.base, sft.word_array(A.base, n))
+        cycles = [w for w in map(sft.PeriodicWord, map(tuple, words.tolist()))
                   if orbit_key(w) == w.symbols]
         if cycles:
             rows = cocycle.cycle_chi_rows(A, np.array([w.symbols for w in cycles]))
@@ -308,15 +345,16 @@ GRAM_DEMOS = sorted(name for name, build in demos.DEMOS.items() if build().dim >
 
 
 def _rescaled(A, rows):
-    """Per exterior rung, the kernel's rescaled products (and binary
-    scales) over each row of window rows, started from the identity."""
+    """Per exterior rung, the kernel's rescaled products (column-major)
+    and binary scales over each row of window rows, started from the
+    identity."""
     return [cocycle._extend_products(mats, every, rows, p, s) for mats, every, (p, s)
             in zip(A._rungs, A._cadences, cocycle._identity_trunks(A, len(rows)))]
 
 
 def _assert_log_tops_match_svd(A, rows, got):
-    ref = np.column_stack([s * np.log(2.0) + np.log(np.linalg.svd(p, compute_uv=False)[:, 0])
-                           for p, s in _rescaled(A, rows)])
+    ref = np.column_stack([s * np.log(2.0) + np.log(np.linalg.svd(
+        p.transpose(2, 0, 1), compute_uv=False)[:, 0]) for p, s in _rescaled(A, rows)])
     # ladder rows are rung differences: their running sums are the log tops
     err = np.abs(np.cumsum(got, axis=1)[:, :-1] - ref)
     scale = np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
@@ -352,7 +390,7 @@ def test_gram_top_where_singular_values_cluster():
     A = demos.rotation_only_2x2()
     rows = _canonical_rows(A, 10)
     (prods, _), = _rescaled(A, rows)
-    sv = np.linalg.svd(prods, compute_uv=False)
+    sv = np.linalg.svd(prods.transpose(2, 0, 1), compute_uv=False)
     assert np.allclose(sv[:, 1], sv[:, 0], rtol=1e-13, atol=0)
     _assert_log_tops_match_svd(A, rows, sweep_log_singular(A, [10], 0)[10])
 
@@ -393,6 +431,7 @@ def test_clustered_tops_match_50_digit_svd(monkeypatch, name):
     A = demos.DEMOS[name]()
     r = A.dim
     prods = _clustered_products(r, np.random.default_rng(r))
+    stack = np.ascontiguousarray(prods.transpose(1, 2, 0))  # the kernel's column-major layout
     fallback = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -401,7 +440,7 @@ def test_clustered_tops_match_50_digit_svd(monkeypatch, name):
         return eigvalsh(gram)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    tops = cocycle._top_singular(prods)
+    tops = cocycle._top_singular(stack)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     if r == 3:
         # the widest gaps take the closed form, the tightest fall back
@@ -409,7 +448,7 @@ def test_clustered_tops_match_50_digit_svd(monkeypatch, name):
     else:
         assert not fallback
     # the ladder reads its rungs' tops off the trunks when no window follows
-    trunks = [(prods, np.zeros(len(prods), dtype=np.int64)) for _ in A._rungs]
+    trunks = [(stack, np.zeros(len(prods), dtype=np.int64)) for _ in A._rungs]
     rows = cocycle._ladder(A, np.zeros((len(prods), 0), dtype=np.int64), trunks,
                            np.zeros(len(prods)))
     ref = [_mp_top(m) for m in prods]
@@ -480,6 +519,40 @@ def test_sweep_levels_satisfy_the_transfer_identity(name):
             assert err <= 8 * np.finfo(float).eps * max(1.0, abs(ref)), (n, t, err)
 
 
+def _random_window_cocycle(base, dim, radius, seed):
+    """Well-conditioned random matrices on every admissible window."""
+    rng = np.random.default_rng(seed)
+    return cocycle.WindowCocycle(base, dim, radius, {
+        w: rng.normal(size=(dim, dim)) + 2 * np.eye(dim)
+        for w in sft.enumerate_words(base, 2 * radius + 1)})
+
+
+RANDOM_BASES = {
+    "full2": sft.full_shift(2),
+    "golden": sft.golden_mean_shift(),
+    "skew": sft.Sft.from_matrix([[1, 1, 0], [1, 0, 1], [1, 0, 0]]),
+    # 2 -> 0 and 0 -> 2 are forbidden, so the pads depend on the symbol
+    "tri": sft.Sft.from_matrix([[1, 1, 0], [1, 0, 1], [0, 1, 1]]),
+}
+
+
+@settings(max_examples=24, deadline=None)
+@given(base=st.sampled_from(sorted(RANDOM_BASES)), dim=st.integers(2, 3),
+       radius=st.integers(1, 2), seed=st.integers(0, 2**16),
+       n_set=st.sets(st.integers(1, 8), min_size=1, max_size=3))
+def test_random_window_cocycles_satisfy_the_transfer_identity(base, dim, radius, seed, n_set):
+    # at radius k >= 1 the sweep keeps only each word's last 2k+1 symbols
+    # and applies the k windows reading the right pad per target; words
+    # shorter than a window read both pads
+    A = _random_window_cocycle(RANDOM_BASES[base], dim, radius, seed)
+    rows = sweep_log_singular(A, sorted(n_set), 0)
+    for n, level in rows.items():
+        for t in range(1, dim + 1):
+            ref = _log_transfer_sum(A, t, n)
+            err = abs(_log_sum_e_t(level, t) - ref)
+            assert err <= 8 * np.finfo(float).eps * max(1.0, abs(ref)), (n, t, err)
+
+
 # -- power-of-two rescaling ---------------------------------------------------
 
 
@@ -505,5 +578,5 @@ def test_fold_bytes_do_not_depend_on_split_points(name):
         if name == "constant_diag41":
             mu = cocycle.orbit_mu_vec(A, x, n)
             assert (mu[0] - mu[1]) / np.log(2.0) > 1022
-            assert abs(whole[0, 1, 1]) < np.finfo(float).tiny
-            assert (whole[0, 1, 1] > 0) == (n == 530)
+            assert abs(whole[1, 1, 0]) < np.finfo(float).tiny
+            assert (whole[1, 1, 0] > 0) == (n == 530)

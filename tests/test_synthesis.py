@@ -541,13 +541,13 @@ def test_closing_trunk_continued_only_on_its_own_rows(radius1):
     rows, (prods, scales), _ = fold(head + (0,) * 24)
     fresh_m, fresh_s = ref_product_scaled(radius1, sft.periodic_point(
         sft.make_periodic(radius1.base, head + (0,) * 24)), 30)
-    assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s
+    assert np.array_equal(prods[:, :, 0], fresh_m) and scales[0] == fresh_s
     _, _, (done, t_prods, t_scales) = fold(head + (0,) * 8)
     assert done.shape[1] == 13 and np.array_equal(rows[:, :13], done)
     # the rows extend the trunk's: its product is continued (an offset
     # planted in its binary scale survives), giving the same matrix
     _, (prods, scales), _ = fold(head + (0,) * 24, (done, t_prods, t_scales + 1))
-    assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s + 1
+    assert np.array_equal(prods[:, :, 0], fresh_m) and scales[0] == fresh_s + 1
     # a trunk from another orbit is not continued, nor one reaching into the
     # new orbit's wrapped windows, although here its rows agree with them
     _, _, (o_done, o_prods, o_scales) = fold((1, 1, 1, 1, 0, 1) + (0,) * 8)
@@ -555,7 +555,7 @@ def test_closing_trunk_continued_only_on_its_own_rows(radius1):
     assert np.array_equal(rows[:, :30], l_done)
     for trunk in ((o_done, o_prods, o_scales + 1), (l_done, l_prods, l_scales + 1)):
         _, (prods, scales), _ = fold(head + (0,) * 24, trunk)
-        assert np.array_equal(prods[0], fresh_m) and scales[0] == fresh_s
+        assert np.array_equal(prods[:, :, 0], fresh_m) and scales[0] == fresh_s
 
 
 def test_path_trunk_continued_only_by_its_extensions(radius1, radius1_cert):
