@@ -13,17 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cocycle import WindowCocycle, cycle_chi_rows, sweep_log_singular
+from .cocycle import WindowCocycle, cycle_chi_rows, lyndon_chi_rows, sweep_log_singular
 from .matnum import fit_line
-from .sft import (
-    PeriodicWord,
-    Symbols,
-    count_words,
-    cycle_array,
-    least_fixed_symbol,
-    lyndon_mask,
-    word_arrays,
-)
+from .sft import PeriodicWord, Symbols, count_words, least_fixed_symbol
 from .synthesis import SYNTHESIS_ERRORS, build_proximal_periodic
 
 
@@ -34,17 +26,17 @@ def periodic_lyapunov(A: WindowCocycle, q: PeriodicWord) -> np.ndarray:
 
 def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicWord, np.ndarray]]:
     """All periodic orbits of period <= max_period with their exponent
-    vectors, sorted by word.  One word array is extended period by period;
-    each orbit is its Lyndon word (its orbit key), picked per period by one
-    :func:`coprox.sft.lyndon_mask` over the cycles among the words, and
-    one ladder runs over the kept rows."""
+    vectors, sorted by word.  Each orbit is its Lyndon word (its orbit
+    key), and its vector is :func:`coprox.cocycle.cycle_chi_rows`'s row over
+    the period, byte for byte; the rows are read off one level walk over
+    the admissible prenecklaces that shares every prefix's product (see
+    :func:`coprox.cocycle.lyndon_chi_rows`)."""
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
     out = []
-    for n, words in zip(range(1, max_period + 1), word_arrays(A.base)):
-        cycles = cycle_array(A.base, words)
-        cycles = cycles[lyndon_mask(cycles)]
-        if len(cycles):
-            out += zip([PeriodicWord(tuple(w)) for w in cycles.tolist()],
-                       cycle_chi_rows(A, cycles) / n)
+    for cycles, rows in lyndon_chi_rows(A, max_period):
+        n = cycles.shape[1]
+        out += zip([PeriodicWord(tuple(w)) for w in cycles.tolist()], rows / n)
     return sorted(out, key=lambda item: item[0].symbols)
 
 

@@ -15,12 +15,14 @@ rows (``_window_rows``), and rescaled products over those rows
 peak entry in [0.5, 1), feed the spectral ladder (``_ladder``).  It
 serves level sweeps over all admissible words (``sweep_log_singular``),
 given words (``batch_log_singular``), single orbits as batches of one
-(``orbit_mu_vec``, synthesis folds) and cycles (``cycle_chi_rows``),
-with the same bytes per product on every path and at most one worker
-pool per call.  The kernel holds its products column-major, as (r, r,
-rows) arrays whose every entry is a contiguous vector over the rows:
-a step by one window matrix over many rows is one GEMM, and rescales
-and tops are elementwise calls on those vectors.  Rescaling is by powers
+(``orbit_mu_vec``, synthesis folds), given cycles (``cycle_chi_rows``)
+and every periodic orbit up to a period, read off a level walk over the
+admissible prenecklaces (``lyndon_chi_rows``), with the same bytes per
+product on every path and at most one worker pool per call.  The kernel
+holds its products column-major, as (r, r, rows) arrays whose every
+entry is a contiguous vector over the rows: a step by one window matrix
+over many rows is one GEMM, and rescales and tops are elementwise calls
+on those vectors.  Rescaling is by powers
 of two, which is exact, so a rescaled product holds the raw product's
 mantissas whatever the rescale cadence or the calls a fold is split
 into, and a raw product (``product``) is the kernel's output with its
@@ -62,9 +64,11 @@ from .sft import (
     is_fixed_point,
     reverse_sft,
     point_from_word,
+    prenecklace_step,
     same_point,
     stable_shift,
     unstable_shift,
+    word_array,
 )
 
 
@@ -180,10 +184,52 @@ def orbit_mu_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
 
 def cycle_chi_rows(A: WindowCocycle, cycles: np.ndarray) -> np.ndarray:
     """Log eigenvalue moduli of the product once around each periodic point
-    given by a row of an array of admissible cycles."""
+    given by a row of an array of admissible cycles, each folded from the
+    identity: the rows :func:`lyndon_chi_rows` reproduces byte for byte."""
     n, k = cycles.shape[1], A.radius
     rows = _window_rows(A, cycles[:, np.arange(-k, n + k) % n])
     return _ladder(A, rows, _identity_trunks(A, len(rows)), np.zeros(len(rows)), "eig")
+
+
+def lyndon_chi_rows(A: WindowCocycle, max_period: int) -> list:
+    """[(cycles, rows)] per period n = 1..max_period: the admissible Lyndon
+    words of length n with an allowed wrap pair (one per orbit of period
+    n) and their :func:`cycle_chi_rows` rows, byte for byte, in walk order.
+
+    One level walk over the admissible prenecklaces (see
+    :func:`coprox.sft.prenecklace_step`) shares every prefix's product.  A
+    level-m row is a root g, an admissible k-word standing for the cycle's
+    last k symbols, and a prenecklace w[:m] with g w[:m] admissible; its
+    trunk is the product over windows 0..m-1-k of g w[:m], one column per
+    level, with its log-determinant sum.  A row is a cycle of period n
+    when w is Lyndon, its wrap pair is allowed and g = w[(-k..-1) mod n];
+    ``_ladder`` then continues its trunk through windows max(0, n-k)..n-1
+    of g w w[(0..k-1) mod n].  Those are the cycle's windows from the
+    identity, rescaled by exact powers of two and their log determinants
+    added in the same order, hence the bytes of its fold from scratch.
+    """
+    s, k = A.base, A.radius
+    words = word_array(s, k)
+    trunks, logdets = _identity_trunks(A, len(words)), np.zeros(len(words))
+    lyn = np.zeros(len(words), dtype=np.int64)
+    out = []
+    for n in range(1, max_period + 1):
+        parent, words = extend_words(s, words)
+        keep, lyn = prenecklace_step(words[:, k:], lyn[parent])
+        parent, words, lyn = parent[keep], words[keep], lyn[keep]
+        col = _window_rows(A, words[:, -(2 * k + 1):]) if n > k else words[:, :0]
+        trunks = [_extend_products(m, every, col, p, sc, parent)
+                  for m, every, (p, sc) in zip(A._rungs, A._cadences, trunks)]
+        logdets = _logdet_sum(A, col, logdets[parent])
+        cycles = words[:, k:]
+        closed = ((lyn == n) & s._arrows[cycles[:, -1], cycles[:, 0]]
+                  & (words[:, :k] == cycles[:, np.arange(-k, 0) % n]).all(axis=1))
+        sel = closed.nonzero()[0]
+        if len(sel):
+            tail = _window_rows(A, cycles[sel][:, np.arange(max(0, n - k) - k, n + k) % n])
+            trunk = [(p[:, :, sel], sc[sel]) for p, sc in trunks]
+            out.append((cycles[sel], _ladder(A, tail, trunk, logdets[sel], "eig")))
+    return out
 
 
 def holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec) -> np.ndarray:
@@ -391,8 +437,9 @@ def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.nd
     matrices of each column of idx in turn: the one long-product kernel,
     run by sweeps, word batches, raw products, single orbits and synthesis
     folds (batches of one) and cycles.  Row i of idx continues product
-    ``take[i]`` (product i without ``take``), so a sweep level forms its
-    children straight from their parents' products.
+    ``take[i]`` (product i without ``take``), so a level of a sweep or of
+    a prenecklace walk forms its children straight from their parents'
+    products.
 
     Products are column-major, an (r, r, rows) array: entry (i, j) of
     every product is one contiguous vector over the rows.  A step by

@@ -17,7 +17,6 @@ All tie-breaking is lexicographic-least so that runs are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -301,52 +300,30 @@ def extend_words(s: Sft, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return parent, np.column_stack([words[parent], child.astype(words.dtype)])
 
 
-def word_arrays(s: Sft):
-    """The arrays of all admissible words of lengths 1, 2, ... as rows of a
-    small-integer array, lexicographic order, each extending the one
-    before."""
-    words = np.zeros((1, 0), dtype=np.min_scalar_type(s.alphabet_size - 1))
-    while True:
-        _, words = extend_words(s, words)
-        yield words
-
-
 def word_array(s: Sft, n: int) -> np.ndarray:
     """All admissible words of length n as rows of a small-integer array,
-    lexicographic order."""
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    return next(islice(word_arrays(s), n - 1, None))
+    lexicographic order (one empty row for n = 0)."""
+    if n < 0:
+        raise ValueError("length must be >= 0")
+    words = np.zeros((1, 0), dtype=np.min_scalar_type(s.alphabet_size - 1))
+    for _ in range(n):
+        _, words = extend_words(s, words)
+    return words
 
 
-def cycle_array(s: Sft, words: np.ndarray) -> np.ndarray:
-    """The rows of a word array that are admissible cycles (an allowed wrap
-    pair; trace(adjacency^n) of the words of length n), in order."""
-    return words[s._arrows[words[:, -1], words[:, 0]]]
-
-
-def lyndon_mask(words: np.ndarray) -> np.ndarray:
-    """Rows strictly smaller than each of their proper rotations (the Lyndon
-    words: primitive cycles that are their own least rotation, one per
-    periodic orbit), compared as base-b
-    integer keys, b above the largest symbol; keys beyond int64 are Python
-    ints.  Rotating a key left by r: (key mod b^(n-r)) b^r + key div b^(n-r).
-    Only rows whose first symbol is below their last are compared: a Lyndon
-    word of two or more symbols is below its rotation by one to the right,
-    and one with equal ends has a border, which Lyndon words lack."""
+def prenecklace_step(words: np.ndarray, lyn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, lyn) for rows that append one symbol c to prenecklaces w
+    (prefixes of necklaces) whose longest Lyndon prefixes have lengths lyn
+    (0 for the empty word): with p = lyn and n the rows' length, c <
+    w[n-1-p] leaves the prenecklaces, c > w[n-1-p] makes a Lyndon word
+    (lyn n) and c = w[n-1-p] keeps p (Fredricksen and Maiorana, Discrete
+    Math. 1978; Duval, TCS 1988).  A row is Lyndon when lyn equals its
+    length.  Admissibility is prefix-closed, so extending the kept rows of
+    word arrays walks the admissible prenecklaces and Lyndon words."""
     n = words.shape[1]
-    b = int(words.max(initial=0)) + 1
-    mask = words[:, 0] < words[:, -1] if n > 1 else np.ones(len(words), dtype=bool)
-    rows = words[mask]
-    key = np.zeros(len(rows), dtype=np.int64 if b ** n <= 2 ** 63 - 1 else object)
-    for j in range(n):
-        key = key * b + rows[:, j].astype(key.dtype)
-    keep = np.ones(len(rows), dtype=bool)
-    for r in range(1, n):
-        head = b ** (n - r)
-        keep &= key < key % head * b ** r + key // head
-    mask[mask] = keep
-    return mask
+    c = words[:, -1]
+    ref = words[np.arange(len(words)), n - 1 - lyn]  # c itself under the empty word
+    return c >= ref, np.where((c > ref) | (lyn == 0), n, lyn)
 
 
 def enumerate_words(s: Sft, n: int) -> list[Symbols]:

@@ -154,6 +154,18 @@ def primitive_root(word):
     return word
 
 
+def cycle_array(s, words):
+    """The rows of a word array that are admissible cycles (an allowed wrap
+    pair; trace(adjacency^n) of the words of length n), in order."""
+    return words[s.matrix()[words[:, -1], words[:, 0]] == 1]
+
+
+def is_prenecklace(word):
+    """Reference test for a prenecklace, a prefix of a necklace: every
+    suffix is at least the prefix of the same length."""
+    return all(word[i:] >= word[:len(word) - i] for i in range(1, len(word)))
+
+
 def orbit_key(w):
     """Reference key of a periodic orbit (a ``sft.PeriodicWord``): the least
     rotation of its primitive root, one rotation compare at a time."""

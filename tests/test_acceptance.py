@@ -30,6 +30,7 @@ from coprox.synthesis import (
     path_matrix,
     verify_theorem_a,
 )
+from conftest import cycle_array
 
 
 def report(name, ok, detail):
@@ -403,7 +404,7 @@ def test_criterion_10_combinatorial_oracles():
         built += 1
         for n in range(1, 13):
             expect = int(np.trace(np.linalg.matrix_power(Tm, n)))
-            assert len(sft.cycle_array(s, sft.word_array(s, n))) == expect
+            assert len(cycle_array(s, sft.word_array(s, n))) == expect
             checked_counts += 1
         m = sft.mixing_rate(s)
         for a in range(q):

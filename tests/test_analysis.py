@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coprox import analysis, cocycle, demos, sft
+from coprox import analysis, cocycle, demos, sft, typicality
 from coprox.analysis import (
     gap_profile,
     markov_sample,
@@ -163,6 +163,18 @@ def test_theorem_d_small(typical2, typical2_cert):
     assert rep.all_within
     for s in rep.samples:
         assert s.allowed == pytest.approx(40.0 / 12 + 1e-9)
+
+
+def test_periodic_spectrum_rejects_max_period_below_one():
+    # a spectrum of no orbits made theorem B's periodic gap inf, its orbit
+    # '' and its verdict rest on no periodic hypothesis at all
+    A = demos.dominated_2x2()
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=r"^max_period must be >= 1$"):
+            periodic_spectrum(A, bad)
+    found = typicality.find_typical_pair(A)
+    with pytest.raises(ValueError, match=r"^max_period must be >= 1$"):
+        theorem_b_check(A, found[2], 1, 0, range(2, 9))
 
 
 def test_theorem_b_rejects_index_before_any_work():

@@ -9,7 +9,7 @@ from coprox import cli, sft, synthesis, thermo, typicality
 from coprox.cli import main
 from coprox.cocycle import WindowCocycle, load_cocycle, save_cocycle, scaled_cocycle
 from coprox.errors import SynthesisFailed
-from conftest import orbit_key
+from conftest import cycle_array, orbit_key
 
 CERT_SCHEMA = {
     "type": "object",
@@ -239,7 +239,7 @@ def test_spectrum_golden_orbit_count(tmp_path):
     golden = sft.golden_mean_shift()
     orbits = set()
     for n in (1, 2, 3):
-        for w in sft.cycle_array(golden, sft.word_array(golden, n)).tolist():
+        for w in cycle_array(golden, sft.word_array(golden, n)).tolist():
             orbits.add(orbit_key(sft.PeriodicWord(tuple(w))))
     rows = out.read_text().strip().split("\n")[2:]
     assert len(rows) == len(orbits)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from coprox import sft
 from coprox.errors import NotPrimitive, SymbolMismatch
-from conftest import orbit_key
+from conftest import cycle_array, is_prenecklace, orbit_key
 
 
 def test_mixing_rate_full_shift(full2):
@@ -55,17 +55,17 @@ def test_bridge_exists_at_mixing_rate_all_pairs(golden, full2):
 
 
 def test_enumerate_periodic_counts(full2, golden):
-    cycles = sft.cycle_array(full2, sft.word_array(full2, 2))
+    cycles = cycle_array(full2, sft.word_array(full2, 2))
     assert cycles.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
-    assert len(sft.cycle_array(golden, sft.word_array(golden, 2))) == 3
-    assert sft.cycle_array(golden, sft.word_array(golden, 1)).tolist() == [[0]]
+    assert len(cycle_array(golden, sft.word_array(golden, 2))) == 3
+    assert cycle_array(golden, sft.word_array(golden, 1)).tolist() == [[0]]
 
 
 def test_trace_identity(golden, full2):
     for s in (golden, full2):
         T = s.matrix().astype(np.int64)
         for n in range(1, 13):
-            assert len(sft.cycle_array(s, sft.word_array(s, n))) == int(
+            assert len(cycle_array(s, sft.word_array(s, n))) == int(
                 np.trace(np.linalg.matrix_power(T, n)))
 
 
@@ -140,32 +140,60 @@ def test_orbit_key():
     assert orbit_key(sft.PeriodicWord((1, 0, 1, 0))) == (0, 1)
 
 
+def _fed_symbol_by_symbol(rows):
+    """Rows fed to ``prenecklace_step`` one symbol at a time: per row,
+    whether it stays a prenecklace, and its longest Lyndon prefix's
+    length."""
+    words = np.array(rows, dtype=np.uint8)
+    alive, lyn = np.ones(len(words), dtype=bool), np.zeros(len(words), dtype=np.int64)
+    for m in range(1, words.shape[1] + 1):
+        keep, lyn = sft.prenecklace_step(words[:, :m], lyn)
+        alive &= keep
+    return alive, lyn
+
+
+def _lyndon_by_recurrence(rows):
+    alive, lyn = _fed_symbol_by_symbol(rows)
+    return (alive & (lyn == len(rows[0]))).tolist()
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), q=st.integers(2, 4), n=st.integers(1, 12))
-def test_lyndon_mask_is_orbit_key_fixed_point(data, q, n):
+def test_prenecklace_step_marks_the_orbit_key_fixed_points(data, q, n):
     word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
     rows = data.draw(st.lists(word, max_size=20))
     d = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
     root = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d))
     rows += [root * (n // d)] + [[a] * n for a in range(q)]  # powers, constants
     expected = [orbit_key(sft.PeriodicWord(tuple(w))) == tuple(w) for w in rows]
-    assert sft.lyndon_mask(np.array(rows, dtype=np.uint8)).tolist() == expected
+    assert _lyndon_by_recurrence(rows) == expected
 
 
-@pytest.mark.parametrize("n", [31, 32, 40])
-def test_lyndon_mask_beyond_int64_keys(n):
-    # keys of 31 base-4 digits still fit in int64; from 32 digits they are Python ints
+@pytest.mark.parametrize("n", [31, 32, 40, 41, 64])
+def test_prenecklace_step_on_long_words(n):
+    # a Lyndon prefix compares against symbols up to n - 1 places back
     rng = np.random.default_rng(n)
     rows = rng.integers(0, 4, size=(40, n)).tolist()
-    rows += [[0] * (n - 1) + [3], [3] + [0] * (n - 1), [0, 3] * (n // 2) + [3] * (n % 2)]
+    rows += [[0] * (n - 1) + [3], [3] + [0] * (n - 1), [0, 3] * (n // 2) + [3] * (n % 2),
+             [0] * (n - 2) + [1, 0], [0] + [1] * (n - 1)]
     expected = [orbit_key(sft.PeriodicWord(tuple(w))) == tuple(w) for w in rows]
-    assert sft.lyndon_mask(np.array(rows, dtype=np.uint8)).tolist() == expected
+    assert _lyndon_by_recurrence(rows) == expected
+
+
+def test_prenecklace_step_keeps_exactly_the_prenecklaces():
+    # over the full 3-shift, every word is fed to it; prenecklaces (prefixes
+    # of necklaces) are the words each of whose suffixes is at least the
+    # prefix of the same length
+    for n in range(1, 9):
+        rows = list(itertools.product(range(3), repeat=n))
+        alive, _ = _fed_symbol_by_symbol(rows)
+        assert alive.tolist() == [is_prenecklace(w) for w in rows]
 
 
 def test_cycle_array_is_the_closed_words(full2, golden):
     for s in (full2, golden, sft.full_shift(3)):
         for n in range(1, 8):
-            cycles = sft.cycle_array(s, sft.word_array(s, n))
+            cycles = cycle_array(s, sft.word_array(s, n))
             brute = [w for w in itertools.product(range(s.alphabet_size), repeat=n)
                      if sft.is_admissible(s, w) and s.allowed(w[-1], w[0])]
             assert cycles.dtype == np.uint8 and cycles.shape == (len(brute), n)
@@ -185,14 +213,20 @@ def _mobius(n):
 
 
 def test_orbit_counts_are_moebius_counts(full2, golden, cocycles):
+    # the admissible Lyndon words with an allowed wrap pair, walked by the
+    # recurrence over the admissible prenecklaces, one per periodic orbit
     for s in (full2, sft.full_shift(3), golden, cocycles["tri r1"].base):
         T = s.matrix()
+        words, lyn = np.zeros((1, 0), dtype=np.uint8), np.zeros(1, dtype=np.int64)
         for n in range(1, 11):
             total = sum(_mobius(n // d) * int(np.trace(np.linalg.matrix_power(T, d)))
                         for d in range(1, n + 1) if n % d == 0)
             assert total % n == 0
-            cycles = sft.cycle_array(s, sft.word_array(s, n))
-            assert int(sft.lyndon_mask(cycles).sum()) == total // n
+            parent, words = sft.extend_words(s, words)
+            keep, lyn = sft.prenecklace_step(words, lyn[parent])
+            words, lyn = words[keep], lyn[keep]
+            closed = T[words[:, -1], words[:, 0]] == 1
+            assert int((closed & (lyn == n)).sum()) == total // n
 
 
 def test_point_from_word_anchor(golden):
@@ -216,7 +250,7 @@ def test_random_primitive_sfts_trace_identity():
         built += 1
         Tm = s.matrix().astype(object)
         for n in range(1, 13):
-            assert len(sft.cycle_array(s, sft.word_array(s, n))) == int(
+            assert len(cycle_array(s, sft.word_array(s, n))) == int(
                 np.trace(np.linalg.matrix_power(Tm, n)))
 
 

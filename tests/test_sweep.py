@@ -16,12 +16,13 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coprox import analysis, cocycle, demos, sft, synthesis, thermo
 from coprox.cocycle import batch_log_singular, sweep_log_singular
-from conftest import orbit_key, ref_product_scaled
+from coprox.errors import NotPrimitive
+from conftest import cycle_array, is_prenecklace, orbit_key, ref_product_scaled
 
 
 NAMES = ("full r0", "golden r0", "full r1", "full r2", "tri r1", "skew r1")
@@ -287,7 +288,7 @@ def test_periodic_spectrum_equals_per_orbit_references(cocycles, name):
     A = cocycles[name]
     spectrum = analysis.periodic_spectrum(A, 6)
     assert len(spectrum) == len({orbit_key(sft.PeriodicWord(tuple(w))) for n in range(1, 7)
-                                 for w in sft.cycle_array(A.base, sft.word_array(A.base, n))
+                                 for w in cycle_array(A.base, sft.word_array(A.base, n))
                                  .tolist()})
     for q, lam in spectrum:
         assert np.array_equal(lam, analysis.periodic_lyapunov(A, q))
@@ -299,7 +300,7 @@ def _ref_periodic_spectrum(A, max_period):
     """Orbit selection by one orbit_key call per enumerated cycle."""
     out = []
     for n in range(1, max_period + 1):
-        words = sft.cycle_array(A.base, sft.word_array(A.base, n))
+        words = cycle_array(A.base, sft.word_array(A.base, n))
         cycles = [w for w in map(sft.PeriodicWord, map(tuple, words.tolist()))
                   if orbit_key(w) == w.symbols]
         if cycles:
@@ -316,6 +317,70 @@ def test_periodic_spectrum_equals_orbit_key_reference(cocycles, name):
     assert [q for q, _ in got] == [q for q, _ in ref]
     assert all(type(c) is int for q, _ in got for c in q.symbols)
     assert np.array_equal(np.array([lam for _, lam in got]), np.array([lam for _, lam in ref]))
+
+
+def _brute_spectrum(A, max_period):
+    """Every admissible cycle of period <= max_period by itertools, one
+    orbit per orbit_key, each orbit's row from ``cycle_chi_rows`` alone."""
+    s = A.base
+    keys = {orbit_key(sft.PeriodicWord(w)) for n in range(1, max_period + 1)
+            for w in itertools.product(range(s.alphabet_size), repeat=n)
+            if sft.is_admissible(s, w) and s.allowed(w[-1], w[0])}
+    return [(w, cocycle.cycle_chi_rows(A, np.array([w]))[0] / len(w)) for w in sorted(keys)]
+
+
+ADJACENCY = st.integers(2, 4).flatmap(lambda q: st.lists(
+    st.lists(st.integers(0, 1), min_size=q, max_size=q), min_size=q, max_size=q))
+
+
+@settings(max_examples=30, deadline=None)
+@given(adjacency=ADJACENCY, dim=st.integers(2, 3), radius=st.integers(0, 2),
+       max_period=st.integers(1, 7), seed=st.integers(0, 2**16))
+def test_periodic_spectrum_equals_brute_force_on_random_cocycles(adjacency, dim, radius,
+                                                                 max_period, seed):
+    # random primitive bases (asymmetric ones among them); at radius 2 the
+    # periods 1 and 2 are shorter than the radius, so their windows wrap
+    # the cycle more than once
+    try:
+        base = sft.Sft.from_matrix(adjacency)
+    except (ValueError, NotPrimitive):
+        assume(False)
+    A = _random_window_cocycle(base, dim, radius, seed)
+    got = analysis.periodic_spectrum(A, max_period)
+    ref = _brute_spectrum(A, max_period)
+    assert [q.symbols for q, _ in got] == [w for w, _ in ref]
+    assert all(lam.tobytes() == row.tobytes() for (_, lam), (_, row) in zip(got, ref))
+
+
+@pytest.mark.parametrize("name, max_period", [
+    ("full r0", 12), ("golden r0", 12), ("full r1", 9), ("full r2", 8), ("tri r1", 8),
+    ("skew r1", 9)])
+def test_spectrum_forms_one_trunk_row_per_root_and_prenecklace(cocycles, monkeypatch,
+                                                               name, max_period):
+    # each level folds one window column into one row per root g (an
+    # admissible k-word) and admissible prenecklace w with g w admissible,
+    # on every rung: pruned children are never multiplied
+    A = cocycles[name]
+    trunks = []
+    extend = cocycle._extend_products
+
+    def recorded(mats, every, idx, prods, scales, take=None):
+        if take is not None:
+            trunks.append((len(idx), idx.shape[1]))
+        return extend(mats, every, idx, prods, scales, take)
+
+    monkeypatch.setattr(cocycle, "_extend_products", recorded)
+    analysis.periodic_spectrum(A, max_period)
+    k = A.radius
+    roots = sft.enumerate_words(A.base, k)
+    expect = []
+    for m in range(1, max_period + 1):
+        rows = sum(sft.is_admissible(A.base, g + w) for w in sft.enumerate_words(A.base, m)
+                   if is_prenecklace(w) for g in roots)
+        expect += [(rows, int(m > k))] * (A.dim - 1)
+    assert trunks == expect
+    if name == "full r0":  # typical3x3: 1,679 rows per rung, not 8,032
+        assert sum(rows for rows, _ in trunks) == 1679 * (A.dim - 1)
 
 
 @settings(max_examples=15, deadline=None)
