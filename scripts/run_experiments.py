@@ -38,7 +38,7 @@ def experiment_theorem_a(outdir, seed, samples):
     return rep
 
 
-def experiment_theorem_b(outdir, threads):
+def experiment_theorem_b(outdir):
     for name, demo, cert_needed in [
         ("dominated", demos.dominated_2x2(), True),
         ("planted_rotation", demos.planted_rotation_2x2(), False),
@@ -47,8 +47,7 @@ def experiment_theorem_b(outdir, threads):
         if cert_needed:
             found = typicality.find_typical_pair(demo)
             cert = found[2] if found else None
-        rep = analysis.theorem_b_check(demo, cert, 1, 8, list(range(2, 15)),
-                                       workers=threads)
+        rep = analysis.theorem_b_check(demo, cert, 1, 8, list(range(2, 15)))
         write_json(outdir / f"theorem_b_{name}.json", "domination", rep.to_dict())
         write_csv(outdir / f"theorem_b_{name}.csv", "gap-profile",
                   ["n", "min_gap"], rep.profile.to_rows())
@@ -58,13 +57,12 @@ def experiment_theorem_b(outdir, threads):
               f"-> {verdict}")
 
 
-def experiment_theorem_c(outdir, seed, threads):
+def experiment_theorem_c(outdir, seed):
     A = demos.typical_2x2()
     B = cocycle.scaled_cocycle(A, 0.3)
     p, z, _ = typicality.find_typical_pair(A)
     cert = typicality.family_certificate([A, B], p, z)
-    rep = thermo.theorem_c_experiment(A, B, cert, 5, 1e-9, seed=seed,
-                                      workers=threads)
+    rep = thermo.theorem_c_experiment(A, B, cert, 5, 1e-9, seed=seed)
     write_json(outdir / "theorem_c.json", "equal-states",
                {"constant": True, **rep.to_dict()})
     gap = rep.pressure_b.value - rep.pressure_a.value
@@ -83,16 +81,16 @@ def experiment_theorem_d(outdir, seed, c_emp):
           f"{rep.all_within} (worst ratio {worst:.3f})")
 
 
-def experiment_pressure(outdir, threads):
+def experiment_pressure(outdir):
     rows = []
     golden = demos.golden_typical_2x2()
-    est = thermo.pressure(golden, 0.0, list(range(2, 21)), workers=threads)
+    est = thermo.pressure(golden, 0.0, list(range(2, 21)))
     rows.append(("golden_s0", est.value, est.oracle))
     weighted = demos.golden_scalar_2_3()
-    est2 = thermo.pressure(weighted, 1.0, list(range(2, 19)), workers=threads)
+    est2 = thermo.pressure(weighted, 1.0, list(range(2, 19)))
     rows.append(("golden_weighted_s1", est2.value, est2.oracle))
     const = demos.constant_diag_4_1()
-    est3 = thermo.pressure(const, 1.5, list(range(2, 9)), workers=threads)
+    est3 = thermo.pressure(const, 1.5, list(range(2, 9)))
     rows.append(("constant_s1.5", est3.value, est3.oracle))
     write_csv(outdir / "pressures.csv", "pressure-oracles",
               ["case", "estimate", "oracle"], rows)
@@ -106,7 +104,6 @@ def main(argv=None):
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("results"))
     ap.add_argument("--seed", type=int, default=700)
     ap.add_argument("--samples", type=int, default=50)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--quick", action="store_true",
                     help="smaller sample counts for a fast smoke run")
     args = ap.parse_args(argv)
@@ -115,10 +112,10 @@ def main(argv=None):
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     rep_a = experiment_theorem_a(args.outdir, args.seed, args.samples)
-    experiment_theorem_b(args.outdir, args.threads)
-    experiment_theorem_c(args.outdir, args.seed, args.threads)
+    experiment_theorem_b(args.outdir)
+    experiment_theorem_c(args.outdir, args.seed)
     experiment_theorem_d(args.outdir, args.seed, rep_a.empirical_c)
-    experiment_pressure(args.outdir, args.threads)
+    experiment_pressure(args.outdir)
     print(f"reports written to {args.outdir}/")
     return 0
 

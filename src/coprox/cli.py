@@ -216,9 +216,7 @@ def cmd_dominate(args) -> int:
         found = _find_pair(A, args)
         cert = found[2] if found else None
     n_list = list(range(args.n_min, args.n_max + 1))
-    report = analysis.theorem_b_check(
-        A, cert, args.index, args.max_period, n_list, workers=args.threads
-    )
+    report = analysis.theorem_b_check(A, cert, args.index, args.max_period, n_list)
     _write_series(args, "domination", report.to_dict(), "gap-profile",
                   ["n", "min_gap"], report.profile.to_rows())
     print(
@@ -251,7 +249,7 @@ def cmd_pressure(args) -> int:
     if not 0 <= args.s < inf:
         return _bad_parameter(f"--s must be >= 0 and finite, got {args.s}")
     n_list = list(range(args.n_min, args.n_max + 1))
-    est = thermo.pressure(A, args.s, n_list, workers=args.threads)
+    est = thermo.pressure(A, args.s, n_list)
     _write_series(args, "pressure", est.to_dict(), "pressure",
                   ["n", "p_n"], list(zip(est.n_range, est.p_n)))
     oracle = "" if est.oracle is None else f" (oracle {est.oracle:.10g})"
@@ -276,10 +274,8 @@ def cmd_compare(args) -> int:
         print("pair certificate fails for the family", file=sys.stderr)
         return 2
     try:
-        report = thermo.theorem_c_experiment(
-            A, B, cert_pair, args.max_period, args.compare_tol,
-            seed=args.seed, tau=args.tau, workers=args.threads,
-        )
+        report = thermo.theorem_c_experiment(A, B, cert_pair, args.max_period,
+                                             args.compare_tol, seed=args.seed, tau=args.tau)
     except NotConstant as exc:
         if args.out:
             write_json(
@@ -306,15 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pair_search=True, threads=False):
+    def common(p, pair_search=True):
         p.add_argument("--input", required=True, help="cocycle JSON file")
         p.add_argument("--out", help="report path")
         if pair_search:
             p.add_argument("--tol", type=_positive_float, default=1e-8,
                            help="typicality tolerance")
             p.add_argument("--max-excursion", type=_positive_int, default=6)
-        if threads:
-            p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
 
     p = sub.add_parser("demo", help="write a built-in example cocycle file")
     p.add_argument("name", choices=sorted(DEMOS))
@@ -344,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_bound)
 
     p = sub.add_parser("dominate", help="domination evidence from gaps")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--index", type=_positive_int, default=1)
     p.add_argument("--max-period", type=_positive_int, default=8)
     p.add_argument("--n-min", type=_positive_int, default=2)
@@ -359,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("pressure", help="subadditive pressure estimate")
-    common(p, pair_search=False, threads=True)
+    common(p, pair_search=False)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--n-min", type=_positive_int, default=4)
     p.add_argument("--n-max", type=_positive_int, default=12)
@@ -367,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pressure)
 
     p = sub.add_parser("compare", help="equal-equilibrium-state experiment")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--input-b", required=True, help="second cocycle JSON file")
     p.add_argument("--max-period", type=_positive_int, default=6)
     p.add_argument("--compare-tol", type=float, default=1e-9)

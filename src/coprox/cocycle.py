@@ -18,8 +18,7 @@ given words (``batch_log_singular``), single orbits as batches of one
 (``orbit_mu_vec``, synthesis folds), given cycles (``cycle_chi_rows``)
 and every periodic orbit up to a period, read off a level walk over the
 admissible prenecklaces (``lyndon_chi_rows``), with the same bytes per
-product on every path and at most one worker pool per call.  The kernel
-holds its products column-major, as (r, r, rows) arrays whose every
+product on every path.  The kernel holds its products column-major, as (r, r, rows) arrays whose every
 entry is a contiguous vector over the rows: a step by one window matrix
 over many rows is one GEMM, and rescales and tops are elementwise calls
 on those vectors.  Rescaling is by powers
@@ -36,9 +35,8 @@ ones, by one rule per row, accurate to a few ulps (see
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -508,8 +506,8 @@ def _rescale(prods: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndar
     """2^scales * prods with each product of a column-major stack divided
     by the power of two at its peak entry and the exponent added to its
     scale.  The peak is r^2 - 1 elementwise maxima over contiguous
-    vectors; prods is overwritten: in the sweep's pool threads a fresh
-    array per rescale costs measurably."""
+    vectors; prods is overwritten, which spares every rescale a fresh
+    stack the size of its products."""
     entries = np.abs(prods.reshape(len(prods) ** 2, -1))
     peak = entries[0]
     for entry in entries[1:]:
@@ -621,35 +619,13 @@ def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarra
     return np.diff(np.stack(out), axis=0).T
 
 
-def _map(workers: int, fn, tasks: list) -> list:
-    """fn over tasks, in order: in the calling thread with one worker or
-    one task, otherwise on one in-process pool of ``workers`` threads that
-    shuts down on return.  Tasks share the caller's arrays, with nothing
-    to fork or pickle, and the GEMM, elementwise and eigenvalue kernels
-    release the GIL, so threads run them on separate cores.  Tasks only
-    read shared state: the kernel builds its cached tables before the
-    first map (see :func:`_kernel_tables`).
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _kernel_tables(A: WindowCocycle) -> None:
-    """Build the cached per-window tables the kernel reads, so that pool
-    tasks never build one concurrently."""
-    A._lookup, A._rungs, A._cadences, A._logdets
-
-
 ROW_CAP = 4096
 """Most rows one kernel batch carries: sweep levels and word batches with
 more are cut into contiguous blocks.  A sweep block makes a few dozen
 numpy calls per level whatever its rows (per window a gather, a GEMM and
 a scatter, then the rescale's maxima and the tops), so blocks are large;
 on 3x3 rungs one holds about 0.6 MB of products.  Larger caps shorten
-long single-thread sweeps a little more, but cost memory and leave fewer
-blocks to share between pool threads."""
+long sweeps a little more, but cost memory."""
 
 
 def _blocks(count: int) -> list[slice]:
@@ -659,28 +635,22 @@ def _blocks(count: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _batch_rows(A: WindowCocycle, pads, words: np.ndarray) -> np.ndarray:
-    return _ladder(A, _window_rows(A, _canonical(words, pads)),
-                   _identity_trunks(A, len(words)), np.zeros(len(words)))
-
-
-def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols], base_symbol: int,
-                       workers: int = 1) -> np.ndarray:
+def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols],
+                       base_symbol: int) -> np.ndarray:
     """Log singular values (rows nonincreasing) of arbitrary equal-length
     words at their canonical representatives.
 
     The ladder is the one :func:`sweep_log_singular` runs, started from
     the identity for every word, so a word gets the same bytes from both.
-    Words run in contiguous blocks of at most ``ROW_CAP`` rows, merged
-    back in order on ``workers`` threads, so results do not depend on the
-    worker count.
+    Words run in contiguous blocks of at most ``ROW_CAP`` rows.
     """
     if len(words) == 0:
         return np.empty((0, A.dim))
-    words = np.asarray(words, dtype=np.int64)
-    _kernel_tables(A)
-    return np.concatenate(_map(workers, partial(_batch_rows, A, _pads(A, base_symbol)),
-                               [words[b] for b in _blocks(len(words))]))
+    words, pads = np.asarray(words, dtype=np.int64), _pads(A, base_symbol)
+    blocks = [words[b] for b in _blocks(len(words))]
+    return np.concatenate([_ladder(A, _window_rows(A, _canonical(w, pads)),
+                                   _identity_trunks(A, len(w)), np.zeros(len(w)))
+                           for w in blocks])
 
 
 def _cut(T: np.ndarray, state: list) -> list:
@@ -703,7 +673,7 @@ def _cut(T: np.ndarray, state: list) -> list:
     return blocks
 
 
-def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list, workers: int = 1) -> None:
+def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list) -> None:
     """Sweep on from a state, writing the rows of each target length n
     left to sweep into ``out[n]`` from row ``at[n]`` on, each block of rows
     through ``row_map`` when one is given.
@@ -727,9 +697,7 @@ def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list, workers: int
     (see :func:`_cut`) and dropped; each block is swept on depth-first and
     dropped in turn.  No kernel batch has more than ``ROW_CAP`` rows, and
     per cut it is inside a sweep holds only that cut's blocks not yet
-    swept on, never a level it has moved past.  The first cut maps its
-    blocks on ``workers`` threads; cuts inside a block run serially, so a
-    sweep starts at most one pool.
+    swept on, never a level it has moved past.
     """
     lpads, rpads = pads
     k = A.radius
@@ -737,9 +705,10 @@ def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list, workers: int
     state.clear()
     while True:
         if len(words) > ROW_CAP:
-            tasks = _cut(A.base.matrix(), [n, words, parent, trunks, logdets, at])
+            blocks = _cut(A.base.matrix(), [n, words, parent, trunks, logdets, at])
             del words, parent, trunks, logdets
-            _map(workers, partial(_sweep, A, pads, row_map, out), tasks)
+            for block in blocks:
+                _sweep(A, pads, row_map, out, block)
             return
         # each level's temporaries go as soon as they are used, so that a
         # cut below this level holds nothing of it but its blocks
@@ -765,7 +734,7 @@ def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list, workers: int
 
 
 def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int,
-                       workers: int = 1, row_map=None) -> dict[int, np.ndarray]:
+                       row_map=None) -> dict[int, np.ndarray]:
     """Log singular values of every admissible word of each length in
     n_list, at canonical representatives: {n: rows, lexicographic order}.
 
@@ -783,19 +752,16 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
     the rows are byte-identical to it.  Levels are swept depth-first in
     blocks of at most ``ROW_CAP`` rows, written in place into the returned
     arrays, and each level is freed once its blocks are cut, so memory
-    beyond those arrays stays bounded.  A sweep starts at most one pool,
-    of ``workers`` threads, and its rows do not depend on the worker
-    count.
+    beyond those arrays stays bounded.
     """
     targets = sorted(set(n_list))
     if targets and targets[0] < 1:
         raise ValueError("lengths must be >= 1")
     shape = (A.dim,) if row_map is None else ()
     out = {n: np.empty((count_words(A.base, n),) + shape) for n in targets}
-    _kernel_tables(A)
     root = [0, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64),
             _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)]
-    _sweep(A, _pads(A, base_symbol), row_map, out, root, workers)
+    _sweep(A, _pads(A, base_symbol), row_map, out, root)
     return out
 
 

@@ -92,14 +92,14 @@ class CylinderWeights:
         return np.exp(self.log_weights - self.log_normalizer)
 
 
-def cylinder_weights(A: WindowCocycle, s: float, n_list: Sequence[int], *,
-                     workers: int = 1) -> dict[int, CylinderWeights]:
+def cylinder_weights(A: WindowCocycle, s: float,
+                     n_list: Sequence[int]) -> dict[int, CylinderWeights]:
     """Potential weights of all length-n words, lexicographic, for each n
     in n_list: one level sweep whose row map takes each block of log
     singular values to its log potentials as it is written, so the sweep
     holds one float per word (the potential is row-wise, so these are the
     bytes of the potential of the whole level's rows)."""
-    log_weights = sweep_log_singular(A, n_list, least_fixed_symbol(A.base), workers=workers,
+    log_weights = sweep_log_singular(A, n_list, least_fixed_symbol(A.base),
                                      row_map=partial(log_phi_s, s=s))
     return {n: CylinderWeights(n, s, w) for n, w in log_weights.items()}
 
@@ -147,8 +147,10 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
     canonical representatives, extrapolated by difference quotients.
 
     All P_n come from one level sweep over lengths 1..max(n_range) (see
-    :func:`coprox.cocycle.sweep_log_singular`); with workers > 1 it starts
-    at most one worker pool.  The lengths must be distinct and >= 1.
+    :func:`coprox.cocycle.sweep_log_singular`).  The lengths must be
+    distinct and >= 1.  ``workers`` is accepted and ignored: every sweep
+    runs in the calling thread.  It goes once the benchmark harness stops
+    passing it.
     """
     n_range = tuple(sorted(n_range))
     if not n_range:
@@ -158,7 +160,7 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
     if len(set(n_range)) != len(n_range):
         raise ValueError(f"n_range repeats a length: {list(n_range)}")
     _require_s(s)
-    return _estimate(A, s, n_range, cylinder_weights(A, s, n_range, workers=workers))
+    return _estimate(A, s, n_range, cylinder_weights(A, s, n_range))
 
 
 def _estimate(A: WindowCocycle, s: float, n_range: tuple[int, ...],
@@ -227,8 +229,8 @@ TV_LEVELS = (2, 4, 6, 8)
 
 def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
                          cert_pair: TypicalityCertificate, max_period: int,
-                         tol: float, *, seed: int = 7, tau: float = 0.05,
-                         workers: int = 1) -> EqualStateReport:
+                         tol: float, *, seed: int = 7,
+                         tau: float = 0.05) -> EqualStateReport:
     """Decide per-orbit constancy of the top-exponent difference, then
     compare pressures and normalized cylinder-weight vectors, and exhibit
     common shadowing orbits proximal for both cocycles simultaneously.
@@ -253,8 +255,7 @@ def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
             f"differences spread {spread:.3e} > tol across orbits", witness=(lo, hi)
         )
     # one sweep per cocycle serves both the pressures and the weights
-    wa, wb = (cylinder_weights(C, 1.0, sorted(set(N_RANGE) | set(TV_LEVELS)), workers=workers)
-              for C in (A, B))
+    wa, wb = (cylinder_weights(C, 1.0, sorted(set(N_RANGE) | set(TV_LEVELS))) for C in (A, B))
     pa, pb = _estimate(A, 1.0, N_RANGE, wa), _estimate(B, 1.0, N_RANGE, wb)
     tv = [(n, float(0.5 * np.sum(np.abs(wa[n].normalized() - wb[n].normalized()))))
           for n in TV_LEVELS]

@@ -103,9 +103,27 @@ def test_theorem_b_dominated_demo():
     found = __import__("coprox.typicality", fromlist=["find_typical_pair"]).find_typical_pair(A)
     assert found is not None
     rep = theorem_b_check(A, found[2], 1, 8, list(range(2, 11)))
-    assert rep.periodic_gap > 0
-    assert rep.profile.slope > 0 and rep.profile.r_squared > 0.99
+    # gap and slope (both about 1.763) clear the rounding level by far
+    assert rep.periodic_gap > 1e9 * analysis.GAP_FLOOR
+    assert rep.profile.slope - 2 * rep.profile.slope_se > 1e9 * analysis.GAP_FLOOR
+    assert rep.profile.r_squared > 0.99
     assert rep.verdict
+
+
+def test_theorem_b_rounding_level_gaps_are_no_evidence():
+    # typical3x3's orbit 1 has equal moduli: gap and slope are rounding,
+    # positive, with a perfect fit, and no evidence
+    rep = theorem_b_check(demos.typical_3x3(), None, 1, 8, [7, 8, 9])
+    assert 0 < rep.periodic_gap < analysis.GAP_FLOOR
+    assert rep.profile.slope < analysis.GAP_FLOOR
+    assert rep.profile.r_squared > analysis.R2_THRESHOLD
+    assert not rep.verdict
+
+
+@pytest.mark.parametrize("n_list", [[7, 8], [7, 7, 8, 8], [9], []])
+def test_theorem_b_needs_three_distinct_lengths(n_list):
+    with pytest.raises(ValueError, match="at least 3 distinct lengths"):
+        theorem_b_check(demos.dominated_2x2(), None, 1, 4, n_list)
 
 
 def test_theorem_b_planted_rotation():

@@ -30,8 +30,6 @@ KEPT_FOR_TESTS = {
 }
 
 KEPT_DEFAULTS = {
-    "cocycle.batch_log_singular.workers": "acceptance criterion 9 measures its "
-                                          "4-worker speedup",
     "cli.main.argv": "the console entry point reads sys.argv",
     "cocycle.WindowCocycle.at.j": "the per-step reference above steps along the orbit",
 }

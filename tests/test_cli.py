@@ -376,11 +376,37 @@ def test_dominate_beyond_the_exhaustive_budget_is_an_error(tmp_path, capsys):
     dom = tmp_path / "dom.json"
     assert main(["demo", "dominated2x2", "--out", str(dom)]) == 0
     capsys.readouterr()
-    assert main(["dominate", "--input", str(dom), "--n-min", "17", "--n-max", "18",
+    assert main(["dominate", "--input", str(dom), "--n-min", "16", "--n-max", "18",
                  "--max-period", "2"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: lengths [18] ")
     assert "200000 words" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["dominate"], ["pressure", "--s", "1"], ["compare", "--input-b", None],
+], ids=["dominate", "pressure", "compare"])
+def test_threads_option_is_gone(demo_file, capsys, command):
+    # every sweep runs in the calling thread, so no command takes --threads
+    argv = [str(demo_file) if a is None else a for a in command]
+    assert main(argv + ["--input", str(demo_file), "--threads", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unrecognized arguments: --threads 2\n"
+
+
+def test_dominate_rounding_level_gaps_are_no_evidence(tmp_path, capsys):
+    # typical3x3 has an orbit with equal eigenvalue moduli and gap minima
+    # that stay at rounding level: a line through them fits exactly
+    t3 = tmp_path / "t3.json"
+    assert main(["demo", "typical3x3", "--out", str(t3)]) == 0
+    capsys.readouterr()
+    assert main(["dominate", "--input", str(t3), "--n-min", "7", "--n-max", "9"]) == 2
+    assert capsys.readouterr().out.endswith("verdict = no-domination-evidence\n")
+    # two lengths always fit a line exactly: a usage error, before any sweep
+    assert main(["dominate", "--input", str(t3), "--max-period", "6",
+                 "--n-min", "7", "--n-max", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the gap-profile fit needs at least 3 distinct lengths, got [7, 8]\n"
 
 
 def test_every_declared_option_is_read(demo_file, tmp_path):

@@ -335,13 +335,6 @@ def test_batch_log_singular_matches_ladder(radius1):
         assert np.allclose(logs[i], orbit_mu_vec(radius1, x, 6), atol=1e-9)
 
 
-def test_batch_workers_identical(typical3):
-    words = sft.enumerate_words(typical3.base, 8)
-    a = batch_log_singular(typical3, words, 0, workers=1)
-    b = batch_log_singular(typical3, words, 0, workers=4)
-    assert np.array_equal(a, b)
-
-
 def test_json_roundtrip(radius1, tmp_path):
     path = tmp_path / "c.json"
     cocycle.save_cocycle(radius1, path)

@@ -1,5 +1,5 @@
 """The experiments script writes every report, and identical inputs give
-identical report bytes from run to run and across worker counts."""
+identical report bytes from run to run."""
 
 import os
 import pathlib
@@ -15,11 +15,11 @@ REPORTS = sorted([
 ])
 
 
-def _run(outdir, threads=1):
+def _run(outdir):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     subprocess.run([sys.executable, str(ROOT / "scripts" / "run_experiments.py"),
-                    "--quick", "--outdir", str(outdir), "--threads", str(threads)],
+                    "--quick", "--outdir", str(outdir)],
                    check=True, env=env, capture_output=True)
     return {p.name: p.read_bytes() for p in outdir.iterdir()}
 
@@ -29,5 +29,3 @@ def test_quick_run_writes_all_reports_deterministically(tmp_path):
     second = _run(tmp_path / "second")
     assert sorted(first) == REPORTS
     assert first == second
-    # the reports do not depend on the worker count
-    assert _run(tmp_path / "two-threads", threads=2) == first

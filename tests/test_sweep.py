@@ -4,14 +4,13 @@ orbits and cycles.
 The sweep shares each word's prefix products with its extensions, but
 every word's arithmetic is the same as a from-scratch ladder, so its rows
 must equal ``batch_log_singular`` on the enumerated words byte for byte,
-whatever the radius, the base, the requested lengths or the worker count.
+whatever the radius, the base, the requested lengths or the row blocks.
 Single orbits, synthesis folds and cycles run through the same kernel as
 batches of one; their results must equal per-step loops (kept below and
 in ``conftest``) as references byte for byte.
 """
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -31,9 +30,11 @@ ORBIT_LENGTHS = st.sampled_from([0, 1, 7, 8, 9]) | st.integers(0, 600)
 
 
 @settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(NAMES), n_set=LENGTHS)
-def test_sweep_rows_equal_batch_on_enumerated_words(cocycles, name, n_set):
+@given(name=st.sampled_from(NAMES), n_set=LENGTHS, over=st.sampled_from([(), (0,), (1, 2)]))
+def test_sweep_rows_equal_batch_on_enumerated_words(cocycles, name, n_set, over):
+    # ``over`` adds lengths whose levels are cut into blocks of ROW_CAP rows
     A = cocycles[name]
+    n_set = set(n_set) | {_first_length_over_cap(A, 1) + e for e in over}
     rows = sweep_log_singular(A, sorted(n_set), 0)
     assert sorted(rows) == sorted(n_set)
     for n in n_set:
@@ -41,36 +42,21 @@ def test_sweep_rows_equal_batch_on_enumerated_words(cocycles, name, n_set):
         assert np.array_equal(rows[n], ref)
 
 
-def _first_length_over_cap(A, times=1):
+def _first_length_over_cap(A, times):
     """The least length with more than times x ROW_CAP words: test lengths
     follow the cap, so each level they pick is still cut into blocks."""
     return next(n for n in range(1, 64)
                 if sft.count_words(A.base, n) > times * cocycle.ROW_CAP)
 
 
-@settings(max_examples=12, deadline=None)
-@given(name=st.sampled_from(NAMES), n_set=LENGTHS, over=st.sampled_from([(), (0,), (1, 2)]))
-def test_sweep_independent_of_worker_count(cocycles, name, n_set, over):
-    # ``over`` adds lengths whose levels are cut into blocks of ROW_CAP rows
-    A = cocycles[name]
-    n_set = set(n_set) | {_first_length_over_cap(A) + e for e in over}
-    one = sweep_log_singular(A, n_set, 0, workers=1)
-    for workers in (2, 3):
-        rows = sweep_log_singular(A, n_set, 0, workers=workers)
-        assert sorted(rows) == sorted(one)
-        assert all(np.array_equal(one[n], rows[n]) for n in one)
-    for n in n_set:
-        assert np.array_equal(one[n], batch_log_singular(A, sft.enumerate_words(A.base, n), 0))
-
-
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("times", [1, 2])
 @pytest.mark.parametrize("name", ["full r0", "golden r0", "skew r1"])
-def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, workers, name):
-    # levels several times the cap, cut again below the first cut; on the
-    # skew base, blocks differ in how many descendants they have
+def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, times, name):
+    # levels four and eight times the cap, cut again below the first cut;
+    # on the skew base, blocks differ in how many descendants they have
     A = cocycles[name]
-    n = _first_length_over_cap(A, 4)
-    assert sft.count_words(A.base, n) > 4 * cocycle.ROW_CAP
+    n = _first_length_over_cap(A, 4 * times)
+    assert sft.count_words(A.base, n) > 4 * times * cocycle.ROW_CAP
     sizes = []
     extend = cocycle._extend_products
 
@@ -79,10 +65,10 @@ def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, workers, nam
         return extend(mats, every, idx, prods, scales, take)
 
     monkeypatch.setattr(cocycle, "_extend_products", recorded)
-    rows = sweep_log_singular(A, [n - 2, n], 0, workers=workers)
+    rows = sweep_log_singular(A, [n - 2, n], 0)
     for m in (n - 2, n):
         words = sft.enumerate_words(A.base, m)
-        assert np.array_equal(rows[m], batch_log_singular(A, words, 0, workers=workers))
+        assert np.array_equal(rows[m], batch_log_singular(A, words, 0))
     assert sizes and max(sizes) <= cocycle.ROW_CAP
 
 
@@ -149,37 +135,6 @@ def test_window_grouped_step_equals_per_matrix_matmul(mats):
                     assert got[:, :, i].tobytes() == ref.tobytes(), (rows, i, take is None)
 
 
-@pytest.fixture
-def pool_starts(monkeypatch):
-    starts = []
-    init = ThreadPoolExecutor.__init__
-
-    def counted(self, *args, **kwargs):
-        starts.append(1)
-        return init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ThreadPoolExecutor, "__init__", counted)
-    return starts
-
-
-def test_pressure_starts_one_pool(pool_starts):
-    # the top three levels are over the row cap: the first is cut into
-    # blocks, and the blocks are cut again further down
-    A = demos.golden_typical_3x3()
-    lengths = range(2, _first_length_over_cap(A) + 3)
-    est = thermo.pressure(A, 1.5, lengths, workers=2)
-    assert len(pool_starts) == 1
-    assert est.p_n == thermo.pressure(A, 1.5, lengths).p_n
-
-
-def test_gap_profile_starts_at_most_one_pool(pool_starts):
-    A = demos.dominated_2x2()
-    lengths = range(2, _first_length_over_cap(A) + 2)
-    prof = analysis.gap_profile(A, 1, lengths, workers=2)
-    assert len(pool_starts) == 1
-    assert prof.minima == analysis.gap_profile(A, 1, lengths).minima
-
-
 # -- row maps: each block reduced to what its caller reads -----------------
 #
 # Potentials and gaps are row-wise, so mapping each block as it is written
@@ -188,34 +143,35 @@ def test_gap_profile_starts_at_most_one_pool(pool_starts):
 REDUCER_DEMOS = ["golden3x3", "dominated2x2", "radius1"]
 
 
-def _lengths_over_cap(A):
-    """A length below the cap, the first over it and the one after."""
-    n = _first_length_over_cap(A)
+def _lengths_over_cap(A, times):
+    """A length three below the first with more than times x ROW_CAP
+    words, that length and the one after."""
+    n = _first_length_over_cap(A, times)
     return [n - 3, n, n + 1]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("times", [1, 2])
 @pytest.mark.parametrize("name", REDUCER_DEMOS)
-def test_cylinder_weights_equal_potentials_of_the_full_rows(name, workers):
+def test_cylinder_weights_equal_potentials_of_the_full_rows(name, times):
     A = demos.DEMOS[name]()
-    lengths = _lengths_over_cap(A)
-    rows = sweep_log_singular(A, lengths, sft.least_fixed_symbol(A.base), workers=workers)
+    lengths = _lengths_over_cap(A, times)
+    rows = sweep_log_singular(A, lengths, sft.least_fixed_symbol(A.base))
     for s in (0.0, 0.6, 1.0, 1.5, A.dim, A.dim + 0.7):
-        weights = thermo.cylinder_weights(A, s, lengths, workers=workers)
+        weights = thermo.cylinder_weights(A, s, lengths)
         assert sorted(weights) == lengths
         for n in lengths:
             ref = thermo.log_phi_s(rows[n], s)
             assert weights[n].log_weights.tobytes() == ref.tobytes(), (s, n)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("times", [1, 2])
 @pytest.mark.parametrize("name", REDUCER_DEMOS)
-def test_gap_profile_minima_equal_those_of_the_full_rows(name, workers):
+def test_gap_profile_minima_equal_those_of_the_full_rows(name, times):
     A = demos.DEMOS[name]()
-    lengths = _lengths_over_cap(A)
-    rows = sweep_log_singular(A, lengths, sft.least_fixed_symbol(A.base), workers=workers)
+    lengths = _lengths_over_cap(A, times)
+    rows = sweep_log_singular(A, lengths, sft.least_fixed_symbol(A.base))
     for i in range(1, A.dim):
-        prof = analysis.gap_profile(A, i, lengths, workers=workers)
+        prof = analysis.gap_profile(A, i, lengths)
         ref = [float(np.min(rows[n][:, i - 1] - rows[n][:, i])) for n in lengths]
         assert np.array(prof.minima).tobytes() == np.array(ref).tobytes(), i
 
