@@ -18,18 +18,22 @@ given words (``batch_log_singular``), single orbits as batches of one
 (``orbit_mu_vec``, synthesis folds), given cycles (``cycle_chi_rows``)
 and every periodic orbit up to a period, read off a level walk over the
 admissible prenecklaces (``lyndon_chi_rows``), with the same bytes per
-product on every path.  The kernel holds its products column-major, as (r, r, rows) arrays whose every
-entry is a contiguous vector over the rows: a step by one window matrix
-over many rows is one GEMM, and rescales and tops are elementwise calls
-on those vectors.  Rescaling is by powers
-of two, which is exact, so a rescaled product holds the raw product's
-mantissas whatever the rescale cadence or the calls a fold is split
-into, and a raw product (``product``) is the kernel's output with its
-exponent put back.  The ladder reads only the top of each rung: a top
+product on every path.  The kernel holds its products column-major, as
+(r, r, rows) arrays whose every entry is a contiguous vector over the
+rows: a step by one window matrix over many rows is one GEMM, and
+rescales and tops are elementwise calls on those vectors.  Rescaling is
+by powers of two, which is exact, so a rescaled product holds the raw
+product's mantissas whatever the rescale cadence or the calls a fold is
+split into, and a raw product (``product``) is the kernel's output with
+its exponent put back.  The ladder reads only the top of each rung, by
+one rule per row, so a row's bytes do not depend on its batch.  A top
 singular value comes from a closed form on 2 x 2 and 3 x 3 rungs and
 from the top eigenvalue of the rescaled product's Gram matrix on larger
-ones, by one rule per row, accurate to a few ulps (see
-``_top_singular``).
+ones, accurate to a few ulps (see ``_top_singular``).  A top eigenvalue
+modulus comes from the characteristic polynomial's roots on 2 x 2 and 3
+x 3 rungs, and from ``np.linalg.eigvals`` on larger ones and on the rows
+where a first-order error bound does not hold the closed form to a few
+ulps (see ``_top_eig``).
 """
 
 from __future__ import annotations
@@ -205,12 +209,15 @@ def lyndon_chi_rows(A: WindowCocycle, max_period: int) -> list:
     of g w w[(0..k-1) mod n].  Those are the cycle's windows from the
     identity, rescaled by exact powers of two and their log determinants
     added in the same order, hence the bytes of its fold from scratch.
+    The closed rows of successive periods are kept continued and their
+    tops read together, in one call per rung each time ``ROW_CAP`` rows
+    have gathered and after the last period: a top is its row's alone.
     """
     s, k = A.base, A.radius
     words = word_array(s, k)
     trunks, logdets = _identity_trunks(A, len(words)), np.zeros(len(words))
     lyn = np.zeros(len(words), dtype=np.int64)
-    out = []
+    out, closed_rows = [], []
     for n in range(1, max_period + 1):
         parent, words = extend_words(s, words)
         keep, lyn = prenecklace_step(words[:, k:], lyn[parent])
@@ -226,8 +233,22 @@ def lyndon_chi_rows(A: WindowCocycle, max_period: int) -> list:
         if len(sel):
             tail = _window_rows(A, cycles[sel][:, np.arange(max(0, n - k) - k, n + k) % n])
             trunk = [(p[:, :, sel], sc[sel]) for p, sc in trunks]
-            out.append((cycles[sel], _ladder(A, tail, trunk, logdets[sel], "eig")))
+            closed_rows.append((cycles[sel], *_continued(A, tail, trunk, logdets[sel])))
+        if closed_rows and (n == max_period
+                            or sum(len(c) for c, _, _ in closed_rows) >= ROW_CAP):
+            out += _closed_tops(closed_rows)
+            closed_rows = []
     return out
+
+
+def _closed_tops(closed_rows: list) -> list:
+    """[(cycles, rows)] for a list of (cycles, continued products, log-det
+    sums) per period: the ``"eig"`` tops of all their products at once."""
+    cycles, trunks, logdets = zip(*closed_rows)
+    joined = [(np.concatenate([t[i][0] for t in trunks], axis=2),
+               np.concatenate([t[i][1] for t in trunks])) for i in range(len(trunks[0]))]
+    rows = _tops(joined, np.concatenate(logdets), "eig")
+    return list(zip(cycles, np.split(rows, np.cumsum([len(c) for c in cycles])[:-1])))
 
 
 def holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec) -> np.ndarray:
@@ -540,6 +561,11 @@ CLUSTERED = 1e-2
 Gram's top two eigenvalues cluster), or is nan (p = 0, a scalar Gram),
 takes its top from ``np.linalg.eigvalsh``: see :func:`_top_singular`."""
 
+ROOT_ULPS = 16
+"""Most ulps of its top that a 2x2 or 3x3 row's closed-form top eigenvalue
+modulus may be off by, to first order, before the row takes it from
+``np.linalg.eigvals``: see :func:`_top_eig`."""
+
 
 def _top_singular(prods: np.ndarray) -> np.ndarray:
     """Top singular value of each r x r matrix of a column-major stack,
@@ -585,17 +611,140 @@ def _top_singular(prods: np.ndarray) -> np.ndarray:
     return tops
 
 
+_EPS = np.finfo(float).eps
+
+
+def _top_eig(prods: np.ndarray) -> np.ndarray:
+    """Top eigenvalue modulus of each r x r matrix of a column-major stack,
+    by one rule per row whatever the stack's size, so a product gets the
+    same bytes in any batch.
+
+    2 x 2, [[a, b], [c, d]]: |a + d| / 2 + sqrt(disc) when disc = ((a -
+    d) / 2)^2 + bc >= 0, else sqrt(|ad - bc|).  3 x 3: the characteristic
+    cubic lam^3 - c2 lam^2 + c1 lam - c0, from the trace, the sum of the
+    principal 2 x 2 minors and the determinant read off the entry vectors.
+    A real root comes from the stable Cardano form u = cbrt(-q/2 - sign(q)
+    sqrt(D)), t = u - p / 3u (Blinn, IEEE CG&A 2006-07) when the cubic has
+    one, and as the larger-modulus extreme of the trigonometric form's
+    three when it has three; one Newton step on the cubic polishes it.
+    Deflation leaves x^2 - (c2 - lam) x + c1 - lam (c2 - lam) for the other
+    two, whose modulus is the root of that constant term when they are a
+    complex pair.  The top is the larger modulus.
+
+    Each row carries a first-order bound on its top's error: the
+    coefficients' rounding (eps times the magnitudes of their terms),
+    carried to the root through the polynomial's slope there, plus the
+    Newton step's remainder.  It is large where the top is nearly multiple,
+    whether the eigenvalues nearly coincide or the matrix is far from
+    normal.  A row whose bound exceeds ``ROOT_ULPS`` ulps of its top (or is
+    not finite) takes its top from ``np.linalg.eigvals``, as larger rungs
+    do.  A stack of one product runs the same formulas on numpy scalars,
+    whose every operation rounds as its vector counterpart does, at a
+    fraction of the per-call cost of one-element vectors.
+    """
+    size = len(prods)
+    if size > 3:
+        return np.max(np.abs(np.linalg.eigvals(prods.transpose(2, 0, 1))), axis=1)
+    rows = prods[:, :, 0] if prods.shape[2] == 1 else prods
+    with np.errstate(all="ignore"):
+        tops, err = (_quadratic_top if size == 2 else _cubic_top)(rows)
+        fall = np.array(~(err <= ROOT_ULPS * _EPS * tops), ndmin=1)
+    tops = np.array(tops, dtype=float, ndmin=1)
+    if fall.any():
+        tops[fall] = np.max(np.abs(np.linalg.eigvals(prods[:, :, fall].transpose(2, 0, 1))), axis=1)
+    return tops
+
+
+def _pick(cond, x, y):
+    """``np.where(cond, x, y)``, kept scalar on scalars."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _quadratic_top(m) -> tuple:
+    """The 2 x 2 top eigenvalue modulus, entrywise, and its first-order
+    error bound (see :func:`_top_eig`)."""
+    (a, b), (c, d) = m
+    half, dev, bc, ad = (a + d) / 2, (a - d) / 2, b * c, a * d
+    disc, det = dev * dev + bc, ad - bc
+    root = np.sqrt(abs(disc))
+    tops = _pick(disc >= 0, abs(half) + root, np.sqrt(abs(det)))
+    # the first term is large where disc is within its rounding of 0, so
+    # that its sign, and the branch, is not sure
+    err = _EPS * ((dev * dev + abs(bc)) / (2 * root)
+                  + _pick(disc >= 0, abs(half), (abs(ad) + abs(bc)) / (2 * tops)))
+    return tops, err
+
+
+def _cubic_top(m) -> tuple:
+    """The 3 x 3 top eigenvalue modulus, entrywise, and its first-order
+    error bound (see :func:`_top_eig`)."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    ae, bd, ai, cg, ei, fh = a * e, b * d, a * i, c * g, e * i, f * h
+    di, fg, dh, eg = d * i, f * g, d * h, e * g
+    minor = ei - fh
+    c2 = a + e + i
+    c1 = (ae - bd) + (ai - cg) + minor
+    c0 = a * minor - b * (di - fg) + c * (dh - eg)
+    # the magnitudes of each coefficient's terms
+    s2 = abs(a) + abs(e) + abs(i)
+    s1 = abs(ae) + abs(bd) + abs(ai) + abs(cg) + abs(ei) + abs(fh)
+    s0 = abs(a) * (abs(ei) + abs(fh)) + abs(b) * (abs(di) + abs(fg)) + abs(c) * (abs(dh) + abs(eg))
+    # lam = t + c2 / 3 turns the cubic into t^3 + p t + q
+    s = c2 / 3
+    p, q = c1 - 3 * s * s, s * (c1 - 2 * s * s) - c0
+    disc = (q / 2) * (q / 2) + (p / 3) * (p / 3) * (p / 3)
+    u = np.cbrt(-q / 2 - np.copysign(np.sqrt(disc), q))
+    r = np.sqrt(-p / 3)
+    phi = np.arccos(np.maximum(np.minimum(-q / (2 * r * r * r), 1.0), -1.0)) / 3
+    hi, lo = 2 * r * np.cos(phi) + s, 2 * r * np.cos(phi + 2 * np.pi / 3) + s
+    lam = _pick(disc > 0, u - p / (3 * u) + s, _pick(abs(hi) >= abs(lo), hi, lo))
+    slope = (3 * lam - 2 * c2) * lam + c1
+    step = (((lam - c2) * lam + c1) * lam - c0) / slope
+    lam = lam - step
+    mod = abs(lam)
+    err = (_EPS * (((mod + s2) * mod + s1) * mod + s0) + step * step * abs(3 * lam - c2)) / abs(slope)
+    # the other two roots, rest / 2 +- sqrt(split); the split term of their
+    # error is large where split's sign is not sure
+    rest = c2 - lam
+    prod = c1 - lam * rest
+    split = rest * rest / 4 - prod
+    root = np.sqrt(abs(split))
+    pair = _pick(split < 0, np.sqrt(abs(prod)), abs(rest) / 2 + root)
+    prod_err = _EPS * (s1 + mod * (s2 + abs(rest))) + err * (mod + abs(rest))
+    split_err = prod_err + abs(rest) / 2 * (_EPS * s2 + err)
+    pair_err = prod_err / (2 * pair) + split_err / (2 * root) + (_EPS * s2 + err) / 2
+    return np.maximum(mod, pair), err + _pick(pair + pair_err >= mod, pair_err, 0.0)
+
+
 def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarray,
             top: str = "svd") -> np.ndarray:
     """Rows of rung differences for products continued through the window
     rows tail from their trunks: per exterior rung, the rescaled
     column-major products over the windows before tail, and logdets, the
-    left-to-right sum of those windows' log determinants.
+    left-to-right sum of those windows' log determinants (see
+    :func:`_continued` and :func:`_tops`).  top="svd" gives log singular
+    values, top="eig" log eigenvalue moduli: the roots of each 2 x 2 or 3 x
+    3 rung's characteristic polynomial where an error bound holds them to
+    a few ulps, ``np.linalg.eigvals`` elsewhere (see :func:`_top_eig`)."""
+    return _tops(*_continued(A, tail, trunks, logdets), top)
+
+
+def _continued(A: WindowCocycle, tail: np.ndarray, trunks: list,
+               logdets: np.ndarray) -> tuple[list, np.ndarray]:
+    """The trunks' rescaled products, rung by rung, and their log-determinant
+    sums, continued through the window rows tail."""
+    return ([_extend_products(m, every, tail, p, s)
+             for m, every, (p, s) in zip(A._rungs, A._cadences, trunks)],
+            _logdet_sum(A, tail, logdets))
+
+
+def _tops(trunks: list, logdets: np.ndarray, top: str) -> np.ndarray:
+    """Rows of rung differences read off continued products.
 
     Rung t < d is the log top singular value (top="svd": log singular
     values) or top eigenvalue modulus (top="eig": log eigenvalue moduli)
-    of the t-th exterior power product; the determinant rung continues the
-    log-determinant sum through tail.
+    of the t-th exterior power product; the determinant rung is the
+    log-determinant sum.
 
     A rung's products come as 2^scales M, with M's peak entry in [0.5, 1)
     (or M the identity, over no windows); its log top is scales ln 2 +
@@ -604,18 +753,19 @@ def _ladder(A: WindowCocycle, tail: np.ndarray, trunks: list, logdets: np.ndarra
     contiguous entry vectors for 2 x 2 and 3 x 3 rungs, the top eigenvalue
     of the Gram matrix M^T M from ``np.linalg.eigvalsh`` otherwise, each
     good to a few ulps, relative.  M's peak entry keeps that top at least
-    1/2 and far from overflow.  Eigenvalues come from ``np.linalg.eigvals``
-    on the stack's (rows, r, r) view, which it copies once.
+    1/2 and far from overflow.  Top eigenvalue moduli come from
+    :func:`_top_eig`: the roots of the characteristic polynomial of 2 x 2
+    and 3 x 3 rungs, read off the same entry vectors, and
+    ``np.linalg.eigvals`` on larger rungs and on the rows whose closed
+    form's error bound exceeds ``ROOT_ULPS`` ulps.  Each top is a function
+    of its product alone, so a row's bytes do not depend on the rows it is
+    read with.
     """
-    out = [np.zeros(len(tail))]
-    for mats, every, (prods, scales) in zip(A._rungs, A._cadences, trunks):
-        prods, scales = _extend_products(mats, every, tail, prods, scales)
-        if top == "eig":
-            tops = np.max(np.abs(np.linalg.eigvals(prods.transpose(2, 0, 1))), axis=1)
-        else:
-            tops = _top_singular(prods)
+    out = [np.zeros(len(logdets))]
+    for prods, scales in trunks:
+        tops = _top_eig(prods) if top == "eig" else _top_singular(prods)
         out.append(scales * LN2 + np.log(tops))
-    out.append(_logdet_sum(A, tail, logdets))
+    out.append(logdets)
     return np.diff(np.stack(out), axis=0).T
 
 

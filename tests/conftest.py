@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coprox import demos, sft, typicality
+from coprox import cocycle, demos, sft, typicality
 from coprox.cocycle import WindowCocycle
 
 
@@ -131,6 +131,69 @@ def ref_product_scaled(A, x, n, start=None, first=0):
         out = np.ldexp(out, -e)
         exponent += e
     return out, exponent
+
+
+def ref_eig_top(m):
+    """The kernel's top eigenvalue modulus rule (``cocycle._top_eig``), one
+    matrix at a time on numpy scalars: closed forms on 2x2 and 3x3 matrices
+    whose first-order error bound stays within ``cocycle.ROOT_ULPS`` ulps
+    of the top, else the largest ``np.linalg.eigvals`` modulus."""
+    eps, r = np.finfo(float).eps, len(m)
+    with np.errstate(all="ignore"):
+        if r == 2:
+            (a, b), (c, d) = m
+            half, dev = (a + d) / 2, (a - d) / 2
+            disc = dev * dev + b * c
+            root = np.sqrt(abs(disc))
+            if disc >= 0:
+                top, own = abs(half) + root, abs(half)
+            else:
+                top = np.sqrt(abs(a * d - b * c))
+                own = (abs(a * d) + abs(b * c)) / (2 * top)
+            err = eps * ((dev * dev + abs(b * c)) / (2 * root) + own)
+        elif r == 3:
+            top, err = _ref_cubic_top(m, eps)
+        if r <= 3 and err <= cocycle.ROOT_ULPS * eps * top:
+            return top
+    return np.max(np.abs(np.linalg.eigvals(m)))
+
+
+def _ref_cubic_top(m, eps):
+    """The top modulus of a 3x3 matrix from its characteristic cubic, with
+    the first-order error bound ``cocycle._top_eig`` documents."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    c2 = a + e + i
+    c1 = (a * e - b * d) + (a * i - c * g) + (e * i - f * h)
+    c0 = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    s2 = abs(a) + abs(e) + abs(i)
+    s1 = (abs(a * e) + abs(b * d) + abs(a * i) + abs(c * g) + abs(e * i) + abs(f * h))
+    s0 = (abs(a) * (abs(e * i) + abs(f * h)) + abs(b) * (abs(d * i) + abs(f * g))
+          + abs(c) * (abs(d * h) + abs(e * g)))
+    s = c2 / 3
+    p, q = c1 - 3 * s * s, s * (c1 - 2 * s * s) - c0
+    disc = (q / 2) * (q / 2) + (p / 3) * (p / 3) * (p / 3)
+    if disc > 0:  # one real root: stable Cardano
+        u = np.cbrt(-q / 2 - np.copysign(np.sqrt(disc), q))
+        lam = u - p / (3 * u) + s
+    else:  # three: the larger-modulus extreme of the trigonometric form
+        r = np.sqrt(-p / 3)
+        phi = np.arccos(np.maximum(np.minimum(-q / (2 * r * r * r), 1.0), -1.0)) / 3
+        hi, lo = 2 * r * np.cos(phi) + s, 2 * r * np.cos(phi + 2 * np.pi / 3) + s
+        lam = hi if abs(hi) >= abs(lo) else lo
+    slope = (3 * lam - 2 * c2) * lam + c1
+    step = (((lam - c2) * lam + c1) * lam - c0) / slope
+    lam = lam - step
+    mod = abs(lam)
+    err = (eps * (((mod + s2) * mod + s1) * mod + s0) + step * step * abs(3 * lam - c2)) / abs(slope)
+    rest = c2 - lam
+    prod = c1 - lam * rest
+    split = rest * rest / 4 - prod
+    root = np.sqrt(abs(split))
+    pair = np.sqrt(abs(prod)) if split < 0 else abs(rest) / 2 + root
+    prod_err = eps * (s1 + mod * (s2 + abs(rest))) + err * (mod + abs(rest))
+    split_err = prod_err + abs(rest) / 2 * (eps * s2 + err)
+    pair_err = prod_err / (2 * pair) + split_err / (2 * root) + (eps * s2 + err) / 2
+    return np.maximum(mod, pair), err + (pair_err if pair + pair_err >= mod else 0.0)
 
 
 def random_invertible(rng, d, spread=2.0):

@@ -25,7 +25,7 @@ from coprox.synthesis import (
     verify_theorem_a,
 )
 from coprox.typicality import eigen_frame
-from conftest import ref_product_scaled
+from conftest import ref_eig_top, ref_product_scaled
 
 
 def make_path(A, word_in, word_out, base_symbol=0):
@@ -452,7 +452,7 @@ def test_shared_closing_products_match_direct_products(synth_demos, length, monk
         for B, witness in zip(members, rep.witnesses):
             m, s = _ref_closing(B, path.n, g, gb, qpt, rep.n_q)
             assert witness == eps_proximal_witness(m, 0.05)
-            rungs.append(s * np.log(2.0) + np.log(np.max(np.abs(np.linalg.eigvals(m)))))
+            rungs.append(s * np.log(2.0) + np.log(ref_eig_top(m)))
             m_fresh, s_fresh = ref_product_scaled(B, qpt, rep.n_q)
             a, b = m / np.linalg.norm(m), m_fresh / np.linalg.norm(m_fresh)
             assert min(np.linalg.norm(a - b), np.linalg.norm(a + b)) <= 1e-11
