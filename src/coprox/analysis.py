@@ -9,13 +9,14 @@ their budgets and never claim limits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, takewhile
 from typing import Sequence
 
 import numpy as np
 
 from .cocycle import WindowCocycle, cycle_chi_rows, lyndon_chi_rows, sweep_log_singular
 from .matnum import fit_line
-from .sft import PeriodicWord, Symbols, count_words, least_fixed_symbol
+from .sft import PeriodicWord, Symbols, least_fixed_symbol, orbit_counts, word_counts
 from .synthesis import SYNTHESIS_ERRORS, build_proximal_periodic
 
 
@@ -24,15 +25,27 @@ def periodic_lyapunov(A: WindowCocycle, q: PeriodicWord) -> np.ndarray:
     return cycle_chi_rows(A, np.array([q.symbols]))[0] / q.period
 
 
+EXHAUSTIVE_BUDGET = 200_000
+"""Most words a gap-profile length, and most orbits a spectrum period, may
+have: every one is evaluated."""
+
+
 def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicWord, np.ndarray]]:
     """All periodic orbits of period <= max_period with their exponent
     vectors, sorted by word.  Each orbit is its Lyndon word (its orbit
     key), and its vector is :func:`coprox.cocycle.cycle_chi_rows`'s row over
     the period, byte for byte; the rows are read off one level walk over
     the admissible prenecklaces that shares every prefix's product (see
-    :func:`coprox.cocycle.lyndon_chi_rows`)."""
+    :func:`coprox.cocycle.lyndon_chi_rows`).  A period with more than
+    ``EXHAUSTIVE_BUDGET`` orbits is an error, found from the exact orbit
+    counts before any orbit is walked."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
+    over = [n for n, count in enumerate(orbit_counts(A.base, max_period), 1)
+            if count > EXHAUSTIVE_BUDGET]
+    if over:
+        raise ValueError(f"periods {over} have more than {EXHAUSTIVE_BUDGET} orbits, "
+                         "the exhaustive budget")
     out = []
     for cycles, rows in lyndon_chi_rows(A, max_period):
         n = cycles.shape[1]
@@ -75,10 +88,6 @@ class GapProfile:
         return list(zip(self.n_list, self.minima))
 
 
-EXHAUSTIVE_BUDGET = 200_000
-"""Most words a gap-profile length may have: every word is evaluated."""
-
-
 def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int]) -> GapProfile:
     """Minimum of mu_i - mu_{i+1} over all length-n words, for each n.
 
@@ -92,7 +101,12 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int]) -> GapProfile:
         raise ValueError("need 1 <= i <= d-1")
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
-    too_long = [n for n in n_list if count_words(A.base, n) > EXHAUSTIVE_BUDGET]
+    if min(n_list) < 1:
+        raise ValueError("lengths must be >= 1")
+    # counts never decrease, so every length past the last within budget is over it
+    within = sum(1 for _ in takewhile(lambda count: count <= EXHAUSTIVE_BUDGET,
+                                      islice(word_counts(A.base), max(n_list))))
+    too_long = [n for n in n_list if n > within]
     if too_long:
         raise ValueError(f"lengths {too_long} have more than {EXHAUSTIVE_BUDGET} words, "
                          "the exhaustive budget")

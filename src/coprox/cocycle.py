@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -58,7 +59,6 @@ from .sft import (
     Sft,
     Symbols,
     bracket,
-    count_words,
     enumerate_words,
     extend_words,
     in_local_stable,
@@ -71,6 +71,7 @@ from .sft import (
     stable_shift,
     unstable_shift,
     word_array,
+    word_counts,
 )
 
 
@@ -526,14 +527,10 @@ def _step(mats: np.ndarray, col: np.ndarray, prods: np.ndarray,
 def _rescale(prods: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """2^scales * prods with each product of a column-major stack divided
     by the power of two at its peak entry and the exponent added to its
-    scale.  The peak is r^2 - 1 elementwise maxima over contiguous
-    vectors; prods is overwritten, which spares every rescale a fresh
-    stack the size of its products."""
-    entries = np.abs(prods.reshape(len(prods) ** 2, -1))
-    peak = entries[0]
-    for entry in entries[1:]:
-        np.maximum(peak, entry, out=peak)
-    e = np.frexp(peak)[1]
+    scale.  The peaks are one maximum reduction over the entry vectors (a
+    maximum is exact, so its order does not matter); prods is overwritten,
+    which spares every rescale a fresh stack the size of its products."""
+    e = np.frexp(np.abs(prods.reshape(len(prods) ** 2, -1)).max(axis=0))[1]
     np.negative(e, out=e)
     return np.ldexp(prods, e, out=prods), scales - e
 
@@ -578,11 +575,13 @@ def _top_singular(prods: np.ndarray) -> np.ndarray:
     summed left to right over contiguous vectors.  3 x 3: the root of the
     top eigenvalue q + 2p cos(arccos(r) / 3) of G, with q = tr G / 3, p =
     |G - qI|_F / sqrt(6) and r = det((G - qI) / p) / 2 (Smith, CACM 1961),
-    again a sum of nonnegative terms.  It loses accuracy only where arccos
-    does, as r -> -1, where the top two eigenvalues meet; rows with 1 + r <
-    ``CLUSTERED`` (or r nan) take the root of the top ``np.linalg.eigvalsh``
-    eigenvalue of G, as larger rungs do.  Forming G and solving it perturb
-    it by a few ulps of its norm, its top eigenvalue, so by Weyl's
+    again a sum of nonnegative terms, read off G's six distinct entries
+    (see :func:`_gram_entries`) with each sum accumulated in place.  It
+    loses accuracy only where arccos does, as r -> -1, where the top two
+    eigenvalues meet; rows with 1 + r < ``CLUSTERED`` (or r nan) take the
+    root of the top ``np.linalg.eigvalsh`` eigenvalue of G, as larger
+    rungs do, G built whole for those rows alone.  Forming G and solving it
+    perturb it by a few ulps of its norm, its top eigenvalue, so by Weyl's
     inequality that top is good to a few ulps however the eigenvalues
     cluster.
     """
@@ -590,25 +589,82 @@ def _top_singular(prods: np.ndarray) -> np.ndarray:
     if size == 2:
         (a, b), (c, d) = prods
         return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
-    gram = prods[0][:, None] * prods[0][None]
-    for row in prods[1:]:
-        gram += row[:, None] * row[None]
     if size != 3:
+        gram = prods[0][:, None] * prods[0][None]
+        for row in prods[1:]:
+            gram += row[:, None] * row[None]
         return np.sqrt(np.linalg.eigvalsh(gram.transpose(2, 0, 1))[:, -1])
-    (g00, g01, g02), (_, g11, g12), (_, _, g22) = gram
-    q = (g00 + g11 + g22) / 3
-    b00, b11, b22 = g00 - q, g11 - q, g22 - q
-    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
-                 + 2 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6)
+    # b00, b11, b22 and the off-diagonal entries become the entries of
+    # (G - qI) / p in place; a stack of one product runs on numpy scalars,
+    # which round as vectors do, at a fraction of the per-call cost of
+    # one-element vectors
+    b00, b01, b02, b11, b12, b22 = _gram_entries(prods[:, :, 0] if prods.shape[2] == 1
+                                                 else prods)
+    q = b00 + b11
+    q += b22
+    q /= 3
+    b00 -= q
+    b11 -= q
+    b22 -= q
+    t = b00 * b00
+    t += b11 * b11
+    t += b22 * b22
+    v = b01 * b01
+    v += b02 * b02
+    v += b12 * b12
+    v *= 2
+    t += v
+    t /= 6
+    p = np.sqrt(t)
     with np.errstate(invalid="ignore", divide="ignore"):
-        b00, b11, b22, b01, b02, b12 = b00 / p, b11 / p, b22 / p, g01 / p, g02 / p, g12 / p
-        r = (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
-             + b02 * (b01 * b12 - b11 * b02)) / 2
-        tops = np.sqrt(q + 2 * p * np.cos(np.arccos(np.minimum(r, 1.0)) / 3))
-    fall = ~(1 + r >= CLUSTERED)
+        b00 /= p
+        b11 /= p
+        b22 /= p
+        b01 /= p
+        b02 /= p
+        b12 /= p
+        # r = (b00 (b11 b22 - b12 b12) - b01 (b01 b22 - b12 b02)
+        #      + b02 (b01 b12 - b11 b02)) / 2
+        r = b11 * b22
+        r -= b12 * b12
+        r *= b00
+        v = b01 * b22
+        v -= b12 * b02
+        v *= b01
+        r -= v
+        v = b01 * b12
+        v -= b11 * b02
+        v *= b02
+        r += v
+        r /= 2
+        tops = np.arccos(np.minimum(r, 1.0))
+        tops /= 3
+        tops = np.cos(tops)
+        p *= 2
+        tops *= p
+        tops += q
+        tops = np.atleast_1d(np.sqrt(tops))
+    fall = np.atleast_1d(~(1 + r >= CLUSTERED))
     if fall.any():
-        tops[fall] = np.sqrt(np.linalg.eigvalsh(gram[:, :, fall].transpose(2, 0, 1))[:, -1])
+        g00, g01, g02, g11, g12, g22 = _gram_entries(prods[:, :, fall])
+        gram = np.stack([g00, g01, g02, g01, g11, g12, g02, g12, g22], axis=1)
+        tops[fall] = np.sqrt(np.linalg.eigvalsh(gram.reshape(-1, 3, 3))[:, -1])
     return tops
+
+
+def _gram_entries(prods: np.ndarray) -> tuple:
+    """The six distinct entries g00, g01, g02, g11, g12, g22 of the Gram
+    matrices M^T M of a column-major 3 x 3 stack, each the dot product of
+    two columns summed left to right over the rows of M (numpy scalars for
+    a single 3 x 3 matrix)."""
+    out = []
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        (xi, yi, zi), (xj, yj, zj) = prods[:, i], prods[:, j]
+        g = xi * xj
+        g += yi * yj
+        g += zi * zj
+        out.append(g)
+    return tuple(out)
 
 
 _EPS = np.finfo(float).eps
@@ -760,22 +816,32 @@ def _tops(trunks: list, logdets: np.ndarray, top: str) -> np.ndarray:
     form's error bound exceeds ``ROOT_ULPS`` ulps.  Each top is a function
     of its product alone, so a row's bytes do not depend on the rows it is
     read with.
+
+    The differences are written column by column into one C-ordered (N,
+    d) array, the first as level - 0.0: the bytes of differencing the
+    levels against a zero level.
     """
-    out = [np.zeros(len(logdets))]
-    for prods, scales in trunks:
+    out = np.empty((len(logdets), len(trunks) + 1))
+    below = 0.0
+    for t, (prods, scales) in enumerate(trunks):
         tops = _top_eig(prods) if top == "eig" else _top_singular(prods)
-        out.append(scales * LN2 + np.log(tops))
-    out.append(logdets)
-    return np.diff(np.stack(out), axis=0).T
+        level = scales * LN2
+        level += np.log(tops, out=tops)
+        np.subtract(level, below, out=out[:, t])
+        below = level
+    np.subtract(logdets, below, out=out[:, -1])
+    return out
 
 
 ROW_CAP = 4096
 """Most rows one kernel batch carries: sweep levels and word batches with
-more are cut into contiguous blocks.  A sweep block makes a few dozen
-numpy calls per level whatever its rows (per window a gather, a GEMM and
-a scatter, then the rescale's maxima and the tops), so blocks are large;
-on 3x3 rungs one holds about 0.6 MB of products.  Larger caps shorten
-long sweeps a little more, but cost memory."""
+more are cut into contiguous blocks.  A sweep block makes the same numpy
+calls per level whatever its rows (per window a gather, a GEMM and a
+scatter, one maximum reduction per rescale, and on a 3x3 rung about 80
+elementwise passes for its tops), so blocks are large; on 3x3 rungs one
+holds about 0.6 MB of products.  Larger caps cost memory for no clear
+gain: 16,384 rows add about 3 MB to the peak of the golden 3x3 pressure
+sweep to n = 20 and leave its time within the noise."""
 
 
 def _blocks(count: int) -> list[slice]:
@@ -808,18 +874,21 @@ def _cut(T: np.ndarray, state: list) -> list:
     most ROW_CAP words, each the words of a run of subtrees with the run
     of parents they extend.  Blocks are copies, so the level is freed once
     its caller lets go of it; a block's descendants at each target start
-    after those of the blocks before it."""
+    after those of the blocks before it: per last symbol, the words before
+    the block that end in it times its level-m descendants, exact integers."""
     n, words, parent, trunks, logdets, at = state
-    # level-m descendants of the words before each row
-    before = {m: np.concatenate([[0], np.cumsum(
-        np.linalg.matrix_power(T, m - n).sum(axis=1)[words[:, -1]])]) for m in at}
+    # level-m descendants of a word, per last symbol, and the last symbols
+    # of the words before each block
+    descendants = {m: np.linalg.matrix_power(T, m - n).sum(axis=1) for m in at}
+    ends = np.zeros(len(T), dtype=np.int64)
     blocks = []
     for b in _blocks(len(words)):
         # children follow their parents' order, so a block's parents are a run
         run = slice(parent[b.start], parent[b.stop - 1] + 1)
         blocks.append([n, words[b].copy(), parent[b] - run.start,
                        [(p[:, :, run].copy(), s[run].copy()) for p, s in trunks],
-                       logdets[run].copy(), {m: at[m] + int(before[m][b.start]) for m in at}])
+                       logdets[run].copy(), {m: at[m] + int(ends @ descendants[m]) for m in at}])
+        ends += np.bincount(words[b, -1], minlength=len(T))
     return blocks
 
 
@@ -908,7 +977,8 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
     if targets and targets[0] < 1:
         raise ValueError("lengths must be >= 1")
     shape = (A.dim,) if row_map is None else ()
-    out = {n: np.empty((count_words(A.base, n),) + shape) for n in targets}
+    counts = list(islice(word_counts(A.base), max(targets, default=0)))
+    out = {n: np.empty((counts[n - 1],) + shape) for n in targets}
     root = [0, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64),
             _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)]
     _sweep(A, _pads(A, base_symbol), row_map, out, root)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -297,7 +297,10 @@ def extend_words(s: Sft, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T = s._arrows
     allowed = T[words[:, -1]] if words.shape[1] else np.ones((len(words), len(T)), dtype=bool)
     parent, child = np.nonzero(allowed)
-    return parent, np.column_stack([words[parent], child.astype(words.dtype)])
+    out = np.empty((len(parent), words.shape[1] + 1), dtype=words.dtype)
+    out[:, :-1] = words[parent]
+    out[:, -1] = child
+    return parent, out
 
 
 def word_array(s: Sft, n: int) -> np.ndarray:
@@ -331,12 +334,31 @@ def enumerate_words(s: Sft, n: int) -> list[Symbols]:
     return [tuple(w) for w in word_array(s, n).tolist()]
 
 
-def count_words(s: Sft, n: int) -> int:
-    """Number of admissible words of length n (exact integer)."""
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    T = s.matrix().astype(object)
-    return int(np.linalg.matrix_power(T, n - 1).sum()) if n > 1 else s.alphabet_size
+def word_counts(s: Sft) -> Iterator[int]:
+    """Numbers of admissible words of lengths 1, 2, ..., exact integers,
+    from one running walk: ends[b] counts the words that end in b.  The
+    counts never decrease, as every symbol has a successor."""
+    ends = [1] * s.alphabet_size
+    while True:
+        yield sum(ends)
+        ends = [sum(e for e, row in zip(ends, s.adjacency) if row[b])
+                for b in range(s.alphabet_size)]
+
+
+def orbit_counts(s: Sft, max_period: int) -> list[int]:
+    """Numbers of periodic orbits of least period n = 1..max_period, exact
+    integers: the Moebius inversion of tr(T^n) = sum over m | n of m N_m,
+    from one running integer power of the adjacency T.  Taken in order,
+    each n's points of least period, n N_n, leave its multiples' traces."""
+    q, T = s.alphabet_size, s.adjacency
+    power, points = T, [0]
+    for _ in range(max_period):
+        points.append(sum(power[i][i] for i in range(q)))
+        power = [[sum(row[k] for k in range(q) if T[k][j]) for j in range(q)] for row in power]
+    for n in range(1, max_period + 1):
+        for m in range(2 * n, max_period + 1, n):
+            points[m] -= points[n]
+    return [points[n] // n for n in range(1, max_period + 1)]
 
 
 def point_from_word(s: Sft, word: Sequence[int], base_symbol: Symbol) -> PointSpec:

@@ -54,18 +54,20 @@ def log_phi_s(log_alpha: np.ndarray, s: float):
     For s in [0, d]: sum of the top floor(s) log values plus the fractional
     part of the next; for s > d: (s/d) log |det|.  One vector gives a
     float; a 2-D array gives one value per row, each equal to the float of
-    that row.
+    that row.  A product that overflows is inf or nan, without a warning:
+    :func:`pressure` rejects a P_n that is not finite.
     """
     _require_s(s)
     log_alpha = np.asarray(log_alpha)
     d = log_alpha.shape[-1]
-    if s > d:
-        out = (s / d) * np.sum(log_alpha, axis=-1)
-    else:
-        k = floor(s)
-        out = np.sum(log_alpha[..., :k], axis=-1)
-        if s > k and k < d:
-            out = out + (s - k) * log_alpha[..., k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if s > d:
+            out = (s / d) * np.sum(log_alpha, axis=-1)
+        else:
+            k = floor(s)
+            out = np.sum(log_alpha[..., :k], axis=-1)
+            if s > k and k < d:
+                out = out + (s - k) * log_alpha[..., k]
     return float(out) if log_alpha.ndim == 1 else out
 
 
@@ -148,9 +150,10 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
 
     All P_n come from one level sweep over lengths 1..max(n_range) (see
     :func:`coprox.cocycle.sweep_log_singular`).  The lengths must be
-    distinct and >= 1.  ``workers`` is accepted and ignored: every sweep
-    runs in the calling thread.  It goes once the benchmark harness stops
-    passing it.
+    distinct and >= 1.  A P_n that is not finite (the potential overflows
+    at a large s) is an error.  ``workers`` is accepted and ignored: every
+    sweep runs in the calling thread.  It goes once the benchmark harness
+    stops passing it.
     """
     n_range = tuple(sorted(n_range))
     if not n_range:
@@ -165,8 +168,12 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
 
 def _estimate(A: WindowCocycle, s: float, n_range: tuple[int, ...],
               weights: dict[int, CylinderWeights]) -> PressureEstimate:
-    """The pressure estimate over n_range from each length's weights."""
+    """The pressure estimate over n_range from each length's weights; a
+    P_n that is not finite is an error naming s."""
     p_n = [weights[n].log_normalizer / n for n in n_range]
+    bad = [n for n, p in zip(n_range, p_n) if not np.isfinite(p)]
+    if bad:
+        raise ValueError(f"P_n at s = {s!r} is not finite for n = {bad}")
     if len(n_range) == 1:
         value = p_n[0]
         method = "single-n"

@@ -45,8 +45,8 @@ def test_sweep_rows_equal_batch_on_enumerated_words(cocycles, name, n_set, over)
 def _first_length_over_cap(A, times):
     """The least length with more than times x ROW_CAP words: test lengths
     follow the cap, so each level they pick is still cut into blocks."""
-    return next(n for n in range(1, 64)
-                if sft.count_words(A.base, n) > times * cocycle.ROW_CAP)
+    return next(n for n, count in enumerate(sft.word_counts(A.base), 1)
+                if count > times * cocycle.ROW_CAP)
 
 
 @pytest.mark.parametrize("times", [1, 2])
@@ -56,7 +56,7 @@ def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, times, name)
     # on the skew base, blocks differ in how many descendants they have
     A = cocycles[name]
     n = _first_length_over_cap(A, 4 * times)
-    assert sft.count_words(A.base, n) > 4 * times * cocycle.ROW_CAP
+    assert len(sft.word_array(A.base, n)) > 4 * times * cocycle.ROW_CAP
     sizes = []
     extend = cocycle._extend_products
 
