@@ -30,6 +30,18 @@ EXHAUSTIVE_BUDGET = 200_000
 have: every one is evaluated."""
 
 
+def _refuse_over_budget(what: str, over: Sequence[int], items: str) -> None:
+    """Raise the one-line error for lengths or periods with more than
+    ``EXHAUSTIVE_BUDGET`` items, named as runs ("1, 3..40"): orbit counts
+    are not monotone, so the refused periods need not be one run."""
+    ns = sorted(set(over))
+    cuts = [i for i in range(1, len(ns)) if ns[i] > ns[i - 1] + 1]
+    named = ", ".join(str(ns[a]) if ns[a] == ns[b - 1] else f"{ns[a]}..{ns[b - 1]}"
+                      for a, b in zip([0] + cuts, cuts + [len(ns)]))
+    raise ValueError(f"{what} {named} have more than {EXHAUSTIVE_BUDGET} {items}, "
+                     "the exhaustive budget")
+
+
 def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicWord, np.ndarray]]:
     """All periodic orbits of period <= max_period with their exponent
     vectors, sorted by word.  Each orbit is its Lyndon word (its orbit
@@ -44,8 +56,7 @@ def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicW
     over = [n for n, count in enumerate(orbit_counts(A.base, max_period), 1)
             if count > EXHAUSTIVE_BUDGET]
     if over:
-        raise ValueError(f"periods {over} have more than {EXHAUSTIVE_BUDGET} orbits, "
-                         "the exhaustive budget")
+        _refuse_over_budget("periods", over, "orbits")
     out = []
     for cycles, rows in lyndon_chi_rows(A, max_period):
         n = cycles.shape[1]
@@ -108,8 +119,7 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int]) -> GapProfile:
                                       islice(word_counts(A.base), max(n_list))))
     too_long = [n for n in n_list if n > within]
     if too_long:
-        raise ValueError(f"lengths {too_long} have more than {EXHAUSTIVE_BUDGET} words, "
-                         "the exhaustive budget")
+        _refuse_over_budget("lengths", too_long, "words")
     gaps = sweep_log_singular(A, n_list, least_fixed_symbol(A.base),
                               row_map=lambda rows: rows[:, i - 1] - rows[:, i])
     minima = [float(np.min(gaps[n])) for n in n_list]

@@ -16,17 +16,19 @@ peak entry in [0.5, 1), feed the spectral ladder (``_ladder``).  It
 serves level sweeps over all admissible words (``sweep_log_singular``),
 given words (``batch_log_singular``), single orbits as batches of one
 (``orbit_mu_vec``, synthesis folds), given cycles (``cycle_chi_rows``)
-and every periodic orbit up to a period, read off a level walk over the
-admissible prenecklaces (``lyndon_chi_rows``), with the same bytes per
-product on every path.  The kernel holds its products column-major, as
-(r, r, rows) arrays whose every entry is a contiguous vector over the
-rows: a step by one window matrix over many rows is one GEMM, and
-rescales and tops are elementwise calls on those vectors.  Rescaling is
-by powers of two, which is exact, so a rescaled product holds the raw
-product's mantissas whatever the rescale cadence or the calls a fold is
-split into, and a raw product (``product``) is the kernel's output with
-its exponent put back.  The ladder reads only the top of each rung, by
-one rule per row, so a row's bytes do not depend on its batch.  A top
+and every periodic orbit up to a period, read off the admissible
+prenecklaces (``lyndon_chi_rows``), with the same bytes per product on
+every path.  The sweep and the prenecklaces run on one depth-first level
+walk in blocks of at most ``ROW_CAP`` rows (``_levels``).  The kernel
+holds its products column-major, as (r, r, rows) arrays whose every
+entry is a contiguous vector over the rows: a step by one window matrix
+over many rows is one GEMM, and rescales and tops are elementwise calls
+on those vectors.  Rescaling is by powers of two, which is exact, so a
+rescaled product holds the raw product's mantissas whatever the rescale
+cadence or the calls a fold is split into, and a raw product
+(``product``) is the kernel's output with its exponent put back.  The
+ladder reads only the top of each rung, by one rule per row, so a row's
+bytes do not depend on its batch.  A top
 singular value comes from a closed form on 2 x 2 and 3 x 3 rungs and
 from the top eigenvalue of the rescaled product's Gram matrix on larger
 ones, accurate to a few ulps (see ``_top_singular``).  A top eigenvalue
@@ -41,7 +43,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,7 +72,6 @@ from .sft import (
     stable_shift,
     unstable_shift,
     word_array,
-    word_counts,
 )
 
 
@@ -195,51 +195,47 @@ def cycle_chi_rows(A: WindowCocycle, cycles: np.ndarray) -> np.ndarray:
 
 
 def lyndon_chi_rows(A: WindowCocycle, max_period: int) -> list:
-    """[(cycles, rows)] per period n = 1..max_period: the admissible Lyndon
-    words of length n with an allowed wrap pair (one per orbit of period
-    n) and their :func:`cycle_chi_rows` rows, byte for byte, in walk order.
+    """[(cycles, rows)] per walk block, in walk order: the admissible
+    Lyndon words of length n = 1..max_period with an allowed wrap pair (one
+    per orbit of period n) and their :func:`cycle_chi_rows` rows, byte for
+    byte.
 
-    One level walk over the admissible prenecklaces (see
-    :func:`coprox.sft.prenecklace_step`) shares every prefix's product.  A
-    level-m row is a root g, an admissible k-word standing for the cycle's
-    last k symbols, and a prenecklace w[:m] with g w[:m] admissible; its
-    trunk is the product over windows 0..m-1-k of g w[:m], one column per
-    level, with its log-determinant sum.  A row is a cycle of period n
-    when w is Lyndon, its wrap pair is allowed and g = w[(-k..-1) mod n];
-    ``_ladder`` then continues its trunk through windows max(0, n-k)..n-1
-    of g w w[(0..k-1) mod n].  Those are the cycle's windows from the
-    identity, rescaled by exact powers of two and their log determinants
-    added in the same order, hence the bytes of its fold from scratch.
-    The closed rows of successive periods are kept continued and their
-    tops read together, in one call per rung each time ``ROW_CAP`` rows
-    have gathered and after the last period: a top is its row's alone.
+    The level walk (:func:`_levels`) runs over the admissible prenecklaces
+    (see :func:`coprox.sft.prenecklace_step`) and shares every prefix's
+    product.  A level-m row is a root g, an admissible k-word standing for
+    the cycle's last k symbols, and a prenecklace w[:m] with g w[:m]
+    admissible; its trunk is the product over windows 0..m-1-k of g w[:m],
+    with its log-determinant sum.  A row is a cycle of period n when w is
+    Lyndon, its wrap pair is allowed and g = w[(-k..-1) mod n]; ``_ladder``
+    then continues its trunk through windows max(0, n-k)..n-1 of g w
+    w[(0..k-1) mod n].  Those are the cycle's windows from the identity,
+    rescaled by exact powers of two and their log determinants added in the
+    same order, hence the bytes of its fold from scratch.  The closed rows
+    are kept continued and their tops read together, in one call per rung
+    each time ``ROW_CAP`` rows have gathered and after the walk: a top is
+    its row's alone.
     """
     s, k = A.base, A.radius
-    words = word_array(s, k)
-    trunks, logdets = _identity_trunks(A, len(words)), np.zeros(len(words))
-    lyn = np.zeros(len(words), dtype=np.int64)
-    out, closed_rows = [], []
-    for n in range(1, max_period + 1):
-        parent, words = extend_words(s, words)
+
+    def step(parent, words, lyn):
         keep, lyn = prenecklace_step(words[:, k:], lyn[parent])
-        parent, words, lyn = parent[keep], words[keep], lyn[keep]
-        col = _window_rows(A, words[:, -(2 * k + 1):]) if n > k else words[:, :0]
-        trunks = [_extend_products(m, every, col, p, sc, parent)
-                  for m, every, (p, sc) in zip(A._rungs, A._cadences, trunks)]
-        logdets = _logdet_sum(A, col, logdets[parent])
+        return parent[keep], words[keep], lyn[keep]
+
+    roots = word_array(s, k)
+    out, closed_rows = [], []
+    for n, words, lyn, trunks, logdets in _levels(A, step, max_period, roots,
+                                                  np.zeros(len(roots), dtype=np.int64)):
         cycles = words[:, k:]
-        closed = ((lyn == n) & s._arrows[cycles[:, -1], cycles[:, 0]]
-                  & (words[:, :k] == cycles[:, np.arange(-k, 0) % n]).all(axis=1))
-        sel = closed.nonzero()[0]
+        sel = ((lyn == n) & s._arrows[cycles[:, -1], cycles[:, 0]]
+               & (words[:, :k] == cycles[:, np.arange(-k, 0) % n]).all(axis=1)).nonzero()[0]
         if len(sel):
             tail = _window_rows(A, cycles[sel][:, np.arange(max(0, n - k) - k, n + k) % n])
             trunk = [(p[:, :, sel], sc[sel]) for p, sc in trunks]
             closed_rows.append((cycles[sel], *_continued(A, tail, trunk, logdets[sel])))
-        if closed_rows and (n == max_period
-                            or sum(len(c) for c, _, _ in closed_rows) >= ROW_CAP):
-            out += _closed_tops(closed_rows)
-            closed_rows = []
-    return out
+            if sum(len(c) for c, _, _ in closed_rows) >= ROW_CAP:
+                out += _closed_tops(closed_rows)
+                closed_rows = []
+    return out + _closed_tops(closed_rows) if closed_rows else out
 
 
 def _closed_tops(closed_rows: list) -> list:
@@ -834,8 +830,8 @@ def _tops(trunks: list, logdets: np.ndarray, top: str) -> np.ndarray:
 
 
 ROW_CAP = 4096
-"""Most rows one kernel batch carries: sweep levels and word batches with
-more are cut into contiguous blocks.  A sweep block makes the same numpy
+"""Most rows one kernel batch carries: walk levels (sweeps and spectra) and
+word batches with more are cut into contiguous blocks.  A walk block makes the same numpy
 calls per level whatever its rows (per window a gather, a GEMM and a
 scatter, one maximum reduction per rescale, and on a 3x3 rung about 80
 elementwise passes for its tops), so blocks are large; on 3x3 rungs one
@@ -869,87 +865,65 @@ def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols],
                            for w in blocks])
 
 
-def _cut(T: np.ndarray, state: list) -> list:
-    """A level's sweep state cut into states of contiguous blocks of at
-    most ROW_CAP words, each the words of a run of subtrees with the run
-    of parents they extend.  Blocks are copies, so the level is freed once
-    its caller lets go of it; a block's descendants at each target start
-    after those of the blocks before it: per last symbol, the words before
-    the block that end in it times its level-m descendants, exact integers."""
-    n, words, parent, trunks, logdets, at = state
-    # level-m descendants of a word, per last symbol, and the last symbols
-    # of the words before each block
-    descendants = {m: np.linalg.matrix_power(T, m - n).sum(axis=1) for m in at}
-    ends = np.zeros(len(T), dtype=np.int64)
+def _cut(words: np.ndarray, aux, parent: np.ndarray, trunks: list,
+         logdets: np.ndarray) -> list:
+    """A level's rows cut into contiguous blocks of at most ROW_CAP rows,
+    each with the run of parents it extends: (words, aux, parent, trunks,
+    logdets) per block.  Blocks are copies, so the level is freed once its
+    caller lets go of it."""
     blocks = []
     for b in _blocks(len(words)):
         # children follow their parents' order, so a block's parents are a run
         run = slice(parent[b.start], parent[b.stop - 1] + 1)
-        blocks.append([n, words[b].copy(), parent[b] - run.start,
+        blocks.append((words[b].copy(), None if aux is None else aux[b].copy(),
+                       parent[b] - run.start,
                        [(p[:, :, run].copy(), s[run].copy()) for p, s in trunks],
-                       logdets[run].copy(), {m: at[m] + int(ends @ descendants[m]) for m in at}])
-        ends += np.bincount(words[b, -1], minlength=len(T))
+                       logdets[run].copy()))
     return blocks
 
 
-def _sweep(A: WindowCocycle, pads, row_map, out: dict, state: list) -> None:
-    """Sweep on from a state, writing the rows of each target length n
-    left to sweep into ``out[n]`` from row ``at[n]`` on, each block of rows
-    through ``row_map`` when one is given.
+def _levels(A: WindowCocycle, step, depth: int, words: np.ndarray, aux,
+            parent=None, trunks=None, logdets=None, n: int = 0):
+    """Blocks (n, words, aux, trunks, logdets) of levels n = 1..depth of a
+    depth-first walk from level-0 roots (rows of words, per-row aux or
+    None, identity trunks): the one walk of the sweep and the spectrum.
 
-    A level-n state is the list [n, words, parent, trunks, logdets, at]:
-    the last 2k+1 symbols of each length-n word's padded form (all of them
-    while it is shorter), as rows in the words' sorted order; the parents'
-    per-rung rescaled products over windows 0..n-k-2, which stop before
-    the last symbol, with the running sums of their log determinants;
-    ``parent``, the parent row of each word; and ``at``, per target not
-    yet reached, the row of the first level-n descendant of these words.
-    No window reads more than 2k+1 symbols, so nothing else of a word is
-    kept.  The state is handed over: it is emptied on entry, so each level
-    is freed once the next is built.  The window the last symbol completes
-    forms the words' products straight from their parents' (see
-    :func:`_extend_products`); they then cover every window that reads no
-    right pad, so all extensions share them, and the k windows reading the
-    right pad are applied per target in ``_ladder``.
-
-    A level of more than ``ROW_CAP`` words is cut into contiguous blocks
-    (see :func:`_cut`) and dropped; each block is swept on depth-first and
-    dropped in turn.  No kernel batch has more than ``ROW_CAP`` rows, and
-    per cut it is inside a sweep holds only that cut's blocks not yet
-    swept on, never a level it has moved past.
+    A level extends each row by every admissible symbol (``extend_words``,
+    sorted rows give sorted children); ``step`` takes (parent, words, aux)
+    and returns the children kept, maybe with their words trimmed.  A row's
+    trunks are its parent's per-rung rescaled products and log-determinant
+    sum continued through the window its last symbol completes, read off
+    its last 2k+1 symbols (none while n <= k).  A level of more than
+    ``ROW_CAP`` rows is cut into contiguous blocks (see :func:`_cut`) and
+    dropped; each block, whose parent, trunks and logdets are its own, is
+    walked on depth-first and dropped in turn.  So no kernel batch exceeds
+    ``ROW_CAP`` rows, the walk never holds a level it has moved past, and
+    each level's blocks come out in sorted order.
     """
-    lpads, rpads = pads
     k = A.radius
-    n, words, parent, trunks, logdets, at = state
-    state.clear()
+    if trunks is None:
+        trunks, logdets = _identity_trunks(A, len(words)), np.zeros(len(words))
     while True:
+        if parent is None:
+            if n >= depth:
+                return
+            parent, words, aux = step(*extend_words(A.base, words), aux)
+            n += 1
         if len(words) > ROW_CAP:
-            blocks = _cut(A.base.matrix(), [n, words, parent, trunks, logdets, at])
-            del words, parent, trunks, logdets
-            for block in blocks:
-                _sweep(A, pads, row_map, out, block)
+            blocks = _cut(words, aux, parent, trunks, logdets)[::-1]
+            del words, aux, parent, trunks, logdets
+            while blocks:
+                yield from _levels(A, step, depth, *blocks.pop(), n)
             return
         # each level's temporaries go as soon as they are used, so that a
         # cut below this level holds nothing of it but its blocks
-        col = _window_rows(A, words) if n > k else words[:, :0]
+        col = _window_rows(A, words[:, -(2 * k + 1):]) if n > k else words[:, :0]
         trunks = [_extend_products(m, every, col, p, s, parent)
                   for m, every, (p, s) in zip(A._rungs, A._cadences, trunks)]
         logdets = _logdet_sum(A, col, logdets[parent])
-        del col, parent
-        if n in at:
-            tail = np.concatenate([words[:, max(0, words.shape[1] - 2 * k):],
-                                   rpads[words[:, -1]]], axis=1)
-            rows = _ladder(A, _window_rows(A, tail), trunks, logdets)
-            start = at.pop(n)
-            out[n][start:start + len(words)] = rows if row_map is None else row_map(rows)
-            del tail, rows
-        if not at:
-            return
-        parent, words = extend_words(A.base, words)
-        if not n:
-            words = np.concatenate([lpads[words[:, 0]], words], axis=1)
-        words = words[:, -(2 * k + 1):]
-        n += 1
+        del col
+        parent = None
+        yield n, words, aux, trunks, logdets
 
 
 def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int,
@@ -959,30 +933,37 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
 
     With a ``row_map``, a row-wise function taking an (N, d) block of
     these rows to N values, each length gets those values in place of its
-    rows: the map runs on each block as it is written, so the sweep holds
-    one float per word, not d, and a value is the map of its row alone.
+    rows: the map runs on each block as it is read, so the sweep holds one
+    float per word, not d, and a value is the map of its row alone.
 
-    One sweep over lengths 1..max(n_list) extends each length-(n-1) state
-    to its admissible children with one step per exterior rung, a GEMM per
-    window present, so a range of lengths costs about as much as the
-    longest.  Each word's
-    arithmetic (identity start, per-step rescaling, left-to-right log
-    scales, log-determinant sum) is that of :func:`batch_log_singular`, so
-    the rows are byte-identical to it.  Levels are swept depth-first in
-    blocks of at most ``ROW_CAP`` rows, written in place into the returned
-    arrays, and each level is freed once its blocks are cut, so memory
-    beyond those arrays stays bounded.
+    One level walk (:func:`_levels`) covers lengths 1..max(n_list), one
+    step per exterior rung and level, so a range of lengths costs about as
+    much as the longest.  A row keeps the last 2k+1 symbols of its word's
+    padded form, all its windows read; its trunks cover every window that
+    reads no right pad, and the k that do are applied per target length in
+    ``_ladder``.  Each word's arithmetic is that of
+    :func:`batch_log_singular`, so the rows are byte-identical to it.
     """
     targets = sorted(set(n_list))
     if targets and targets[0] < 1:
         raise ValueError("lengths must be >= 1")
-    shape = (A.dim,) if row_map is None else ()
-    counts = list(islice(word_counts(A.base), max(targets, default=0)))
-    out = {n: np.empty((counts[n - 1],) + shape) for n in targets}
-    root = [0, np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64),
-            _identity_trunks(A, 1), np.zeros(1), dict.fromkeys(targets, 0)]
-    _sweep(A, _pads(A, base_symbol), row_map, out, root)
-    return out
+    k = A.radius
+    lpads, rpads = _pads(A, base_symbol)
+
+    def step(parent, words, aux):
+        if words.shape[1] == 1:  # length 1: put the left pad on
+            words = np.concatenate([lpads[words[:, 0]], words], axis=1)
+        return parent, words[:, -(2 * k + 1):], aux
+
+    out = {n: [] for n in targets}
+    root = np.zeros((1, 0), dtype=np.int64)
+    for n, words, _, trunks, logdets in _levels(A, step, max(targets, default=0), root, None):
+        if n in out:
+            tail = np.concatenate([words[:, max(0, words.shape[1] - 2 * k):],
+                                   rpads[words[:, -1]]], axis=1)
+            rows = _ladder(A, _window_rows(A, tail), trunks, logdets)
+            out[n].append(rows if row_map is None else row_map(rows))
+    return {n: np.concatenate(blocks) for n, blocks in out.items()}
 
 
 # ---------------------------------------------------------------------------

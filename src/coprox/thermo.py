@@ -19,6 +19,7 @@ import numpy as np
 from .cocycle import batch_log_singular  # noqa: F401  (part of this module's API)
 from .cocycle import WindowCocycle, require_common_base, sweep_log_singular
 from .errors import NotConstant
+from .matnum import mu_vec
 from .analysis import periodic_lyapunov, periodic_spectrum, _sampled_words
 from .sft import least_fixed_symbol
 from .synthesis import _require_tau, build_family_context, synthesize_family
@@ -69,13 +70,6 @@ def log_phi_s(log_alpha: np.ndarray, s: float):
             if s > k and k < d:
                 out = out + (s - k) * log_alpha[..., k]
     return float(out) if log_alpha.ndim == 1 else out
-
-
-def phi_s(g: np.ndarray, s: float) -> float:
-    """Singular value potential of one matrix (two-branch formula)."""
-    from .matnum import mu_vec
-
-    return float(np.exp(log_phi_s(mu_vec(np.asarray(g, dtype=float)), s)))
 
 
 @dataclass(frozen=True)
@@ -139,7 +133,7 @@ def _known_oracle(A: WindowCocycle, s: float) -> Optional[float]:
     if all(np.array_equal(m, mats[0]) for m in mats) and T.all():
         g = mats[0]
         if np.allclose(g @ g.T, g.T @ g, atol=1e-12):  # normal: powers stay exact
-            return float(np.log(A.base.alphabet_size) + np.log(phi_s(g, s)))
+            return float(np.log(A.base.alphabet_size) + log_phi_s(mu_vec(g), s))
     return None
 
 

@@ -379,7 +379,7 @@ def test_dominate_beyond_the_exhaustive_budget_is_an_error(tmp_path, capsys):
     assert main(["dominate", "--input", str(dom), "--n-min", "16", "--n-max", "18",
                  "--max-period", "2"]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: lengths [18] ")
+    assert err.count("\n") == 1 and err.startswith("error: lengths 18 have ")
     assert "200000 words" in err
 
 

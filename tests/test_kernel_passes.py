@@ -7,11 +7,13 @@ Each must give the bytes of the longer form kept below, on stacks of 1, 2,
 7 and more than ``ROW_CAP`` rows with entries scaled by 2^-500 to 2^500,
 rows whose top two singular values are equal and rows that are scalar
 multiples of signed permutations (a scalar Gram, Smith's p = 0).  The
-sweep's word counts, the block offsets of its first cut and the orbit
-counts behind the spectrum's budget are held to brute force.
+sweep's word counts, the blocks of the level walk after its first cut and
+the orbit counts behind the spectrum's budget are held to brute force;
+the spectrum's walk in blocks keeps its bytes and bounds its memory.
 """
 
 import re
+import tracemalloc
 import warnings
 from itertools import islice
 
@@ -179,7 +181,7 @@ def test_tops_equal_the_stacked_differences(dim, count, lead, top, seed):
     assert _same(got, np.ascontiguousarray(ref))
 
 
-# -- exact counts: words per length, cut offsets, orbits per period --------
+# -- exact counts: words per length, walk blocks, orbits per period --------
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -201,31 +203,80 @@ def test_orbit_counts_equal_distinct_primitive_cycles(cocycles, name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_first_cut_offsets_equal_brute_force(cocycles, monkeypatch, name):
-    # with a small cap the first cut comes early; each block's row at each
-    # target must be the number of target words whose prefix at the cut
-    # level sorts before the block's first word
-    A = cocycles[name]
+    # the walk keeps no offsets: with a small cap the first cut comes early,
+    # and each block of each later level must hold the slice of that level's
+    # sorted words that starts after the rows of the blocks before it.  The
+    # sweep's step runs with each row's whole word as its aux, which also
+    # carries aux through the cuts
+    A, k = cocycles[name], cocycles[name].radius
     monkeypatch.setattr(cocycle, "ROW_CAP", 40)
+    lpads, _ = cocycle._pads(A, 0)
+
+    def step(parent, words, whole):
+        whole = np.concatenate([whole[parent], words[:, -1:]], axis=1)
+        if words.shape[1] == 1:
+            words = np.concatenate([lpads[words[:, 0]], words], axis=1)
+        return parent, words[:, -(2 * k + 1):], whole
+
     n = next(n for n in range(1, 30) if len(sft.word_array(A.base, n)) > 40)
-    cuts = []
-    cut = cocycle._cut
+    root = np.zeros((1, 0), dtype=np.int64)
+    rows, blocks = {}, {}
+    for m, _, whole, _, _ in cocycle._levels(A, step, n + 3, root, root):
+        at = rows.get(m, 0)
+        assert np.array_equal(whole, sft.word_array(A.base, m)[at:at + len(whole)])
+        assert len(whole) <= 40
+        rows[m], blocks[m] = at + len(whole), blocks.get(m, 0) + 1
+    assert rows == {m: len(sft.word_array(A.base, m)) for m in range(1, n + 4)}
+    assert blocks[n - 1] == 1 < blocks[n]
 
-    def recorded(T, state):
-        level, at = state[0], dict(state[5])
-        blocks = cut(T, state)
-        cuts.append((level, at, [dict(block[5]) for block in blocks]))
-        return blocks
 
-    monkeypatch.setattr(cocycle, "_cut", recorded)
-    targets = [n, n + 1, n + 3]
-    cocycle.sweep_log_singular(A, targets, 0, row_map=lambda rows: rows[:, 0])
-    level, at, offsets = cuts[0]
-    assert level == n and at == dict.fromkeys(targets, 0) and len(offsets) > 1
-    starts = [b.start for b in cocycle._blocks(len(sft.word_array(A.base, n)))]
-    rank = {w: i for i, w in enumerate(map(tuple, sft.word_array(A.base, n).tolist()))}
-    for m in targets:
-        prefixes = [rank[tuple(w[:n])] for w in sft.word_array(A.base, m).tolist()]
-        assert [o[m] for o in offsets] == [sum(p < i for p in prefixes) for i in starts]
+WALK_NAMES = sorted(demos.DEMOS) + list(NAMES)
+
+
+@pytest.mark.parametrize("name", WALK_NAMES)
+def test_spectrum_walk_in_blocks_keeps_its_bytes(cocycles, monkeypatch, name):
+    # with a cap of 40 rows every level past the first few is cut; the
+    # spectrum must keep the default walk's bytes and cycle_chi_rows' rows,
+    # and no kernel batch may exceed the cap
+    A = demos.get_demo(name) if name in demos.DEMOS else cocycles[name]
+    period = 14
+
+    def flat(walk):
+        pairs = sorted((tuple(c), r.tobytes()) for cycles, rows in walk
+                       for c, r in zip(cycles.tolist(), rows))
+        return [c for c, _ in pairs], b"".join(r for _, r in pairs)
+
+    whole = flat(cocycle.lyndon_chi_rows(A, period))
+    monkeypatch.setattr(cocycle, "ROW_CAP", 40)
+    sizes = []
+    extend = cocycle._extend_products
+
+    def recorded(mats, every, idx, prods, scales, take=None):
+        sizes.append(len(idx))
+        return extend(mats, every, idx, prods, scales, take)
+
+    monkeypatch.setattr(cocycle, "_extend_products", recorded)
+    walk = cocycle.lyndon_chi_rows(A, period)
+    assert flat(walk) == whole
+    for cycles, rows in walk:
+        assert rows.tobytes() == cocycle.cycle_chi_rows(A, cycles).tobytes()
+    assert max(sizes, default=0) <= 40
+    assert len(walk) > 1 and len(whole[0]) == sum(sft.orbit_counts(A.base, period))
+
+
+def test_spectrum_walk_traced_peak_is_bounded(typical3):
+    # the walk holds blocks of at most ROW_CAP rows, not whole levels: its
+    # peak at period 18 (31,042 orbits, about 1.3 MB of output) was 18 MB
+    # when it held whole levels, and is about 5 MB in blocks
+    cocycle.lyndon_chi_rows(typical3, 4)  # the cocycle's tables, built once
+    tracemalloc.start()
+    try:
+        walk = cocycle.lyndon_chi_rows(typical3, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(cycles) for cycles, _ in walk) == 31042
+    assert peak < 8e6
 
 
 # -- boundaries: orbits over budget, a pressure that is not finite ---------
@@ -254,9 +305,21 @@ def test_spectrum_rejects_periods_over_budget_before_walking(monkeypatch):
     below = min(over) - 1
     assert len(analysis.periodic_spectrum(A, below)) == sum(counts[:below])
     _refuse_walk(monkeypatch)
-    message = f"periods {over} have more than {budget} orbits"
+    message = f"periods {min(over)}..14 have more than {budget} orbits"
     with pytest.raises(ValueError, match=re.escape(message)):
         analysis.periodic_spectrum(A, 14)
+
+
+def test_refused_periods_are_named_as_runs(monkeypatch):
+    # orbit counts are not monotone: the full 2-shift has 2, 1, 2, 3, 6, ...
+    # orbits of period 1, 2, 3, ..., so a budget of 1 refuses 1 and 3 on
+    A = demos.typical_2x2()
+    assert sft.orbit_counts(A.base, 4) == [2, 1, 2, 3]
+    monkeypatch.setattr(analysis, "EXHAUSTIVE_BUDGET", 1)
+    _refuse_walk(monkeypatch)
+    with pytest.raises(ValueError, match=r"^periods 1, 3\.\.9 have more than 1 orbits, "
+                                         r"the exhaustive budget$"):
+        analysis.periodic_spectrum(A, 9)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "dominate"])
@@ -267,8 +330,12 @@ def test_cli_period_over_budget_is_one_error_line(golden_file, monkeypatch, caps
     over = [n for n, c in enumerate(sft.orbit_counts(demos.golden_typical_3x3().base, 40), 1)
             if c > analysis.EXHAUSTIVE_BUDGET]
     assert over == list(range(33, 41))
-    assert capsys.readouterr().err == (f"error: periods {over} have more than 200000 orbits, "
+    assert capsys.readouterr().err == ("error: periods 33..40 have more than 200000 orbits, "
                                        "the exhaustive budget\n")
+    # 29,968 refused periods are one run, not a list of every period
+    assert main([command, "--input", str(golden_file), "--max-period", "30000"]) == 1
+    assert capsys.readouterr().err == ("error: periods 33..30000 have more than 200000 "
+                                       "orbits, the exhaustive budget\n")
 
 
 def test_pressure_that_is_not_finite_is_an_error_naming_s():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from coprox import cocycle, demos, thermo, typicality
 from coprox.errors import NotConstant
+from coprox.matnum import mu_vec
 from coprox.thermo import (
     cylinder_weights,
-    phi_s,
+    log_phi_s,
     pressure,
     theorem_c_experiment,
     top_exponent_differences,
@@ -20,12 +22,17 @@ from coprox.thermo import (
 from conftest import random_invertible
 
 
+def _log_phi(g, s):
+    """log phi^s of one matrix, as the pressure oracle reads it."""
+    return log_phi_s(mu_vec(g), s)
+
+
 def test_phi_s_examples():
     g = np.diag([4.0, 2.0])
-    assert phi_s(g, 0.0) == pytest.approx(1.0)
-    assert phi_s(g, 1.5) == pytest.approx(4.0 * np.sqrt(2.0))
-    assert phi_s(g, 4.0) == pytest.approx(64.0)  # s > d branch: |det|^{s/d}
-    assert phi_s(g, 1.0) == pytest.approx(4.0)
+    assert _log_phi(g, 0.0) == 0.0
+    assert _log_phi(g, 1.5) == pytest.approx(np.log(4.0 * np.sqrt(2.0)))
+    assert _log_phi(g, 4.0) == pytest.approx(np.log(64.0))  # s > d branch: |det|^{s/d}
+    assert _log_phi(g, 1.0) == pytest.approx(np.log(4.0))
 
 
 def test_phi_s_branch_agreement_at_d():
@@ -33,9 +40,9 @@ def test_phi_s_branch_agreement_at_d():
     for d in (2, 3):
         g = random_invertible(rng, d)
         alpha = np.linalg.svd(g, compute_uv=False)
-        assert phi_s(g, float(d)) == pytest.approx(np.prod(alpha), rel=1e-10)
-        assert phi_s(g, float(d)) == pytest.approx(
-            abs(np.linalg.det(g)), rel=1e-10)
+        assert _log_phi(g, float(d)) == pytest.approx(np.sum(np.log(alpha)), abs=1e-10)
+        assert _log_phi(g, float(d)) == pytest.approx(
+            np.linalg.slogdet(g)[1], abs=1e-10)
 
 
 def test_phi_s_submultiplicative():
@@ -45,7 +52,17 @@ def test_phi_s_submultiplicative():
         g = random_invertible(rng, 2)
         h = random_invertible(rng, 2)
         for s in svals:
-            assert phi_s(g @ h, s) <= phi_s(g, s) * phi_s(h, s) * (1 + 1e-10)
+            assert _log_phi(g @ h, s) <= _log_phi(g, s) + _log_phi(h, s) + 1e-10
+
+
+def test_constant_cocycle_oracle_is_finite_at_huge_s():
+    # the oracle is read in logs: at s = 1e300 phi^s itself overflows
+    A = demos.constant_diag_4_1()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = pressure(A, 1e300, list(range(2, 6)))
+    assert est.oracle == np.log(2.0) + 0.5e300 * np.log(4.0)
+    assert est.value == pytest.approx(est.oracle, rel=1e-12)
 
 
 def test_pressure_s0_golden_oracle():
@@ -69,7 +86,7 @@ def test_pressure_constant_cocycle_closed_form():
     A = demos.constant_diag_4_1()
     for s in (0.5, 1.0, 1.5):
         est = pressure(A, s, list(range(2, 9)))
-        expect = np.log(2.0) + np.log(phi_s(np.diag([4.0, 1.0]), s))
+        expect = np.log(2.0) + _log_phi(np.diag([4.0, 1.0]), s)
         assert est.oracle == pytest.approx(expect, abs=1e-12)
         assert est.value == pytest.approx(expect, abs=1e-10)
 
@@ -91,8 +108,8 @@ def _local_holonomy_log_bound(A, s):
         for w2 in A.table:
             if w1[1:] == w2[1:]:  # same present and future: stable pair
                 h = np.linalg.inv(A.table[w2]) @ A.table[w1]
-                worst = max(worst, abs(float(np.log(phi_s(h, s)))),
-                            abs(float(np.log(phi_s(np.linalg.inv(h), s)))))
+                worst = max(worst, abs(_log_phi(h, s)),
+                            abs(_log_phi(np.linalg.inv(h), s)))
     return worst
 
 
