@@ -16,7 +16,7 @@ import numpy as np
 
 from .cocycle import WindowCocycle, cycle_chi_rows, lyndon_chi_rows, sweep_log_singular
 from .matnum import fit_line
-from .sft import PeriodicWord, Symbols, least_fixed_symbol, orbit_counts, word_counts
+from .sft import PeriodicWord, Sft, Symbols, least_fixed_symbol, orbit_counts, word_counts
 from .synthesis import SYNTHESIS_ERRORS, build_proximal_periodic
 
 
@@ -30,16 +30,28 @@ EXHAUSTIVE_BUDGET = 200_000
 have: every one is evaluated."""
 
 
-def _refuse_over_budget(what: str, over: Sequence[int], items: str) -> None:
+def _refuse_over_budget(what: str, over: Sequence[int], items: str, budget: int) -> None:
     """Raise the one-line error for lengths or periods with more than
-    ``EXHAUSTIVE_BUDGET`` items, named as runs ("1, 3..40"): orbit counts
-    are not monotone, so the refused periods need not be one run."""
+    budget items, named as runs ("1, 3..40"): orbit counts are not
+    monotone, so the refused periods need not be one run."""
     ns = sorted(set(over))
     cuts = [i for i in range(1, len(ns)) if ns[i] > ns[i - 1] + 1]
     named = ", ".join(str(ns[a]) if ns[a] == ns[b - 1] else f"{ns[a]}..{ns[b - 1]}"
                       for a, b in zip([0] + cuts, cuts + [len(ns)]))
-    raise ValueError(f"{what} {named} have more than {EXHAUSTIVE_BUDGET} {items}, "
+    raise ValueError(f"{what} {named} have more than {budget} {items}, "
                      "the exhaustive budget")
+
+
+def _refuse_long_lengths(s: Sft, n_list: Sequence[int], budget: int) -> None:
+    """Refuse the lengths in n_list with more than budget admissible words,
+    from the exact word counts, before any word is walked.  The counts
+    never decrease, so every length past the last within budget is over it,
+    and the counting stops there."""
+    within = sum(1 for _ in takewhile(lambda count: count <= budget,
+                                      islice(word_counts(s), max(n_list, default=0))))
+    too_long = [n for n in n_list if n > within]
+    if too_long:
+        _refuse_over_budget("lengths", too_long, "words", budget)
 
 
 def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicWord, np.ndarray]]:
@@ -56,7 +68,7 @@ def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicW
     over = [n for n, count in enumerate(orbit_counts(A.base, max_period), 1)
             if count > EXHAUSTIVE_BUDGET]
     if over:
-        _refuse_over_budget("periods", over, "orbits")
+        _refuse_over_budget("periods", over, "orbits", EXHAUSTIVE_BUDGET)
     out = []
     for cycles, rows in lyndon_chi_rows(A, max_period):
         n = cycles.shape[1]
@@ -114,12 +126,7 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int]) -> GapProfile:
         raise ValueError("n_list must be nonempty")
     if min(n_list) < 1:
         raise ValueError("lengths must be >= 1")
-    # counts never decrease, so every length past the last within budget is over it
-    within = sum(1 for _ in takewhile(lambda count: count <= EXHAUSTIVE_BUDGET,
-                                      islice(word_counts(A.base), max(n_list))))
-    too_long = [n for n in n_list if n > within]
-    if too_long:
-        _refuse_over_budget("lengths", too_long, "words")
+    _refuse_long_lengths(A.base, n_list, EXHAUSTIVE_BUDGET)
     gaps = sweep_log_singular(A, n_list, least_fixed_symbol(A.base),
                               row_map=lambda rows: rows[:, i - 1] - rows[:, i])
     minima = [float(np.min(gaps[n])) for n in n_list]

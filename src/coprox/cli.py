@@ -382,8 +382,8 @@ def main(argv=None) -> int:
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"file not found: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, no permission
+        print(f"file error: {exc}", file=sys.stderr)
         return 1
     except (CoproxError, ValueError) as exc:  # ValueError: a library boundary check
         print(f"error: {exc}", file=sys.stderr)

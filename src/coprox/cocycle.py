@@ -240,10 +240,12 @@ def lyndon_chi_rows(A: WindowCocycle, max_period: int) -> list:
 
 def _closed_tops(closed_rows: list) -> list:
     """[(cycles, rows)] for a list of (cycles, continued products, log-det
-    sums) per period: the ``"eig"`` tops of all their products at once."""
+    sums) per period: the ``"eig"`` tops of all their products at once,
+    each rung's stacks handed to :func:`_tops` as a list, so that the
+    periods and the same-size rungs are joined in one concatenation."""
     cycles, trunks, logdets = zip(*closed_rows)
-    joined = [(np.concatenate([t[i][0] for t in trunks], axis=2),
-               np.concatenate([t[i][1] for t in trunks])) for i in range(len(trunks[0]))]
+    joined = [([t[i][0] for t in trunks], np.concatenate([t[i][1] for t in trunks]))
+              for i in range(len(trunks[0]))]
     rows = _tops(joined, np.concatenate(logdets), "eig")
     return list(zip(cycles, np.split(rows, np.cumsum([len(c) for c in cycles])[:-1])))
 
@@ -813,16 +815,35 @@ def _tops(trunks: list, logdets: np.ndarray, top: str) -> np.ndarray:
     of its product alone, so a row's bytes do not depend on the rows it is
     read with.
 
+    So the rungs of one matrix size are read together: their products are
+    joined into one stack, read in one call and split back per rung.  At
+    d = 3 both rungs are 3 x 3 and pay one closed-form pass, not two; at
+    d = 4 rungs 1 and 3 share one.  A rung's products may also come as a
+    list of stacks, its rows in order (:func:`_closed_tops`' periods),
+    joined in that same concatenation.  A single product is read rung by
+    rung on the tops' scalar path, which costs less than a 2-row read.
+
     The differences are written column by column into one C-ordered (N,
     d) array, the first as level - 0.0: the bytes of differencing the
     levels against a zero level.
     """
-    out = np.empty((len(logdets), len(trunks) + 1))
+    read = _top_eig if top == "eig" else _top_singular
+    count = len(logdets)
+    stacks = [p if isinstance(p, list) else [p] for p, _ in trunks]
+    sizes = [len(parts[0]) for parts in stacks]
+    groups = ([[t] for t in range(len(trunks))] if count < 2 else
+              [[t for t, r in enumerate(sizes) if r == size] for size in dict.fromkeys(sizes)])
+    tops = [None] * len(trunks)
+    for group in groups:
+        parts = [p for t in group for p in stacks[t]]
+        joined = read(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2))
+        for i, t in enumerate(group):
+            tops[t] = joined[i * count:(i + 1) * count]
+    out = np.empty((count, len(trunks) + 1))
     below = 0.0
-    for t, (prods, scales) in enumerate(trunks):
-        tops = _top_eig(prods) if top == "eig" else _top_singular(prods)
+    for t, (rung, (_, scales)) in enumerate(zip(tops, trunks)):
         level = scales * LN2
-        level += np.log(tops, out=tops)
+        level += np.log(rung, out=rung)
         np.subtract(level, below, out=out[:, t])
         below = level
     np.subtract(logdets, below, out=out[:, -1])
@@ -831,13 +852,14 @@ def _tops(trunks: list, logdets: np.ndarray, top: str) -> np.ndarray:
 
 ROW_CAP = 4096
 """Most rows one kernel batch carries: walk levels (sweeps and spectra) and
-word batches with more are cut into contiguous blocks.  A walk block makes the same numpy
-calls per level whatever its rows (per window a gather, a GEMM and a
-scatter, one maximum reduction per rescale, and on a 3x3 rung about 80
-elementwise passes for its tops), so blocks are large; on 3x3 rungs one
-holds about 0.6 MB of products.  Larger caps cost memory for no clear
-gain: 16,384 rows add about 3 MB to the peak of the golden 3x3 pressure
-sweep to n = 20 and leave its time within the noise."""
+word batches with more are cut into contiguous blocks.  A walk block
+makes the same numpy calls per level whatever its rows (per window a
+gather, a GEMM and a scatter, one maximum reduction per rescale, and
+about 80 elementwise calls for the tops of each size of rung, which both
+3x3 rungs share), so blocks are large; on 3x3 rungs one holds about 0.6
+MB of products.  Larger caps cost memory for no clear gain: 16,384 rows
+add about 3 MB to the peak of the golden 3x3 pressure sweep to n = 20
+and leave its time within the noise."""
 
 
 def _blocks(count: int) -> list[slice]:

@@ -20,7 +20,7 @@ from .cocycle import batch_log_singular  # noqa: F401  (part of this module's AP
 from .cocycle import WindowCocycle, require_common_base, sweep_log_singular
 from .errors import NotConstant
 from .matnum import mu_vec
-from .analysis import periodic_lyapunov, periodic_spectrum, _sampled_words
+from .analysis import _refuse_long_lengths, _sampled_words, periodic_lyapunov, periodic_spectrum
 from .sft import least_fixed_symbol
 from .synthesis import _require_tau, build_family_context, synthesize_family
 from .typicality import TypicalityCertificate
@@ -88,13 +88,22 @@ class CylinderWeights:
         return np.exp(self.log_weights - self.log_normalizer)
 
 
+SWEEP_BUDGET = 1 << 22
+"""Most words a pressure or cylinder-weight length may have: every one is
+evaluated, and each weight is kept.  4,194,304 words take the full
+2-shift to n = 22 and the golden mean shift to n = 31 (3,524,578 words)."""
+
+
 def cylinder_weights(A: WindowCocycle, s: float,
                      n_list: Sequence[int]) -> dict[int, CylinderWeights]:
     """Potential weights of all length-n words, lexicographic, for each n
     in n_list: one level sweep whose row map takes each block of log
     singular values to its log potentials as it is written, so the sweep
     holds one float per word (the potential is row-wise, so these are the
-    bytes of the potential of the whole level's rows)."""
+    bytes of the potential of the whole level's rows).  A length with more
+    than ``SWEEP_BUDGET`` words is an error, found from the exact word
+    counts before the sweep."""
+    _refuse_long_lengths(A.base, n_list, SWEEP_BUDGET)
     log_weights = sweep_log_singular(A, n_list, least_fixed_symbol(A.base),
                                      row_map=partial(log_phi_s, s=s))
     return {n: CylinderWeights(n, s, w) for n, w in log_weights.items()}
@@ -144,10 +153,10 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
 
     All P_n come from one level sweep over lengths 1..max(n_range) (see
     :func:`coprox.cocycle.sweep_log_singular`).  The lengths must be
-    distinct and >= 1.  A P_n that is not finite (the potential overflows
-    at a large s) is an error.  ``workers`` is accepted and ignored: every
-    sweep runs in the calling thread.  It goes once the benchmark harness
-    stops passing it.
+    distinct and >= 1, with at most ``SWEEP_BUDGET`` words each.  A P_n
+    that is not finite (the potential overflows at a large s) is an
+    error.  ``workers`` is accepted and ignored: every sweep runs in the
+    calling thread.  It goes once the benchmark harness stops passing it.
     """
     n_range = tuple(sorted(n_range))
     if not n_range:

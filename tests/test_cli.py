@@ -383,6 +383,36 @@ def test_dominate_beyond_the_exhaustive_budget_is_an_error(tmp_path, capsys):
     assert "200000 words" in err
 
 
+def test_pressure_beyond_the_sweep_budget_is_an_error(tmp_path, capsys, monkeypatch):
+    # typical3x3 has 2^n words of length n: 2^40 are refused from the exact
+    # word counts, before the sweep, in one error line
+    t3 = tmp_path / "t3.json"
+    assert main(["demo", "typical3x3", "--out", str(t3)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(thermo, "sweep_log_singular", None)
+    assert main(["pressure", "--input", str(t3), "--s", "1.5", "--n-max", "40"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: lengths 23..40 have more than 4194304 words, "
+                   "the exhaustive budget\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--input", "{dir}"],
+    ["demo", "typical2x2", "--out", "{dir}"],
+    ["pressure", "--input", "{demo}", "--s", "1", "--n-max", "4", "--csv", "{dir}"],
+    ["dominate", "--input", "{demo}", "--n-max", "4", "--max-period", "2", "--out", "{dir}"],
+    ["check", "--input", "{dir}/nope.json"],
+], ids=["input-dir", "demo-out-dir", "csv-dir", "out-dir", "missing"])
+def test_file_errors_are_one_line(demo_file, tmp_path, capsys, argv):
+    # a directory or a missing file where a file belongs: one line, exit 1
+    argv = [a.format(dir=tmp_path, demo=demo_file) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("file error: ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 @pytest.mark.parametrize("command", [
     ["dominate"], ["pressure", "--s", "1"], ["compare", "--input-b", None],
 ], ids=["dominate", "pressure", "compare"])

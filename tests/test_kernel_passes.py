@@ -2,14 +2,16 @@
 
 The 3x3 top singular value reads six Gram entries in place of the whole
 Gram matrix, a rescale takes its peaks with one maximum reduction, and
-the ladder writes its rung differences straight into one (N, d) array.
-Each must give the bytes of the longer form kept below, on stacks of 1, 2,
-7 and more than ``ROW_CAP`` rows with entries scaled by 2^-500 to 2^500,
-rows whose top two singular values are equal and rows that are scalar
-multiples of signed permutations (a scalar Gram, Smith's p = 0).  The
-sweep's word counts, the blocks of the level walk after its first cut and
-the orbit counts behind the spectrum's budget are held to brute force;
-the spectrum's walk in blocks keeps its bytes and bounds its memory.
+the ladder writes its rung differences straight into one (N, d) array,
+reading the rungs of one matrix size in one call (a single product rung
+by rung, on the scalar path).  Each must give the bytes of the longer
+form kept below, on stacks of 1, 2, 7 and more than ``ROW_CAP`` rows
+with entries scaled by 2^-500 to 2^500, rows whose top two singular
+values are equal and rows that are scalar multiples of signed
+permutations (a scalar Gram, Smith's p = 0).  The sweep's word counts,
+the blocks of the level walk after its first cut and the orbit counts
+behind the spectrum's budget are held to brute force; the spectrum's
+walk in blocks keeps its bytes and bounds its memory.
 """
 
 import re
@@ -167,18 +169,72 @@ def test_rescale_equals_the_elementwise_maxima(size, count, lead, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(dim=st.sampled_from([1, 2, 3, 4]), count=COUNTS, lead=KINDS,
-       top=st.sampled_from(["svd", "eig"]), seed=st.integers(0, 2**16))
-def test_tops_equal_the_stacked_differences(dim, count, lead, top, seed):
+       top=st.sampled_from(["svd", "eig"]), seed=st.integers(0, 2**16),
+       pieces=st.integers(1, 3))
+def test_tops_equal_the_stacked_differences(dim, count, lead, top, seed, pieces):
+    # the reference reads each rung in a call of its own; _tops reads the
+    # same-size rungs (both at d = 3, rungs 1 and 3 at d = 4) in one call
+    # over their joined stacks, and a rung handed as a list of stacks, as
+    # the spectrum's flushes hand it, joins in that same call
     rng = np.random.default_rng(seed)
     sizes = {1: [], 2: [2], 3: [3, 3], 4: [4, 6, 4]}[dim]
     trunks = [(_stack(seed + t, size, count, lead), rng.integers(-2000, 2000, size=count))
               for t, size in enumerate(sizes)]
     logdets = rng.normal(size=count) * 100
+    cuts = sorted(rng.choice(np.arange(1, count), size=min(pieces, count) - 1, replace=False))
     with np.errstate(all="ignore"):
         got = cocycle._tops([(p.copy(), s) for p, s in trunks], logdets, top)
-        ref = _ref_tops(trunks, logdets, top)
+        split = cocycle._tops([(np.split(p.copy(), cuts, axis=2), s) for p, s in trunks],
+                              logdets, top)
+        ref = np.ascontiguousarray(_ref_tops(trunks, logdets, top))
     assert got.flags.c_contiguous and got.shape == (count, dim)
-    assert _same(got, np.ascontiguousarray(ref))
+    assert _same(got, ref) and _same(split, ref)
+
+
+def _recorded_reads(monkeypatch):
+    """Per ``_tops`` call, its row count and the shapes of the stacks it
+    hands to the top readers."""
+    calls = []
+
+    def wrap(read, record):
+        def recorded(*args):
+            record(args)
+            return read(*args)
+        return recorded
+
+    monkeypatch.setattr(cocycle, "_tops", wrap(cocycle._tops,
+                                               lambda args: calls.append((len(args[1]), []))))
+    for name in ("_top_singular", "_top_eig"):
+        monkeypatch.setattr(cocycle, name, wrap(getattr(cocycle, name),
+                                                lambda args: calls[-1][1].append(args[0].shape)))
+    return calls
+
+
+@pytest.mark.parametrize("fixture, sizes", [("typical3", {3: 2}), ("dim4", {4: 2, 6: 1})])
+def test_one_top_read_per_rung_size(request, monkeypatch, fixture, sizes):
+    # a d = 3 sweep or spectrum reads both 3x3 rungs in one call per block,
+    # over twice the block's rows; at d = 4 rungs 1 and 3 share a call
+    A = request.getfixturevalue(fixture)
+    calls = _recorded_reads(monkeypatch)
+    cocycle.sweep_log_singular(A, range(1, 11), 0)
+    cocycle.lyndon_chi_rows(A, 10)
+    assert sum(rows > 1 for rows, _ in calls) > 10
+    for rows, shapes in calls:
+        if rows > 1:
+            assert shapes == [(r, r, rungs * rows) for r, rungs in sizes.items()]
+
+
+@pytest.mark.parametrize("fixture, sizes", [("typical3", [3, 3]), ("dim4", [4, 6, 4])])
+def test_one_row_ladders_read_each_rung_on_the_scalar_path(request, monkeypatch, fixture,
+                                                           sizes):
+    # a single product costs less on the tops' scalar path than in a 2-row
+    # vector read, so it is read rung by rung
+    A = request.getfixturevalue(fixture)
+    calls = _recorded_reads(monkeypatch)
+    cocycle.orbit_mu_vec(A, sft.point_from_word(A.base, (0, 1, 1), 0), 3)
+    analysis.periodic_lyapunov(A, sft.PeriodicWord((0, 1, 1)))
+    cocycle.batch_log_singular(A, [(0, 1, 1)], 0)
+    assert calls == [(1, [(r, r, 1) for r in sizes])] * 3
 
 
 # -- exact counts: words per length, walk blocks, orbits per period --------

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coprox import cocycle, demos, thermo, typicality
+from coprox import cocycle, demos, sft, thermo, typicality
 from coprox.errors import NotConstant
 from coprox.matnum import mu_vec
 from coprox.thermo import (
@@ -213,6 +214,29 @@ def test_pressure_rejects_repeated_or_nonpositive_lengths(typical2):
         pressure(typical2, 1.5, (0, 2))
     with pytest.raises(ValueError, match="s must be >= 0"):
         pressure(typical2, -1.0, (2, 3))
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("the sweep ran")
+
+
+def test_pressure_refuses_lengths_over_the_sweep_budget(typical2, monkeypatch):
+    # typical2x2 has 2^n words of length n: 16 fit a budget of 20, 32 do
+    # not; the exact counts refuse them before the sweep
+    monkeypatch.setattr(thermo, "SWEEP_BUDGET", 20)
+    monkeypatch.setattr(thermo, "sweep_log_singular", _no_sweep)
+    message = r"^lengths 5\.\.6 have more than 20 words, the exhaustive budget$"
+    with pytest.raises(ValueError, match=message):
+        pressure(typical2, 1.5, (2, 4, 5, 6))
+    with pytest.raises(ValueError, match=message):
+        cylinder_weights(typical2, 1.5, [4, 5, 6])
+
+
+def test_sweep_budget_keeps_the_documented_runs():
+    # golden3x3 to n = 30 (2,178,309 words) and the full 2-shift to n = 22
+    golden, full = demos.golden_typical_3x3().base, demos.typical_3x3().base
+    assert list(islice(sft.word_counts(golden), 30))[-1] == 2_178_309 <= thermo.SWEEP_BUDGET
+    assert list(islice(sft.word_counts(full), 22))[-1] == thermo.SWEEP_BUDGET
 
 
 def test_log_phi_s_rows_match_scalar():
