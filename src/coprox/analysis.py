@@ -8,9 +8,11 @@ their budgets and never claim limits.
 
 from __future__ import annotations
 
+import operator
+from collections import abc
 from dataclasses import dataclass
 from itertools import islice, takewhile
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +29,10 @@ def periodic_lyapunov(A: WindowCocycle, q: PeriodicWord) -> np.ndarray:
 
 EXHAUSTIVE_BUDGET = 200_000
 """Most words a gap-profile length, and most orbits a spectrum period, may
-have: every one is evaluated."""
+have: every one is evaluated.  The full 2-shift is admitted up to period
+22 (401,428 orbits), the golden mean shift up to 32 (421,830): the 3x3
+demos' spectra there take about 1 s and 110 MB of RSS on a 2-CPU x86-64
+host."""
 
 
 def _refuse_over_budget(what: str, over: Sequence[int], items: str, budget: int) -> None:
@@ -54,26 +59,89 @@ def _refuse_long_lengths(s: Sft, n_list: Sequence[int], budget: int) -> None:
         _refuse_over_budget("lengths", too_long, "words", budget)
 
 
-def periodic_spectrum(A: WindowCocycle, max_period: int) -> list[tuple[PeriodicWord, np.ndarray]]:
+@dataclass(frozen=True, eq=False)
+class PeriodicSpectrum(abc.Sequence):
+    """Periodic orbits with their exponent vectors in word order, held as
+    three arrays: ``cycles``, each orbit's Lyndon word padded with -1 to
+    the longest period, in a signed type so that the pad sorts before every
+    symbol as a tuple's end does; ``periods``; and ``rows``, each orbit's
+    log eigenvalue moduli over its period.  Indexing (by any integer) and
+    iterating give (PeriodicWord, row) pairs, each word built as it is
+    read; a slice is the spectrum of those orbits."""
+
+    cycles: np.ndarray
+    periods: np.ndarray
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PeriodicSpectrum(self.cycles[i], self.periods[i], self.rows[i])
+        i = range(len(self))[operator.index(i)]
+        return PeriodicWord(tuple(self.cycles[i, :self.periods[i]].tolist())), self.rows[i]
+
+    def _cuts(self) -> Iterator[slice]:
+        """Row blocks small enough that their Python lists take a few
+        hundred kB."""
+        return (slice(lo, lo + 4096) for lo in range(0, len(self), 4096))
+
+    def __iter__(self):
+        for cut in self._cuts():
+            for word, n, row in zip(self.cycles[cut].tolist(), self.periods[cut].tolist(),
+                                    self.rows[cut]):
+                yield PeriodicWord(tuple(word[:n])), row
+
+    def table(self) -> Iterator[np.ndarray]:
+        """The rows reports write, (period, word, lambda_1, ..., lambda_d)
+        per orbit in order, as blocks of Python objects: the word as
+        "".join(map(str, symbols)) and the exponents as floats.  When every
+        symbol of a block is one digit, its words are read off the array as
+        bytes, with NUL pads, which numpy's bytes type drops."""
+        for cut in self._cuts():
+            block, periods = self.cycles[cut], self.periods[cut]
+            out = np.empty((len(block), 2 + self.rows.shape[1]), dtype=object)
+            out[:, 0], out[:, 2:] = periods, self.rows[cut]
+            if block.max() < 10:
+                digits = np.where(block < 0, 0, block + ord("0")).astype(np.uint8)
+                out[:, 1] = digits.view(f"S{block.shape[1]}").ravel().astype(str)
+            else:
+                out[:, 1] = ["".join(map(str, w[:n]))
+                             for w, n in zip(block.tolist(), periods.tolist())]
+            yield out
+
+
+def periodic_spectrum(A: WindowCocycle, max_period: int) -> PeriodicSpectrum:
     """All periodic orbits of period <= max_period with their exponent
     vectors, sorted by word.  Each orbit is its Lyndon word (its orbit
     key), and its vector is :func:`coprox.cocycle.cycle_chi_rows`'s row over
     the period, byte for byte; the rows are read off one level walk over
     the admissible prenecklaces that shares every prefix's product (see
-    :func:`coprox.cocycle.lyndon_chi_rows`).  A period with more than
+    :func:`coprox.cocycle.lyndon_chi_rows`), and the words are sorted by one
+    ``np.lexsort`` of their padded arrays.  A period with more than
     ``EXHAUSTIVE_BUDGET`` orbits is an error, found from the exact orbit
     counts before any orbit is walked."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    over = [n for n, count in enumerate(orbit_counts(A.base, max_period), 1)
-            if count > EXHAUSTIVE_BUDGET]
+    counts = orbit_counts(A.base, max_period)
+    over = [n for n, count in enumerate(counts, 1) if count > EXHAUSTIVE_BUDGET]
     if over:
         _refuse_over_budget("periods", over, "orbits", EXHAUSTIVE_BUDGET)
-    out = []
-    for cycles, rows in lyndon_chi_rows(A, max_period):
-        n = cycles.shape[1]
-        out += zip([PeriodicWord(tuple(w)) for w in cycles.tolist()], rows / n)
-    return sorted(out, key=lambda item: item[0].symbols)
+    total = sum(counts)
+    cycles = np.full((total, max_period), -1, dtype=np.min_scalar_type(-A.base.alphabet_size))
+    periods = np.empty(total, dtype=np.int64)
+    rows = np.empty((total, A.dim))
+    at = 0
+    for block, chi in lyndon_chi_rows(A, max_period):
+        n, end = block.shape[1], at + len(block)
+        cycles[at:end, :n] = block
+        periods[at:end] = n
+        np.divide(chi, n, out=rows[at:end])
+        at = end
+    assert at == total, "the walk closes one row per orbit"
+    order = np.lexsort(cycles.T[::-1])  # the last key sorts first
+    return PeriodicSpectrum(cycles[order], periods[order], rows[order])
 
 
 def _sampled_words(A: WindowCocycle, n: int, count: int, seed: int) -> list[Symbols]:
@@ -173,6 +241,19 @@ lower end of the fitted slope must both exceed it.  Equal moduli or
 singular values leave gaps of a few 1e-16 per step, not zero."""
 
 
+def least_gap(spectrum: PeriodicSpectrum, i: int) -> tuple[float, str]:
+    """The least gap lambda_i - lambda_{i+1} over a spectrum's orbits, and
+    the first orbit in word order that has it, written as a digit string.
+    A NaN gap (of a row such as -inf, -inf) is never the least; with no gap
+    below +inf the result is (inf, "")."""
+    gaps = spectrum.rows[:, i - 1] - spectrum.rows[:, i]
+    gaps[~(gaps < np.inf)] = np.inf
+    if not (gaps < np.inf).any():
+        return np.inf, ""
+    j = int(np.argmin(gaps))  # the first of equal minima
+    return float(gaps[j]), "".join(map(str, spectrum[j][0].symbols))
+
+
 def theorem_b_check(A: WindowCocycle, cert, i: int, max_period: int,
                     n_list: Sequence[int], *, workers: int = 1) -> DominationReport:
     """Cross-validate the periodic-gap hypothesis against the uniform
@@ -192,13 +273,7 @@ def theorem_b_check(A: WindowCocycle, cert, i: int, max_period: int,
     if len(set(n_list)) < 3:
         raise ValueError(f"the gap-profile fit needs at least 3 distinct lengths, "
                          f"got {sorted(set(n_list))}")
-    gap = np.inf
-    argmin = ""
-    for q, lyap in periodic_spectrum(A, max_period):
-        g = float(lyap[i - 1] - lyap[i])
-        if g < gap:
-            gap = g
-            argmin = "".join(str(c) for c in q.symbols)
+    gap, argmin = least_gap(periodic_spectrum(A, max_period), i)
     profile = gap_profile(A, i, n_list)
     # the gap and the slope's two-sigma interval must clear rounding
     verdict = (gap > GAP_FLOOR and profile.slope - 2 * profile.slope_se > GAP_FLOOR

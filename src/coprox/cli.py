@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import tempfile
+from itertools import chain
 from math import inf, pi
 
 import numpy as np
@@ -33,12 +34,14 @@ def _schema(kind: str) -> str:
     return f"{SCHEMA_PREFIX}/{kind}/{REPORT_VERSION}"
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write an iterable of strings to a temporary file beside path, then
+    rename it to path."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coprox-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,7 +51,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def write_json(path: str, kind: str, payload: dict) -> None:
     doc = {"schema": _schema(kind), **payload}
-    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(doc, indent=1, sort_keys=True) + "\n"])
 
 
 def _fmt(value) -> str:
@@ -57,11 +60,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv_text(path: str, kind: str, header: list[str], text) -> None:
+    """The schema comment and the header, then text, an iterable of whole
+    lines, streamed into the file."""
+    _atomic_write(path, chain([f"# schema={_schema(kind)}\n", ",".join(header) + "\n"], text))
+
+
 def write_csv(path: str, kind: str, header: list[str], rows) -> None:
-    lines = [f"# schema={_schema(kind)}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Stream rows, an iterable, into the file a line at a time, each value
+    written by :func:`_fmt`."""
+    _write_csv_text(path, kind, header, (",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def _write_series(args, kind: str, payload: dict, csv_kind: str, header, rows) -> None:
@@ -229,16 +237,15 @@ def cmd_dominate(args) -> int:
 
 def cmd_spectrum(args) -> int:
     A = load_cocycle(args.input)
-    rows = []
-    for q, lam in analysis.periodic_spectrum(A, args.max_period):
-        rows.append(
-            (q.period, "".join(map(str, q.symbols)))
-            + tuple(float(v) for v in lam)
-        )
+    spectrum = analysis.periodic_spectrum(A, args.max_period)
     header = ["period", "word"] + [f"lambda_{i+1}" for i in range(A.dim)]
     if args.out:
-        write_csv(args.out, "spectrum", header, rows)
-    print(f"{len(rows)} periodic orbits up to period {args.max_period}")
+        # one template per block of rows, with _fmt's bytes ("%.17g" for a float)
+        line = "%d,%s" + ",%.17g" * A.dim + "\n"
+        _write_csv_text(args.out, "spectrum", header,
+                        ((line * len(block)) % tuple(block.ravel().tolist())
+                         for block in spectrum.table()))
+    print(f"{len(spectrum)} periodic orbits up to period {args.max_period}")
     return 0
 
 
@@ -372,11 +379,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable_target(args):
+    """Why an --out or --csv path cannot take a report, found before the
+    command runs: the path names a directory, or its directory is missing.
+    None when both can."""
+    for flag in ("out", "csv"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        directory = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            return f"--{flag} {path} is a directory"
+        if not os.path.isdir(directory):
+            return f"--{flag} {path}: no directory {directory}"
+    return None
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except argparse.ArgumentError as exc:
         return _bad_parameter(str(exc))
+    problem = _unwritable_target(args)
+    if problem:
+        print(f"file error: {problem}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except InputFormatError as exc:

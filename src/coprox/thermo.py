@@ -218,10 +218,14 @@ class EqualStateReport:
 
 def top_exponent_differences(A: WindowCocycle, B: WindowCocycle,
                              max_period: int) -> list[tuple[str, float]]:
-    """lambda_1(A, orbit) - lambda_1(B, orbit) for every orbit up to the cap."""
-    spec_a = dict(periodic_spectrum(A, max_period))
-    return [("".join(map(str, q.symbols)), float(spec_a[q][0] - lam_b[0]))
-            for q, lam_b in periodic_spectrum(B, max_period)]
+    """lambda_1(A, orbit) - lambda_1(B, orbit) for every orbit up to the cap,
+    in word order.  Over one base both spectra list the same orbits in the
+    same order, so their rows are subtracted as they stand."""
+    require_common_base([A, B])
+    spec_a, spec_b = periodic_spectrum(A, max_period), periodic_spectrum(B, max_period)
+    assert np.array_equal(spec_a.cycles, spec_b.cycles)
+    words = ["".join(map(str, q.symbols)) for q, _ in spec_b]
+    return list(zip(words, (spec_a.rows[:, 0] - spec_b.rows[:, 0]).tolist()))
 
 
 SAMPLE_LENGTH = 6

@@ -413,6 +413,43 @@ def test_file_errors_are_one_line(demo_file, tmp_path, capsys, argv):
     assert [p.name for p in tmp_path.iterdir()] == []
 
 
+REPORT_TARGETS = [
+    (["spectrum", "--max-period", "4"], "out"),
+    (["pressure", "--s", "1", "--n-max", "4"], "out"),
+    (["pressure", "--s", "1", "--n-max", "4"], "csv"),
+    (["dominate", "--n-max", "4", "--max-period", "2"], "out"),
+    (["dominate", "--n-max", "4", "--max-period", "2"], "csv"),
+    (["verify-bound", "--seed", "1", "--samples", "2"], "out"),
+    (["verify-bound", "--seed", "1", "--samples", "2"], "csv"),
+    (["compare", "--input-b", None], "out"),
+]
+
+
+@pytest.mark.parametrize("command, flag", REPORT_TARGETS,
+                         ids=[f"{c[0]}-{f}" for c, f in REPORT_TARGETS])
+@pytest.mark.parametrize("target", ["directory", "cwd", "missing-parent", "trailing-slash"])
+def test_report_targets_are_checked_before_the_run(demo_file, tmp_path, capsys, monkeypatch,
+                                                   command, flag, target):
+    # a report path that names a directory, or whose directory is missing,
+    # is one file error naming it, before the input is even read
+    missing = tmp_path / "nope"
+    path, message = {
+        "directory": (str(tmp_path), f"{tmp_path} is a directory"),
+        "cwd": (".", ". is a directory"),
+        "missing-parent": (f"{missing}/r.csv", f"{missing}/r.csv: no directory {missing}"),
+        "trailing-slash": (f"{missing}/", f"{missing}/: no directory {missing}"),
+    }[target]
+
+    def no_run(_path):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "load_cocycle", no_run)
+    argv = [str(demo_file) if a is None else a for a in command]
+    assert main(argv + ["--input", str(demo_file), f"--{flag}", path]) == 1
+    assert capsys.readouterr().err == f"file error: --{flag} {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 @pytest.mark.parametrize("command", [
     ["dominate"], ["pressure", "--s", "1"], ["compare", "--input-b", None],
 ], ids=["dominate", "pressure", "compare"])
