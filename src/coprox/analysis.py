@@ -11,12 +11,13 @@ from __future__ import annotations
 import operator
 from collections import abc
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice, takewhile
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cocycle import WindowCocycle, cycle_chi_rows, lyndon_chi_rows, sweep_log_singular
+from .cocycle import ROW_CAP, WindowCocycle, cycle_chi_rows, lyndon_chi_rows, sweep_log_singular
 from .matnum import fit_line
 from .sft import PeriodicWord, Sft, Symbols, least_fixed_symbol, orbit_counts, word_counts
 from .synthesis import SYNTHESIS_ERRORS, build_proximal_periodic
@@ -80,35 +81,36 @@ class PeriodicSpectrum(abc.Sequence):
         if isinstance(i, slice):
             return PeriodicSpectrum(self.cycles[i], self.periods[i], self.rows[i])
         i = range(len(self))[operator.index(i)]
-        return PeriodicWord(tuple(self.cycles[i, :self.periods[i]].tolist())), self.rows[i]
+        return next(self._pairs(slice(i, i + 1)))
 
     def _cuts(self) -> Iterator[slice]:
-        """Row blocks small enough that their Python lists take a few
+        """Blocks of ``ROW_CAP`` orbits, whose Python lists take a few
         hundred kB."""
-        return (slice(lo, lo + 4096) for lo in range(0, len(self), 4096))
+        return (slice(lo, lo + ROW_CAP) for lo in range(0, len(self), ROW_CAP))
+
+    def _pairs(self, cut: slice) -> Iterator[tuple[PeriodicWord, np.ndarray]]:
+        """The (word, row) pairs of the orbits in cut, each word's symbols
+        a tuple of Python ints cut to its period."""
+        return ((PeriodicWord(tuple(word[:n])), row)
+                for word, n, row in zip(self.cycles[cut].tolist(), self.periods[cut].tolist(),
+                                        self.rows[cut]))
 
     def __iter__(self):
         for cut in self._cuts():
-            for word, n, row in zip(self.cycles[cut].tolist(), self.periods[cut].tolist(),
-                                    self.rows[cut]):
-                yield PeriodicWord(tuple(word[:n])), row
+            yield from self._pairs(cut)
 
     def table(self) -> Iterator[np.ndarray]:
         """The rows reports write, (period, word, lambda_1, ..., lambda_d)
         per orbit in order, as blocks of Python objects: the word as
-        "".join(map(str, symbols)) and the exponents as floats.  When every
-        symbol of a block is one digit, its words are read off the array as
-        bytes, with NUL pads, which numpy's bytes type drops."""
+        "".join(map(str, symbols)) and the exponents as floats.  A block's
+        words are its padded cycles read through one array of symbol names,
+        whose last entry, the one the pad -1 reads, is empty, and joined
+        column by column."""
+        names = np.array([str(a) for a in range(self.cycles.max(initial=-1) + 1)] + [""])
         for cut in self._cuts():
-            block, periods = self.cycles[cut], self.periods[cut]
-            out = np.empty((len(block), 2 + self.rows.shape[1]), dtype=object)
-            out[:, 0], out[:, 2:] = periods, self.rows[cut]
-            if block.max() < 10:
-                digits = np.where(block < 0, 0, block + ord("0")).astype(np.uint8)
-                out[:, 1] = digits.view(f"S{block.shape[1]}").ravel().astype(str)
-            else:
-                out[:, 1] = ["".join(map(str, w[:n]))
-                             for w, n in zip(block.tolist(), periods.tolist())]
+            out = np.empty((len(self.rows[cut]), 2 + self.rows.shape[1]), dtype=object)
+            out[:, 0], out[:, 2:] = self.periods[cut], self.rows[cut]
+            out[:, 1] = reduce(np.char.add, names[self.cycles[cut]].T)
             yield out
 
 

@@ -102,13 +102,31 @@ def test_spectrum_over_more_symbols_than_int8_holds(ring200):
 
 @pytest.mark.parametrize("name", ["typical3x3", "golden3x3", "radius1", "ring200"])
 def test_table_rows_are_the_written_words_and_floats(request, name):
-    # one-digit blocks are read off the arrays as bytes, others symbol by symbol
+    # words of one-digit symbols, and of up to three digits on the ring
     A = request.getfixturevalue(name) if name == "ring200" else demos.get_demo(name)
     spectrum = periodic_spectrum(A, 3 if name == "ring200" else 14)
     table = [tuple(row) for block in spectrum.table() for row in block.tolist()]
     expected = [(q.period, "".join(map(str, q.symbols)), *row.tolist()) for q, row in spectrum]
     assert table == expected
     assert all(type(v) is float for row in table for v in row[2:])
+
+
+def test_spectrum_csv_lines_write_every_value_as_fmt(typical3):
+    # the spectrum command's "%" template against write_csv's _fmt, over
+    # three blocks of rows with infinities, NaN, signed zeros, subnormals
+    # and 17-digit values planted in each
+    spectrum = periodic_spectrum(typical3, 16)
+    rows = spectrum.rows.copy()
+    planted = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.5e-310, 1 / 3, -1e300,
+               1e16, 0.1, 123456789.0, -7.0]
+    for at in (0, cocycle.ROW_CAP - 2, len(rows) - 5):
+        rows.flat[at * 3:at * 3 + len(planted)] = planted
+    spectrum = PeriodicSpectrum(spectrum.cycles, spectrum.periods, rows)
+    assert len(spectrum) > 2 * cocycle.ROW_CAP
+    expected = "".join(",".join(map(cli._fmt, row)) + "\n"
+                       for block in spectrum.table() for row in block.tolist())
+    assert "".join(cli._spectrum_lines(spectrum, 3)) == expected
+    assert "nan" in expected and ",-0," in expected and "-inf" in expected
 
 
 @pytest.mark.parametrize("name", sorted(demos.DEMOS))
