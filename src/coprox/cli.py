@@ -155,14 +155,11 @@ def cmd_synthesize(args) -> int:
         return _bad_parameter(f"--tau must lie in (0, pi/4), got {args.tau}")
     if not is_admissible(A.base, args.word):
         return _bad_parameter(f"--word {''.join(map(str, args.word))} is not admissible")
-    if A.dim == 1:
-        cert = None
-    else:
-        found = _find_pair(A, args)
-        if found is None:
-            print("no typical pair; cannot synthesize", file=sys.stderr)
-            return 2
-        cert = found[2]
+    found = _find_pair(A, args) if A.dim > 1 else (None,) * 3  # scalars need no pair
+    if found is None:
+        print("no typical pair; cannot synthesize", file=sys.stderr)
+        return 2
+    cert = found[2]
     try:
         rep = synthesis.build_proximal_periodic(
             A, cert, args.word, args.tau, ell_cap=args.ell_cap
@@ -187,13 +184,11 @@ def cmd_verify_bound(args) -> int:
         return _bad_parameter(f"--tau must lie in (0, pi/4), got {args.tau}")
     if args.n_min > args.n_max:
         return _bad_parameter(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
-    cert = None
-    if A.dim > 1:
-        found = _find_pair(A, args)
-        if found is None:
-            print("no typical pair", file=sys.stderr)
-            return 2
-        cert = found[2]
+    found = _find_pair(A, args) if A.dim > 1 else (None,) * 3
+    if found is None:
+        print("no typical pair", file=sys.stderr)
+        return 2
+    cert = found[2]
     rng = np.random.default_rng(args.seed)
     lengths = rng.integers(args.n_min, args.n_max + 1, size=args.samples)
     words = [
@@ -219,12 +214,8 @@ def cmd_dominate(args) -> int:
         return _bad_parameter(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     if args.index > A.dim - 1:
         return _bad_parameter(f"--index must be at most d-1 = {A.dim - 1}, got {args.index}")
-    cert = None
-    if A.dim > 1:
-        found = _find_pair(A, args)
-        cert = found[2] if found else None
     n_list = list(range(args.n_min, args.n_max + 1))
-    report = analysis.theorem_b_check(A, cert, args.index, args.max_period, n_list)
+    report = analysis.theorem_b_check(A, None, args.index, args.max_period, n_list)
     _write_series(args, "domination", report.to_dict(), "gap-profile",
                   ["n", "min_gap"], report.profile.to_rows())
     print(
@@ -351,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_bound)
 
     p = sub.add_parser("dominate", help="domination evidence from gaps")
-    common(p)
+    common(p, pair_search=False)
     p.add_argument("--index", type=_positive_int, default=1)
     p.add_argument("--max-period", type=_positive_int, default=8)
     p.add_argument("--n-min", type=_positive_int, default=2)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -188,54 +188,52 @@ def orbit_mu_vec(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
 def cycle_chi_rows(A: WindowCocycle, cycles: np.ndarray) -> np.ndarray:
     """Log eigenvalue moduli of the product once around each periodic point
     given by a row of an array of admissible cycles, each folded from the
-    identity: the rows :func:`lyndon_chi_rows` reproduces byte for byte."""
+    identity from coordinate k, a conjugate of the product from 0: the rows
+    :func:`lyndon_chi_rows` reproduces byte for byte."""
     n, k = cycles.shape[1], A.radius
-    rows = _window_rows(A, cycles[:, np.arange(-k, n + k) % n])
+    rows = _window_rows(A, cycles[:, np.arange(0, n + 2 * k) % n])
     return _ladder(A, rows, _identity_trunks(A, len(rows)), np.zeros(len(rows)), "eig")
 
 
-def lyndon_chi_rows(A: WindowCocycle, max_period: int) -> list:
-    """[(cycles, rows)] per walk block, in walk order: the admissible
-    Lyndon words of length n = 1..max_period with an allowed wrap pair (one
-    per orbit of period n) and their :func:`cycle_chi_rows` rows, byte for
-    byte.
+def lyndon_chi_rows(A: WindowCocycle, max_period: int) -> Iterator[tuple]:
+    """(cycles, rows) per period of each flush, in walk order: the
+    admissible Lyndon words of length n = 1..max_period with an allowed
+    wrap pair (one per orbit of period n) and their :func:`cycle_chi_rows`
+    rows, byte for byte.
 
     The level walk (:func:`_levels`) runs over the admissible prenecklaces
-    (see :func:`coprox.sft.prenecklace_step`) and shares every prefix's
-    product.  A level-m row is a root g, an admissible k-word standing for
-    the cycle's last k symbols, and a prenecklace w[:m] with g w[:m]
-    admissible; its trunk is the product over windows 0..m-1-k of g w[:m],
-    with its log-determinant sum.  A row is a cycle of period n when w is
-    Lyndon, its wrap pair is allowed and g = w[(-k..-1) mod n]; ``_ladder``
-    then continues its trunk through windows max(0, n-k)..n-1 of g w
-    w[(0..k-1) mod n].  Those are the cycle's windows from the identity,
-    rescaled by exact powers of two and their log determinants added in the
-    same order, hence the bytes of its fold from scratch.  The closed rows
-    are kept continued and their tops read together, in one call per rung
-    each time ``ROW_CAP`` rows have gathered and after the walk: a top is
-    its row's alone.
+    from the empty word (see :func:`coprox.sft.prenecklace_step`) and
+    shares every prefix's product.  A level-m row is a prenecklace w[:m]
+    with the product over the windows it holds whole, at coordinates
+    k..m-1-k, and their log-determinant sum.  It closes a cycle of period n
+    when w is Lyndon with an allowed wrap pair; ``_ladder`` then continues
+    it through the windows at max(k, n-k)..n-1+k of w read cyclically: the
+    cycle's windows from coordinate k, rescaled by exact powers of two and
+    their log determinants added in the same order, hence the bytes of its
+    fold from scratch.  The closed rows are kept continued and their tops
+    read together, in one call per rung each time ``ROW_CAP`` rows have
+    gathered and after the walk (a top is its row's alone); each such flush
+    is handed on as it is read.
     """
     s, k = A.base, A.radius
 
     def step(parent, words, lyn):
-        keep, lyn = prenecklace_step(words[:, k:], lyn[parent])
+        keep, lyn = prenecklace_step(words, lyn[parent])
         return parent[keep], words[keep], lyn[keep]
 
-    roots = word_array(s, k)
-    out, closed_rows = [], []
-    for n, words, lyn, trunks, logdets in _levels(A, step, max_period, roots,
-                                                  np.zeros(len(roots), dtype=np.int64)):
-        cycles = words[:, k:]
-        sel = ((lyn == n) & s._arrows[cycles[:, -1], cycles[:, 0]]
-               & (words[:, :k] == cycles[:, np.arange(-k, 0) % n]).all(axis=1)).nonzero()[0]
+    closed_rows = []
+    for n, words, lyn, trunks, logdets in _levels(A, step, max_period, word_array(s, 0),
+                                                  np.zeros(1, dtype=np.int64)):
+        sel = ((lyn == n) & s._arrows[words[:, -1], words[:, 0]]).nonzero()[0]
         if len(sel):
-            tail = _window_rows(A, cycles[sel][:, np.arange(max(0, n - k) - k, n + k) % n])
+            tail = _window_rows(A, words[sel][:, np.arange(max(0, n - 2 * k), n + 2 * k) % n])
             trunk = [(p[:, :, sel], sc[sel]) for p, sc in trunks]
-            closed_rows.append((cycles[sel], *_continued(A, tail, trunk, logdets[sel])))
+            closed_rows.append((words[sel], *_continued(A, tail, trunk, logdets[sel])))
             if sum(len(c) for c, _, _ in closed_rows) >= ROW_CAP:
-                out += _closed_tops(closed_rows)
+                yield from _closed_tops(closed_rows)
                 closed_rows = []
-    return out + _closed_tops(closed_rows) if closed_rows else out
+    if closed_rows:
+        yield from _closed_tops(closed_rows)
 
 
 def _closed_tops(closed_rows: list) -> list:
@@ -915,12 +913,12 @@ def _levels(A: WindowCocycle, step, depth: int, words: np.ndarray, aux,
     and returns the children kept, maybe with their words trimmed.  A row's
     trunks are its parent's per-rung rescaled products and log-determinant
     sum continued through the window its last symbol completes, read off
-    its last 2k+1 symbols (none while n <= k).  A level of more than
-    ``ROW_CAP`` rows is cut into contiguous blocks (see :func:`_cut`) and
-    dropped; each block, whose parent, trunks and logdets are its own, is
-    walked on depth-first and dropped in turn.  So no kernel batch exceeds
-    ``ROW_CAP`` rows, the walk never holds a level it has moved past, and
-    each level's blocks come out in sorted order.
+    its last 2k+1 symbols (none while it holds 2k or fewer).  A level of
+    more than ``ROW_CAP`` rows is cut into contiguous blocks (see
+    :func:`_cut`) and dropped; each block, whose parent, trunks and logdets
+    are its own, is walked on depth-first and dropped in turn.  So no
+    kernel batch exceeds ``ROW_CAP`` rows, the walk never holds a level it
+    has moved past, and each level's blocks come out in sorted order.
     """
     k = A.radius
     if trunks is None:
@@ -939,7 +937,7 @@ def _levels(A: WindowCocycle, step, depth: int, words: np.ndarray, aux,
             return
         # each level's temporaries go as soon as they are used, so that a
         # cut below this level holds nothing of it but its blocks
-        col = _window_rows(A, words[:, -(2 * k + 1):]) if n > k else words[:, :0]
+        col = _window_rows(A, words[:, -(2 * k + 1):]) if words.shape[1] > 2 * k else words[:, :0]
         trunks = [_extend_products(m, every, col, p, s, parent)
                   for m, every, (p, s) in zip(A._rungs, A._cadences, trunks)]
         logdets = _logdet_sum(A, col, logdets[parent])

@@ -349,12 +349,14 @@ def orbit_counts(s: Sft, max_period: int) -> list[int]:
     """Numbers of periodic orbits of least period n = 1..max_period, exact
     integers: the Moebius inversion of tr(T^n) = sum over m | n of m N_m,
     from one running integer power of the adjacency T.  Taken in order,
-    each n's points of least period, n N_n, leave its multiples' traces."""
+    each n's points of least period, n N_n, leave its multiples' traces.
+    A power's column j sums the last power's columns of j's predecessors."""
     q, T = s.alphabet_size, s.adjacency
-    power, points = T, [0]
-    for _ in range(max_period):
+    preds = [[k for k in range(q) if T[k][j]] for j in range(q)]
+    power, points = T, [0, sum(T[i][i] for i in range(q))]
+    for _ in range(max_period - 1):
+        power = [[sum(row[k] for k in ks) for ks in preds] for row in power]
         points.append(sum(power[i][i] for i in range(q)))
-        power = [[sum(row[k] for k in range(q) if T[k][j]) for j in range(q)] for row in power]
     for n in range(1, max_period + 1):
         for m in range(2 * n, max_period + 1, n):
             points[m] -= points[n]

@@ -250,7 +250,8 @@ def _excursions(s: Sft, a: int, length: int) -> list[Symbols]:
 def find_typical_pair(A: WindowCocycle, max_excursion_len: int = 6,
                       tol: float = DEFAULT_TOL):
     """Deterministic scan for a passing pair: fixed symbols in order, then
-    excursion words by length and lexicographic order.
+    excursion words by length and lexicographic order.  A fixed symbol
+    whose return map fails pinching is skipped: that fails for every z.
 
     Returns (p, z, certificate) for the first passing pair, or None.
     Raises NoFixedSymbol when the base has no fixed symbol.
@@ -259,6 +260,9 @@ def find_typical_pair(A: WindowCocycle, max_excursion_len: int = 6,
     least_fixed_symbol(A.base)  # raises NoFixedSymbol when there is none
     for a in A.base.fixed_symbols():
         p = fixed_point(A.base, a)
+        P = product(A, p, 1)
+        if any(pinching_margin(exterior_power(P, t)) <= tol for t in range(1, A.dim)):
+            continue
         for length in range(1, max_excursion_len + 1):
             for exc in _excursions(A.base, a, length):
                 z = homoclinic_point(A.base, a, exc)

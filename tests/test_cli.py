@@ -370,6 +370,25 @@ def test_bad_float_parameters_exit_one(tmp_path, capsys, monkeypatch, demo, argv
     assert "Traceback" not in err and "passes" not in out
 
 
+def test_dominate_runs_no_pair_search(tmp_path, capsys, monkeypatch):
+    # the Theorem B check reads no typicality certificate, so dominate takes
+    # neither --tol nor --max-excursion and never searches for a pair
+    dom = tmp_path / "dom.json"
+    assert main(["demo", "dominated2x2", "--out", str(dom)]) == 0
+    capsys.readouterr()
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("dominate searched for a typical pair")
+
+    monkeypatch.setattr(typicality, "find_typical_pair", no_search)
+    assert main(["dominate", "--input", str(dom), "--n-max", "6", "--max-period", "4"]) == 0
+    assert "verdict = dominated-evidence" in capsys.readouterr().out
+    for option in (["--tol", "1e-8"], ["--max-excursion", "3"]):
+        assert main(["dominate", "--input", str(dom), *option]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unrecognized arguments" in err
+
+
 def test_dominate_beyond_the_exhaustive_budget_is_an_error(tmp_path, capsys):
     # dominate takes no seed, so lengths with more words than the exhaustive
     # budget (2^18 > 200000 here) cannot be sampled: one error line, no traceback

@@ -70,6 +70,45 @@ def test_spectrum_tops_match_50_digit_eig(monkeypatch, name):
         _assert_tops_accurate(stack)
 
 
+def _mp_cycle_row(A, cycle):
+    """Per-step log eigenvalue moduli, at 50 digits, of the product once
+    around the cycle's periodic point from coordinate 0; the spectrum's
+    product starts at coordinate k, a conjugate with the same eigenvalues."""
+    n, k = len(cycle), A.radius
+    with mpmath.workdps(50):
+        product = mpmath.eye(A.dim)
+        for j in range(n):
+            window = tuple(cycle[(j + o) % n] for o in range(-k, k + 1))
+            product = mpmath.matrix(A.table[window].tolist()) * product
+        moduli = sorted((abs(v) for v in mpmath.eig(product, left=False, right=False)),
+                        reverse=True)
+        return [mpmath.log(m) / n for m in moduli]
+
+
+def _plain_cycle_row(A, cycle):
+    """The same row from a float64 matmul loop and ``np.linalg.eigvals``."""
+    n, k = len(cycle), A.radius
+    product = np.eye(A.dim)
+    for j in range(n):
+        product = A.table[tuple(cycle[(j + o) % n] for o in range(-k, k + 1))] @ product
+    return np.log(np.sort(np.abs(np.linalg.eigvals(product)))[::-1]) / n
+
+
+@pytest.mark.parametrize("name", ["full r1", "full r2", "tri r1", "skew r1"])
+def test_radius_k_spectrum_rows_match_50_digit_eig(cocycles, name):
+    # each exponent within max(64 eps, twice the plain float64 row's error)
+    # of its 50-digit value, the rule of the tops above
+    A = cocycles[name]
+    worst = []
+    for q, lam in analysis.periodic_spectrum(A, 8):
+        exact = _mp_cycle_row(A, q.symbols)
+        for mine, theirs, value in zip(lam, _plain_cycle_row(A, q.symbols), exact):
+            mine, theirs = (float(abs(mpmath.mpf(float(x)) - value)) for x in (mine, theirs))
+            if mine > max(64 * EPS, 2 * theirs):
+                worst.append((q.symbols, mine / EPS, theirs / EPS))
+    assert not worst, worst[:5]
+
+
 @pytest.mark.parametrize("name", NAMES_2X2 + NAMES_3X3)
 def test_random_product_tops_match_50_digit_eig(name):
     A = demos.DEMOS[name]()

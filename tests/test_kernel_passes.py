@@ -217,7 +217,7 @@ def test_one_top_read_per_rung_size(request, monkeypatch, fixture, sizes):
     A = request.getfixturevalue(fixture)
     calls = _recorded_reads(monkeypatch)
     cocycle.sweep_log_singular(A, range(1, 11), 0)
-    cocycle.lyndon_chi_rows(A, 10)
+    list(cocycle.lyndon_chi_rows(A, 10))
     assert sum(rows > 1 for rows, _ in calls) > 10
     for rows, shapes in calls:
         if rows > 1:
@@ -302,7 +302,7 @@ def test_spectrum_walk_in_blocks_keeps_its_bytes(cocycles, monkeypatch, name):
                        for c, r in zip(cycles.tolist(), rows))
         return [c for c, _ in pairs], b"".join(r for _, r in pairs)
 
-    whole = flat(cocycle.lyndon_chi_rows(A, period))
+    whole = flat(list(cocycle.lyndon_chi_rows(A, period)))
     monkeypatch.setattr(cocycle, "ROW_CAP", 40)
     sizes = []
     extend = cocycle._extend_products
@@ -312,7 +312,7 @@ def test_spectrum_walk_in_blocks_keeps_its_bytes(cocycles, monkeypatch, name):
         return extend(mats, every, idx, prods, scales, take)
 
     monkeypatch.setattr(cocycle, "_extend_products", recorded)
-    walk = cocycle.lyndon_chi_rows(A, period)
+    walk = list(cocycle.lyndon_chi_rows(A, period))
     assert flat(walk) == whole
     for cycles, rows in walk:
         assert rows.tobytes() == cocycle.cycle_chi_rows(A, cycles).tobytes()
@@ -324,10 +324,10 @@ def test_spectrum_walk_traced_peak_is_bounded(typical3):
     # the walk holds blocks of at most ROW_CAP rows, not whole levels: its
     # peak at period 18 (31,042 orbits, about 1.3 MB of output) was 18 MB
     # when it held whole levels, and is about 5 MB in blocks
-    cocycle.lyndon_chi_rows(typical3, 4)  # the cocycle's tables, built once
+    list(cocycle.lyndon_chi_rows(typical3, 4))  # the cocycle's tables, built once
     tracemalloc.start()
     try:
-        walk = cocycle.lyndon_chi_rows(typical3, 18)
+        walk = list(cocycle.lyndon_chi_rows(typical3, 18))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -249,7 +249,9 @@ def test_periodic_spectrum_equals_per_orbit_references(cocycles, name):
                                  .tolist()})
     for q, lam in spectrum:
         assert np.array_equal(lam, analysis.periodic_lyapunov(A, q))
-        ref = _ref_ladder(A, sft.periodic_point(q), q.period, _eig_top) / q.period
+        # the product starts at window k, the first the cycle holds whole
+        ref = _ref_ladder(A, sft.periodic_point(q).shift(A.radius), q.period,
+                          _eig_top) / q.period
         assert np.array_equal(lam, ref)
 
 
@@ -310,13 +312,14 @@ def test_periodic_spectrum_equals_brute_force_on_random_cocycles(adjacency, dim,
 
 
 @pytest.mark.parametrize("name, max_period", [
-    ("full r0", 12), ("golden r0", 12), ("full r1", 9), ("full r2", 8), ("tri r1", 8),
+    ("full r0", 12), ("golden r0", 12), ("full r1", 12), ("full r2", 8), ("tri r1", 8),
     ("skew r1", 9)])
-def test_spectrum_forms_one_trunk_row_per_root_and_prenecklace(cocycles, monkeypatch,
-                                                               name, max_period):
-    # each level folds one window column into one row per root g (an
-    # admissible k-word) and admissible prenecklace w with g w admissible,
-    # on every rung: pruned children are never multiplied
+def test_spectrum_forms_one_trunk_row_per_prenecklace(cocycles, monkeypatch, name,
+                                                      max_period):
+    # each level folds one window column into one row per admissible
+    # prenecklace, on every rung, once the prenecklace holds a whole window
+    # (more than 2k symbols): no row carries a guess of the cycle's last
+    # symbols, and pruned children are never multiplied
     A = cocycles[name]
     trunks = []
     extend = cocycle._extend_products
@@ -328,15 +331,12 @@ def test_spectrum_forms_one_trunk_row_per_root_and_prenecklace(cocycles, monkeyp
 
     monkeypatch.setattr(cocycle, "_extend_products", recorded)
     analysis.periodic_spectrum(A, max_period)
-    k = A.radius
-    roots = sft.enumerate_words(A.base, k)
     expect = []
     for m in range(1, max_period + 1):
-        rows = sum(sft.is_admissible(A.base, g + w) for w in sft.enumerate_words(A.base, m)
-                   if is_prenecklace(w) for g in roots)
-        expect += [(rows, int(m > k))] * (A.dim - 1)
+        rows = sum(map(is_prenecklace, sft.enumerate_words(A.base, m)))
+        expect += [(rows, int(m > 2 * A.radius))] * (A.dim - 1)
     assert trunks == expect
-    if name == "full r0":  # typical3x3: 1,679 rows per rung, not 8,032
+    if name in ("full r0", "full r1"):  # 1,679 rows per rung at period 12
         assert sum(rows for rows, _ in trunks) == 1679 * (A.dim - 1)
 
 
