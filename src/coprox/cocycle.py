@@ -440,6 +440,13 @@ def _rescale_cadence(mats: np.ndarray) -> int:
     return int(min(32, max(1, 128 // max(np.log2(mats.shape[1] * worst), 1.0))))
 
 
+NEAR_SUBNORMAL = 2.0 ** -600
+"""Below this an entry of a rescaled product may go subnormal within a
+block of ``_rescale_cadence`` steps: there the peak stays within 2^128 of
+[0.5, 1) and an entry's ratio to it, cancellation aside, moves by at most
+2^256, which leaves it 2^37 above the subnormal bound 2^-1022."""
+
+
 def _start(dim: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """count empty products: the identity with binary scale 0, as a
     column-major (dim, dim, count) stack."""
@@ -473,9 +480,12 @@ def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.nd
     added to its integer scale.  That is exact unless an entry overflows
     or goes subnormal, so the products handed on are the raw product's
     mantissas in one canonical form, their bytes independent of the
-    cadence and of how a fold is split across calls.  (Entries over 2^900
-    below their product's peak may go subnormal before one rescale and not
-    at another; the demos keep the identity there, diag(4, 1)^n included.)
+    cadence and of how a fold is split across calls.  That fails where an
+    entry far below its product's peak goes subnormal before one rescale
+    and not at another, so once a product of the stack holds a nonzero
+    entry under ``NEAR_SUBNORMAL`` at the start of a block of two steps or
+    more, the rest of the call rescales after every step: the bytes of a
+    one-step cadence there too.
     A batch of one takes a scalar peak and exponent: the same IEEE
     operations, so the bytes of a batch row.
     """
@@ -487,18 +497,31 @@ def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.nd
         return prods, scales
     if len(idx) == 1:
         m, s, steps = np.ascontiguousarray(prods[:, :, 0]), scales[0], mats[idx[0]]
-        for c in range(0, len(steps), every):
+        c = 0
+        while c < len(steps):
+            if every > 1 and len(steps) - c > 1 and _near_subnormal(m):
+                every = 1
             for step in steps[c:c + every]:
                 m = np.matmul(step, m)
             e = np.frexp(np.maximum.reduce(np.abs(m), axis=None))[1]
-            m, s = np.ldexp(m, -e), s + e
+            m, s, c = np.ldexp(m, -e), s + e, c + every
         return m[:, :, None], np.array([s])
-    cols = np.ascontiguousarray(idx.T)
-    for c in range(0, len(cols), every):
+    cols, c = np.ascontiguousarray(idx.T), 0
+    while c < len(cols):
+        if every > 1 and len(cols) - c > 1 and _near_subnormal(prods):
+            every = 1
         for col in cols[c:c + every]:
             prods, take = _step(mats, col, prods, take), None
         prods, scales = _rescale(prods, scales)
+        c += every
     return prods, scales
+
+
+def _near_subnormal(prods: np.ndarray) -> bool:
+    """Whether some product of a rescaled stack (its peak in [0.5, 1]) has
+    a nonzero entry under ``NEAR_SUBNORMAL``."""
+    a = np.abs(prods)
+    return bool(((a < NEAR_SUBNORMAL) & (a > 0)).any())
 
 
 def _step(mats: np.ndarray, col: np.ndarray, prods: np.ndarray,
