@@ -186,8 +186,9 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int]) -> GapProfile:
 
     Words are evaluated at canonical representative points, and all
     lengths come from one level sweep
-    (:func:`coprox.cocycle.sweep_log_singular`), whose row map keeps only
-    each word's gap.
+    (:func:`coprox.cocycle.sweep_log_singular`), each block's gaps reduced
+    to a running minimum per length as it comes; a minimum is exact and
+    keeps a NaN, so it equals ``np.min`` of the whole length's gaps.
     A length with more than ``EXHAUSTIVE_BUDGET`` words is an error.
     """
     if not 1 <= i <= A.dim - 1:
@@ -197,9 +198,11 @@ def gap_profile(A: WindowCocycle, i: int, n_list: Sequence[int]) -> GapProfile:
     if min(n_list) < 1:
         raise ValueError("lengths must be >= 1")
     _refuse_long_lengths(A.base, n_list, EXHAUSTIVE_BUDGET)
-    gaps = sweep_log_singular(A, n_list, least_fixed_symbol(A.base),
-                              row_map=lambda rows: rows[:, i - 1] - rows[:, i])
-    minima = [float(np.min(gaps[n])) for n in n_list]
+    least = {}
+    for n, rows in sweep_log_singular(A, n_list, least_fixed_symbol(A.base)):
+        gap = np.min(rows[:, i - 1] - rows[:, i])
+        least[n] = np.minimum(least.get(n, gap), gap)
+    minima = [float(least[n]) for n in n_list]
     slope, intercept, r2, se = fit_line(list(n_list), minima)
     return GapProfile(i, tuple(n_list), tuple(minima), "exhaustive", slope, intercept,
                       r2, se)

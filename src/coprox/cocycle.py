@@ -969,15 +969,12 @@ def _levels(A: WindowCocycle, step, depth: int, words: np.ndarray, aux,
         yield n, words, aux, trunks, logdets
 
 
-def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int,
-                       row_map=None) -> dict[int, np.ndarray]:
-    """Log singular values of every admissible word of each length in
-    n_list, at canonical representatives: {n: rows, lexicographic order}.
-
-    With a ``row_map``, a row-wise function taking an (N, d) block of
-    these rows to N values, each length gets those values in place of its
-    rows: the map runs on each block as it is read, so the sweep holds one
-    float per word, not d, and a value is the map of its row alone.
+def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int],
+                       base_symbol: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(n, rows) per block, in walk order: the log singular values of every
+    admissible word of each length in n_list at canonical representatives,
+    each length's blocks in lexicographic order.  Callers reduce each block
+    as it comes; the sweep holds no length whole.
 
     One level walk (:func:`_levels`) covers lengths 1..max(n_list), one
     step per exterior rung and level, so a range of lengths costs about as
@@ -987,8 +984,8 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
     ``_ladder``.  Each word's arithmetic is that of
     :func:`batch_log_singular`, so the rows are byte-identical to it.
     """
-    targets = sorted(set(n_list))
-    if targets and targets[0] < 1:
+    targets = set(n_list)
+    if targets and min(targets) < 1:
         raise ValueError("lengths must be >= 1")
     k = A.radius
     lpads, rpads = _pads(A, base_symbol)
@@ -998,15 +995,12 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int], base_symbol: int
             words = np.concatenate([lpads[words[:, 0]], words], axis=1)
         return parent, words[:, -(2 * k + 1):], aux
 
-    out = {n: [] for n in targets}
     root = np.zeros((1, 0), dtype=np.int64)
     for n, words, _, trunks, logdets in _levels(A, step, max(targets, default=0), root, None):
-        if n in out:
+        if n in targets:
             tail = np.concatenate([words[:, max(0, words.shape[1] - 2 * k):],
                                    rpads[words[:, -1]]], axis=1)
-            rows = _ladder(A, _window_rows(A, tail), trunks, logdets)
-            out[n].append(rows if row_map is None else row_map(rows))
-    return {n: np.concatenate(blocks) for n, blocks in out.items()}
+            yield n, _ladder(A, _window_rows(A, tail), trunks, logdets)
 
 
 # ---------------------------------------------------------------------------

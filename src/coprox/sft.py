@@ -87,15 +87,27 @@ def least_fixed_symbol(s: Sft) -> Symbol:
 
 
 def _mixing_rate(s: Sft) -> int:
-    q = s.alphabet_size
-    cap = (q - 1) ** 2 + 1  # Wielandt bound for primitive matrices
-    T = s._arrows
-    power = T.copy()
-    for m in range(1, cap + 1):
-        if power.all():
-            return m
-        power = power @ T
-    raise NotPrimitive("no entrywise-positive power up to the Wielandt bound")
+    """The least M with T^M entrywise positive, up to the Wielandt bound.
+
+    Every symbol has a predecessor, so T^(M+1) = T^M T is positive once T^M
+    is: the powers T^(2^i) are squared until one is positive, and the least
+    M is then found by bisection with the stored ones, in about twice
+    log2 of the bound products.  A product is an exact float matmul of 0/1
+    matrices read as > 0."""
+    cap = (s.alphabet_size - 1) ** 2 + 1  # Wielandt bound for primitive matrices
+    powers = [s._arrows.astype(float)]  # T^(2^i)
+    while not powers[-1].all():
+        if 2 ** (len(powers) - 1) >= cap:
+            raise NotPrimitive("no entrywise-positive power up to the Wielandt bound")
+        powers.append((powers[-1] @ powers[-1] > 0).astype(float))
+    # the last power is positive: from T^0, add each lower 2^i whose
+    # product with T^m is still not positive
+    m, power = 0, np.eye(s.alphabet_size)
+    for i in range(len(powers) - 2, -1, -1):
+        step = (power @ powers[i] > 0).astype(float)
+        if not step.all():
+            m, power = m + 2 ** i, step
+    return m + 1
 
 
 def mixing_rate(s: Sft) -> int:

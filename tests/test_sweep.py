@@ -10,6 +10,7 @@ batches of one; their results must equal per-step loops (kept below and
 in ``conftest``) as references byte for byte.
 """
 
+import collections
 import itertools
 
 import mpmath
@@ -18,10 +19,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coprox import analysis, cocycle, demos, sft, synthesis, thermo
-from coprox.cocycle import batch_log_singular, sweep_log_singular
+from coprox import analysis, cocycle, demos, sft, synthesis, thermo, typicality
+from coprox.cocycle import batch_log_singular
 from coprox.errors import NotPrimitive
-from conftest import cycle_array, is_prenecklace, orbit_key, ref_eig_top, ref_product_scaled
+from conftest import (cycle_array, is_prenecklace, orbit_key, ref_eig_top, ref_product_scaled,
+                      swept)
 
 
 NAMES = ("full r0", "golden r0", "full r1", "full r2", "tri r1", "skew r1")
@@ -35,7 +37,7 @@ def test_sweep_rows_equal_batch_on_enumerated_words(cocycles, name, n_set, over)
     # ``over`` adds lengths whose levels are cut into blocks of ROW_CAP rows
     A = cocycles[name]
     n_set = set(n_set) | {_first_length_over_cap(A, 1) + e for e in over}
-    rows = sweep_log_singular(A, sorted(n_set), 0)
+    rows = swept(A, sorted(n_set), 0)
     assert sorted(rows) == sorted(n_set)
     for n in n_set:
         ref = batch_log_singular(A, sft.enumerate_words(A.base, n), 0)
@@ -65,7 +67,7 @@ def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, times, name)
         return extend(mats, every, idx, prods, scales, take)
 
     monkeypatch.setattr(cocycle, "_extend_products", recorded)
-    rows = sweep_log_singular(A, [n - 2, n], 0)
+    rows = swept(A, [n - 2, n], 0)
     for m in (n - 2, n):
         words = sft.enumerate_words(A.base, m)
         assert np.array_equal(rows[m], batch_log_singular(A, words, 0))
@@ -135,10 +137,12 @@ def test_window_grouped_step_equals_per_matrix_matmul(mats):
                     assert got[:, :, i].tobytes() == ref.tobytes(), (rows, i, take is None)
 
 
-# -- row maps: each block reduced to what its caller reads -----------------
+# -- block reductions: each block reduced to what its caller reads ---------
 #
-# Potentials and gaps are row-wise, so mapping each block as it is written
-# gives the bytes of mapping each level's full rows afterwards.
+# Potentials and gaps are row-wise and a minimum is exact, so reducing each
+# block as it comes gives the bytes of reducing each level's full rows
+# afterwards; a pressure's log-sum-exp, combined from per-block shares,
+# stays within a few ulps of the one over the full rows.
 
 REDUCER_DEMOS = ["golden3x3", "dominated2x2", "radius1"]
 
@@ -155,7 +159,7 @@ def _lengths_over_cap(A, times):
 def test_cylinder_weights_equal_potentials_of_the_full_rows(name, times):
     A = demos.DEMOS[name]()
     lengths = _lengths_over_cap(A, times)
-    rows = sweep_log_singular(A, lengths, sft.least_fixed_symbol(A.base))
+    rows = swept(A, lengths, sft.least_fixed_symbol(A.base))
     for s in (0.0, 0.6, 1.0, 1.5, A.dim, A.dim + 0.7):
         weights = thermo.cylinder_weights(A, s, lengths)
         assert sorted(weights) == lengths
@@ -169,11 +173,55 @@ def test_cylinder_weights_equal_potentials_of_the_full_rows(name, times):
 def test_gap_profile_minima_equal_those_of_the_full_rows(name, times):
     A = demos.DEMOS[name]()
     lengths = _lengths_over_cap(A, times)
-    rows = sweep_log_singular(A, lengths, sft.least_fixed_symbol(A.base))
+    rows = swept(A, lengths, sft.least_fixed_symbol(A.base))
     for i in range(1, A.dim):
         prof = analysis.gap_profile(A, i, lengths)
         ref = [float(np.min(rows[n][:, i - 1] - rows[n][:, i])) for n in lengths]
         assert np.array(prof.minima).tobytes() == np.array(ref).tobytes(), i
+
+
+D2_DEMOS = sorted(name for name, make in demos.DEMOS.items() if make().dim >= 2)
+THEOREM_C_DEMOS = ["typical2x2", "typical3x3", "golden2x2", "golden3x3", "radius1",
+                   "dominated2x2", "planted_rotation"]
+
+
+@pytest.mark.parametrize("name", D2_DEMOS + ["tri r1", "skew r1"])
+def test_block_reductions_equal_those_of_the_joined_rows(cocycles, monkeypatch, name):
+    # blocks of 40 rows: the longer lengths are reduced over many blocks
+    monkeypatch.setattr(cocycle, "ROW_CAP", 40)
+    A = cocycles[name] if name in cocycles else demos.DEMOS[name]()
+    lengths, base_symbol = list(range(1, 11)), sft.least_fixed_symbol(A.base)
+    blocks = collections.Counter(n for n, _ in cocycle.sweep_log_singular(A, lengths, base_symbol))
+    assert blocks[10] > 2
+    rows = swept(A, lengths, base_symbol)
+    for i in range(1, A.dim):
+        prof = analysis.gap_profile(A, i, lengths)
+        ref = [np.min(rows[n][:, i - 1] - rows[n][:, i]) for n in lengths]
+        assert np.array(prof.minima).tobytes() == np.array(ref).tobytes(), i
+    for s in (0.6, 1.5, A.dim + 0.7):
+        est = thermo.pressure(A, s, lengths)
+        for n, p in zip(lengths, est.p_n):
+            ref = thermo._logsumexp([thermo._share(thermo.log_phi_s(rows[n], s))]) / n
+            assert abs(p - ref) <= 2 * np.spacing(abs(ref)), (s, n, p, ref)
+
+
+@pytest.mark.parametrize("name", THEOREM_C_DEMOS)
+def test_theorem_c_pressures_equal_pressure_over_blocks(monkeypatch, name):
+    # blocks of 40 rows: N_RANGE's longer lengths span several blocks, and
+    # Theorem C's one sweep must reduce them by pressure's rule
+    monkeypatch.setattr(cocycle, "ROW_CAP", 40)
+    A = demos.DEMOS[name]()
+    B = cocycle.scaled_cocycle(A, 0.3)
+    p, z, _ = typicality.find_typical_pair(A)
+    cert = typicality.family_certificate([A, B], p, z)
+    rep = thermo.theorem_c_experiment(A, B, cert, 4, 1e-9)
+    assert next(itertools.islice(sft.word_counts(A.base), max(thermo.N_RANGE) - 1, None)) > 80
+    assert rep.pressure_a == thermo.pressure(A, 1.0, thermo.N_RANGE)
+    assert rep.pressure_b == thermo.pressure(B, 1.0, thermo.N_RANGE)
+    for n, tv in rep.tv_by_n:
+        va = thermo.cylinder_weights(A, 1.0, [n])[n].normalized()
+        vb = thermo.cylinder_weights(B, 1.0, [n])[n].normalized()
+        assert tv == float(0.5 * np.sum(np.abs(va - vb)))
 
 
 # -- per-step references: one rescaled matmul per step, as a loop -----------
@@ -394,7 +442,7 @@ def _canonical_rows(A, n):
 @pytest.mark.parametrize("name", GRAM_DEMOS)
 def test_sweep_log_tops_match_svd(name):
     A = demos.DEMOS[name]()
-    rows = sweep_log_singular(A, range(1, 11), A.base.fixed_symbols()[0])
+    rows = swept(A, range(1, 11), A.base.fixed_symbols()[0])
     for n, got in rows.items():
         _assert_log_tops_match_svd(A, _canonical_rows(A, n), got)
 
@@ -416,7 +464,7 @@ def test_gram_top_where_singular_values_cluster():
     (prods, _), = _rescaled(A, rows)
     sv = np.linalg.svd(prods.transpose(2, 0, 1), compute_uv=False)
     assert np.allclose(sv[:, 1], sv[:, 0], rtol=1e-13, atol=0)
-    _assert_log_tops_match_svd(A, rows, sweep_log_singular(A, [10], 0)[10])
+    _assert_log_tops_match_svd(A, rows, swept(A, [10], 0)[10])
 
 
 # -- the top rule against 50-digit singular values ----------------------------
@@ -535,7 +583,7 @@ def _log_sum_e_t(rows, t):
 @pytest.mark.parametrize("name", IDENTITY_COCYCLES)
 def test_sweep_levels_satisfy_the_transfer_identity(name):
     A = KERNEL_COCYCLES[name]()
-    rows = sweep_log_singular(A, [6, 12], 0)
+    rows = swept(A, [6, 12], 0)
     for n, level in rows.items():
         for t in range(1, A.dim + 1):
             ref = _log_transfer_sum(A, t, n)
@@ -569,7 +617,7 @@ def test_random_window_cocycles_satisfy_the_transfer_identity(base, dim, radius,
     # and applies the k windows reading the right pad per target; words
     # shorter than a window read both pads
     A = _random_window_cocycle(RANDOM_BASES[base], dim, radius, seed)
-    rows = sweep_log_singular(A, sorted(n_set), 0)
+    rows = swept(A, sorted(n_set), 0)
     for n, level in rows.items():
         for t in range(1, dim + 1):
             ref = _log_transfer_sum(A, t, n)

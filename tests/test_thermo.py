@@ -280,7 +280,28 @@ def test_logsumexp_bytes_match_scipy(n, scale, seed, ties, specials):
         a[i % n] = v
     with np.errstate(all="ignore"):
         want = np.float64(logsumexp(a))
-    assert np.float64(thermo._logsumexp(a)).tobytes() == want.tobytes()
+    assert np.float64(thermo._logsumexp([thermo._share(a)])).tobytes() == want.tobytes()
+
+
+def test_a_block_of_only_minus_inf_adds_nothing():
+    a, low = np.array([0.5, -1.0, 2.0, 2.0]), np.full(3, -np.inf)
+    one = thermo._logsumexp([thermo._share(a)])
+    assert thermo._logsumexp([thermo._share(a), thermo._share(low)]) == one
+    assert thermo._logsumexp([thermo._share(low), thermo._share(a)]) == one
+    assert thermo._logsumexp([thermo._share(low), thermo._share(low)]) == -np.inf
+
+
+@pytest.mark.parametrize("special", [np.inf, np.nan])
+@pytest.mark.parametrize("where", [0, 1])
+def test_blocks_with_inf_or_nan_give_the_one_array_value(special, where):
+    blocks = [np.array([0.5, -1.0, 2.0]), np.array([3.0, 1.0])]
+    blocks[where][1] = special
+    with np.errstate(all="ignore"):
+        want = np.log(np.sum(np.exp(np.concatenate(blocks))))  # the direct formula
+    got = thermo._logsumexp([thermo._share(b) for b in blocks])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(thermo._logsumexp([thermo._share(np.concatenate(blocks))]), want,
+                          equal_nan=True)
 
 
 def test_import_loads_no_scipy():
