@@ -150,6 +150,8 @@ def _sampled_words(A: WindowCocycle, n: int, count: int, seed: int) -> list[Symb
     """Seed-deterministic admissible words, uniform over continuations:
     each symbol after the first is drawn among its predecessor's
     successors, tabulated once per call."""
+    if n < 1:
+        raise ValueError(f"sampled words need length >= 1, got {n}")
     rng = np.random.default_rng(seed)
     s = A.base
     nexts = [[c for c in range(s.alphabet_size) if s.allowed(a, c)]

@@ -157,7 +157,7 @@ def _orbit_rows(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("orbit rows need n >= 0")
     k = A.radius
-    return _window_rows(A, np.array([x.coords(-k, n - 1 + k)], dtype=np.int64))
+    return _window_rows(A, _symbols(A, [x.coords(-k, n - 1 + k)]))
 
 
 def product(A: WindowCocycle, x: PointSpec, n: int) -> np.ndarray:
@@ -190,6 +190,7 @@ def cycle_chi_rows(A: WindowCocycle, cycles: np.ndarray) -> np.ndarray:
     given by a row of an array of admissible cycles, each folded from the
     identity from coordinate k, a conjugate of the product from 0: the rows
     :func:`lyndon_chi_rows` reproduces byte for byte."""
+    cycles = _symbols(A, cycles)
     n, k = cycles.shape[1], A.radius
     rows = _window_rows(A, cycles[:, np.arange(0, n + 2 * k) % n])
     return _ladder(A, rows, _identity_trunks(A, len(rows)), np.zeros(len(rows)), "eig")
@@ -414,6 +415,15 @@ def _canonical(words: np.ndarray, pads) -> np.ndarray:
     return np.concatenate([lpads[words[:, 0]], words, rpads[words[:, -1]]], axis=1)
 
 
+def _symbols(A: WindowCocycle, symbols) -> np.ndarray:
+    """A caller's symbol array as int64, refused unless every symbol lies in
+    0..q-1 (a window code of symbol -1 would read the lookup from its end)."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    if symbols.size and not 0 <= symbols.min() <= symbols.max() < A.base.alphabet_size:
+        raise ValueError(f"symbols must lie in 0..{A.base.alphabet_size - 1}")
+    return symbols
+
+
 def _window_rows(A: WindowCocycle, symbols: np.ndarray) -> np.ndarray:
     """Table rows of the windows of 2k+1 consecutive symbols in each row of
     a symbol array: (N, L) symbols give (N, L - 2k) rows."""
@@ -529,14 +539,10 @@ def _step(mats: np.ndarray, col: np.ndarray, prods: np.ndarray,
     """Each product of a column-major stack (the ``take`` rows of prods,
     all of them without) multiplied on the left by the window matrix of
     its row of col: per window present, one gather of its rows, one GEMM
-    and one scatter of the results; one GEMM alone when col names one
-    window only and the products are all taken in order."""
+    and one scatter of the results."""
     r = len(prods)
-    present = np.bincount(col).nonzero()[0]
-    if len(present) == 1 and take is None:
-        return (mats[present[0]] @ prods.reshape(r, -1)).reshape(r, r, -1)
     out = np.empty((r, r, len(col)))
-    for w in present:
+    for w in np.bincount(col).nonzero()[0]:
         sel = (col == w).nonzero()[0]
         block = prods.take(sel if take is None else take[sel], axis=2)
         out[:, :, sel] = (mats[w] @ block.reshape(r, -1)).reshape(r, r, -1)
@@ -901,7 +907,7 @@ def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols],
     """
     if len(words) == 0:
         return np.empty((0, A.dim))
-    words, pads = np.asarray(words, dtype=np.int64), _pads(A, base_symbol)
+    words, pads = _symbols(A, words), _pads(A, base_symbol)
     blocks = [words[b] for b in _blocks(len(words))]
     return np.concatenate([_ladder(A, _window_rows(A, _canonical(w, pads)),
                                    _identity_trunks(A, len(w)), np.zeros(len(w)))

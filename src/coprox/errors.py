@@ -25,6 +25,10 @@ class NotHomoclinic(CoproxError):
     """Point is not a homoclinic point of the given fixed point."""
 
 
+class EndpointMismatch(CoproxError):
+    """Paths being connected do not meet at a common point."""
+
+
 class NotFixedPoint(CoproxError):
     """Expected a fixed point of the shift."""
 

@@ -1,15 +1,15 @@
 """Subshift-of-finite-type core.
 
 Alphabets and adjacency, admissible words, periodic words, eventually
-periodic two-sided points, the bracket operation, the 2^-k metric, and
+periodic two-sided points, the bracket operation, the leaf shifts and
 deterministic bridging between symbols.  Everything here is exact symbol
 arithmetic; no floating point enters at this level.
 
 Points are restricted to eventually periodic specs (left cycle, finite
 core, right cycle): every point the downstream constructions need (fixed
 points, homoclinic points, brackets of those, shifted images, canonical
-cylinder representatives) is of this form, so membership tests and the
-metric are decidable.
+cylinder representatives) is of this form, so the leaf shifts are
+decidable; leaf tests, point equality and fixed points are shifts of 0.
 
 All tie-breaking is lexicographic-least so that runs are reproducible.
 """
@@ -71,7 +71,7 @@ class Sft:
         return np.array(self.adjacency, dtype=np.int64)
 
     def allowed(self, a: Symbol, b: Symbol) -> bool:
-        return self.adjacency[a][b] == 1
+        return is_admissible(self, (a, b))
 
     def fixed_symbols(self) -> list[Symbol]:
         return [a for a in range(self.alphabet_size) if self.adjacency[a][a] == 1]
@@ -226,15 +226,12 @@ def periodic_point(w: PeriodicWord) -> PointSpec:
 
 def fixed_point(s: Sft, a: Symbol) -> PointSpec:
     if not s.allowed(a, a):
-        raise ValueError(f"symbol {a} is not fixed (T[{a}][{a}] = 0)")
+        raise ValueError(f"symbol {a} is not fixed: ({a}, {a}) is not admissible")
     return periodic_point(PeriodicWord((a,)))
 
 
 def is_fixed_point(x: PointSpec) -> bool:
-    a = x.coord(0)
-    lo, hi = x.reach()
-    return x.coords(lo - 1, hi + 1) == (a,) * (hi - lo + 3) and \
-        x.left_cycle == (a,) * len(x.left_cycle) and x.right_cycle == (a,) * len(x.right_cycle)
+    return same_point(x, x.shift(1))
 
 
 def bridge(s: Sft, a: Symbol, b: Symbol, length: int) -> Optional[Symbols]:
@@ -288,18 +285,8 @@ def bracket(x: PointSpec, y: PointSpec) -> PointSpec:
     return PointSpec(left, core, right, -a)
 
 
-def _equality_horizon(x: PointSpec, y: PointSpec) -> int:
-    """Window radius beyond which coordinatewise agreement implies equality."""
-    lo_x, hi_x = x.reach()
-    lo_y, hi_y = y.reach()
-    left = max(-lo_x, -lo_y, 0) + lcm(len(x.left_cycle), len(y.left_cycle))
-    right = max(hi_x, hi_y, 0) + lcm(len(x.right_cycle), len(y.right_cycle))
-    return max(left, right) + 1
-
-
 def same_point(x: PointSpec, y: PointSpec) -> bool:
-    h = _equality_horizon(x, y)
-    return x.coords(-h, h) == y.coords(-h, h)
+    return in_local_stable(x, y) and in_local_unstable(x, y)
 
 
 def extend_words(s: Sft, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,8 +370,9 @@ def point_from_word(s: Sft, word: Sequence[int], base_symbol: Symbol) -> PointSp
     coordinate 0 sits at word[0].
     """
     w = require_word(s, word)
-    if not s.allowed(base_symbol, base_symbol):
-        raise ValueError("base symbol must be fixed")
+    if not w:
+        raise ValueError("word must be nonempty")
+    fixed_point(s, base_symbol)  # refuses a base symbol that is not fixed
     left_pad = shortest_bridge(s, base_symbol, w[0])
     right_pad = shortest_bridge(s, w[-1], base_symbol)
     core = left_pad + w + right_pad
@@ -398,8 +386,7 @@ def homoclinic_point(s: Sft, a: Symbol, excursion: Sequence[int]) -> PointSpec:
     the constant-a word (that would be the fixed point itself).
     """
     exc = _as_symbols(excursion)
-    if not s.allowed(a, a):
-        raise ValueError("symbol is not fixed")
+    fixed_point(s, a)  # refuses a symbol that is not fixed
     if len(exc) == 0 or all(c == a for c in exc):
         raise ValueError("excursion must differ from the fixed word")
     full = (a,) + exc + (a,)
@@ -425,14 +412,12 @@ def reverse_sft(s: Sft) -> Sft:
 
 def in_local_stable(x: PointSpec, y: PointSpec) -> bool:
     """y in the local stable set of x: coordinates agree for all i >= 0."""
-    h = _equality_horizon(x, y)
-    return x.coords(0, h) == y.coords(0, h)
+    return stable_shift(x, y) == 0
 
 
 def in_local_unstable(x: PointSpec, y: PointSpec) -> bool:
     """y in the local unstable set of x: coordinates agree for all i <= 0."""
-    h = _equality_horizon(x, y)
-    return x.coords(-h, 0) == y.coords(-h, 0)
+    return unstable_shift(x, y) == 0
 
 
 def stable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
@@ -441,12 +426,9 @@ def stable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
     None when the two points disagree arbitrarily far to the right (their
     right tails differ), so no shift lands them on a common stable leaf.
     """
-    r0 = max(x.reach()[1], y.reach()[1], 0) + 1
-    top = r0 + lcm(len(x.right_cycle), len(y.right_cycle)) - 1
-    xs, ys = x.coords(0, top), y.coords(0, top)  # coordinate i at index i
-    if xs[r0:] != ys[r0:]:
-        return None  # tails strictly periodic from r0 on, so mismatches recur
-    return next((i + 1 for i in range(r0 - 1, -1, -1) if xs[i] != ys[i]), 0)
+    tail = max(x.reach()[1], y.reach()[1], 0) + 1  # right-cyclic from here on
+    top = tail + lcm(len(x.right_cycle), len(y.right_cycle)) - 1
+    return _leaf_shift(x.coords(0, top), y.coords(0, top), tail)
 
 
 def unstable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
@@ -454,12 +436,20 @@ def unstable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
 
     None when the left tails differ.
     """
-    l0 = min(x.reach()[0], y.reach()[0], 0) - 1
-    period = lcm(len(x.left_cycle), len(y.left_cycle))
-    xs, ys = x.coords(l0 - period + 1, 0), y.coords(l0 - period + 1, 0)  # coordinate 0 last
-    if xs[:period] != ys[:period]:
+    tail = max(-x.reach()[0], -y.reach()[0], 0) + 1  # left-cyclic from -tail down
+    bottom = -tail - lcm(len(x.left_cycle), len(y.left_cycle)) + 1
+    return _leaf_shift(x.coords(bottom, 0)[::-1], y.coords(bottom, 0)[::-1], tail)
+
+
+def _leaf_shift(xs: Symbols, ys: Symbols, tail: int) -> Optional[int]:
+    """Least l >= 0 with xs[l:] == ys[l:], for windows read outward from
+    coordinate 0 whose entries from ``tail`` on are a common period of the
+    points' cycles; None when those differ, as the mismatch recurs."""
+    if xs == ys:
+        return 0
+    if xs[tail:] != ys[tail:]:
         return None
-    return next((1 - i for i in range(l0 + 1, 1) if xs[i - 1] != ys[i - 1]), 0)
+    return next(i + 1 for i in range(tail - 1, -1, -1) if xs[i] != ys[i])
 
 
 def full_shift(q: int) -> Sft:

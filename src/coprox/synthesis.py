@@ -53,6 +53,7 @@ from .cocycle import (
 )
 from .errors import (
     DegenerateTopSingularValue,
+    EndpointMismatch,
     SingularMatrix,
     SynthesisFailed,
     TransversalityFailed,
@@ -90,10 +91,6 @@ SYNTHESIS_ERRORS = (SynthesisFailed, TransversalityFailed, TurnCapExceeded,
                     DegenerateTopSingularValue, SingularMatrix)
 """Errors that end the synthesis for one word; experiments over many words
 record them per word and go on."""
-
-
-class EndpointMismatch(Exception):
-    """Paths being connected do not meet at a common point."""
 
 
 @dataclass(frozen=True)
@@ -199,13 +196,9 @@ def connect(path1: PathSpec, path2: PathSpec) -> PathSpec:
 
 
 def extend_at_fixed_target(path: PathSpec, extra: int) -> PathSpec:
-    """Lengthen a path ending at a fixed point by iterating the return map."""
-    if extra == 0:
-        return path
-    a = path.y.coord(0)
-    if path.x0.coords(path.n, path.n + extra) != (a,) * (extra + 1):
-        raise ValueError("carrier does not stay at the fixed symbol")
-    return PathSpec(path.x, path.x0, path.n + extra, path.y)
+    """Lengthen a path ending at a fixed point by iterating the return map
+    (the lengthened path's stable-leaf check refuses a carrier off y's leaf)."""
+    return replace(path, n=path.n + extra)
 
 
 def loop_path(p: PointSpec, z: PointSpec, ell: int) -> PathSpec:

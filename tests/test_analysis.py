@@ -201,3 +201,10 @@ def test_theorem_b_rejects_index_before_any_work():
         theorem_b_check(A, None, 5, 4, [2, 3])
     with pytest.raises(ValueError, match="nonempty"):
         gap_profile(A, 1, [])
+
+
+@pytest.mark.parametrize("length", [0, -3])
+def test_markov_sample_refuses_lengths_below_one(typical2, length):
+    # the first symbol was drawn before the loop, so length 0 gave one symbol
+    with pytest.raises(ValueError, match=">= 1"):
+        markov_sample(typical2, length, 5)

@@ -370,3 +370,17 @@ def test_non_finite_matrix_is_rejected(value):
     table[(1,)] = bad
     with pytest.raises(ValueError, match=r"matrix for window \(1,\) has non-finite entries"):
         WindowCocycle(sft.full_shift(2), 2, 0, table)
+
+
+@pytest.mark.parametrize("name", ["typical2", "radius1"])
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_kernel_entries_refuse_symbols_outside_the_alphabet(request, name, bad):
+    # a window code of symbol -1 reads the window table from its end, and
+    # symbol q reads past it (or, at radius 1, another window's row)
+    A = request.getfixturevalue(name)
+    with pytest.raises(ValueError, match=r"0\.\.1"):
+        product(A, sft.PointSpec((bad,), (), (bad,), 0), 1)
+    with pytest.raises(ValueError, match=r"0\.\.1"):
+        batch_log_singular(A, [(0, bad)], 0)
+    with pytest.raises(ValueError, match=r"0\.\.1"):
+        cocycle.cycle_chi_rows(A, np.array([[0, bad]]))

@@ -301,6 +301,16 @@ def test_random_primitive_sfts_trace_identity():
 # Per-coordinate reference copies of the window compares in sft: the
 # definitions they replaced, read one ``coord`` at a time.
 
+def _ref_horizon(x, y):
+    """Window radius beyond which coordinatewise agreement implies
+    equality: past both cores' reach by one common period of the cycles."""
+    lo_x, hi_x = x.reach()
+    lo_y, hi_y = y.reach()
+    left = max(-lo_x, -lo_y, 0) + np.lcm(len(x.left_cycle), len(y.left_cycle))
+    right = max(hi_x, hi_y, 0) + np.lcm(len(x.right_cycle), len(y.right_cycle))
+    return int(max(left, right)) + 1
+
+
 def _ref_in_local_stable(x, y, h):
     return all(x.coord(i) == y.coord(i) for i in range(0, h + 1))
 
@@ -310,7 +320,7 @@ def _ref_in_local_unstable(x, y, h):
 
 
 def _ref_same_point(x, y):
-    h = sft._equality_horizon(x, y)
+    h = _ref_horizon(x, y)
     return all(x.coord(i) == y.coord(i) for i in range(-h, h + 1))
 
 
@@ -368,10 +378,8 @@ def test_window_compares_match_coordinatewise_references(x, y, shift, shared):
         xy, yx = sft.bracket(x, y), sft.bracket(y, x)
         pairs += [(x, xy), (xy, y), (yx, x), (xy, yx)]
     for u, v in pairs:
-        assert sft.in_local_stable(u, v) == _ref_in_local_stable(
-            u, v, sft._equality_horizon(u, v))
-        assert sft.in_local_unstable(u, v) == _ref_in_local_unstable(
-            u, v, sft._equality_horizon(u, v))
+        assert sft.in_local_stable(u, v) == _ref_in_local_stable(u, v, _ref_horizon(u, v))
+        assert sft.in_local_unstable(u, v) == _ref_in_local_unstable(u, v, _ref_horizon(u, v))
         assert sft.same_point(u, v) == _ref_same_point(u, v)
         assert sft.stable_shift(u, v) == _ref_stable_shift(u, v)
         assert sft.unstable_shift(u, v) == _ref_unstable_shift(u, v)
@@ -384,3 +392,23 @@ def test_is_admissible_range_and_pairs(golden):
     assert not sft.is_admissible(golden, (2,))
     assert not sft.is_admissible(golden, (0, -1))
     assert not sft.is_admissible(golden, (0, 1, 0, 1, 1, 0))
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_symbol_entries_refuse_symbols_outside_the_alphabet(full2, bad):
+    # Sft.allowed is is_admissible on the pair, so -1 is not read as the
+    # last symbol (fixed_point(full2, -1) was symbol 1's fixed point) and 2
+    # is a refusal, not an IndexError
+    assert not full2.allowed(bad, bad) and not full2.allowed(0, bad)
+    for build in (lambda: sft.fixed_point(full2, bad),
+                  lambda: sft.homoclinic_point(full2, bad, (0,)),
+                  lambda: sft.point_from_word(full2, (0, 1), bad)):
+        with pytest.raises(ValueError, match="not admissible"):
+            build()
+    with pytest.raises(ValueError, match="not admissible"):
+        sft.make_periodic(full2, (0, bad))
+
+
+def test_point_from_word_refuses_the_empty_word(full2):
+    with pytest.raises(ValueError, match="nonempty"):
+        sft.point_from_word(full2, (), 0)

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from coprox import analysis, cocycle, demos, matnum, sft, synthesis, thermo, typicality
+from coprox import analysis, cocycle, demos, errors, matnum, sft, synthesis, thermo, typicality
 from coprox.cocycle import holonomy_loop, orbit_mu_vec, product, rectangle
 from coprox.errors import SynthesisFailed, TurnCapExceeded
 from coprox.proximal import eps_proximal_witness, is_eps_proximal
@@ -673,3 +673,21 @@ def test_shadow_offset_is_the_least_cyclic_match(offset, length):
     least = next(j for j in range(12)
                  if all(q.symbols[(j + i) % 12] == word[i] for i in range(length)))
     assert synthesis._shadow_offset(q, word) == least
+
+
+def test_synthesize_family_refuses_the_empty_word(typical2, typical2_cert):
+    p, z, _ = typical2_cert
+    with pytest.raises(ValueError, match="nonempty"):
+        synthesize_family(exterior_family_context(typical2, p, z), (), 0.05)
+
+
+def test_endpoint_mismatch_is_a_library_error():
+    assert issubclass(EndpointMismatch, errors.CoproxError)
+    assert synthesis.EndpointMismatch is errors.EndpointMismatch
+
+
+def test_extend_at_fixed_target_refuses_a_carrier_off_the_target_leaf(full2):
+    # the lengthened path's own stable-leaf check decides it
+    x = sft.point_from_word(full2, (0, 1), 0)
+    with pytest.raises(ValueError, match="local stable set"):
+        synthesis.extend_at_fixed_target(PathSpec(x, x, 0, x), 1)
