@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the four theorem-level experiments on the bundled demo cocycles and
+"""Run the three theorem-level experiments on the bundled demo cocycles and
 write JSON/CSV reports.
 
     python scripts/run_experiments.py --outdir results [--quick] [--seed 700]
@@ -10,8 +10,7 @@ Experiments:
   2. dominated-splitting detection: periodic exponent gaps against the
      growth of worst-case singular gaps (positive and planted-negative);
   3. equal-equilibrium-state test for a pair of cocycles with identical
-     per-orbit top exponents (exact scalar-multiple case);
-  4. periodic approximation of pointwise exponent estimates.
+     per-orbit top exponents (exact scalar-multiple case).
 """
 
 import argparse
@@ -35,7 +34,6 @@ def experiment_theorem_a(outdir, seed, samples):
               [(r.n, r.n_q, r.j, r.bound_value, r.ell_used) for r in rep.samples])
     print(f"[theorem A] {len(rep.samples)} orbits, empirical C = "
           f"{rep.empirical_c:.3f}, k = {rep.empirical_k}, slope = {rep.slope:+.4f}")
-    return rep
 
 
 def experiment_theorem_b(outdir):
@@ -64,17 +62,6 @@ def experiment_theorem_c(outdir, seed):
     gap = rep.pressure_b.value - rep.pressure_a.value
     print(f"[theorem C] constant c = {rep.constant_c:+.6f}, pressure gap "
           f"{gap:+.6f}, max TV {max(tv for _, tv in rep.tv_by_n):.2e}")
-
-
-def experiment_theorem_d(outdir, seed, c_emp):
-    A = demos.typical_2x2()
-    _, _, cert = typicality.find_typical_pair(A)
-    words = [analysis.markov_sample(A, 30, seed + 5000 + i) for i in range(20)]
-    rep = analysis.theorem_d_check(A, cert, words, c_emp=c_emp, tau=0.05)
-    write_json(outdir / "theorem_d.json", "spectrum-compare", rep.to_dict())
-    worst = max(s.distance / s.allowed for s in rep.samples)
-    print(f"[theorem D] {len(rep.samples)} samples, all within C/n: "
-          f"{rep.all_within} (worst ratio {worst:.3f})")
 
 
 def experiment_pressure(outdir):
@@ -107,10 +94,9 @@ def main(argv=None):
         args.samples = 10
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    rep_a = experiment_theorem_a(args.outdir, args.seed, args.samples)
+    experiment_theorem_a(args.outdir, args.seed, args.samples)
     experiment_theorem_b(args.outdir)
     experiment_theorem_c(args.outdir, args.seed)
-    experiment_theorem_d(args.outdir, args.seed, rep_a.empirical_c)
     experiment_pressure(args.outdir)
     print(f"reports written to {args.outdir}/")
     return 0

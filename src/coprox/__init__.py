@@ -6,9 +6,9 @@ whose canonical holonomies are exact finite products.  The package can
 certify pinching/twisting of a cocycle at a fixed point and a homoclinic
 point (``typicality``), synthesize periodic orbits that shadow a given
 word while every exterior power of the closing product is certifiably
-proximal (``synthesis``), and run desk-scale experiments on exponent
-gaps, equilibrium-state equality, and spectrum approximation
-(``analysis``, ``thermo``).
+proximal (``synthesis``), and run desk-scale experiments on periodic
+spectra, exponent gaps and equilibrium-state equality (``analysis``,
+``thermo``).
 """
 
 from . import analysis, cocycle, demos, matnum, proximal, sft, synthesis, thermo, typicality

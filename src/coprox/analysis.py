@@ -1,6 +1,5 @@
 """Spectrum-level experiments: periodic Lyapunov vectors, exhaustive
-periodic spectra, singular-gap profiles, and the domination and
-spectrum-equality checks built on the orbit synthesizer.
+periodic spectra, singular-gap profiles, and the domination check.
 
 Everything here is an n-indexed diagnostic at desk scale; reports carry
 their budgets and never claim limits.
@@ -20,7 +19,6 @@ import numpy as np
 from .cocycle import ROW_CAP, WindowCocycle, cycle_chi_rows, lyndon_chi_rows, sweep_log_singular
 from .matnum import fit_line
 from .sft import PeriodicWord, Sft, Symbols, least_fixed_symbol, orbit_counts, word_counts
-from .synthesis import SYNTHESIS_ERRORS, build_proximal_periodic
 
 
 def periodic_lyapunov(A: WindowCocycle, q: PeriodicWord) -> np.ndarray:
@@ -291,72 +289,3 @@ def theorem_b_check(A: WindowCocycle, cert, i: int, max_period: int,
 def markov_sample(A: WindowCocycle, length: int, seed: int) -> Symbols:
     """One admissible word, uniform over continuations, seed-deterministic."""
     return _sampled_words(A, length, 1, seed)[0]
-
-
-@dataclass(frozen=True)
-class SpectrumComparison:
-    """Per-sample distance between the pointwise estimate and the scaled
-    exponent vector of the synthesized shadowing orbit."""
-
-    word: Symbols
-    n: int
-    n_q: int
-    distance: float
-    allowed: float
-
-    @property
-    def within(self) -> bool:
-        return self.distance <= self.allowed
-
-
-@dataclass(frozen=True)
-class TheoremDReport:
-    samples: tuple[SpectrumComparison, ...]
-    failures: tuple[tuple[Symbols, str], ...]
-    c_emp: float
-
-    @property
-    def all_within(self) -> bool:
-        return all(s.within for s in self.samples)
-
-    def to_dict(self) -> dict:
-        return {
-            "c_emp": self.c_emp,
-            "all_within": self.all_within,
-            "num_failures": len(self.failures),
-            "samples": [
-                {
-                    "word": "".join(str(c) for c in s.word),
-                    "n": s.n,
-                    "n_q": s.n_q,
-                    "distance": s.distance,
-                    "allowed": s.allowed,
-                }
-                for s in self.samples
-            ],
-        }
-
-
-THEOREM_D_SLACK = 1e-9
-"""Absolute slack added to each theorem D allowance c_emp/n."""
-
-
-def theorem_d_check(A: WindowCocycle, cert, words: Sequence[Symbols], c_emp: float,
-                    tau: float) -> TheoremDReport:
-    """For each word: synthesize a shadowing orbit q and compare
-    (1/n) mu-vector against (n_q/n) times the orbit's exponent vector,
-    whose distance is the synthesis report's bound over n; the allowance
-    is c_emp/n + ``THEOREM_D_SLACK`` with c_emp from the bound experiment."""
-    samples = []
-    failures = []
-    for w in words:
-        w = tuple(w)
-        n = len(w)
-        try:
-            rep = build_proximal_periodic(A, cert, w, tau)
-        except SYNTHESIS_ERRORS as exc:
-            failures.append((w, str(exc)))
-            continue
-        samples.append(SpectrumComparison(w, n, rep.n_q, rep.bound_value / n,
-                                          c_emp / n + THEOREM_D_SLACK))
-    return TheoremDReport(tuple(samples), tuple(failures), c_emp)

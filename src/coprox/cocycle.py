@@ -192,6 +192,8 @@ def cycle_chi_rows(A: WindowCocycle, cycles: np.ndarray) -> np.ndarray:
     :func:`lyndon_chi_rows` reproduces byte for byte."""
     cycles = _symbols(A, cycles)
     n, k = cycles.shape[1], A.radius
+    if n == 0:
+        raise ValueError("cycles need period >= 1")
     rows = _window_rows(A, cycles[:, np.arange(0, n + 2 * k) % n])
     return _ladder(A, rows, _identity_trunks(A, len(rows)), np.zeros(len(rows)), "eig")
 
@@ -908,6 +910,8 @@ def batch_log_singular(A: WindowCocycle, words: Sequence[Symbols],
     if len(words) == 0:
         return np.empty((0, A.dim))
     words, pads = _symbols(A, words), _pads(A, base_symbol)
+    if words.shape[1] == 0:
+        raise ValueError("words need length >= 1")
     blocks = [words[b] for b in _blocks(len(words))]
     return np.concatenate([_ladder(A, _window_rows(A, _canonical(w, pads)),
                                    _identity_trunks(A, len(w)), np.zeros(len(w)))

@@ -39,15 +39,18 @@ AMS_TOL = 1e-9
 
 
 def require_invertible(g: np.ndarray) -> np.ndarray:
-    """Reject matrices whose determinant is negligible against norm^d.
+    """Reject matrices whose least singular value is at most ``DET_TOL``
+    times the largest: unlike |det g| / |g|^d = prod sigma_i / sigma_1^d,
+    that ratio does not fall with d, so well-conditioned exterior powers pass.
 
     Appropriate for externally supplied matrices of moderate condition; use
     :func:`require_finite` for long orbit products, whose condition
     legitimately exceeds any fixed relative threshold.
     """
     g = require_finite(g)
-    if abs(np.linalg.det(g)) <= DET_TOL * np.linalg.norm(g, 2)**g.shape[0]:
-        raise SingularMatrix("determinant below tolerance")
+    sigma = np.linalg.svd(g, compute_uv=False)
+    if sigma[-1] <= DET_TOL * sigma[0]:
+        raise SingularMatrix("least singular value below tolerance")
     return g
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from coprox import analysis, cocycle, demos, matnum, proximal, sft, thermo, typicality
-from coprox.analysis import gap_profile, markov_sample, periodic_spectrum, theorem_b_check, theorem_d_check
+from coprox.analysis import gap_profile, markov_sample, periodic_spectrum, theorem_b_check
 from coprox.cocycle import (
     batch_log_singular,
     distortion_residual,
@@ -299,21 +299,6 @@ def test_criterion_6_theorem_c(typical2, monkeypatch):
            f"diff spread {rep.max_deviation:.1e}, pressure gap-0.3 "
            f"{gap - 0.3:+.1e}, max TV {max(tv for _, tv in rep.tv_by_n):.1e}, "
            f"negative witnessed {negative_ok}, {elapsed:.1f} s")
-
-
-def test_criterion_7_theorem_d(typical2, typical2_cert, theorem_a_report):
-    rep_a, _ = theorem_a_report
-    t0 = time.perf_counter()
-    words = [markov_sample(typical2, 30, 5700 + i) for i in range(20)]
-    rep = theorem_d_check(typical2, typical2_cert[2], words,
-                          c_emp=rep_a.empirical_c, tau=0.05)
-    elapsed = time.perf_counter() - t0
-    worst = max((s.distance - s.allowed for s in rep.samples), default=np.inf)
-    ok = (not rep.failures and rep.all_within and len(rep.samples) == 20
-          and elapsed < 120.0)
-    report("criterion 7 (theorem D desk scale)", ok,
-           f"20 samples within C_emp/n + 1e-9 (worst slack {-worst:.2e}), "
-           f"{elapsed:.1f} s")
 
 
 def test_criterion_8_pressure_oracles():

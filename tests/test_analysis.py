@@ -8,7 +8,6 @@ from coprox.analysis import (
     periodic_lyapunov,
     periodic_spectrum,
     theorem_b_check,
-    theorem_d_check,
 )
 from coprox.sft import make_periodic
 
@@ -172,15 +171,6 @@ def test_sampled_words_keep_every_seed(cocycles):
                 got = analysis._sampled_words(A, n, count, seed)
                 assert got == _per_symbol_sampled_words(A, n, count, seed)
                 assert all(type(c) is int for w in got for c in w)
-
-
-def test_theorem_d_small(typical2, typical2_cert):
-    words = [markov_sample(typical2, 12, 100 + i) for i in range(4)]
-    rep = theorem_d_check(typical2, typical2_cert[2], words, c_emp=40.0, tau=0.05)
-    assert not rep.failures
-    assert rep.all_within
-    for s in rep.samples:
-        assert s.allowed == pytest.approx(40.0 / 12 + 1e-9)
 
 
 def test_periodic_spectrum_rejects_max_period_below_one():

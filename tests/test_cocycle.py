@@ -384,3 +384,17 @@ def test_kernel_entries_refuse_symbols_outside_the_alphabet(request, name, bad):
         batch_log_singular(A, [(0, bad)], 0)
     with pytest.raises(ValueError, match=r"0\.\.1"):
         cocycle.cycle_chi_rows(A, np.array([[0, bad]]))
+
+
+@pytest.mark.parametrize("name", ["typical2", "radius1"])
+def test_batch_log_singular_refuses_zero_length_words(request, name):
+    # a (1, 0) word array has no first symbol to canonicalise
+    with pytest.raises(ValueError, match=r"^words need length >= 1$"):
+        batch_log_singular(request.getfixturevalue(name), [()], 0)
+
+
+@pytest.mark.parametrize("name", ["typical2", "radius1"])
+def test_cycle_chi_rows_refuses_period_zero(request, name):
+    # a (1, 0) cycle array is no orbit, and has no exponents
+    with pytest.raises(ValueError, match=r"^cycles need period >= 1$"):
+        cocycle.cycle_chi_rows(request.getfixturevalue(name), np.zeros((1, 0), dtype=int))

@@ -1,0 +1,55 @@
+"""Dimension 6: a well-conditioned cocycle that certifies typical also
+synthesizes.  Its exterior powers are well conditioned too, but their
+|det| / |g|^D falls exponentially in the size D = C(6, t), so an
+invertibility test on that ratio refused every exterior cocycle built for
+the synthesis."""
+
+import numpy as np
+import pytest
+
+from coprox import cocycle, matnum, sft, synthesis, typicality
+from coprox.cli import main
+from coprox.errors import SingularMatrix
+from coprox.proximal import is_eps_proximal
+from conftest import ref_product_scaled
+
+DIAGONAL = np.diag([6.3237, 2.7032, 1.5734, 1.0544, 0.6059, 0.1711])  # condition 37
+
+
+@pytest.fixture(scope="module")
+def dim6():
+    """Full 2-shift, 6x6: a diagonal and a random orthogonal matrix."""
+    q, r = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    return cocycle.WindowCocycle(sft.full_shift(2), 6, 0,
+                                 {(0,): DIAGONAL, (1,): q * np.sign(np.diag(r))})
+
+
+def test_invertibility_test_is_free_of_size():
+    wedge3 = matnum.exterior_power(DIAGONAL, 3)  # 20 x 20, condition 246
+    assert abs(np.linalg.det(wedge3)) < 1e-12 * np.linalg.norm(wedge3, 2) ** 20
+    assert matnum.require_invertible(wedge3) is not None
+    with pytest.raises(SingularMatrix):
+        matnum.require_invertible(np.diag([1.0, 1e-13]))
+
+
+def test_well_conditioned_dim6_synthesizes(dim6):
+    p, z, cert = typicality.find_typical_pair(dim6)
+    assert cert.passed
+    word = (0, 1, 1, 0, 1, 0, 0, 1, 1, 1)
+    rep = synthesis.build_proximal_periodic(dim6, cert, word, 0.05)
+    assert all(w.verdict for w in rep.witnesses)
+    qpt = sft.periodic_point(rep.q)
+    for t in range(1, 6):
+        m, _ = ref_product_scaled(cocycle.exterior_cocycle(dim6, t), qpt, rep.n_q)
+        assert is_eps_proximal(m, 0.05)
+    assert all(rep.q.symbols[(rep.j + i) % rep.n_q] == a for i, a in enumerate(word))
+
+
+def test_dim6_commands_run(dim6, tmp_path, capsys):
+    path = str(tmp_path / "dim6.json")
+    cocycle.save_cocycle(dim6, path)
+    assert main(["check", "--input", path]) == 0
+    assert main(["synthesize", "--input", path, "--word", "0110100111"]) == 0
+    assert main(["verify-bound", "--input", path, "--samples", "4", "--seed", "1",
+                 "--n-min", "10", "--n-max", "400"]) == 0
+    assert ", 0 failed;" in capsys.readouterr().out

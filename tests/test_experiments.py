@@ -11,7 +11,7 @@ REPORTS = sorted([
     "theorem_a.json", "theorem_a.csv",
     "theorem_b_dominated.json", "theorem_b_dominated.csv",
     "theorem_b_planted_rotation.json", "theorem_b_planted_rotation.csv",
-    "theorem_c.json", "theorem_d.json", "pressures.csv",
+    "theorem_c.json", "pressures.csv",
 ])
 
 

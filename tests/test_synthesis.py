@@ -636,14 +636,10 @@ def test_per_word_synthesis_errors_are_recorded(typical2, typical2_cert, monkeyp
         return real(A, cert, word, tau, **kwargs)
 
     monkeypatch.setattr(synthesis, "build_proximal_periodic", failing_on_length_3)
-    monkeypatch.setattr(analysis, "build_proximal_periodic", failing_on_length_3)
     words = [(1, 0), (0, 1, 1), (1, 1, 0, 0)]
-    cert = typical2_cert[2]
-    expect = (((0, 1, 1), "no orbit for this word"),)
-    rep = verify_theorem_a(typical2, cert, words, 0.05)
-    assert rep.failures == expect and len(rep.samples) == 2
-    rep_d = analysis.theorem_d_check(typical2, cert, words, c_emp=40.0, tau=0.05)
-    assert rep_d.failures == expect and len(rep_d.samples) == 2
+    rep = verify_theorem_a(typical2, typical2_cert[2], words, 0.05)
+    assert rep.failures == (((0, 1, 1), "no orbit for this word"),)
+    assert len(rep.samples) == 2
 
 
 def test_long_word_failure_does_not_abort_theorem_a(typical3, typical3_cert, monkeypatch):
