@@ -41,7 +41,7 @@ ulps (see ``_top_eig``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
@@ -83,11 +83,14 @@ class WindowCocycle:
     dim: int
     radius: int
     table: Mapping[Symbols, np.ndarray]
+    # set for tables derived from an accepted one (exterior powers and
+    # transposes), which are invertible because it is: they skip the check
+    _invertible: InitVar[bool] = False
     # data derived from the cocycle alone (its exterior powers, its transpose,
     # synthesis contexts), built once per cocycle: see ``_memoised``
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _invertible):
         expected = set(enumerate_words(self.base, 2 * self.radius + 1))
         got = set(self.table)
         if got != expected:
@@ -104,9 +107,9 @@ class WindowCocycle:
                 raise ValueError(f"matrix for window {w} has shape {m.shape}")
             if not np.isfinite(m).all():
                 raise ValueError(f"matrix for window {w} has non-finite entries")
-            m = require_invertible(m)
-            m.setflags(write=False)
-            frozen[w] = m
+            if not _invertible:
+                m = require_invertible(m)
+            frozen[w] = _read_only(m)
         object.__setattr__(self, "table", frozen)
 
     def at(self, x: PointSpec, j: int = 0) -> np.ndarray:
@@ -254,21 +257,29 @@ def _closed_tops(closed_rows: list) -> list:
 def holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec) -> np.ndarray:
     """Local stable holonomy from x to y (coordinates agree for i >= 0):
     the quotient of the products over radius steps, where it is exact
-    (more steps reproduce the same matrix)."""
+    (more steps reproduce the same matrix).  Its two products read
+    coordinates -k..2k-1 of x and of y, so it is kept per cocycle under
+    those symbols, read-only."""
     if not in_local_stable(x, y):
         raise NotOnLocalLeaf("y is not in the local stable set of x")
-    if A.radius == 0:
+    k = A.radius
+    if k == 0:
         return np.eye(A.dim)  # the empty products' quotient, exactly
-    return np.linalg.inv(product(A, y, A.radius)) @ product(A, x, A.radius)
+    return _memoised(A, ("holonomy_s", x.coords(-k, 2 * k - 1), y.coords(-k, 2 * k - 1)),
+                     lambda: _read_only(np.linalg.inv(product(A, y, k)) @ product(A, x, k)))
 
 
 def holonomy_u(A: WindowCocycle, x: PointSpec, y: PointSpec) -> np.ndarray:
-    """Local unstable holonomy from x to y (coordinates agree for i <= 0)."""
+    """Local unstable holonomy from x to y (coordinates agree for i <= 0),
+    kept per cocycle under the coordinates -2k..k-1 of x and of y that its
+    products read, read-only."""
     if not in_local_unstable(x, y):
         raise NotOnLocalLeaf("y is not in the local unstable set of x")
-    if A.radius == 0:
+    k = A.radius
+    if k == 0:
         return np.eye(A.dim)
-    return np.linalg.inv(product(A, y, -A.radius)) @ product(A, x, -A.radius)
+    return _memoised(A, ("holonomy_u", x.coords(-2 * k, k - 1), y.coords(-2 * k, k - 1)),
+                     lambda: _read_only(np.linalg.inv(product(A, y, -k)) @ product(A, x, -k)))
 
 
 def global_holonomy_s(A: WindowCocycle, x: PointSpec, y: PointSpec) -> np.ndarray:
@@ -355,23 +366,26 @@ def transpose_cocycle(A: WindowCocycle) -> WindowCocycle:
     reversed point with coordinates x_{-1-i}, under which products satisfy
     product(transpose, reversed x, n) = product(A, x.shift(-n), n)^T, so a
     hyperplane with normal v moved back n steps by A has normal
-    product(transpose, reversed x, n) v.  Built and validated once per
-    cocycle.
+    product(transpose, reversed x, n) v.  Built once per cocycle; the
+    transposes of invertible matrices are invertible, so they are not
+    checked again.
     """
     return _memoised(A, "transpose", lambda: WindowCocycle(
         reverse_sft(A.base), A.dim, A.radius,
-        {w[::-1]: m.T for w, m in A.table.items()}))
+        {w[::-1]: m.T for w, m in A.table.items()}, _invertible=True))
 
 
 def exterior_cocycle(A: WindowCocycle, t: int) -> WindowCocycle:
     """Cocycle of t-th exterior powers (1 <= t < d) over the same base, its
-    table read from A's ladder rungs; built and validated once per cocycle
-    and t."""
+    table read from A's ladder rungs; built once per cocycle and t.
+    det(wedge^t g) = det(g)^C(d-1, t-1), so the powers of A's invertible
+    matrices are invertible and are not checked again: their condition
+    can reach cond(g)^t, past any fixed tolerance A's table passes."""
     if not 1 <= t < A.dim:
         raise ValueError(f"need 1 <= t <= {A.dim - 1}")
     return _memoised(A, ("exterior", t), lambda: WindowCocycle(
         A.base, A._rungs[t - 1].shape[1], A.radius,
-        {w: A._rungs[t - 1][i] for w, i in A._rows.items()}))
+        {w: A._rungs[t - 1][i] for w, i in A._rows.items()}, _invertible=True))
 
 
 def require_common_base(family: Sequence[WindowCocycle]) -> None:
@@ -381,12 +395,20 @@ def require_common_base(family: Sequence[WindowCocycle]) -> None:
         raise ValueError("family members must share one base subshift")
 
 
-def _memoised(A: WindowCocycle, key, build):
-    """The value ``build()`` kept on A under a hashable key: data that
-    depends on the cocycle and the key alone is built once per cocycle."""
+def _memoised(A, key, build):
+    """The value ``build()`` kept on A (a cocycle, or anything else with a
+    ``_memo`` dict) under a hashable key: data that depends on A and the
+    key alone is built once per A.  No key holds a word, so what is kept
+    does not grow with the words A is run on."""
     if key not in A._memo:
         A._memo[key] = build()
     return A._memo[key]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, no longer writable: memoised arrays are shared by every caller."""
+    a.setflags(write=False)
+    return a
 
 
 def scaled_cocycle(A: WindowCocycle, log_factor: float) -> WindowCocycle:
@@ -418,9 +440,12 @@ def _canonical(words: np.ndarray, pads) -> np.ndarray:
 
 
 def _symbols(A: WindowCocycle, symbols) -> np.ndarray:
-    """A caller's symbol array as int64, refused unless every symbol lies in
-    0..q-1 (a window code of symbol -1 would read the lookup from its end)."""
+    """A caller's symbol array as int64, refused unless it holds one word
+    per row and every symbol lies in 0..q-1 (a window code of symbol -1
+    would read the lookup from its end)."""
     symbols = np.asarray(symbols, dtype=np.int64)
+    if symbols.ndim != 2:
+        raise ValueError("symbols must be a 2-D array, one word per row")
     if symbols.size and not 0 <= symbols.min() <= symbols.max() < A.base.alphabet_size:
         raise ValueError(f"symbols must lie in 0..{A.base.alphabet_size - 1}")
     return symbols

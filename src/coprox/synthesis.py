@@ -27,7 +27,7 @@ quantitatively proximal directly, member by member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import pi
 from typing import Optional, Sequence
 
@@ -40,6 +40,7 @@ from .cocycle import (
     _logdet_sum,
     _memoised,
     _orbit_rows,
+    _read_only,
     _rescale,
     _start,
     cycle_chi_rows,
@@ -244,6 +245,9 @@ class Side:
     frames: tuple[EigenFrame, ...]
     p: PointSpec
     z: PointSpec
+    # the turning legs from p of the frames' top directions, one per
+    # transversal attempt, built once per side: see ``transversal_path``
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def excursion_end(self) -> int:
@@ -323,6 +327,15 @@ def _reversed_to_forward(path_rev: PathSpec, p: PointSpec, y: PointSpec) -> Path
     return PathSpec(p, y1, path_rev.n, y)
 
 
+def _frozen_leg(leg):
+    """A :func:`_path_to_top` result with its trunks' arrays read-only."""
+    if leg is not None:
+        for trunk in leg[1]:
+            for a in trunk:
+                _read_only(a)
+    return leg
+
+
 def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
                      dirs: Sequence[np.ndarray],
                      normals: Sequence[np.ndarray]) -> tuple[PathSpec, list[float], tuple]:
@@ -338,6 +351,10 @@ def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
     lengths (the legs end in long runs of the return map), so the floor
     only guards against genuine degeneracy; deterministic retries sharpen
     the turn targets and lengthen the loops when an attempt falls short.
+
+    From p with the frames' top directions, as the orbit builder asks, the
+    forward leg of each attempt depends on the forward side alone, so it is
+    built once per side and kept, its arrays read-only.
     """
     if not dirs:
         raise ValueError("empty family")
@@ -345,12 +362,18 @@ def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
     eta = min(
         rho_to_hyperplane(f.vector(0), f.hyperplane_normal(0)) for f in fwd.frames
     )
+    own = x == fwd.p and len(dirs) == len(fwd.frames) and all(
+        np.array_equal(v, f.vector(0)) for v, f in zip(dirs, fwd.frames))
     y_rev = reverse_point(y)
     for k in range(TRANSVERSAL_ATTEMPTS):
         eps = eta / 4.0 / 2**k
         delta = 0.1 / 2**k
         ell = 8 * 2**k
-        leg = _path_to_top(fwd, x, dirs, eps, delta, ell)
+        if own:
+            leg = _memoised(fwd, ("leg", k), lambda: _frozen_leg(
+                _path_to_top(fwd, x, dirs, eps, delta, ell)))
+        else:
+            leg = _path_to_top(fwd, x, dirs, eps, delta, ell)
         if leg is None:
             continue
         rev_leg = _path_to_top(ctx.reverse, y_rev, normals, eps, delta, ell)
@@ -495,10 +518,10 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
         final = connect(turned, loop_path(fwd.p, fwd.z, ell))
         n_q = final.n
         q = make_periodic(base, final.x0.coords(0, n_q - 1))
-        qpt = periodic_point(q)
+        # the members share base, radius and window order, so one set of rows
+        rows = _orbit_rows(fwd.family[0], periodic_point(q), n_q)
         closing = []
         for i, B in enumerate(fwd.family):
-            rows = _orbit_rows(B, qpt, n_q)
             scaled, trunks[i] = _fold(B, rows, trunks[i])
             closing.append((rows, scaled))
         # the witness conditions are scale-invariant, so certify the

@@ -398,3 +398,14 @@ def test_cycle_chi_rows_refuses_period_zero(request, name):
     # a (1, 0) cycle array is no orbit, and has no exponents
     with pytest.raises(ValueError, match=r"^cycles need period >= 1$"):
         cocycle.cycle_chi_rows(request.getfixturevalue(name), np.zeros((1, 0), dtype=int))
+
+
+def test_batch_log_singular_refuses_a_flat_symbol_list(typical2):
+    # one word per row: a flat list of symbols has no word axis
+    with pytest.raises(ValueError, match=r"^symbols must be a 2-D array, one word per row$"):
+        batch_log_singular(typical2, [0, 1], 0)
+
+
+def test_cycle_chi_rows_refuses_a_flat_symbol_array(typical2):
+    with pytest.raises(ValueError, match=r"^symbols must be a 2-D array, one word per row$"):
+        cocycle.cycle_chi_rows(typical2, np.array([0, 1]))

@@ -6,10 +6,12 @@ checks those on the powers t >= 2 and the synthesizer still certifies all
 exterior powers."""
 
 import numpy as np
+import pytest
 
 from coprox import cocycle, sft, synthesis, typicality
 from coprox.cli import main
-from coprox.matnum import exterior_power, unit
+from coprox.errors import SingularMatrix
+from coprox.matnum import exterior_power, require_invertible, unit
 from coprox.proximal import is_eps_proximal
 from coprox.typicality import eigen_frame, twisting_margin
 from conftest import ref_product_scaled
@@ -80,3 +82,20 @@ def test_check_cli_certifies_dim4_without_options(dim4, tmp_path):
     path = tmp_path / "dim4.json"
     cocycle.save_cocycle(dim4, path)
     assert main(["check", "--input", str(path), "--max-excursion", "2"]) == 0
+
+
+def test_exterior_powers_of_an_accepted_table_are_not_checked_again():
+    # cond(wedge^2 g) = cond(g)^2 = 1e14 passes the tolerance that g's 1e7
+    # passes, but det(wedge^2 g) = det(g)^C(3, 1) != 0: the power is built
+    q, r = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+    g = np.diag([1e7, 1e7, 1.0, 1.0])
+    A = cocycle.WindowCocycle(sft.full_shift(2), 4, 0, {(0,): g, (1,): q * np.sign(np.diag(r))})
+    with pytest.raises(SingularMatrix):
+        require_invertible(exterior_power(g, 2))
+    wedge = cocycle.exterior_cocycle(A, 2)
+    for w, m in wedge.table.items():
+        assert np.isclose(np.linalg.det(m), np.linalg.det(A.table[w]) ** 3, rtol=1e-10, atol=0)
+    assert cocycle.transpose_cocycle(wedge).dim == 6
+    # the same matrices supplied as a table of their own are still checked
+    with pytest.raises(SingularMatrix):
+        cocycle.WindowCocycle(A.base, 6, 0, dict(wedge.table))

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -476,10 +477,11 @@ def test_shared_closing_products_match_direct_products(synth_demos, length, monk
 def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
     # kernel steps per member, by phase: the word and g before the first
     # transversal attempt, each attempt, then everything after the
-    # transversal path.  Each window of the word and of g is folded once;
-    # the path through g folds only its 2k joint windows and its last k,
-    # and a fold continuing another multiplies its new windows plus the k
-    # tail windows the other's trunk left out.  Nothing else is folded twice.
+    # transversal path, with the forward legs, built once per cocycle, on
+    # their own.  Each window of the word and of g is folded once; the path
+    # through g folds only its 2k joint windows and its last k, and a fold
+    # continuing another multiplies its new windows plus the k tail windows
+    # the other's trunk left out.  Nothing else is folded twice.
     steps, phase, periods, paths = Counter(), [None], [], []
     kernel, to_top = synthesis._extend_products, synthesis._path_to_top
     periodic, transversal = synthesis.make_periodic, synthesis.transversal_path
@@ -490,8 +492,14 @@ def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
         return kernel(mats, every, idx, prods, scales)
 
     def attempt(side, *args):
-        if side.family[0] is cocycle.exterior_cocycle(forward, 1):  # the forward leg opens an attempt
-            phase[0] = 0 if phase[0] is None else phase[0] + 1
+        if side.family[0] is cocycle.exterior_cocycle(forward, 1):  # a forward leg
+            outer, phase[0] = phase[0], "forward"
+            try:
+                return to_top(side, *args)
+            finally:
+                phase[0] = outer
+        # the reverse leg opens an attempt
+        phase[0] = 0 if phase[0] is None else phase[0] + 1
         return to_top(side, *args)
 
     def closing(base, symbols):
@@ -529,6 +537,12 @@ def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
             # the path through g joins g's fold, then every loop once, each
             # closing continuing the fold before
             assert steps["after", mats] == 3 * k + periods[-1] - gb.n + k * len(periods)
+        # the word again: every forward leg it needs is kept, so none folds
+        steps.clear()
+        phase[0] = None
+        build_proximal_periodic(forward, cert, word, 0.05)
+        assert all(steps["forward", id(cocycle.exterior_cocycle(forward, t)._mats)] == 0
+                   for t in range(1, forward.dim))
 
 
 def test_closing_trunk_continued_only_on_its_own_rows(radius1):
@@ -598,6 +612,92 @@ def test_family_context_built_once_per_cocycle_and_pair(monkeypatch):
     assert len(rep.samples) + len(rep.failures) == 10
     verify_theorem_a(A, cert, words[:2], 0.05)
     assert len(calls) == 1
+
+
+SYNTH_DEMOS = ("typical_2x2", "typical_3x3", "radius1_2x2", "dominated_2x2")
+
+
+def _fresh_demo(name):
+    """A new cocycle of the demo, nothing memoised for synthesis yet, and
+    its certificate."""
+    A = getattr(demos, name)()
+    return A, typicality.find_typical_pair(A)[2]
+
+
+def _synthesize_samples(A, cert, count):
+    for i in range(count):
+        try:
+            build_proximal_periodic(A, cert, analysis.markov_sample(A, 3 + 7 * i, 100 + i), 0.05)
+        except SYNTHESIS_ERRORS:
+            pass
+
+
+def _witness_floats(rep) -> bytes:
+    return np.array([(w.eps, w.angle, w.image_angle_sin, w.contraction)
+                     for w in rep.witnesses]).tobytes()
+
+
+@pytest.mark.parametrize("name", SYNTH_DEMOS)
+def test_a_word_gets_the_same_bytes_on_a_cold_and_a_warm_cocycle(name):
+    # the forward legs and the holonomies are kept per cocycle, under keys
+    # that hold no word: the first synthesis on a cocycle builds them, and
+    # a later one reads them back with the same bytes
+    A, cert = _fresh_demo(name)
+    word = analysis.markov_sample(A, 40, 7)
+    cold = build_proximal_periodic(A, cert, word, 0.05)
+    _synthesize_samples(A, cert, 20)
+    warm = build_proximal_periodic(A, cert, word, 0.05)
+    assert json.dumps(cold.to_dict()) == json.dumps(warm.to_dict())
+    assert _witness_floats(cold) == _witness_floats(warm)
+    assert [(w.verdict, w.reasons) for w in cold.witnesses] == [
+        (w.verdict, w.reasons) for w in warm.witnesses]
+
+
+@pytest.mark.parametrize("name", SYNTH_DEMOS)
+def test_kept_forward_legs_equal_legs_built_afresh(name, monkeypatch):
+    # doubled directions have the frames' unit vectors, bit for bit, but are
+    # not the frames' own, so transversal_path builds their forward legs
+    # afresh; reverse legs refused below ell = 32 make the synthesis keep
+    # the forward legs of attempts 0, 1 and 2
+    A, cert = _fresh_demo(name)
+    ctx = exterior_family_context(A, cert.p, cert.z)
+    to_top = synthesis._path_to_top
+
+    def refused(side, x, dirs, eps, delta, ell):
+        if side is ctx.reverse and ell < 32:
+            return None
+        return to_top(side, x, dirs, eps, delta, ell)
+
+    monkeypatch.setattr(synthesis, "_path_to_top", refused)
+    calls = _traced_transversal(monkeypatch)
+    build_proximal_periodic(A, cert, analysis.markov_sample(A, 30, 3), 0.05)
+    (path, dirs, normals), = calls
+    assert len(ctx.forward._memo) >= 3
+    fresh = transversal_path(ctx, ctx.forward.p, path.y, [2 * v for v in dirs], normals)
+    kept = transversal_path(ctx, ctx.forward.p, path.y, dirs, normals)
+    assert fresh[0] == kept[0] == path
+    assert np.array(fresh[1]).tobytes() == np.array(kept[1]).tobytes()
+    assert all(np.array_equal(a, b) for t, t_k in zip(fresh[2], kept[2]) for a, b in zip(t, t_k))
+
+
+@pytest.mark.parametrize("name", SYNTH_DEMOS)
+def test_memos_are_bounded_by_the_alphabet_and_the_radius(name):
+    A, cert = _fresh_demo(name)
+    _synthesize_samples(A, cert, 50)
+    ctx = exterior_family_context(A, cert.p, cert.z)
+    q, k = A.base.alphabet_size, A.radius
+    kept = Counter()
+    for B in (A, *ctx.forward.family, *ctx.reverse.family):
+        for kind in ("holonomy_s", "holonomy_u"):
+            keys = [key for key in B._memo if isinstance(key, tuple) and key[0] == kind]
+            # two windows of 3k symbols that agree on 2k of them
+            assert len(keys) <= q ** (4 * k)
+            assert all(len(key[1]) == len(key[2]) == 3 * k for key in keys)
+            kept[kind] += len(keys)
+    # holonomies are kept at radius k >= 1 (at radius 0 they are the identity)
+    assert all(kept[kind] > 0 for kind in ("holonomy_s", "holonomy_u")) == (k > 0)
+    assert 0 < len(ctx.forward._memo) <= synthesis.TRANSVERSAL_ATTEMPTS
+    assert not ctx.reverse._memo
 
 
 def test_shortest_bridges_found_once_per_subshift_and_pair(monkeypatch):
