@@ -396,10 +396,9 @@ def require_common_base(family: Sequence[WindowCocycle]) -> None:
 
 
 def _memoised(A, key, build):
-    """The value ``build()`` kept on A (a cocycle, or anything else with a
-    ``_memo`` dict) under a hashable key: data that depends on A and the
-    key alone is built once per A.  No key holds a word, so what is kept
-    does not grow with the words A is run on."""
+    """The value ``build()`` kept on cocycle A under a hashable key: data
+    that depends on A and the key alone is built once per A.  No key holds
+    a word, so what is kept does not grow with the words A is run on."""
     if key not in A._memo:
         A._memo[key] = build()
     return A._memo[key]

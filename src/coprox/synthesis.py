@@ -27,7 +27,7 @@ quantitatively proximal directly, member by member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import pi
 from typing import Optional, Sequence
 
@@ -245,9 +245,6 @@ class Side:
     frames: tuple[EigenFrame, ...]
     p: PointSpec
     z: PointSpec
-    # the turning legs from p of the frames' top directions, one per
-    # transversal attempt, built once per side: see ``transversal_path``
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def excursion_end(self) -> int:
@@ -262,21 +259,32 @@ def _side(family: tuple[WindowCocycle, ...], p: PointSpec, z: PointSpec) -> Side
 @dataclass(frozen=True)
 class FamilyContext:
     """A cocycle family with a common certified pair, as two mirrored
-    sides: ``forward`` turns directions with the family itself, and
-    ``reverse`` steers hyperplane normals with the transposed family on the
-    reversed subshift (a hyperplane v^perp moved back by g is (g^T v)^perp)."""
+    sides: ``forward`` holds the family itself, and ``reverse`` steers
+    hyperplane normals with the transposed family on the reversed subshift
+    (a hyperplane v^perp moved back by g is (g^T v)^perp).
+
+    ``start`` begins every transversal path: the entry path from p to p and
+    each member's read-only trunk along it of its frame's top direction, an
+    eigenvector of the return map, which the path keeps in place."""
 
     forward: Side
     reverse: Side
+    start: tuple[PathSpec, tuple]
 
 
 def build_family_context(family: Sequence[WindowCocycle], p: PointSpec,
                          z: PointSpec) -> FamilyContext:
     family = tuple(family)
+    if not family:
+        raise ValueError("empty family")
     require_common_base(family)
     forward = _side(family, p, z)
+    start = _entry_path(family[0].base, p, p)
+    trunks = tuple(tuple(map(_read_only, path_direction(A, start, f.vector(0))[1]))
+                   for A, f in zip(family, forward.frames))
     return FamilyContext(forward, _side(tuple(map(transpose_cocycle, family)),
-                                        reverse_point(p), reverse_point(forward.z)))
+                                        reverse_point(p), reverse_point(forward.z)),
+                         (start, trunks))
 
 
 def exterior_family_context(A: WindowCocycle, p: PointSpec, z: PointSpec) -> FamilyContext:
@@ -327,61 +335,40 @@ def _reversed_to_forward(path_rev: PathSpec, p: PointSpec, y: PointSpec) -> Path
     return PathSpec(p, y1, path_rev.n, y)
 
 
-def _frozen_leg(leg):
-    """A :func:`_path_to_top` result with its trunks' arrays read-only."""
-    if leg is not None:
-        for trunk in leg[1]:
-            for a in trunk:
-                _read_only(a)
-    return leg
-
-
-def transversal_path(ctx: FamilyContext, x: PointSpec, y: PointSpec,
-                     dirs: Sequence[np.ndarray],
+def transversal_path(ctx: FamilyContext, y: PointSpec,
                      normals: Sequence[np.ndarray]) -> tuple[PathSpec, list[float], tuple]:
-    """Path x -> y whose member matrices move each direction away from the
-    corresponding hyperplane, its margins (computed, never assumed) and
-    each member's trunk of its product (see :func:`path_direction`).
+    """Path p -> y whose member matrices move each frame's top
+    eigendirection away from the corresponding hyperplane, its margins
+    (computed, never assumed) and each member's trunk of its product (see
+    :func:`path_direction`).
 
-    Two turning passes into p: the given directions ride the forward family
-    toward the top eigendirections while, on the reversed subshift, the
-    hyperplane normals ride the transposed family toward theirs; bracketing
-    the legs at p yields the path and the angular margins are read off
-    directly.  The margins are intrinsically exponential in the leg
-    lengths (the legs end in long runs of the return map), so the floor
-    only guards against genuine degeneracy; deterministic retries sharpen
-    the turn targets and lengthen the loops when an attempt falls short.
-
-    From p with the frames' top directions, as the orbit builder asks, the
-    forward leg of each attempt depends on the forward side alone, so it is
-    built once per side and kept, its arrays read-only.
+    The path starts with the context's entry path at p, which keeps the top
+    eigendirections in place; on the reversed subshift the hyperplane
+    normals ride the transposed family toward their own top
+    eigendirections, and bracketing that leg onto the start at p yields
+    the path.  The margins are intrinsically exponential in the leg length
+    (the leg ends in a long run of the return map), so the floor only
+    guards against genuine degeneracy; deterministic retries sharpen the
+    turn targets and lengthen the loops when an attempt falls short.
     """
-    if not dirs:
-        raise ValueError("empty family")
     fwd = ctx.forward
+    if len(normals) != len(fwd.family):
+        raise ValueError(f"{len(normals)} normals for {len(fwd.family)} members")
+    start, heads = ctx.start
     eta = min(
         rho_to_hyperplane(f.vector(0), f.hyperplane_normal(0)) for f in fwd.frames
     )
-    own = x == fwd.p and len(dirs) == len(fwd.frames) and all(
-        np.array_equal(v, f.vector(0)) for v, f in zip(dirs, fwd.frames))
     y_rev = reverse_point(y)
     for k in range(TRANSVERSAL_ATTEMPTS):
         eps = eta / 4.0 / 2**k
         delta = 0.1 / 2**k
         ell = 8 * 2**k
-        if own:
-            leg = _memoised(fwd, ("leg", k), lambda: _frozen_leg(
-                _path_to_top(fwd, x, dirs, eps, delta, ell)))
-        else:
-            leg = _path_to_top(fwd, x, dirs, eps, delta, ell)
-        if leg is None:
-            continue
         rev_leg = _path_to_top(ctx.reverse, y_rev, normals, eps, delta, ell)
         if rev_leg is None:
             continue
-        path = connect(leg[0], _reversed_to_forward(rev_leg[0], fwd.p, y))
-        u, trunks = zip(*(path_direction(A, path, v, t)
-                          for A, v, t in zip(fwd.family, dirs, leg[1])))
+        path = connect(start, _reversed_to_forward(rev_leg[0], fwd.p, y))
+        u, trunks = zip(*(path_direction(A, path, f.vector(0), t)
+                          for A, f, t in zip(fwd.family, fwd.frames, heads)))
         margins = [rho_to_hyperplane(w, nrm) for w, nrm in zip(u, normals)]
         if min(margins) >= MARGIN_FLOOR:
             return path, margins, trunks
@@ -453,9 +440,16 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float) -> Synthe
     multiple of ``PERIOD_QUANTUM``: the overhead plays the role of a single
     per-cocycle constant, so batches report one common value instead of
     per-word jitter.
+
+    A family of scalar cocycles has no hyperplane to steer clear of, and
+    every nonzero scalar is proximal: the word closes through a shortest
+    bridge.
     """
     _require_tau(tau)
-    x = point_from_word(ctx.forward.family[0].base, x_word, ctx.forward.p.coord(0))
+    family, p = ctx.forward.family, ctx.forward.p
+    x = point_from_word(family[0].base, x_word, p.coord(0))
+    if all(B.dim == 1 for B in family):
+        return replace(_closure_d1(family[0], tuple(x_word), p.coord(0)), bound_value=None)
     return _synthesize(ctx, x_word, x, tau, ELL_CAP)[0]
 
 
@@ -503,13 +497,13 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
             g_extra = 2 ** retries
             if g_extra > 64:
                 raise
-    dirs = [f.vector(0) for f in fwd.frames]
-    bpath, margins, heads = transversal_path(ctx, fwd.p, x, dirs, normals)
+    bpath, margins, heads = transversal_path(ctx, x, normals)
     gb = connect(bpath, g_path)
     rows = _orbit_rows(fwd.family[0], gb.x0, gb.n)
     trunks = [_join(B, rows, bpath.n, x, h, t)
               for B, h, t in zip(fwd.family, heads, trunks)]
-    u, trunks = zip(*(path_direction(A, gb, v, t) for A, v, t in zip(fwd.family, dirs, trunks)))
+    u, trunks = zip(*(path_direction(A, gb, f.vector(0), t)
+                      for A, f, t in zip(fwd.family, fwd.frames, trunks)))
     a_turn = turn_direction(fwd.frames, u, 0.05, TURN_CAP)
     turned = extend_at_fixed_target(gb, a_turn)
     trunks = list(trunks)
@@ -648,6 +642,8 @@ def verify_theorem_a(A: WindowCocycle, cert, words: Sequence[Symbols], tau: floa
     the largest period overhead; the least-squares slope of bound against
     word length is the drift diagnostic (flat means the bound is length-free).
     """
+    if len(words) == 0:
+        raise ValueError("no words to sample")
     reports = []
     failures = []
     for w in words:

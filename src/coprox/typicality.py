@@ -90,13 +90,12 @@ def eigen_frame(P: np.ndarray, tol: float = DEFAULT_TOL) -> EigenFrame:
 
 
 def _index_pairs(d: int):
+    # |I| + |J| = d: a collection's smallest singular value is never below
+    # that of one containing it, so the smaller collections add nothing
     for i_size in range(d + 1):
-        for j_size in range(d + 1 - i_size):
-            if i_size + j_size == 0:
-                continue
-            for I in combinations(range(d), i_size):
-                for J in combinations(range(d), j_size):
-                    yield I, J
+        for I in combinations(range(d), i_size):
+            for J in combinations(range(d), d - i_size):
+                yield I, J
 
 
 def _pair_index_sets(d: int):
@@ -112,7 +111,8 @@ def twisting_margin(psi: np.ndarray, frame: EigenFrame,
     """Min over index collections of the smallest singular value of the
     unit-column test matrix {psi v_i : i in I} u {v_j : j in J}.
 
-    ``collections="all"`` takes every I, J with 1 <= |I| + |J| <= d.  For
+    ``collections="all"`` stands for every I, J with 1 <= |I| + |J| <= d
+    and takes those with |I| + |J| = d, whose minimum it is.  For
     eigenframes of exterior powers in base dimension >= 4 that set always
     contains structurally dependent collections (the wedge families
     psi(v ^ v_j) and v ^ v_j share the direction psi(v) ^ v regardless of

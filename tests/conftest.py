@@ -63,6 +63,17 @@ def dim4():
     return WindowCocycle(base, 4, 0, {(0,): np.diag([16.0, 7.0, 3.0, 1.0]), (1,): q_mat})
 
 
+DIM6_DIAGONAL = np.diag([6.3237, 2.7032, 1.5734, 1.0544, 0.6059, 0.1711])  # condition 37
+
+
+@pytest.fixture(scope="session")
+def dim6():
+    """Full 2-shift, 6x6: a diagonal and a random orthogonal matrix."""
+    q, r = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    return WindowCocycle(sft.full_shift(2), 6, 0,
+                         {(0,): DIM6_DIAGONAL, (1,): q * np.sign(np.diag(r))})
+
+
 def _tri_radius1(base):
     """Radius 1 over the 3-symbol base, where bridging 2 back to the fixed
     symbol 0 needs an intermediate symbol, so the pads are nontrivial."""

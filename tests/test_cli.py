@@ -577,6 +577,19 @@ def test_compare_scalar_multiple(demo_file, tmp_path):
     assert doc["constant_c"] == pytest.approx(-0.3, abs=1e-12)
 
 
+def test_compare_scalar_family(tmp_path):
+    # the paired orbits of a scalar family close as a scalar cocycle does
+    a_path, b_path, out = (tmp_path / name for name in ("a.json", "b.json", "cmp.json"))
+    assert main(["demo", "scalar23", "--out", str(a_path)]) == 0
+    save_cocycle(scaled_cocycle(load_cocycle(a_path), 0.3), b_path)
+    assert main(["compare", "--input", str(a_path), "--input-b", str(b_path),
+                 "--max-period", "5", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, EQUAL_STATES_SCHEMA)
+    assert doc["constant"] is True and doc["constant_c"] == pytest.approx(-0.3, abs=1e-12)
+    assert doc["paired_orbits"] and all(o["proximal_both"] for o in doc["paired_orbits"])
+
+
 def test_compare_not_constant(demo_file, tmp_path):
     A = load_cocycle(demo_file)
     table = {w: m.copy() for w, m in A.table.items()}

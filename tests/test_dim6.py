@@ -11,17 +11,7 @@ from coprox import cocycle, matnum, sft, synthesis, typicality
 from coprox.cli import main
 from coprox.errors import SingularMatrix
 from coprox.proximal import is_eps_proximal
-from conftest import ref_product_scaled
-
-DIAGONAL = np.diag([6.3237, 2.7032, 1.5734, 1.0544, 0.6059, 0.1711])  # condition 37
-
-
-@pytest.fixture(scope="module")
-def dim6():
-    """Full 2-shift, 6x6: a diagonal and a random orthogonal matrix."""
-    q, r = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
-    return cocycle.WindowCocycle(sft.full_shift(2), 6, 0,
-                                 {(0,): DIAGONAL, (1,): q * np.sign(np.diag(r))})
+from conftest import DIM6_DIAGONAL as DIAGONAL, ref_product_scaled
 
 
 def test_invertibility_test_is_free_of_size():

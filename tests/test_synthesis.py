@@ -113,16 +113,24 @@ def test_turn_direction_simultaneous(typical3, typical3_cert):
         assert min(matnum.rho(turned, f.vector(i)) for i in range(f.dim)) <= 0.08
 
 
+def _check_transversal_path(ctx, y, normals):
+    # the path runs from p, each frame's top direction moved clear of its
+    # hyperplane by the margin the path matrix gives
+    path, margins, _ = transversal_path(ctx, y, normals)
+    assert path.x == ctx.forward.p and path.y == y
+    assert len(margins) == len(ctx.forward.family)
+    for A, f, nrm, m in zip(ctx.forward.family, ctx.forward.frames, normals, margins):
+        assert m > 0
+        got = matnum.rho_to_hyperplane(path_matrix(A, path) @ f.vector(0), nrm)
+        assert got == pytest.approx(m, rel=1e-6)
+
+
 def test_transversal_path_demo(typical2, typical2_cert):
     p, z, _ = typical2_cert
     ctx = exterior_family_context(typical2, p, z)
+    rng = np.random.default_rng(0)
     x = sft.point_from_word(typical2.base, (1, 0, 1), 0)
-    dirs = [np.array([0.0, 1.0])]
-    normals = [np.array([0.0, 1.0])]  # keep e2-direction away from span(e1)...
-    path, margins, _ = transversal_path(ctx, p, x, dirs, normals)
-    assert margins[0] > 0
-    bv = path_matrix(typical2, path) @ dirs[0]
-    assert matnum.rho_to_hyperplane(bv, normals[0]) == pytest.approx(margins[0], rel=1e-6)
+    _check_transversal_path(ctx, x, [matnum.unit(rng.normal(size=2))])
 
 
 def test_transversal_path_d3(typical3, typical3_cert):
@@ -130,13 +138,30 @@ def test_transversal_path_d3(typical3, typical3_cert):
     ctx = exterior_family_context(typical3, p, z)
     rng = np.random.default_rng(1)
     x = sft.point_from_word(typical3.base, (1, 1, 0), 0)
-    dirs = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.forward.frames]
-    normals = [matnum.unit(rng.normal(size=f.dim)) for f in ctx.forward.frames]
-    path, margins, _ = transversal_path(ctx, x, x, dirs, normals)
-    for A, v, nrm, m in zip(ctx.forward.family, dirs, normals, margins):
-        assert m > 0
-        got = matnum.rho_to_hyperplane(path_matrix(A, path) @ v, nrm)
-        assert got == pytest.approx(m, rel=1e-6)
+    _check_transversal_path(ctx, x, [matnum.unit(rng.normal(size=f.dim))
+                                     for f in ctx.forward.frames])
+
+
+def test_transversal_path_takes_one_normal_per_member(typical3, typical3_cert):
+    p, z, _ = typical3_cert
+    ctx = exterior_family_context(typical3, p, z)
+    x = sft.point_from_word(typical3.base, (1, 1, 0), 0)
+    normals = [f.hyperplane_normal(1) for f in ctx.forward.frames]
+    for wrong in (normals[:1], [], normals + normals[:1]):
+        with pytest.raises(ValueError, match=f"{len(wrong)} normals for 2 members"):
+            transversal_path(ctx, x, wrong)
+
+
+def test_empty_family_is_refused_at_build(typical2_cert):
+    p, z, _ = typical2_cert
+    with pytest.raises(ValueError, match="empty family"):
+        build_family_context([], p, z)
+
+
+def test_theorem_a_refuses_no_words(typical2, typical2_cert):
+    # no sample ran, so none failed
+    with pytest.raises(ValueError, match="no words"):
+        verify_theorem_a(typical2, typical2_cert[2], [], 0.05)
 
 
 def _hyperplane_wedge(normal):
@@ -171,9 +196,9 @@ def test_normals_on_the_transposed_family_keep_the_wedge_paths(name, request, mo
     calls = []
     real, to_top = synthesis.transversal_path, synthesis._path_to_top
 
-    def traced(ctx, x, y, dirs, normals):
-        calls.append((ctx, x, y, dirs, normals))
-        return real(ctx, x, y, dirs, normals)
+    def traced(ctx, y, normals):
+        calls.append((ctx, y, normals))
+        return real(ctx, y, normals)
 
     monkeypatch.setattr(synthesis, "transversal_path", traced)
     cert = typicality.find_typical_pair(A)[2]
@@ -185,9 +210,7 @@ def test_normals_on_the_transposed_family_keep_the_wedge_paths(name, request, mo
     rng = np.random.default_rng(7)
     for seed in range(4):
         x = sft.point_from_word(A.base, analysis.markov_sample(A, 6, seed), ctx.forward.p.coord(0))
-        dirs, normals = ([matnum.unit(rng.normal(size=f.dim)) for f in ctx.forward.frames]
-                         for _ in range(2))
-        calls.append((ctx, ctx.forward.p, x, dirs, normals))
+        calls.append((ctx, x, [matnum.unit(rng.normal(size=f.dim)) for f in ctx.forward.frames]))
     wedge = replace(ctx, reverse=_wedge_reverse_side(ctx))
 
     def wedge_to_top(side, x, dirs, *args):
@@ -203,11 +226,11 @@ def test_normals_on_the_transposed_family_keep_the_wedge_paths(name, request, mo
 
     monkeypatch.setattr(synthesis, "_path_to_top", wedge_to_top)
     monkeypatch.setattr(synthesis, "_worst_angle", recorded)
-    for _, x, y, dirs, normals in calls:
+    for _, y, normals in calls:
         angles.append([])
-        path, margins, trunks = real(ctx, x, y, dirs, normals)
+        path, margins, trunks = real(ctx, y, normals)
         angles.append([])
-        path_w, margins_w, trunks_w = real(wedge, x, y, dirs, normals)
+        path_w, margins_w, trunks_w = real(wedge, y, normals)
         # the angles each leg tests against its target, in the same order
         assert len(angles[-2]) == len(angles[-1])
         assert np.allclose(angles[-2], angles[-1], rtol=0, atol=1e-9)
@@ -311,6 +334,18 @@ def test_family_mode_two_cocycles(typical2):
         assert is_eps_proximal(m, 0.05)
 
 
+def test_scalar_family_closes_like_a_scalar_cocycle():
+    # no hyperplane in dimension 1: each word closes through a shortest
+    # bridge, with no bound, as every family report
+    A = demos.scalar_2_3()
+    B = cocycle.scaled_cocycle(A, 0.3)
+    p, z, cert = typicality.find_typical_pair(A)
+    ctx = build_family_context([A, B], p, z)
+    for word in [(1,), (0, 1, 1), (1, 1, 0, 1, 0)]:
+        rep = synthesize_family(ctx, word, 0.05)
+        assert rep == replace(build_proximal_periodic(A, cert, word, 0.05), bound_value=None)
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.9, float("nan")])
 @pytest.mark.parametrize("entry", ["build", "family", "theorem_c"])
 def test_tau_is_checked_first(typical2, typical2_cert, monkeypatch, entry, tau):
@@ -382,14 +417,14 @@ def synth_demos():
 
 
 def _traced_transversal(monkeypatch):
-    """Record each transversal path the synthesis builds, with its
-    directions and normals."""
+    """Record each transversal path the synthesis builds, with the frames'
+    top directions it moves and its normals."""
     calls = []
     real = synthesis.transversal_path
 
-    def traced(ctx, x, y, dirs, normals, **kwargs):
-        out = real(ctx, x, y, dirs, normals, **kwargs)
-        calls.append((out[0], dirs, normals))
+    def traced(ctx, y, normals):
+        out = real(ctx, y, normals)
+        calls.append((out[0], [f.vector(0) for f in ctx.forward.frames], normals))
         return out
 
     monkeypatch.setattr(synthesis, "transversal_path", traced)
@@ -474,30 +509,32 @@ def test_shared_closing_products_match_direct_products(synth_demos, length, monk
 
 
 @pytest.mark.parametrize("length", [24, 200, 1000])
-def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
-    # kernel steps per member, by phase: the word and g before the first
-    # transversal attempt, each attempt, then everything after the
-    # transversal path, with the forward legs, built once per cocycle, on
-    # their own.  Each window of the word and of g is folded once; the path
-    # through g folds only its 2k joint windows and its last k, and a fold
-    # continuing another multiplies its new windows plus the k tail windows
-    # the other's trunk left out.  Nothing else is folded twice.
+def test_each_member_folds_the_orbit_once(length, monkeypatch):
+    # kernel steps per member, by phase: the context's start when the
+    # context is built, the word and g before the first transversal
+    # attempt, each attempt, then everything after the transversal path.
+    # Each window of the word and of g is folded once; the path through g
+    # folds only its 2k joint windows and its last k, and a fold continuing
+    # another multiplies its new windows plus the k tail windows the
+    # other's trunk left out.  Nothing else is folded twice.
     steps, phase, periods, paths = Counter(), [None], [], []
     kernel, to_top = synthesis._extend_products, synthesis._path_to_top
     periodic, transversal = synthesis.make_periodic, synthesis.transversal_path
+    build = synthesis.build_family_context
     joins = _traced_connect(monkeypatch)
 
     def counted(mats, every, idx, prods, scales):
         steps[phase[0], id(mats)] += idx.size
         return kernel(mats, every, idx, prods, scales)
 
+    def context(*args):
+        phase[0] = "context"
+        try:
+            return build(*args)
+        finally:
+            phase[0] = None
+
     def attempt(side, *args):
-        if side.family[0] is cocycle.exterior_cocycle(forward, 1):  # a forward leg
-            outer, phase[0] = phase[0], "forward"
-            try:
-                return to_top(side, *args)
-            finally:
-                phase[0] = outer
         # the reverse leg opens an attempt
         phase[0] = 0 if phase[0] is None else phase[0] + 1
         return to_top(side, *args)
@@ -513,36 +550,40 @@ def test_each_member_folds_the_orbit_once(synth_demos, length, monkeypatch):
         return out
 
     monkeypatch.setattr(synthesis, "_extend_products", counted)
+    monkeypatch.setattr(synthesis, "build_family_context", context)
     monkeypatch.setattr(synthesis, "_path_to_top", attempt)
     monkeypatch.setattr(synthesis, "make_periodic", closing)
     monkeypatch.setattr(synthesis, "transversal_path", traced)
-    for forward, cert in synth_demos:
+    for name in SYNTH_DEMOS:
+        forward, cert = _fresh_demo(name)
         word = analysis.markov_sample(forward, length, 2)
         steps.clear()
         periods.clear()
         paths.clear()
         phase[0] = None
         rep = build_proximal_periodic(forward, cert, word, 0.05)
+        start = exterior_family_context(forward, cert.p, cert.z).start[0]
         k, (path,) = forward.radius, paths
         (g, gb), = [(p2, out) for p1, p2, out in joins if p1 is path]
         last = max(key for key, _ in steps if isinstance(key, int))
         assert rep.n_q in periods and g.n > len(word)
         for t in range(1, forward.dim):
             mats = id(cocycle.exterior_cocycle(forward, t)._mats)
+            # the start, folded once with the context
+            assert steps["context", mats] == start.n
             # the word's windows, then g's on from them
             assert steps[None, mats] == g.n
-            # the accepted attempt: the entry path, its loop and the path on
-            # to the word, each continuing the one before
-            assert steps[last, mats] <= path.n + 2 * k
+            # the accepted attempt: the path on from the start's trunk,
+            # which stops k windows short of the start's end
+            assert steps[last, mats] == path.n - start.n + k
             # the path through g joins g's fold, then every loop once, each
             # closing continuing the fold before
             assert steps["after", mats] == 3 * k + periods[-1] - gb.n + k * len(periods)
-        # the word again: every forward leg it needs is kept, so none folds
+        # the word again: the context and its start are kept
         steps.clear()
         phase[0] = None
         build_proximal_periodic(forward, cert, word, 0.05)
-        assert all(steps["forward", id(cocycle.exterior_cocycle(forward, t)._mats)] == 0
-                   for t in range(1, forward.dim))
+        assert not any(key[0] == "context" for key in steps)
 
 
 def test_closing_trunk_continued_only_on_its_own_rows(radius1):
@@ -639,9 +680,9 @@ def _witness_floats(rep) -> bytes:
 
 @pytest.mark.parametrize("name", SYNTH_DEMOS)
 def test_a_word_gets_the_same_bytes_on_a_cold_and_a_warm_cocycle(name):
-    # the forward legs and the holonomies are kept per cocycle, under keys
-    # that hold no word: the first synthesis on a cocycle builds them, and
-    # a later one reads them back with the same bytes
+    # the context with its start and the holonomies are kept per cocycle,
+    # under keys that hold no word: the first synthesis on a cocycle builds
+    # them, and a later one reads them back with the same bytes
     A, cert = _fresh_demo(name)
     word = analysis.markov_sample(A, 40, 7)
     cold = build_proximal_periodic(A, cert, word, 0.05)
@@ -653,31 +694,54 @@ def test_a_word_gets_the_same_bytes_on_a_cold_and_a_warm_cocycle(name):
         (w.verdict, w.reasons) for w in warm.witnesses]
 
 
-@pytest.mark.parametrize("name", SYNTH_DEMOS)
-def test_kept_forward_legs_equal_legs_built_afresh(name, monkeypatch):
-    # doubled directions have the frames' unit vectors, bit for bit, but are
-    # not the frames' own, so transversal_path builds their forward legs
-    # afresh; reverse legs refused below ell = 32 make the synthesis keep
-    # the forward legs of attempts 0, 1 and 2
-    A, cert = _fresh_demo(name)
+def _random_typical(dim, radius, index):
+    """The index-th seeded random cocycle on the full 2-shift that has a
+    typical pair (seeds counted from 0), with that pair's certificate."""
+    base = sft.full_shift(2)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        A = cocycle.WindowCocycle(base, dim, radius, {
+            w: rng.normal(size=(dim, dim)) + 2 * np.eye(dim)
+            for w in sft.enumerate_words(base, 2 * radius + 1)})
+        found = typicality.find_typical_pair(A)
+        if found is not None:
+            if index == 0:
+                return A, found[2]
+            index -= 1
+
+
+def _same_trunks(trunks, others) -> bool:
+    return len(trunks) == len(others) and all(
+        a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for t, t_o in zip(trunks, others) for a, b in zip(t, t_o))
+
+
+@pytest.mark.parametrize("case", [*SYNTH_DEMOS, "dim4", "dim6", *(
+    pytest.param((dim, radius, index), id=f"random{dim}x{dim}-r{radius}-{index}")
+    for dim in (2, 3) for radius in (0, 1) for index in range(3))])
+def test_every_attempt_turns_the_tops_along_the_start(case, request):
+    # each frame's top direction is an eigenvector of its return map, so
+    # the forward turning pass of every transversal attempt, from p, is the
+    # context's start: path and trunk bytes alike
+    if isinstance(case, tuple):
+        A, cert = _random_typical(*case)
+    elif case in SYNTH_DEMOS:
+        A, cert = _fresh_demo(case)
+    else:
+        A = request.getfixturevalue(case)
+        cert = typicality.find_typical_pair(A)[2]
     ctx = exterior_family_context(A, cert.p, cert.z)
-    to_top = synthesis._path_to_top
-
-    def refused(side, x, dirs, eps, delta, ell):
-        if side is ctx.reverse and ell < 32:
-            return None
-        return to_top(side, x, dirs, eps, delta, ell)
-
-    monkeypatch.setattr(synthesis, "_path_to_top", refused)
-    calls = _traced_transversal(monkeypatch)
-    build_proximal_periodic(A, cert, analysis.markov_sample(A, 30, 3), 0.05)
-    (path, dirs, normals), = calls
-    assert len(ctx.forward._memo) >= 3
-    fresh = transversal_path(ctx, ctx.forward.p, path.y, [2 * v for v in dirs], normals)
-    kept = transversal_path(ctx, ctx.forward.p, path.y, dirs, normals)
-    assert fresh[0] == kept[0] == path
-    assert np.array(fresh[1]).tobytes() == np.array(kept[1]).tobytes()
-    assert all(np.array_equal(a, b) for t, t_k in zip(fresh[2], kept[2]) for a, b in zip(t, t_k))
+    fwd, (start, heads) = ctx.forward, ctx.start
+    assert start == synthesis._entry_path(A.base, fwd.p, fwd.p)
+    assert start.n == 2 + synthesis.ENTRY_SLACK
+    assert not any(a.flags.writeable for trunk in heads for a in trunk)
+    tops = [f.vector(0) for f in fwd.frames]
+    eta = min(matnum.rho_to_hyperplane(f.vector(0), f.hyperplane_normal(0)) for f in fwd.frames)
+    for k in range(synthesis.TRANSVERSAL_ATTEMPTS):
+        path, trunks = synthesis._path_to_top(fwd, fwd.p, tops, eta / 4.0 / 2**k,
+                                              0.1 / 2**k, 8 * 2**k)
+        assert path == start
+        assert _same_trunks(trunks, heads)
 
 
 @pytest.mark.parametrize("name", SYNTH_DEMOS)
@@ -696,8 +760,6 @@ def test_memos_are_bounded_by_the_alphabet_and_the_radius(name):
             kept[kind] += len(keys)
     # holonomies are kept at radius k >= 1 (at radius 0 they are the identity)
     assert all(kept[kind] > 0 for kind in ("holonomy_s", "holonomy_u")) == (k > 0)
-    assert 0 < len(ctx.forward._memo) <= synthesis.TRANSVERSAL_ATTEMPTS
-    assert not ctx.reverse._memo
 
 
 def test_shortest_bridges_found_once_per_subshift_and_pair(monkeypatch):

@@ -48,6 +48,34 @@ def test_twisting_margin_rotation_passes():
     assert twisting_margin(demos.rotation2(np.pi / 4), frame) > 0.1
 
 
+def _brute_twisting_margin(psi, frame):
+    """Least smallest singular value over every collection with
+    1 <= |I| + |J| <= d, one SVD each."""
+    d = frame.dim
+    psi_v = [matnum.unit(psi @ frame.vector(i)) for i in range(d)]
+    return min(
+        np.linalg.svd(np.column_stack([psi_v[i] for i in I] + [frame.vector(j) for j in J]),
+                      compute_uv=False)[-1]
+        for size in range(1, d + 1) for i_size in range(size + 1)
+        for I in itertools.combinations(range(d), i_size)
+        for J in itertools.combinations(range(d), size - i_size))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_twisting_margin_is_the_least_over_every_collection(d):
+    # the margin reads only the collections of exactly d columns; the
+    # smaller ones, each inside one of those, never lower it
+    rng = np.random.default_rng(d)
+    for _ in range(4):
+        basis = rng.normal(size=(d, d))
+        frame = eigen_frame(basis @ np.diag(2.0 ** -np.arange(d)) @ np.linalg.inv(basis))
+        psi = rng.normal(size=(d, d))
+        assert twisting_margin(psi, frame) == _brute_twisting_margin(psi, frame)
+    # and where a smaller collection is singular, so is the margin
+    frame = eigen_frame(np.diag(2.0 ** -np.arange(d)))
+    assert twisting_margin(np.eye(d), frame) < 1e-12
+
+
 def test_twisting_margin_swap_fails():
     frame = eigen_frame(np.diag([2.0, 1.0]))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])  # psi v1 = v2
