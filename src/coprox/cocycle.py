@@ -15,7 +15,8 @@ rows (``_window_rows``), and rescaled products over those rows
 peak entry in [0.5, 1), feed the spectral ladder (``_ladder``).  It
 serves level sweeps over all admissible words (``sweep_log_singular``),
 given words (``batch_log_singular``), single orbits as batches of one
-(``orbit_mu_vec``, synthesis folds), given cycles (``cycle_chi_rows``)
+(``orbit_mu_vec``), synthesis families as small stacks, one row per
+member of a size, given cycles (``cycle_chi_rows``)
 and every periodic orbit up to a period, read off the admissible
 prenecklaces (``lyndon_chi_rows``), with the same bytes per product on
 every path.  The sweep and the prenecklaces run on one depth-first level
@@ -494,8 +495,8 @@ def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.nd
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Multiply the products 2^scales * prods on the left by the window
     matrices of each column of idx in turn: the one long-product kernel,
-    run by sweeps, word batches, raw products, single orbits and synthesis
-    folds (batches of one) and cycles.  Row i of idx continues product
+    run by sweeps, word batches, raw products, single orbits, synthesis
+    families and cycles.  Row i of idx continues product
     ``take[i]`` (product i without ``take``), so a level of a sweep or of
     a prenecklace walk forms its children straight from their parents'
     products.
@@ -506,8 +507,17 @@ def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.nd
     rows), and each step column runs one gather, one GEMM and one scatter
     per window present (see :func:`_step`).  BLAS forms each entry of
     each product as the same dot product whatever the GEMM's width (a
-    tier-1 test holds every row to a per-matrix matmul), so a row gets the
-    bytes it gets in a batch of one, which keeps its 2-D matmul loop.
+    tier-1 test holds every row to a per-matrix matmul).
+
+    A stack of fewer rows than the table has windows (the same-size
+    members of a synthesis family, or a single orbit) is held row-major
+    instead, as an (rows, r, r) array, and each step column is one stacked
+    ``np.matmul`` by the column's window matrices: numpy runs the same
+    GEMM per matrix as for a 2-D matmul.  A single row steps as a plain
+    2-D matrix by ``ndarray.dot``, the same GEMM at less than half the
+    call cost of ``np.matmul`` (a (1, r, r) stack costs more).  Peaks and
+    exponents are taken per row by the same IEEE operations as the
+    column-major rescale's, so a row gets the same bytes in either layout.
 
     After every ``every``-th step (the stack's cadence, see
     :func:`_rescale_cadence`) and after the last, each product is divided
@@ -522,26 +532,28 @@ def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.nd
     entry under ``NEAR_SUBNORMAL`` at the start of a block of two steps or
     more, the rest of the call rescales after every step: the bytes of a
     one-step cadence there too.
-    A batch of one takes a scalar peak and exponent: the same IEEE
-    operations, so the bytes of a batch row.
     """
+    small = len(idx) < len(mats)
     if take is not None:
         scales = scales[take]
-        if len(idx) == 1 or not idx.shape[1]:
+        if small or not idx.shape[1]:
             prods, take = prods[:, :, take], None
     if not idx.shape[1]:
         return prods, scales
-    if len(idx) == 1:
-        m, s, steps = np.ascontiguousarray(prods[:, :, 0]), scales[0], mats[idx[0]]
+    if small:
+        one = len(idx) == 1
+        m = np.ascontiguousarray(prods[:, :, 0] if one else prods.transpose(2, 0, 1))
+        steps, axes = (mats[idx[0]], None) if one else (mats[idx.T], (1, 2))
+        mul = np.ndarray.dot if one else np.matmul
         c = 0
         while c < len(steps):
             if every > 1 and len(steps) - c > 1 and _near_subnormal(m):
                 every = 1
             for step in steps[c:c + every]:
-                m = np.matmul(step, m)
-            e = np.frexp(np.maximum.reduce(np.abs(m), axis=None))[1]
-            m, s, c = np.ldexp(m, -e), s + e, c + every
-        return m[:, :, None], np.array([s])
+                m = mul(step, m)
+            e = np.frexp(np.maximum.reduce(np.abs(m), axis=axes, keepdims=True))[1]
+            m, scales, c = np.ldexp(m, -e), scales + e.ravel(), c + every
+        return (m[:, :, None] if one else np.ascontiguousarray(m.transpose(1, 2, 0))), scales
     cols, c = np.ascontiguousarray(idx.T), 0
     while c < len(cols):
         if every > 1 and len(cols) - c > 1 and _near_subnormal(prods):

@@ -115,19 +115,30 @@ def mixing_rate(s: Sft) -> int:
     return s._mixing_rate
 
 
+def _pairs(s: Sft, word: Sequence[int]):
+    """The word as an int64 array and whether each of its consecutive
+    pairs is allowed, in one pass of numpy calls; the pairs are None when a
+    symbol lies outside 0..q-1 (a symbol -1 would read the adjacency from
+    its end)."""
+    try:
+        w = np.asarray(word, dtype=np.int64)
+    except OverflowError:  # a symbol past int64 lies outside the alphabet too
+        return np.array(word, dtype=object), None
+    if w.size and not (0 <= w.min() and w.max() < s.alphabet_size):
+        return w, None
+    return w, s._arrows[w[:-1], w[1:]]
+
+
 def is_admissible(s: Sft, word: Sequence[int]) -> bool:
-    w = _as_symbols(word)
-    if w and not 0 <= min(w) <= max(w) < s.alphabet_size:
-        return False
-    w = np.array(w, dtype=np.intp)
-    return bool(s._arrows[w[:-1], w[1:]].all())
+    _, allowed = _pairs(s, word)
+    return allowed is not None and bool(allowed.all())
 
 
 def require_word(s: Sft, word: Sequence[int]) -> Symbols:
-    w = _as_symbols(word)
-    if not is_admissible(s, w):
-        raise ValueError(f"word {w} is not admissible")
-    return w
+    w, allowed = _pairs(s, word)
+    if allowed is None or not allowed.all():
+        raise ValueError(f"word {tuple(w.tolist())} is not admissible")
+    return tuple(w.tolist())
 
 
 @dataclass(frozen=True)
@@ -151,7 +162,7 @@ def make_periodic(s: Sft, symbols: Sequence[int]) -> PeriodicWord:
     w = require_word(s, symbols)
     if len(w) == 0:
         raise ValueError("periodic word must be nonempty")
-    if not s.allowed(w[-1], w[0]):
+    if not s._arrows[w[-1], w[0]]:
         raise ValueError(f"wrap pair ({w[-1]},{w[0]}) is not admissible")
     return PeriodicWord(w)
 

@@ -13,8 +13,9 @@ member's rescaled product along it continues the first path's fold (see
 :func:`_fold`); past the joint it follows the second path's carrier, so
 its product is the second path's fold joined on through the stable
 holonomy (see :func:`_join`).  The orbit builder folds each window of the
-word and of the closing orbit once per member, not afresh for every path
-that contains it, and never forms a raw long product.
+word and of the closing orbit once, for all members of one matrix size
+in one stack (see :class:`Group`), not afresh for every path that
+contains it, and never forms a raw long product.
 
 The periodic-orbit builder works against a finite family of cocycles over
 a common base with a common certified pair (p, z); exterior powers of a
@@ -127,60 +128,96 @@ def path_matrix(A: WindowCocycle, path: PathSpec) -> np.ndarray:
     )
 
 
-def _fold(B: WindowCocycle, rows: np.ndarray, trunk):
-    """Member B's rescaled product over n window rows (one row of table
-    rows) and the trunk a later fold continues: the product over the rows
-    0..n-k-1, whose windows read no symbol past the n-th, where a path
-    extending this one or the orbit closing it may differ.
+def _fold(group: Group, rows: np.ndarray, trunk):
+    """The group's rescaled products over n window rows (one row of table
+    rows, which every member reads at its own offset) and the trunk a
+    later fold continues: the products over the rows 0..n-k-1, whose
+    windows read no symbol past the n-th, where a path extending this one
+    or the orbit closing it may differ.
 
-    A trunk is a (rows, prods, scales) triple, None for none.  It is
-    continued only when its rows are a prefix of these rows 0..n-k-1; any
-    other fold starts over from the identity.  The kernel folds the windows
-    strictly left to right, so a continued fold has the bytes of the
-    trunk's product continued over the remaining rows.
+    A trunk is a (rows, prods, scales) triple, None for none, with one
+    column-major product per member.  It is continued only when its rows
+    are a prefix of these rows 0..n-k-1; any other fold starts over from
+    the identity.  The kernel folds the windows strictly left to right, so
+    a continued fold has the bytes of the trunk's products continued over
+    the remaining rows.
     """
-    cut = max(rows.shape[1] - B.radius, 0)
+    cut = max(rows.shape[1] - group.members[0].radius, 0)
     if trunk is None or not (trunk[0].shape[1] <= cut
                              and np.array_equal(rows[:, :trunk[0].shape[1]], trunk[0])):
-        trunk = (rows[:, :0], *_start(B.dim))
+        trunk = (rows[:, :0], *_start(group.dim, len(group.members)))
     done, prods, scales = trunk
-    prods, scales = _extend_products(B._mats, B._cadence, rows[:, done.shape[1]:cut],
+    idx = rows + group.offsets
+    prods, scales = _extend_products(group.mats, group.every, idx[:, done.shape[1]:cut],
                                      prods, scales)
-    return (_extend_products(B._mats, B._cadence, rows[:, cut:], prods, scales),
+    return (_extend_products(group.mats, group.every, idx[:, cut:], prods, scales),
             (rows[:, :cut], prods, scales))
 
 
-def _join(B: WindowCocycle, rows: np.ndarray, n1: int, x: PointSpec, head, tail):
-    """Member B's trunk of a concatenation from the trunks of its parts.
+def _join(group: Group, rows: np.ndarray, n1: int, x: PointSpec, head, tail):
+    """The group's trunk of a concatenation from the trunks of its parts.
 
     rows are the window rows of connect(path1, path2), path1 has n1 steps
     and head is its trunk; tail is the trunk of path2's fold from the
     identity along the orbit of its carrier x, over m >= k rows.  The
     joined carrier w shifted by n1 lies on the local stable set of x, so
-    its product over n1 + m steps is
+    each member's product over n1 + m steps is
 
         A^m(x) A^k(x)^-1 A^(n1+k)(w):
 
-    the 2k joint windows continue head to A^(n1+k)(w), and one product,
-    rescaled like the kernel's, joins tail to it, so path2's windows are
-    not folded again.
+    the 2k joint windows continue head to A^(n1+k)(w), and one stacked
+    product, rescaled like the kernel's, joins tail to it, so path2's
+    windows are not folded again.
     """
-    k = B.radius
-    (prods, scales), _ = _fold(B, rows[:, :n1 + k], head)
+    k = group.members[0].radius
+    (prods, scales), _ = _fold(group, rows[:, :n1 + k], head)
     done, g, g_scales = tail
-    m = g[:, :, 0] @ np.linalg.solve(product(B, x, k), prods[:, :, 0])
-    return (rows[:, :n1 + done.shape[1]], *_rescale(m[:, :, None], g_scales + scales))
+    m = _row_major(g) @ np.linalg.solve(np.stack([product(B, x, k) for B in group.members]),
+                                        _row_major(prods))
+    return (rows[:, :n1 + done.shape[1]],
+            *_rescale(np.ascontiguousarray(m.transpose(1, 2, 0)), g_scales + scales))
 
 
-def path_direction(A: WindowCocycle, path: PathSpec, v: np.ndarray, trunk=None):
-    """Unit direction of the path matrix applied to v, overflow-safe for
-    long paths (the product is rescaled in flight), and the trunk of that
-    product: passed back in for a path that extends this one, it spares
-    refolding their common windows (see :func:`_fold`)."""
-    (prods, _), trunk = _fold(A, _orbit_rows(A, path.x0, path.n), trunk)
-    out = holonomy_u(A, path.x, path.x0) @ unit(v)
-    out = holonomy_s(A, path.end, path.y) @ (prods[:, :, 0] @ out)
-    return unit(out), trunk
+def _row_major(prods: np.ndarray) -> np.ndarray:
+    """A column-major (r, r, rows) stack as contiguous (rows, r, r)
+    matrices."""
+    return np.ascontiguousarray(prods.transpose(2, 0, 1))
+
+
+def _members(side: Side, stacks) -> list:
+    """Each member's (prods, scales), in family order, from its group's
+    column-major stacks: contiguous (r, r, 1) slices, so a member's
+    matrix reads as the matrix of a fold of its own."""
+    out = [None] * len(side.family)
+    for group, (prods, scales) in zip(side.groups, stacks):
+        for j, (i, m) in enumerate(zip(group.index, _row_major(prods))):
+            out[i] = (m[:, :, None], scales[j:j + 1])
+    return out
+
+
+def _fold_family(side: Side, rows: np.ndarray, trunks):
+    """Every group's :func:`_fold` over rows, continuing its trunk (none
+    for None): each member's products and the groups' trunks."""
+    folds = [_fold(group, rows, trunk)
+             for group, trunk in zip(side.groups, trunks or (None,) * len(side.groups))]
+    return _members(side, [scaled for scaled, _ in folds]), tuple(t for _, t in folds)
+
+
+def path_direction(side: Side, path: PathSpec, dirs: Sequence[np.ndarray], trunks=None,
+                   rows: Optional[np.ndarray] = None):
+    """Each member's unit direction of its path matrix applied to its
+    direction in dirs, overflow-safe for long paths (the products are
+    rescaled in flight), and each group's trunk of those products: passed
+    back in for a path that extends this one, they spare refolding their
+    common windows (see :func:`_fold`).  The path's window rows are read
+    once for the whole family (rows, when the caller has them)."""
+    if rows is None:
+        rows = _orbit_rows(side.family[0], path.x0, path.n)
+    prods, trunks = _fold_family(side, rows, trunks)
+    u = tuple(unit(holonomy_s(B, path.end, path.y)
+                   @ (m[:, :, 0] @ (holonomy_u(B, path.x, path.x0) @ unit(v))))
+              for B, (m, _), v in zip(side.family, prods, dirs))
+    return u, trunks
 
 
 def connect(path1: PathSpec, path2: PathSpec) -> PathSpec:
@@ -236,15 +273,51 @@ ENTRY_SLACK = 2
 
 
 @dataclass(frozen=True)
+class Group:
+    """The members of a family of one matrix size, folded as one stack:
+    their window tables concatenated, member j's rows offset by
+    ``offsets[j]`` into the whole, at the least of their rescale cadences
+    (the members share base, radius and window order, so one row of table
+    rows serves them all).  Rescaling is exact, so each member's products
+    have the bytes of its own fold."""
+
+    index: tuple[int, ...]
+    members: tuple[WindowCocycle, ...]
+    mats: np.ndarray
+    offsets: np.ndarray
+    every: int
+
+    @property
+    def dim(self) -> int:
+        return self.mats.shape[1]
+
+
+def _groups(family: tuple[WindowCocycle, ...]) -> tuple[Group, ...]:
+    """The family's members grouped by matrix size, in order of first
+    appearance, each group's members in family order."""
+    out = []
+    for dim in dict.fromkeys(B.dim for B in family):
+        index = tuple(i for i, B in enumerate(family) if B.dim == dim)
+        members = tuple(family[i] for i in index)
+        windows = len(members[0]._mats)
+        out.append(Group(index, members, _read_only(np.concatenate([B._mats for B in members])),
+                         _read_only(windows * np.arange(len(index))[:, None]),
+                         min(B._cadence for B in members)))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
 class Side:
     """One turning pass: a cocycle family over one base subshift, each
-    member's return-map eigenframe at the fixed point p, and the homoclinic
-    point z aligned onto the local unstable set of p."""
+    member's return-map eigenframe at the fixed point p, the homoclinic
+    point z aligned onto the local unstable set of p, and the family's
+    size groups (see :class:`Group`)."""
 
     family: tuple[WindowCocycle, ...]
     frames: tuple[EigenFrame, ...]
     p: PointSpec
     z: PointSpec
+    groups: tuple[Group, ...]
 
     @property
     def excursion_end(self) -> int:
@@ -253,7 +326,7 @@ class Side:
 
 def _side(family: tuple[WindowCocycle, ...], p: PointSpec, z: PointSpec) -> Side:
     frames = tuple(eigen_frame(product(A, p, 1), FRAME_TOL) for A in family)
-    return Side(family, frames, p, z.shift(-unstable_shift(p, z)))
+    return Side(family, frames, p, z.shift(-unstable_shift(p, z)), _groups(family))
 
 
 @dataclass(frozen=True)
@@ -264,8 +337,9 @@ class FamilyContext:
     (a hyperplane v^perp moved back by g is (g^T v)^perp).
 
     ``start`` begins every transversal path: the entry path from p to p and
-    each member's read-only trunk along it of its frame's top direction, an
-    eigenvector of the return map, which the path keeps in place."""
+    each group's read-only trunk along it of its members' frames' top
+    directions, eigenvectors of the return maps, which the path keeps in
+    place."""
 
     forward: Side
     reverse: Side
@@ -278,13 +352,20 @@ def build_family_context(family: Sequence[WindowCocycle], p: PointSpec,
     if not family:
         raise ValueError("empty family")
     require_common_base(family)
+    sizes = sorted({B.dim for B in family})
+    if 1 in sizes and len(sizes) > 1:
+        raise ValueError(f"family mixes scalar and larger members (sizes {sizes})")
     forward = _side(family, p, z)
     start = _entry_path(family[0].base, p, p)
-    trunks = tuple(tuple(map(_read_only, path_direction(A, start, f.vector(0))[1]))
-                   for A, f in zip(family, forward.frames))
+    _, trunks = path_direction(forward, start, _top_vectors(forward))
     return FamilyContext(forward, _side(tuple(map(transpose_cocycle, family)),
                                         reverse_point(p), reverse_point(forward.z)),
-                         (start, trunks))
+                         (start, tuple(tuple(map(_read_only, t)) for t in trunks)))
+
+
+def _top_vectors(side: Side) -> list[np.ndarray]:
+    """Each member's frame's top eigendirection."""
+    return [f.vector(0) for f in side.frames]
 
 
 def exterior_family_context(A: WindowCocycle, p: PointSpec, z: PointSpec) -> FamilyContext:
@@ -311,11 +392,11 @@ def _worst_angle(frames, u) -> float:
 
 def _path_to_top(side: Side, x, dirs, eps_target, delta, ell):
     """Path x -> p taking every direction within eps_target of its frame's
-    top eigendirection, with each member's trunk of its product, or None
+    top eigendirection, with each group's trunk of its products, or None
     if this (delta, ell) attempt falls short.  The loop extends the turned
     entry path, so its products continue the entry path's."""
     entry = _entry_path(side.family[0].base, x, side.p)
-    u, trunks = zip(*(path_direction(A, entry, v) for A, v in zip(side.family, dirs)))
+    u, trunks = path_direction(side, entry, dirs)
     try:
         a = turn_direction(side.frames, u, delta, TURN_CAP)
     except TurnCapExceeded:
@@ -324,7 +405,7 @@ def _path_to_top(side: Side, x, dirs, eps_target, delta, ell):
         return entry, trunks  # already aligned with the top directions, no twist needed
     cand = connect(extend_at_fixed_target(entry, a),
                    loop_path(side.p, side.z, max(ell, side.excursion_end + 2)))
-    u, trunks = zip(*(path_direction(A, cand, v, t) for A, v, t in zip(side.family, dirs, trunks)))
+    u, trunks = path_direction(side, cand, dirs, trunks)
     return (cand, trunks) if _worst_angle(side.frames, u) <= eps_target else None
 
 
@@ -339,7 +420,7 @@ def transversal_path(ctx: FamilyContext, y: PointSpec,
                      normals: Sequence[np.ndarray]) -> tuple[PathSpec, list[float], tuple]:
     """Path p -> y whose member matrices move each frame's top
     eigendirection away from the corresponding hyperplane, its margins
-    (computed, never assumed) and each member's trunk of its product (see
+    (computed, never assumed) and each group's trunk of its products (see
     :func:`path_direction`).
 
     The path starts with the context's entry path at p, which keeps the top
@@ -367,8 +448,7 @@ def transversal_path(ctx: FamilyContext, y: PointSpec,
         if rev_leg is None:
             continue
         path = connect(start, _reversed_to_forward(rev_leg[0], fwd.p, y))
-        u, trunks = zip(*(path_direction(A, path, f.vector(0), t)
-                          for A, f, t in zip(fwd.family, fwd.frames, heads)))
+        u, trunks = path_direction(fwd, path, _top_vectors(fwd), heads)
         margins = [rho_to_hyperplane(w, nrm) for w, nrm in zip(u, normals)]
         if min(margins) >= MARGIN_FLOOR:
             return path, margins, trunks
@@ -459,12 +539,14 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
     the fixed symbol of p), returning with the report the per-member window
     rows and rescaled products over the word and around q.
 
-    Each member folds x's windows once, from the identity (see
-    :func:`_fold`): the word's n rows, then on through the path g.  The
-    path through g joins g's fold to the transversal path's (see
-    :func:`_join`); the first closing attempt continues that fold, and
-    each attempt the next, since a longer loop only appends fixed symbols.
-    An attempt multiplies only its new and its wrapped windows.
+    The family folds as one stack per size group (see :class:`Group`),
+    so each path's window rows are read once for all members.  Each group
+    folds x's windows once, from the identity (see :func:`_fold`): the
+    word's n rows, then on through the path g.  The path through g joins
+    g's fold to the transversal path's (see :func:`_join`); the first
+    closing attempt continues that fold, and each attempt the next, since
+    a longer loop only appends fixed symbols.  An attempt multiplies only
+    its new and its wrapped windows.
     """
     fwd = ctx.forward
     base, k = fwd.family[0].base, fwd.family[0].radius
@@ -474,23 +556,22 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
     # stable set of p
     tail_start = x.reach()[1] + 1
     rows = _orbit_rows(fwd.family[0], x, n)
-    word = [(rows, _extend_products(B._mats, B._cadence, rows, *_start(B.dim)))
-            for B in fwd.family]
-    trunks = [(rows, *scaled) for rows, scaled in word]
+    stacks = [_extend_products(G.mats, G.every, rows + G.offsets, *_start(G.dim, len(G.members)))
+              for G in fwd.groups]
+    word = [(rows, scaled) for scaled in _members(fwd, stacks)]
+    trunks = [(rows, *scaled) for scaled in stacks]
     retries = 0
     g_extra = 0
     while True:
         # at least 2k steps, so g's trunk covers the k windows the join
         # replaces
         g_path = PathSpec(x, x, max(tail_start + 3, 2 * k) + g_extra, fwd.p)
-        rows = _orbit_rows(fwd.family[0], x, g_path.n)
-        folds = [_fold(B, rows, t) for B, t in zip(fwd.family, trunks)]
-        trunks = [t for _, t in folds]
+        prods, trunks = _fold_family(fwd, _orbit_rows(fwd.family[0], x, g_path.n), trunks)
         try:
             # the rescaled product: the hyperplane reads only the top of
             # the spectrum, which rescaling keeps
-            normals = [ams_hyperplane(holonomy_s(B, g_path.end, fwd.p) @ prods[:, :, 0])
-                       for B, ((prods, _), _) in zip(fwd.family, folds)]
+            normals = [ams_hyperplane(holonomy_s(B, g_path.end, fwd.p) @ m[:, :, 0])
+                       for B, (m, _) in zip(fwd.family, prods)]
             break
         except DegenerateTopSingularValue:
             retries += 1
@@ -500,27 +581,22 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
     bpath, margins, heads = transversal_path(ctx, x, normals)
     gb = connect(bpath, g_path)
     rows = _orbit_rows(fwd.family[0], gb.x0, gb.n)
-    trunks = [_join(B, rows, bpath.n, x, h, t)
-              for B, h, t in zip(fwd.family, heads, trunks)]
-    u, trunks = zip(*(path_direction(A, gb, f.vector(0), t)
-                      for A, f, t in zip(fwd.family, fwd.frames, trunks)))
+    trunks = [_join(G, rows, bpath.n, x, h, t) for G, h, t in zip(fwd.groups, heads, trunks)]
+    u, trunks = path_direction(fwd, gb, _top_vectors(fwd), trunks, rows)
     a_turn = turn_direction(fwd.frames, u, 0.05, TURN_CAP)
     turned = extend_at_fixed_target(gb, a_turn)
-    trunks = list(trunks)
 
     def attempt(ell):
+        nonlocal trunks
         final = connect(turned, loop_path(fwd.p, fwd.z, ell))
         n_q = final.n
         q = make_periodic(base, final.x0.coords(0, n_q - 1))
-        # the members share base, radius and window order, so one set of rows
         rows = _orbit_rows(fwd.family[0], periodic_point(q), n_q)
-        closing = []
-        for i, B in enumerate(fwd.family):
-            scaled, trunks[i] = _fold(B, rows, trunks[i])
-            closing.append((rows, scaled))
+        prods, trunks = _fold_family(fwd, rows, trunks)
         # the witness conditions are scale-invariant, so certify the
         # rescaled products (raw ones can overflow for large ell)
-        witnesses = tuple(eps_proximal_witness(prods[:, :, 0], tau) for _, (prods, _) in closing)
+        witnesses = tuple(eps_proximal_witness(m[:, :, 0], tau) for m, _ in prods)
+        closing = [(rows, scaled) for scaled in prods]
         return final, q, witnesses, closing
 
     ell = max(fwd.excursion_end + 2, 8)
@@ -601,7 +677,7 @@ def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
 
 def _rung_ladder(A: WindowCocycle, folds, top: str) -> np.ndarray:
     """A's ladder row from its exterior powers' (rows, rescaled product)
-    folds over one orbit."""
+    folds over one orbit, each a member's slice of its group's stack."""
     rows = folds[0][0]
     return _ladder(A, rows[:, :0], [scaled for _, scaled in folds],
                    _logdet_sum(A, rows, np.zeros(1)), top)[0]

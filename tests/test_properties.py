@@ -163,13 +163,15 @@ def test_synthesis_certifies_at_every_length(name, n, seed):
     # every d >= 2 demo with a typical pair, words up to 10^4 symbols: no
     # floating-point warning, a certified report with a finite bound, and
     # work linear in the period, each member folding at most WORK_SLACK
-    # windows beyond one pass around q
+    # windows beyond one pass around q.  A member's steps are the rows of
+    # its block of its size group's table.
     A, cert = _typical_demo(name)
     word = analysis.markov_sample(A, n, seed)
     steps, kernel = Counter(), synthesis._extend_products
 
     def counted(mats, every, idx, prods, scales):
-        steps[id(mats)] += idx.size
+        for block in idx[:, :1].ravel() // len(A._mats):
+            steps[id(mats), block] += idx.shape[1]
         return kernel(mats, every, idx, prods, scales)
 
     synthesis._extend_products = counted

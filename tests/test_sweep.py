@@ -85,15 +85,29 @@ def _dim4():
 KERNEL_COCYCLES = {**demos.DEMOS, "dim4": _dim4}
 
 
+def _kernel_tables(A) -> list:
+    """Every exterior rung's table, and per matrix size shared by two or
+    more rungs their tables concatenated, as a synthesis size group's."""
+    rungs = list(A._rungs or (A._mats,))
+    sizes = [len(m[0]) for m in rungs]
+    return rungs + [np.concatenate([m for m, r in zip(rungs, sizes) if r == size])
+                    for size in dict.fromkeys(sizes) if sizes.count(size) > 1]
+
+
 @settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(sorted(KERNEL_COCYCLES)), count=st.integers(2, 5),
+@given(name=st.sampled_from(sorted(KERNEL_COCYCLES)), count=st.integers(2, 9),
        steps=st.integers(0, 1000), seed=st.integers(0, 2**16))
+# both branches: the 3x3 rungs' own tables have 2 windows (many rows), the
+# rungs' concatenated table 4 (a small stack)
+@example(name="typical3x3", count=3, steps=600, seed=0)
 def test_kernel_batch_rows_equal_rows_folded_alone(name, count, steps, seed):
-    # a batch of one takes the kernel's scalar path: every row of a larger
-    # batch must get the same bytes from it, on every exterior rung
+    # a batch of one takes the kernel's 2-D path: every row of a larger
+    # batch must get the same bytes from it, on every exterior rung and
+    # size group's table, whether the batch has fewer rows than the table
+    # has windows (a row-major small stack) or not (column-major GEMMs)
     A = KERNEL_COCYCLES[name]()
     rng = np.random.default_rng(seed)
-    for mats in A._rungs or (A._mats,):
+    for mats in _kernel_tables(A):
         d, every = mats.shape[1], cocycle._rescale_cadence(mats)
         idx = rng.integers(0, len(mats), size=(count, steps))
         prods, scales = rng.normal(size=(d, d, count)), rng.integers(-64, 64, size=count)
@@ -284,7 +298,7 @@ def _point(A, length, seed, offset):
 def test_orbit_paths_equal_per_step_references(cocycles, name, n, length, seed, offset):
     A = cocycles[name]
     x = _point(A, length, seed, offset)
-    (m, s), _ = synthesis._fold(A, cocycle._orbit_rows(A, x, n), None)
+    (m, s), _ = synthesis._fold(synthesis._groups((A,))[0], cocycle._orbit_rows(A, x, n), None)
     ref_m, ref_s = ref_product_scaled(A, x, n)
     assert np.array_equal(m[:, :, 0], ref_m) and s[0] == ref_s
     assert np.array_equal(cocycle.orbit_mu_vec(A, x, n), _ref_ladder(A, x, n, _svd_top))

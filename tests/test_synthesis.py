@@ -346,6 +346,15 @@ def test_scalar_family_closes_like_a_scalar_cocycle():
         assert rep == replace(build_proximal_periodic(A, cert, word, 0.05), bound_value=None)
 
 
+def test_family_mixing_scalar_and_larger_members_is_refused_at_build(typical2, typical2_cert):
+    # a scalar member has no hyperplane to steer clear of and a larger one
+    # needs one: the mix is refused with the context, not deep in the g path
+    p, z, _ = typical2_cert
+    for family in ([demos.scalar_2_3(), typical2], [typical2, demos.scalar_2_3()]):
+        with pytest.raises(ValueError, match=r"mixes scalar and larger members \(sizes \[1, 2\]\)"):
+            build_family_context(family, p, z)
+
+
 @pytest.mark.parametrize("tau", [0.0, 0.9, float("nan")])
 @pytest.mark.parametrize("entry", ["build", "family", "theorem_c"])
 def test_tau_is_checked_first(typical2, typical2_cert, monkeypatch, entry, tau):
@@ -510,7 +519,8 @@ def test_shared_closing_products_match_direct_products(synth_demos, length, monk
 
 @pytest.mark.parametrize("length", [24, 200, 1000])
 def test_each_member_folds_the_orbit_once(length, monkeypatch):
-    # kernel steps per member, by phase: the context's start when the
+    # kernel steps per member (the rows of its block of its size group's
+    # table), by phase: the context's start when the
     # context is built, the word and g before the first transversal
     # attempt, each attempt, then everything after the transversal path.
     # Each window of the word and of g is folded once; the path through g
@@ -524,7 +534,8 @@ def test_each_member_folds_the_orbit_once(length, monkeypatch):
     joins = _traced_connect(monkeypatch)
 
     def counted(mats, every, idx, prods, scales):
-        steps[phase[0], id(mats)] += idx.size
+        for block in idx[:, :1].ravel() // windows:
+            steps[phase[0], (id(mats), block)] += idx.shape[1]
         return kernel(mats, every, idx, prods, scales)
 
     def context(*args):
@@ -556,19 +567,22 @@ def test_each_member_folds_the_orbit_once(length, monkeypatch):
     monkeypatch.setattr(synthesis, "transversal_path", traced)
     for name in SYNTH_DEMOS:
         forward, cert = _fresh_demo(name)
+        windows = len(forward._mats)
         word = analysis.markov_sample(forward, length, 2)
         steps.clear()
         periods.clear()
         paths.clear()
         phase[0] = None
         rep = build_proximal_periodic(forward, cert, word, 0.05)
-        start = exterior_family_context(forward, cert.p, cert.z).start[0]
+        ctx = exterior_family_context(forward, cert.p, cert.z)
+        start = ctx.start[0]
         k, (path,) = forward.radius, paths
         (g, gb), = [(p2, out) for p1, p2, out in joins if p1 is path]
         last = max(key for key, _ in steps if isinstance(key, int))
         assert rep.n_q in periods and g.n > len(word)
-        for t in range(1, forward.dim):
-            mats = id(cocycle.exterior_cocycle(forward, t)._mats)
+        members = [(id(G.mats), j) for G in ctx.forward.groups for j in range(len(G.index))]
+        assert len(members) == forward.dim - 1
+        for mats in members:
             # the start, folded once with the context
             assert steps["context", mats] == start.n
             # the word's windows, then g's on from them
@@ -587,10 +601,12 @@ def test_each_member_folds_the_orbit_once(length, monkeypatch):
 
 
 def test_closing_trunk_continued_only_on_its_own_rows(radius1):
+    group, = synthesis._groups((radius1,))
+
     def fold(word, trunk=None):
         qpt = sft.periodic_point(sft.make_periodic(radius1.base, word))
         rows = cocycle._orbit_rows(radius1, qpt, len(word))
-        return (rows, *synthesis._fold(radius1, rows, trunk))
+        return (rows, *synthesis._fold(group, rows, trunk))
 
     head = (0, 1, 1, 0, 1, 1)
     rows, (prods, scales), _ = fold(head + (0,) * 24)
@@ -621,13 +637,15 @@ def test_path_trunk_continued_only_by_its_extensions(radius1, radius1_cert):
     x = sft.point_from_word(radius1.base, (1, 1, 0), 0)
     v = np.array([1.0, 2.0])
     entry = synthesis._entry_path(radius1.base, x, p)
-    _, (done, prods, scales) = synthesis.path_direction(radius1, entry, v)
+    side = synthesis._side((radius1,), p, z)
+    _, ((done, prods, scales),) = synthesis.path_direction(side, entry, [v])
     assert done.shape[1] == entry.n - 1
     longer = connect(synthesis.extend_at_fixed_target(entry, 3), loop_path(p, z, 12))
     other = synthesis._entry_path(radius1.base, sft.point_from_word(radius1.base, (0, 1), 0),
                                   p)
     for path, offset in ((longer, 1), (other, 0)):
-        u, (_, _, got) = synthesis.path_direction(radius1, path, v, (done, prods, scales + 1))
+        (u,), ((_, _, got),) = synthesis.path_direction(side, path, [v],
+                                                        ((done, prods, scales + 1),))
         m, _ = ref_product_scaled(radius1, path.x0, path.n)
         assert np.array_equal(u, matnum.unit(
             cocycle.holonomy_s(radius1, path.end, path.y)
@@ -742,6 +760,74 @@ def test_every_attempt_turns_the_tops_along_the_start(case, request):
                                               0.1 / 2**k, 8 * 2**k)
         assert path == start
         assert _same_trunks(trunks, heads)
+
+
+def _diag421_group():
+    """Two 3x3 cocycles over the full 2-shift at different rescale
+    cadences, only the first of which trips the kernel's near-subnormal
+    switch on a long run of 0: diag(4, 2, 1) leaves an entry 4^-n of its
+    product's peak, under 2^-600 past 300 steps."""
+    rng = np.random.default_rng(3)
+    q_mat, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    diag = {(0,): np.diag([4.0, 2.0, 1.0]), (1,): q_mat}
+    # positive matrices: their products' entries stay within a bounded
+    # ratio of the peak
+    positive = {w: 10.0 + 10.0 * rng.random(size=(3, 3)) for w in diag}
+    return [cocycle.WindowCocycle(sft.full_shift(2), 3, 0, table) for table in (diag, positive)]
+
+
+def _member_fold(B, rows, done=0, trunk=None):
+    """Member B's own fold of rows as :func:`synthesis._fold` splits it,
+    at B's own cadence: the products over all rows and the trunk over the
+    rows 0..n-k-1, continuing trunk's products over its first done rows."""
+    cut = max(rows.shape[1] - B.radius, 0)
+    prods, scales = trunk or cocycle._start(B.dim)
+    prods, scales = cocycle._extend_products(B._mats, B._cadence, rows[:, done:cut],
+                                             prods, scales)
+    return (cocycle._extend_products(B._mats, B._cadence, rows[:, cut:], prods, scales),
+            (prods, scales))
+
+
+@pytest.mark.parametrize("case", [*SYNTH_DEMOS, "dim4", "dim6", "diag421"])
+def test_group_folds_equal_member_folds(case, request):
+    # a size group folds its members as one stack at their least cadence:
+    # each member's products, scales and trunk must have the bytes of its
+    # own fold, from the identity and continued, over short and long orbits
+    if case == "diag421":
+        family = _diag421_group()
+    else:
+        A = getattr(demos, case)() if case in SYNTH_DEMOS else request.getfixturevalue(case)
+        family = [cocycle.exterior_cocycle(A, t) for t in range(1, A.dim)]
+    groups = synthesis._groups(tuple(family))
+    sizes = [B.dim for B in family]
+    assert [G.index for G in groups] == [
+        tuple(i for i, r in enumerate(sizes) if r == size) for size in dict.fromkeys(sizes)]
+    base, k = family[0].base, family[0].radius
+    word = (1, 0, 1) + (0,) * 600 + (1, 1, 0, 1) if case == "diag421" else \
+        analysis.markov_sample(family[0], 700, 5)
+    x = sft.point_from_word(base, word, 0)
+    for n in (5, 40, len(word)):
+        head = cocycle._orbit_rows(family[0], x, n // 2 + k)
+        rows = cocycle._orbit_rows(family[0], x, n)
+        for G in groups:
+            assert G.every == min(B._cadence for B in G.members)
+            _, trunk = synthesis._fold(G, head, None)
+            (prods, scales), (done, t_prods, t_scales) = synthesis._fold(G, rows, trunk)
+            assert np.array_equal(done, rows[:, :max(n - k, 0)])
+            for j, B in enumerate(G.members):
+                _, (h_prods, h_scales) = _member_fold(B, head)
+                (m, s), (t_m, t_s) = _member_fold(B, rows, trunk[0].shape[1],
+                                                  (h_prods, h_scales))
+                assert prods[:, :, j].tobytes() == m[:, :, 0].tobytes() and scales[j] == s[0]
+                assert t_prods[:, :, j].tobytes() == t_m[:, :, 0].tobytes()
+                assert t_scales[j] == t_s[0]
+    if case == "diag421":
+        # the long run trips the switch on the first member alone
+        rows = cocycle._orbit_rows(family[0], x, len(word))
+        tripped = [cocycle._near_subnormal(cocycle._extend_products(
+            B._mats, B._cadence, rows[:, :400], *cocycle._start(3))[0]) for B in family]
+        assert tripped == [True, False]
+        assert family[0]._cadence != family[1]._cadence
 
 
 @pytest.mark.parametrize("name", SYNTH_DEMOS)
