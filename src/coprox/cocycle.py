@@ -23,10 +23,12 @@ every path.  The sweep and the prenecklaces run on one depth-first level
 walk in blocks of at most ``ROW_CAP`` rows (``_levels``).  The kernel
 holds its products column-major, as (r, r, rows) arrays whose every
 entry is a contiguous vector over the rows: a step by one window matrix
-over many rows is one GEMM, and rescales and tops are elementwise calls
-on those vectors.  Rescaling is by powers of two, which is exact, so a
-rescaled product holds the raw product's mantissas whatever the rescale
-cadence or the calls a fold is split into, and a raw product
+over many rows is one GEMM over a stack of the products it continues,
+one take picks every row's product from a step's GEMMs (``_step``), and
+rescales and tops are elementwise calls on those vectors.  Rescaling is
+by powers of two, which is exact, so a rescaled product holds the raw
+product's mantissas whatever the rescale cadence or the calls a fold is
+split into, and a raw product
 (``product``) is the kernel's output with its exponent put back.  The
 ladder reads only the top of each rung, by one rule per row, so a row's
 bytes do not depend on its batch.  A top
@@ -129,6 +131,15 @@ class WindowCocycle:
         lookup = np.full(q ** windows.shape[1], -1, dtype=np.int64)
         lookup[windows @ q ** np.arange(windows.shape[1])[::-1]] = np.arange(len(windows))
         return lookup
+
+    @cached_property
+    def _heads(self) -> np.ndarray:
+        """Row -> rank of the window's first 2k symbols among the windows'
+        (0 on every row at radius 0): the kernel's step groups its rows by
+        these (see ``_step``)."""
+        windows = np.array(list(self._rows))
+        heads = np.unique(windows[:, :-1], axis=0, return_inverse=True)[1].ravel()
+        return heads.astype(np.min_scalar_type(heads[-1] + 1))
 
     @cached_property
     def _mats(self) -> np.ndarray:
@@ -491,8 +502,8 @@ def _start(dim: int, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.ndarray,
-                     scales: np.ndarray, take: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
+                     scales: np.ndarray, take: np.ndarray | None = None,
+                     heads: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Multiply the products 2^scales * prods on the left by the window
     matrices of each column of idx in turn: the one long-product kernel,
     run by sweeps, word batches, raw products, single orbits, synthesis
@@ -504,10 +515,17 @@ def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.nd
     Products are column-major, an (r, r, rows) array: entry (i, j) of
     every product is one contiguous vector over the rows.  A step by
     window matrix M over many rows is then one GEMM, M @ P.reshape(r, r *
-    rows), and each step column runs one gather, one GEMM and one scatter
-    per window present (see :func:`_step`).  BLAS forms each entry of
-    each product as the same dot product whatever the GEMM's width (a
-    tier-1 test holds every row to a per-matrix matmul).
+    rows), and each step column runs one GEMM per window present over a
+    contiguous stack of the products it continues, then one take of each
+    row's product (see :func:`_step`); a walk level passes the cocycle's
+    ``heads`` so that a parent is gathered once for all its children.
+    BLAS forms each entry of each product as the same dot product
+    whatever the GEMM's width on rungs of up to 10 rows, every rung of a
+    cocycle of d <= 5 (a tier-1 test holds every row to a per-matrix
+    matmul).  Larger rungs, of 15 and 20 rows at d = 6, need not: with
+    OpenBLAS 0.3.31, GEMMs of 20 rows differed from per-matrix matmuls at
+    85 of 86 widths, and on some CPUs GEMMs of 12 and 15 rows at a few,
+    so at d >= 6 a row's bytes may depend on the rows it is stepped with.
 
     A stack of fewer rows than the table has windows (the same-size
     members of a synthesis family, or a single orbit) is held row-major
@@ -559,7 +577,7 @@ def _extend_products(mats: np.ndarray, every: int, idx: np.ndarray, prods: np.nd
         if every > 1 and len(cols) - c > 1 and _near_subnormal(prods):
             every = 1
         for col in cols[c:c + every]:
-            prods, take = _step(mats, col, prods, take), None
+            prods, take = _step(mats, col, prods, take, heads), None
         prods, scales = _rescale(prods, scales)
         c += every
     return prods, scales
@@ -573,18 +591,62 @@ def _near_subnormal(prods: np.ndarray) -> bool:
 
 
 def _step(mats: np.ndarray, col: np.ndarray, prods: np.ndarray,
-          take: np.ndarray | None) -> np.ndarray:
+          take: np.ndarray | None, heads: np.ndarray | None = None) -> np.ndarray:
     """Each product of a column-major stack (the ``take`` rows of prods,
     all of them without) multiplied on the left by the window matrix of
-    its row of col: per window present, one gather of its rows, one GEMM
-    and one scatter of the results."""
-    r = len(prods)
-    out = np.empty((r, r, len(col)))
-    for w in np.bincount(col).nonzero()[0]:
-        sel = (col == w).nonzero()[0]
-        block = prods.take(sel if take is None else take[sel], axis=2)
-        out[:, :, sel] = (mats[w] @ block.reshape(r, -1)).reshape(r, r, -1)
-    return out
+    its row of col.
+
+    The products the rows continue, their sources, are grouped by the
+    windows they feed, and each window present makes one GEMM over its
+    group's stack into one buffer, from which one take picks each row's
+    product.  A row of a batch feeds its own window, so a batch's sources
+    are grouped by window.  A parent of a walk level feeds the windows of
+    its children, which all begin with its last 2k symbols, so given heads
+    (``heads[w]`` is window w's head, see ``WindowCocycle._heads``), which
+    only a walk level passes, a level's parents are grouped by head and
+    each is gathered once for all its children.  At radius 0 all windows
+    share the empty head: the group is the whole parent stack, not
+    gathered at all, and a window's GEMM also runs over the parents it
+    cannot follow.  Without heads a level is one such group."""
+    r, count, windows = len(prods), prods.shape[2], len(mats)
+    if take is None:
+        owner, group = col.astype(np.min_scalar_type(windows)), np.arange(windows)
+    elif heads is None or heads[-1] == 0:
+        owner = None
+    else:
+        # a parent no row continues goes in a last group, which no GEMM reads
+        owner, group = np.full(count, heads[-1] + 1, dtype=heads.dtype), heads
+        owner[take] = heads[col]
+    # window w's GEMM fills r n columns of buf from start[w], n its group's
+    # stack size: the stack's j-th product lands in columns start[w] + j + i n
+    if owner is None:
+        size = r * count
+        order, keys = None, [0] * windows
+        start, width = range(0, windows * size, size), [count] * windows
+        idx = (np.arange(r) * count)[:, None] + (col * size + take)
+    else:
+        # the sources in group order, group g from lo[g] on, and each
+        # source's place in that order
+        order = np.argsort(owner, kind="stable")
+        sizes = np.bincount(owner, minlength=int(group[-1]) + 2)
+        lo = sizes.cumsum() - sizes
+        rank = np.empty(count, dtype=np.int64)
+        rank[order] = np.arange(count)
+        width = sizes[group]
+        start = r * (width.cumsum() - width)
+        idx = np.multiply.outer(np.arange(r), width[col])
+        idx += (start - lo[group])[col]
+        idx += rank if take is None else rank[take]
+        keys, start, width, lo = group.tolist(), start.tolist(), width.tolist(), lo.tolist()
+    buf = np.empty((r, start[-1] + r * width[-1]))
+    held = None
+    for m, g, a, n in zip(mats, keys, start, width):
+        if not n:
+            continue
+        if g != held:
+            held, stack = g, prods if order is None else prods.take(order[lo[g]:lo[g] + n], axis=2)
+        np.matmul(m, stack.reshape(r, -1), out=buf[:, a:a + r * n])
+    return buf.take(idx, axis=1)
 
 
 def _rescale(prods: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -919,12 +981,12 @@ ROW_CAP = 4096
 """Most rows one kernel batch carries: walk levels (sweeps and spectra) and
 word batches with more are cut into contiguous blocks.  A walk block
 makes the same numpy calls per level whatever its rows (per window a
-gather, a GEMM and a scatter, one maximum reduction per rescale, and
-about 80 elementwise calls for the tops of each size of rung, which both
-3x3 rungs share), so blocks are large; on 3x3 rungs one holds about 0.6
-MB of products.  Larger caps cost memory for no clear gain: 16,384 rows
-add about 3 MB to the peak of the golden 3x3 pressure sweep to n = 20
-and leave its time within the noise."""
+GEMM, a gather per group and one take of the children, one maximum
+reduction per rescale, and about 80 elementwise calls for the tops of
+each size of rung, which both 3x3 rungs share), so blocks are large; on
+3x3 rungs one holds about 0.6 MB of products.  Larger caps cost memory
+for no clear gain: 16,384 rows add about 3 MB to the peak of the golden
+3x3 pressure sweep to n = 20 and leave its time within the noise."""
 
 
 def _blocks(count: int) -> list[slice]:
@@ -1007,7 +1069,7 @@ def _levels(A: WindowCocycle, step, depth: int, words: np.ndarray, aux,
         # each level's temporaries go as soon as they are used, so that a
         # cut below this level holds nothing of it but its blocks
         col = _window_rows(A, words[:, -(2 * k + 1):]) if words.shape[1] > 2 * k else words[:, :0]
-        trunks = [_extend_products(m, every, col, p, s, parent)
+        trunks = [_extend_products(m, every, col, p, s, parent, A._heads)
                   for m, every, (p, s) in zip(A._rungs, A._cadences, trunks)]
         logdets = _logdet_sum(A, col, logdets[parent])
         del col
@@ -1027,7 +1089,8 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int],
     much as the longest.  A row keeps the last 2k+1 symbols of its word's
     padded form, all its windows read; its trunks cover every window that
     reads no right pad, and the k that do are applied per target length in
-    ``_ladder``.  Each word's arithmetic is that of
+    ``_ladder`` (at radius 0 there are none, and the tops are read off the
+    trunks as they are).  Each word's arithmetic is that of
     :func:`batch_log_singular`, so the rows are byte-identical to it.
     """
     targets = set(n_list)
@@ -1043,7 +1106,9 @@ def sweep_log_singular(A: WindowCocycle, n_list: Sequence[int],
 
     root = np.zeros((1, 0), dtype=np.int64)
     for n, words, _, trunks, logdets in _levels(A, step, max(targets, default=0), root, None):
-        if n in targets:
+        if n in targets and k == 0:  # no window reads a right pad
+            yield n, _tops(trunks, logdets, "svd")
+        elif n in targets:
             tail = np.concatenate([words[:, max(0, words.shape[1] - 2 * k):],
                                    rpads[words[:, -1]]], axis=1)
             yield n, _ladder(A, _window_rows(A, tail), trunks, logdets)

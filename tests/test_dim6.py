@@ -43,3 +43,14 @@ def test_dim6_commands_run(dim6, tmp_path, capsys):
     assert main(["verify-bound", "--input", path, "--samples", "4", "--seed", "1",
                  "--n-min", "10", "--n-max", "400"]) == 0
     assert ", 0 failed;" in capsys.readouterr().out
+    # the level walk's commands step products of rungs of 15 and 20 rows; the
+    # periodic gap of this cocycle is a rounding-level zero, so dominate
+    # finds no evidence (exit 2), and says so on one line
+    assert main(["pressure", "--input", path, "--s", "2.5", "--n-max", "8"]) == 0
+    assert main(["dominate", "--input", path, "--index", "1", "--n-max", "8",
+                 "--max-period", "6"]) == 2
+    assert main(["spectrum", "--input", path, "--max-period", "8"]) == 0
+    out, err = capsys.readouterr()
+    assert "verdict = no-domination-evidence" in out
+    assert out.endswith("71 periodic orbits up to period 8\n")
+    assert "Traceback" not in out + err

@@ -307,9 +307,9 @@ def test_spectrum_walk_in_blocks_keeps_its_bytes(cocycles, monkeypatch, name):
     sizes = []
     extend = cocycle._extend_products
 
-    def recorded(mats, every, idx, prods, scales, take=None):
+    def recorded(mats, every, idx, prods, scales, take=None, heads=None):
         sizes.append(len(idx))
-        return extend(mats, every, idx, prods, scales, take)
+        return extend(mats, every, idx, prods, scales, take, heads)
 
     monkeypatch.setattr(cocycle, "_extend_products", recorded)
     walk = list(cocycle.lyndon_chi_rows(A, period))

@@ -62,9 +62,9 @@ def test_no_kernel_batch_exceeds_the_row_cap(cocycles, monkeypatch, times, name)
     sizes = []
     extend = cocycle._extend_products
 
-    def recorded(mats, every, idx, prods, scales, take=None):
+    def recorded(mats, every, idx, prods, scales, take=None, heads=None):
         sizes.append(len(idx))
-        return extend(mats, every, idx, prods, scales, take)
+        return extend(mats, every, idx, prods, scales, take, heads)
 
     monkeypatch.setattr(cocycle, "_extend_products", recorded)
     rows = swept(A, [n - 2, n], 0)
@@ -126,10 +126,18 @@ def test_kernel_batch_rows_equal_rows_folded_alone(name, count, steps, seed):
 # long as BLAS forms every entry as the same dot product whatever the
 # matrix's width; a BLAS whose edge kernels round differently fails here.
 
+def _dim5():
+    """Full 2-shift, 5x5: its second exterior power is a 10 x 10 rung."""
+    q_mat, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(5, 5)))
+    return cocycle.WindowCocycle(sft.full_shift(2), 5, 0,
+                                 {(0,): np.diag([9.0, 5.0, 2.0, 1.0, 0.5]), (1,): q_mat})
+
+
 STEP_BATCHES = (1, 2, 3, 5, 8, 9, 4097)
 STEP_RUNGS = [pytest.param(mats, id=f"{name} t{t}")
               for name, build in sorted(KERNEL_COCYCLES.items()) for A in [build()]
               for t, mats in enumerate(A._rungs or (A._mats,), start=1)]
+STEP_RUNGS.append(pytest.param(_dim5()._rungs[1], id="dim5 t2"))
 
 
 @pytest.mark.parametrize("mats", STEP_RUNGS)
@@ -149,6 +157,51 @@ def test_window_grouped_step_equals_per_matrix_matmul(mats):
                 for i in range(rows):
                     ref = np.matmul(mats[col[i]], np.ascontiguousarray(prods[:, :, src[i]]))
                     assert got[:, :, i].tobytes() == ref.tobytes(), (rows, i, take is None)
+
+
+def _walk_level(A, n, prenecklaces):
+    """(parent, window column, parent count) of the level that extends the
+    admissible words of length n (the admissible prenecklaces with
+    ``prenecklaces``) as the level walk forms it: children from
+    ``sft.extend_words``, each window read off a child's last 2k + 1
+    symbols."""
+    words, lyn = sft.word_array(A.base, 0), np.zeros(1, dtype=np.int64)
+    for m in range(n + 1):
+        parent, children = sft.extend_words(A.base, words)
+        if prenecklaces:
+            keep, lyn = sft.prenecklace_step(children, lyn[parent])
+            parent, children, lyn = parent[keep], children[keep], lyn[keep]
+        if m == n:
+            k = A.radius
+            return parent, cocycle._window_rows(A, children[:, -(2 * k + 1):])[:, 0], len(words)
+        words = children
+
+
+@pytest.mark.parametrize("name, n, prenecklaces", [
+    ("golden r0", 15, False),  # a parent ending in 1 has one child
+    ("full r1", 11, False),  # a child's window begins with its parent's last 2k symbols
+    ("full r2", 11, False),
+    ("skew r1", 11, False),  # heads with different numbers of windows
+    ("full r1", 13, True),  # pruned children: some windows of a head go unread
+])
+def test_step_on_walk_levels_equals_per_matrix_matmul(cocycles, name, n, prenecklaces):
+    # every child of a real walk level, on every rung, from its parent's
+    # product through the heads its parents are grouped by; the level's
+    # children as a batch too, each continuing its own product
+    A = cocycles[name]
+    parent, col, count = _walk_level(A, n, prenecklaces)
+    assert len(col) > 1000
+    rng = np.random.default_rng(n)
+    for mats in A._rungs:
+        r = len(mats[0])
+        prods = rng.normal(size=(r, r, count))
+        got = cocycle._step(mats, col, prods, parent, A._heads)
+        rows = np.ascontiguousarray(prods[:, :, parent])
+        batch = cocycle._step(mats, col, rows, None)
+        for i in range(len(col)):
+            ref = np.matmul(mats[col[i]], np.ascontiguousarray(prods[:, :, parent[i]]))
+            assert got[:, :, i].tobytes() == ref.tobytes(), (name, i)
+            assert batch[:, :, i].tobytes() == ref.tobytes(), (name, i)
 
 
 # -- block reductions: each block reduced to what its caller reads ---------
@@ -393,10 +446,10 @@ def test_spectrum_forms_one_trunk_row_per_prenecklace(cocycles, monkeypatch, nam
     trunks = []
     extend = cocycle._extend_products
 
-    def recorded(mats, every, idx, prods, scales, take=None):
+    def recorded(mats, every, idx, prods, scales, take=None, heads=None):
         if take is not None:
             trunks.append((len(idx), idx.shape[1]))
-        return extend(mats, every, idx, prods, scales, take)
+        return extend(mats, every, idx, prods, scales, take, heads)
 
     monkeypatch.setattr(cocycle, "_extend_products", recorded)
     analysis.periodic_spectrum(A, max_period)
