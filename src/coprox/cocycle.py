@@ -483,9 +483,11 @@ def _rescale_cadence(mats: np.ndarray) -> int:
     r x r matrices: a step moves a product's peak entry by at most
     b = log2(r max(|A|max, |A^-1|max)) binary orders, so floor(128 / b)
     steps, at most 32, keep it within 2^128 of [0.5, 1), far from overflow
-    and the subnormal range (b >= 1 is taken, for 1 x 1 stacks of units)."""
+    and the subnormal range (b >= 1 is taken, for 1 x 1 stacks of units).
+    b is summed as log2(r) + log2(max): the product r max overflows for
+    entries near the float64 limit."""
     worst = max(np.abs(mats).max(), np.abs(np.linalg.inv(mats)).max())
-    return int(min(32, max(1, 128 // max(np.log2(mats.shape[1] * worst), 1.0))))
+    return int(min(32, max(1, 128 // max(np.log2(mats.shape[1]) + np.log2(worst), 1.0))))
 
 
 NEAR_SUBNORMAL = 2.0 ** -600

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import asin, atan2, cos, pi, sin
+from math import asin, atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
@@ -124,29 +124,48 @@ def chi_vec(g: np.ndarray) -> np.ndarray:
     return _ladder(g, lambda m: np.max(np.abs(np.linalg.eigvals(m))))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float array read as one vector (Frobenius for a
+    matrix): sqrt of the dot product of its memory-order ravel with
+    itself, which is how ``np.linalg.norm`` computes it, without that
+    function's dispatch."""
+    v = v.ravel(order="K")
+    return sqrt(v.dot(v))
+
+
 def unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    n = _norm(v)
     if n == 0:
         raise ValueError("zero vector has no direction")
     return v / n
 
 
 def _cos_sin(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """cos and sin of rho(u, v).  The sine is taken from the orthogonal
-    rejection rather than sqrt(1 - cos^2), which keeps full precision for
-    nearly parallel directions."""
-    u = unit(u)
-    v = unit(v)
+    """cos and sin of rho(u, v): :func:`unit_cos_sin` of ``unit(u)`` and
+    ``unit(v)``."""
+    return unit_cos_sin(unit(u), unit(v))
+
+
+def unit_cos_sin(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """cos and sin of rho(u, v) for unit u and v, taken as given.  A caller
+    that reads the angles of one vector to many others normalizes it once
+    and gets the bytes of :func:`rho` by passing what ``unit`` makes of
+    each vector (a unit vector normalized again may move in its last
+    bits).  The sine is taken from the orthogonal rejection rather than
+    sqrt(1 - cos^2), which keeps full precision for nearly parallel
+    directions."""
     dot = float(u @ v)
     if dot < 0:
         v = -v
         dot = -dot
-    return dot, float(np.linalg.norm(u - dot * v))
+    return dot, _norm(u - dot * v)
 
 
 def rho(u: np.ndarray, v: np.ndarray) -> float:
-    """Angular metric on projective space, in [0, pi/2]."""
+    """Angular metric on projective space, in [0, pi/2].  Each call
+    normalizes both vectors; see :func:`unit_cos_sin` for vectors
+    normalized once."""
     c, s = _cos_sin(u, v)
     return atan2(s, c)
 
@@ -168,7 +187,7 @@ def hyperplane_basis(normal: np.ndarray) -> np.ndarray:
     e = np.zeros(d)
     e[0] = 1.0
     w = n + e if n[0] >= 0 else n - e
-    w = w / np.linalg.norm(w)
+    w = w / _norm(w)
     Q = np.eye(d) - 2.0 * np.outer(w, w)
     return Q[:, 1:]
 
@@ -204,8 +223,11 @@ def _sine_factor_to_rho_bound(k: float) -> float:
 
 
 def restricted_operator_norm(g: np.ndarray, normal: np.ndarray) -> float:
-    """Operator norm of g restricted to the hyperplane normal^perp."""
-    return float(np.linalg.norm(g @ hyperplane_basis(normal), 2))
+    """Operator norm of g restricted to the hyperplane normal^perp: the top
+    singular value, which ``svd`` returns first (0 for d = 1, where the
+    hyperplane is {0})."""
+    sigma = np.linalg.svd(g @ hyperplane_basis(normal), compute_uv=False)
+    return float(sigma[0]) if len(sigma) else 0.0
 
 
 def rho_norm_bound(g: np.ndarray, cone: Cone | None = None) -> float:

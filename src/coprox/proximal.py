@@ -59,7 +59,8 @@ def proximal_data(g: np.ndarray) -> ProximalData:
     if d == 1:
         v = np.ones(1)
         return ProximalData(v, v, float(g[0, 0]), 0.0, pi / 2)
-    vals, vecs = np.linalg.eig(g)
+    # one LAPACK call for g and g^T: a stack runs each matrix as alone
+    (vals, lvals), (vecs, lvecs) = np.linalg.eig(np.stack([g, g.T]))
     order = np.argsort(-np.abs(vals))
     vals = vals[order]
     vecs = vecs[:, order]
@@ -67,7 +68,6 @@ def proximal_data(g: np.ndarray) -> ProximalData:
     if top - second <= PROXIMAL_TOL * top or abs(vals[0].imag) > PROXIMAL_TOL * top:
         raise NotProximal("no simple dominant real top eigenvalue")
     v = unit(vecs[:, 0].real)
-    lvals, lvecs = np.linalg.eig(g.T)
     li = int(np.argmax(np.abs(lvals)))
     normal = unit(lvecs[:, li].real)
     return ProximalData(

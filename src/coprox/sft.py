@@ -204,6 +204,8 @@ class PointSpec:
         if a >= b:
             return ()
         m = len(self.core)
+        if 0 <= a and b <= m:
+            return self.core[a:b]
         left = _cyclic(self.left_cycle, a, min(b, 0) - a) if a < 0 else ()
         right = _cyclic(self.right_cycle, max(a, m) - m, b - max(a, m)) if b > m else ()
         return left + self.core[max(a, 0):max(min(b, m), 0)] + right
@@ -437,8 +439,11 @@ def stable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
     None when the two points disagree arbitrarily far to the right (their
     right tails differ), so no shift lands them on a common stable leaf.
     """
-    tail = max(x.reach()[1], y.reach()[1], 0) + 1  # right-cyclic from here on
-    top = tail + lcm(len(x.right_cycle), len(y.right_cycle)) - 1
+    if x is y:
+        return 0
+    # right-cyclic from here on: one past both reaches (PointSpec.reach)
+    tail = max(len(x.core) - x.anchor, len(y.core) - y.anchor, 1)
+    top = tail + _common_period(len(x.right_cycle), len(y.right_cycle)) - 1
     return _leaf_shift(x.coords(0, top), y.coords(0, top), tail)
 
 
@@ -447,9 +452,16 @@ def unstable_shift(x: PointSpec, y: PointSpec) -> Optional[int]:
 
     None when the left tails differ.
     """
-    tail = max(-x.reach()[0], -y.reach()[0], 0) + 1  # left-cyclic from -tail down
-    bottom = -tail - lcm(len(x.left_cycle), len(y.left_cycle)) + 1
+    if x is y:
+        return 0
+    tail = max(x.anchor, y.anchor, 0) + 1  # left-cyclic from -tail down
+    bottom = -tail - _common_period(len(x.left_cycle), len(y.left_cycle)) + 1
     return _leaf_shift(x.coords(bottom, 0)[::-1], y.coords(bottom, 0)[::-1], tail)
+
+
+def _common_period(m: int, n: int) -> int:
+    """lcm of two cycle lengths, read off at once when they are equal."""
+    return m if m == n else lcm(m, n)
 
 
 def _leaf_shift(xs: Symbols, ys: Symbols, tail: int) -> Optional[int]:

@@ -29,7 +29,7 @@ quantitatively proximal directly, member by member.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import pi
+from math import atan2, pi
 from typing import Optional, Sequence
 
 import numpy as np
@@ -64,9 +64,9 @@ from .errors import (
 from .matnum import (
     ams_hyperplane,
     fit_line,
-    rho,
     rho_to_hyperplane,
     unit,
+    unit_cos_sin,
 )
 from .proximal import EpsProximalWitness, eps_proximal_witness
 from .sft import (
@@ -254,10 +254,8 @@ def turn_direction(frames: Sequence[EigenFrame], dirs: Sequence[np.ndarray],
     every direction within delta of one of its frame's eigendirections."""
     vecs = [unit(v) for v in dirs]
     for a in range(cap + 1):
-        if all(
-            min(rho(v, f.vector(i)) for i in range(f.dim)) <= delta
-            for f, v in zip(frames, vecs)
-        ):
+        if all(min(_angle(w, e) for e in f.units) <= delta
+               for f, w in zip(frames, map(unit, vecs))):
             return a
         vecs = [unit(f.matrix @ v) for f, v in zip(frames, vecs)]
     raise TurnCapExceeded(f"directions not aligned within {delta} after {cap} turns")
@@ -386,8 +384,15 @@ def _entry_path(base, x: PointSpec, p: PointSpec) -> PathSpec:
     return PathSpec(x, w0, n0, p)
 
 
+def _angle(u: np.ndarray, v: np.ndarray) -> float:
+    """rho(u, v) for the unit vectors that :func:`matnum.rho` would make of
+    its arguments."""
+    c, s = unit_cos_sin(u, v)
+    return atan2(s, c)
+
+
 def _worst_angle(frames, u) -> float:
-    return max(rho(v, f.vector(0)) for f, v in zip(frames, u))
+    return max(_angle(unit(v), f.units[0]) for f, v in zip(frames, u))
 
 
 def _path_to_top(side: Side, x, dirs, eps_target, delta, ell):
@@ -436,9 +441,8 @@ def transversal_path(ctx: FamilyContext, y: PointSpec,
     if len(normals) != len(fwd.family):
         raise ValueError(f"{len(normals)} normals for {len(fwd.family)} members")
     start, heads = ctx.start
-    eta = min(
-        rho_to_hyperplane(f.vector(0), f.hyperplane_normal(0)) for f in fwd.frames
-    )
+    # each top eigendirection's angle to its hyperplane (matnum.rho_to_hyperplane)
+    eta = min(atan2(*unit_cos_sin(f.units[0], f.normal_units[0])) for f in fwd.frames)
     y_rev = reverse_point(y)
     for k in range(TRANSVERSAL_ATTEMPTS):
         eps = eta / 4.0 / 2**k

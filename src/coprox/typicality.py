@@ -13,7 +13,7 @@ exceeds the tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import inf
 from typing import Optional, Sequence
@@ -35,13 +35,30 @@ class EigenFrame:
 
     ``vectors`` holds unit eigenvectors as columns; ``dual`` holds the dual
     basis as rows, so row i is (up to scale) the normal of the invariant
-    hyperplane spanned by all eigenvectors except the i-th.
+    hyperplane spanned by all eigenvectors except the i-th.  ``normals``
+    holds the unit hyperplane normals as rows.  ``units`` and
+    ``normal_units`` hold as rows what :func:`matnum.unit` makes of each
+    eigenvector and each normal, which :func:`matnum.rho` would compute
+    from them on every call: angles read from these rows with
+    :func:`matnum.unit_cos_sin` have rho's bytes.  All three are built
+    once per frame and read-only.
     """
 
     matrix: np.ndarray
     eigvals: np.ndarray
     vectors: np.ndarray
     dual: np.ndarray
+    normals: np.ndarray = field(init=False, repr=False, compare=False)
+    units: np.ndarray = field(init=False, repr=False, compare=False)
+    normal_units: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        normals = np.array([unit(row) for row in self.dual])
+        for name, rows in (("normals", normals),
+                           ("units", np.array([unit(col) for col in self.vectors.T])),
+                           ("normal_units", np.array([unit(row) for row in normals]))):
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
     @property
     def dim(self) -> int:
@@ -52,7 +69,7 @@ class EigenFrame:
 
     def hyperplane_normal(self, i: int) -> np.ndarray:
         """Unit normal of span{v_j : j != i}."""
-        return unit(self.dual[i])
+        return self.normals[i]
 
 
 def pinching_margin(P: np.ndarray) -> float:

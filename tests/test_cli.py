@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -626,3 +630,23 @@ def test_verify_bound_counts_per_word_failures(tmp_path, capsys, monkeypatch):
     assert doc["failures"] == [{"x_word": "".join(map(str, calls[1])),
                                 "error": "planted failure"}]
     assert "samples 5 ok, 1 failed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--s", "1", "--n-max", "10"],
+    ["spectrum", "--max-period", "6"],
+], ids=["pressure", "spectrum"])
+def test_entries_near_the_float_limit_run_without_warnings(demo_file, tmp_path, argv):
+    # the kernel's rescale cadence reads log2(r) + log2(max entry): the
+    # product r * 1e308 overflowed and numpy printed a RuntimeWarning.  A
+    # child process, since pytest collects warnings before they reach stderr
+    data = json.loads(demo_file.read_text())
+    data["entries"][0]["matrix"] = [[1e308, 0.0], [0.0, 1e308]]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    run = subprocess.run([sys.executable, "-m", "coprox.cli", *argv, "--input", str(big)],
+                         capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (0, "")

@@ -311,6 +311,22 @@ def test_product_is_a_plain_matmul_loop(name):
             assert np.array_equal(product(A, x, n), _loop(A, x, n))
 
 
+def _product_cadence(mats):
+    """The rescale cadence from b = log2(r * max), the product form."""
+    worst = max(np.abs(mats).max(), np.abs(np.linalg.inv(mats)).max())
+    return int(min(32, max(1, 128 // max(np.log2(mats.shape[1] * worst), 1.0))))
+
+
+def test_rescale_cadence_keeps_its_values(cocycles, dim4, dim6):
+    # log2(r) + log2(max) in place of log2(r * max), which overflows near
+    # the float64 limit, keeps every cadence of the demos and fixtures
+    for A in (*(build() for build in demos.DEMOS.values()), *cocycles.values(), dim4, dim6):
+        assert A._cadence == _product_cadence(A._mats)
+        assert A._cadences == tuple(map(_product_cadence, A._rungs))
+    big = np.array([[[1e308, 0.0], [0.0, 1e308]], [[2.0, 1.0], [1.0, 1.0]]])
+    assert cocycle._rescale_cadence(big) == 1
+
+
 def test_holonomy_bytes_are_quotients_of_plain_loops(cocycles):
     # holonomies are quotients of k-step products, once taken with a plain
     # matmul loop: the kernel's products give them the same bytes

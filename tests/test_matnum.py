@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 from math import pi, sqrt
 
@@ -165,6 +166,78 @@ def test_hodge_conjugates_inverse_wedge_to_transpose(d):
         assert min(np.linalg.norm(H @ wedge - n), np.linalg.norm(H @ wedge + n)) < 1e-12
         u, v = rng.normal(size=(2, d))
         assert matnum.rho(H @ u, H @ v) == pytest.approx(matnum.rho(u, v), abs=1e-14)
+
+
+# the one-dot norms against their np.linalg.norm forms ---------------------------
+
+def _ref_unit(v):
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v)
+    if n == 0:
+        raise ValueError("zero vector has no direction")
+    return v / n
+
+
+def _ref_cos_sin(u, v):
+    u = _ref_unit(u)
+    v = _ref_unit(v)
+    dot = float(u @ v)
+    if dot < 0:
+        v = -v
+        dot = -dot
+    return dot, float(np.linalg.norm(u - dot * v))
+
+
+def _ref_hyperplane_basis(normal):
+    n = _ref_unit(normal)
+    d = n.shape[0]
+    if d == 1:
+        return np.empty((1, 0))
+    e = np.zeros(d)
+    e[0] = 1.0
+    w = n + e if n[0] >= 0 else n - e
+    w = w / np.linalg.norm(w)
+    return (np.eye(d) - 2.0 * np.outer(w, w))[:, 1:]
+
+
+def _vectors(rng, d):
+    """Vectors of one dimension at many scales, contiguous and strided (a
+    column of a C-ordered matrix), a unit vector and a nearly parallel pair."""
+    m = rng.normal(size=(d, 3)) * 10.0 ** rng.integers(-150, 150)
+    u = rng.normal(size=d)
+    return [m[:, 0], m[:, 1].copy(), u, _ref_unit(u), u + 1e-9 * rng.normal(size=d),
+            -u, np.eye(d)[0]]
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("seed", range(4))
+def test_one_dot_norms_keep_the_norm_bytes(d, seed):
+    rng = np.random.default_rng([d, seed])
+    vecs = _vectors(rng, d)
+    for v in vecs:
+        assert _same(matnum.unit(v), _ref_unit(v))
+    # 2-D input: the Frobenius norm, C-ordered, transposed and strided
+    m = rng.normal(size=(d, d + 1)) * 10.0 ** rng.integers(-100, 100)
+    for a in (m, m.T, m[:, ::2], np.asfortranarray(m)):
+        assert _same(matnum.unit(a), _ref_unit(a))
+    for u in vecs:
+        for v in vecs:
+            want = _ref_cos_sin(u, v)
+            assert matnum._cos_sin(u, v) == want
+            assert matnum.unit_cos_sin(_ref_unit(u), _ref_unit(v)) == want
+            assert matnum.rho(u, v) == math.atan2(want[1], want[0])
+            assert matnum.rho_to_hyperplane(u, v) == math.atan2(*want)
+        assert _same(matnum.hyperplane_basis(u), _ref_hyperplane_basis(u))
+        for g in (rng.normal(size=(d, d)), rng.normal(size=(d, d)) * 1e80):
+            want = float(np.linalg.norm(g @ _ref_hyperplane_basis(u), 2))
+            assert matnum.restricted_operator_norm(g, u) == want
+    with pytest.raises(ValueError, match="zero vector"):
+        matnum.unit(np.zeros(d))
 
 
 # certified cone arithmetic ----------------------------------------------------

@@ -31,6 +31,62 @@ def test_not_proximal_cases():
         proximal_data(np.diag([2.0, -2.0]))
 
 
+def _ref_proximal_data(g):
+    """proximal_data with the eigendata of g and of g^T from two eig calls."""
+    vals, vecs = np.linalg.eig(g)
+    order = np.argsort(-np.abs(vals))
+    vals = vals[order]
+    vecs = vecs[:, order]
+    top, second = np.abs(vals[0]), np.abs(vals[1])
+    if top - second <= proximal.PROXIMAL_TOL * top or \
+            abs(vals[0].imag) > proximal.PROXIMAL_TOL * top:
+        raise NotProximal("no simple dominant real top eigenvalue")
+    v = matnum.unit(vecs[:, 0].real)
+    lvals, lvecs = np.linalg.eig(g.T)
+    li = int(np.argmax(np.abs(lvals)))
+    normal = matnum.unit(lvecs[:, li].real)
+    return (v.tobytes(), normal.tobytes(), float(vals[0].real), float(second / top),
+            matnum.rho_to_hyperplane(v, normal))
+
+
+def _matrices(rng, d):
+    """Random matrices: plain, with a complex pair below a real top, with
+    a complex pair on top, and with a tied top."""
+    q = random_invertible(rng, d)
+    qi = np.linalg.inv(q)
+    out = [rng.normal(size=(d, d)), q @ np.diag(np.arange(d, 0, -1.0)) @ qi]
+    if d >= 3:
+        pair = np.eye(d) * 0.5
+        pair[:2, :2] = rotation2(0.9) * 0.5
+        pair[-1, -1] = 3.0
+        out.append(q @ pair @ qi)
+        out.append(q @ (pair * np.array([1.0] * (d - 1) + [0.01])[None, :]) @ qi)
+    out.append(q @ np.diag([2.0, -2.0] + [1.0] * (d - 2)) @ qi)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_proximal_data_matches_two_eig_calls(d):
+    rng = np.random.default_rng(d)
+    seen = set()
+    for _ in range(40):
+        for g in _matrices(rng, d):
+            pair = bool(np.iscomplexobj(np.linalg.eig(g)[0]))
+            try:
+                want = _ref_proximal_data(g)
+            except NotProximal:
+                with pytest.raises(NotProximal):
+                    proximal_data(g)
+                seen.add((pair, False))
+                continue
+            data = proximal_data(g)
+            assert (data.v.tobytes(), data.hyperplane_normal.tobytes(), data.top_eig,
+                    data.spectral_gap, data.angle) == want
+            seen.add((pair, True))
+    # complex eigendata, proximal (a pair below a real top) or not
+    assert seen >= ({(True, True), (True, False)} if d >= 3 else {(True, False)})
+
+
 def test_proximal_data_invariance_residuals():
     rng = np.random.default_rng(0)
     checked = 0

@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coprox import sft
 from coprox.errors import NotPrimitive, SymbolMismatch
@@ -384,6 +385,54 @@ def test_window_compares_match_coordinatewise_references(x, y, shift, shared):
         assert sft.stable_shift(u, v) == _ref_stable_shift(u, v)
         assert sft.unstable_shift(u, v) == _ref_unstable_shift(u, v)
         assert sft.is_fixed_point(u) == _ref_is_fixed_point(u)
+
+
+def _plain_coords(x, lo, hi):
+    """PointSpec.coords without its core-slice branch."""
+    a, b = x.anchor + lo, x.anchor + hi + 1
+    if a >= b:
+        return ()
+    m = len(x.core)
+    left = sft._cyclic(x.left_cycle, a, min(b, 0) - a) if a < 0 else ()
+    right = sft._cyclic(x.right_cycle, max(a, m) - m, b - max(a, m)) if b > m else ()
+    return left + x.core[max(a, 0):max(min(b, m), 0)] + right
+
+
+def _reach_stable_shift(x, y):
+    """stable_shift read through PointSpec.reach and lcm, with no
+    same-object answer."""
+    tail = max(x.reach()[1], y.reach()[1], 0) + 1
+    top = tail + math.lcm(len(x.right_cycle), len(y.right_cycle)) - 1
+    return sft._leaf_shift(_plain_coords(x, 0, top), _plain_coords(y, 0, top), tail)
+
+
+def _reach_unstable_shift(x, y):
+    tail = max(-x.reach()[0], -y.reach()[0], 0) + 1
+    bottom = -tail - math.lcm(len(x.left_cycle), len(y.left_cycle)) + 1
+    return sft._leaf_shift(_plain_coords(x, bottom, 0)[::-1],
+                           _plain_coords(y, bottom, 0)[::-1], tail)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_points(2, 4, 5), y=_points(2, 4, 5), shift=st.integers(-6, 6),
+       lo=st.integers(-12, 12), width=st.integers(-2, 14), shared=st.booleans())
+@example(x=sft.PointSpec((0,), (), (0, 1), 0), y=sft.PointSpec((1, 0, 0), (), (1, 0, 1), 2),
+         shift=0, lo=0, width=1, shared=False)  # empty cores, cycles of unequal lengths
+@example(x=sft.PointSpec((1,), (0, 1, 1), (0,), 1), y=sft.PointSpec((1,), (0, 1, 1), (0,), 1),
+         shift=3, lo=-1, width=3, shared=False)  # a window inside the core
+@example(x=sft.PointSpec((1,), (0, 1, 1), (0,), 9), y=sft.PointSpec((0, 1), (1,), (0,), -5),
+         shift=-2, lo=4, width=6, shared=True)  # cores far left and right of 0
+def test_lean_leaf_tests_match_their_reach_forms(x, y, shift, lo, width, shared):
+    if shared:  # common tails, so the shifts are finite
+        y = sft.PointSpec(x.left_cycle, y.core, x.right_cycle, y.anchor)
+    hi = lo + width - 1
+    for u in (x, y, x.shift(shift)):
+        assert u.coords(lo, hi) == _plain_coords(u, lo, hi)
+    # the same object, equal points held twice, and unrelated points
+    for u, v in [(x, x), (y, y), (x, x.shift(0)), (x, y), (y, x), (x, x.shift(shift)),
+                 (y, x.shift(shift))]:
+        assert sft.stable_shift(u, v) == _reach_stable_shift(u, v)
+        assert sft.unstable_shift(u, v) == _reach_unstable_shift(u, v)
 
 
 def test_is_admissible_range_and_pairs(golden):

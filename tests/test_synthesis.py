@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -111,6 +112,70 @@ def test_turn_direction_simultaneous(typical3, typical3_cert):
     for f, v in zip(ctx.forward.frames, dirs):
         turned = matnum.unit(np.linalg.matrix_power(f.matrix, a) @ v)
         assert min(matnum.rho(turned, f.vector(i)) for i in range(f.dim)) <= 0.08
+
+
+def _ref_turn_direction(frames, dirs, delta, cap):
+    """turn_direction with rho normalizing both vectors on every call."""
+    vecs = [matnum.unit(v) for v in dirs]
+    for a in range(cap + 1):
+        if all(min(matnum.rho(v, f.vector(i)) for i in range(f.dim)) <= delta
+               for f, v in zip(frames, vecs)):
+            return a
+        vecs = [matnum.unit(f.matrix @ v) for f, v in zip(frames, vecs)]
+    return None
+
+
+@pytest.mark.parametrize("case", ["typical2", "typical3", "radius1", "dim4", "dim6"])
+def test_frame_units_give_the_angles_of_rho(case, request):
+    # each frame's unit eigenvectors and normals, built once, give the
+    # angles that rho and rho_to_hyperplane give on the frame's own
+    # vectors, byte for byte
+    A = request.getfixturevalue(case)
+    p, z, _ = typicality.find_typical_pair(A)
+    ctx = exterior_family_context(A, p, z)
+    rng = np.random.default_rng(3)
+    # frames of pinched matrices with eigenvectors normalized once: a unit
+    # vector normalized again moves in its last bits about a third of the
+    # time, so these frames' units are not all their vectors
+    d, eigvals, pinched = A.dim, 3.0 ** -np.arange(A.dim), []
+    for _ in range(20):
+        vecs = rng.normal(size=(d, d))
+        vecs /= np.linalg.norm(vecs, axis=0)
+        dual = np.linalg.inv(vecs)
+        pinched.append(typicality.EigenFrame(vecs @ np.diag(eigvals) @ dual, eigvals, vecs, dual))
+    assert any(f.units.tobytes() != f.vectors.T.tobytes() for f in pinched)
+    frames = ctx.forward.frames + ctx.reverse.frames + tuple(pinched)
+    for f in frames:
+        for i in range(f.dim):
+            assert f.units[i].tobytes() == matnum.unit(f.vector(i)).tobytes()
+            assert f.hyperplane_normal(i).tobytes() == matnum.unit(f.dual[i]).tobytes()
+            assert f.normal_units[i].tobytes() == \
+                matnum.unit(f.hyperplane_normal(i)).tobytes()
+            assert not (f.units.flags.writeable or f.normals.flags.writeable)
+        # transversal_path's eta reads the top vector's angle to its hyperplane
+        assert math.atan2(*matnum.unit_cos_sin(f.units[0], f.normal_units[0])) == \
+            matnum.rho_to_hyperplane(f.vector(0), f.hyperplane_normal(0))
+    for frames in (ctx.forward.frames, ctx.reverse.frames, pinched[:3]):
+        for _ in range(30):
+            dirs = [rng.normal(size=f.dim) * 10.0 ** rng.integers(-5, 5) for f in frames]
+            for f, v in zip(frames, dirs):
+                for i in range(f.dim):
+                    assert synthesis._angle(matnum.unit(v), f.units[i]) == \
+                        matnum.rho(v, f.vector(i))
+            # at delta equal to the reference angle, no turn is needed only
+            # when the turn reads rho's bytes
+            worst = max(min(matnum.rho(matnum.unit(v), f.vector(i)) for i in range(f.dim))
+                        for f, v in zip(frames, dirs))
+            assert turn_direction(frames, dirs, worst, 0) == 0
+            assert synthesis._worst_angle(frames, dirs) == \
+                max(matnum.rho(v, f.vector(0)) for f, v in zip(frames, dirs))
+            for delta, cap in ((0.1, 512), (1e-3, 40), (1e-9, 3)):
+                want = _ref_turn_direction(frames, dirs, delta, cap)
+                if want is None:
+                    with pytest.raises(TurnCapExceeded):
+                        turn_direction(frames, dirs, delta, cap)
+                else:
+                    assert turn_direction(frames, dirs, delta, cap) == want
 
 
 def _check_transversal_path(ctx, y, normals):
