@@ -13,7 +13,7 @@ that hyperplane.  All bounds come from the spectral split u = c v_g + w
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, pi, sin
+from math import asin, atan2, pi, sin
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .matnum import (
     require_finite,
     restricted_operator_norm,
     rho_norm_bound,
-    rho_to_hyperplane,
     unit,
+    unit_cos_sin,
 )
 
 PROXIMAL_TOL = 1e-9
@@ -54,7 +54,13 @@ def proximal_data(g: np.ndarray) -> ProximalData:
     NotProximal when the top modulus is not simple and dominant within
     ``PROXIMAL_TOL``, relative, or the top eigenvalue is not real.
     """
-    g = require_finite(g)
+    return _proximal_data(require_finite(g))
+
+
+def _proximal_data(g: np.ndarray) -> ProximalData:
+    """:func:`proximal_data` of a matrix :func:`matnum.require_finite`
+    has passed.  The angle is read from the two unit vectors as they are
+    (:func:`matnum.unit_cos_sin`), not normalized again."""
     d = g.shape[0]
     if d == 1:
         v = np.ones(1)
@@ -70,12 +76,13 @@ def proximal_data(g: np.ndarray) -> ProximalData:
     v = unit(vecs[:, 0].real)
     li = int(np.argmax(np.abs(lvals)))
     normal = unit(lvecs[:, li].real)
+    c, s = unit_cos_sin(v, normal)
     return ProximalData(
         v=v,
         hyperplane_normal=normal,
         top_eig=float(vals[0].real),
         spectral_gap=float(second / top),
-        angle=rho_to_hyperplane(v, normal),
+        angle=atan2(c, s),
     )
 
 
@@ -121,7 +128,7 @@ def eps_proximal_witness(g: np.ndarray, eps: float) -> EpsProximalWitness:
     if d == 1:
         return EpsProximalWitness(eps, pi / 2, 0.0, 0.0, True, ())
     try:
-        data = proximal_data(g)
+        data = _proximal_data(g)
     except NotProximal:
         return EpsProximalWitness(eps, 0.0, 1.0, np.inf, False, ("not proximal",))
     reasons = []

@@ -142,16 +142,29 @@ def _fold(group: Group, rows: np.ndarray, trunk):
     a continued fold has the bytes of the trunk's products continued over
     the remaining rows.
     """
+    trunk = _trunk(group, rows, trunk)
+    return _close(group, rows, trunk), trunk
+
+
+def _trunk(group: Group, rows: np.ndarray, trunk):
+    """The trunk of :func:`_fold` over rows: the given trunk continued to
+    the rows' cut, k rows short of their end, if its rows are a prefix of
+    theirs, else a fold from the identity."""
     cut = max(rows.shape[1] - group.members[0].radius, 0)
     if trunk is None or not (trunk[0].shape[1] <= cut
                              and np.array_equal(rows[:, :trunk[0].shape[1]], trunk[0])):
         trunk = (rows[:, :0], *_start(group.dim, len(group.members)))
     done, prods, scales = trunk
-    idx = rows + group.offsets
-    prods, scales = _extend_products(group.mats, group.every, idx[:, done.shape[1]:cut],
-                                     prods, scales)
-    return (_extend_products(group.mats, group.every, idx[:, cut:], prods, scales),
-            (rows[:, :cut], prods, scales))
+    return (rows[:, :cut], *_extend_products(group.mats, group.every,
+                                             rows[:, done.shape[1]:cut] + group.offsets,
+                                             prods, scales))
+
+
+def _close(group: Group, rows: np.ndarray, trunk) -> tuple[np.ndarray, np.ndarray]:
+    """The group's products over rows from a trunk of them: the trunk
+    continued over the rest, the k windows past the cut of a fold."""
+    return _extend_products(group.mats, group.every,
+                            rows[:, trunk[0].shape[1]:] + group.offsets, *trunk[1:])
 
 
 def _join(group: Group, rows: np.ndarray, n1: int, x: PointSpec, head, tail):
@@ -475,7 +488,11 @@ class SynthesisReport:
     transversality_margins: tuple[float, ...]
     bound_value: Optional[float]
     ell_used: int
+    """Length of the certified homoclinic loop: the padded loop's, or the
+    loop's own where only it certified."""
     retries: int
+    """Loop-length doublings, plus the lengthenings of the path g into
+    the stable set of p that a degenerate top singular value forced."""
 
     def to_dict(self) -> dict:
         return {
@@ -520,10 +537,13 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float) -> Synthe
     homoclinic loop with adaptively doubled length; close into a periodic
     word and certify the products around it directly.
 
-    The certified loop is padded so the period overhead n_q - n lands on a
-    multiple of ``PERIOD_QUANTUM``: the overhead plays the role of a single
-    per-cocycle constant, so batches report one common value instead of
-    per-word jitter.
+    At each loop length ell the loop is first padded so that the period
+    overhead n_q - n lands on a multiple of ``PERIOD_QUANTUM``: the
+    overhead plays the role of a single per-cocycle constant, so batches
+    report one common value instead of per-word jitter.  If every member's
+    product around that orbit is certified, it is the report; otherwise
+    the loop at ell itself is certified, and if that fails too, ell
+    doubles (see :func:`_closing_loop`).
 
     A family of scalar cocycles has no hyperplane to steer clear of, and
     every nonzero scalar is proximal: the word closes through a shortest
@@ -547,13 +567,11 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
     so each path's window rows are read once for all members.  Each group
     folds x's windows once, from the identity (see :func:`_fold`): the
     word's n rows, then on through the path g.  The path through g joins
-    g's fold to the transversal path's (see :func:`_join`); the first
-    closing attempt continues that fold, and each attempt the next, since
-    a longer loop only appends fixed symbols.  An attempt multiplies only
-    its new and its wrapped windows.
+    g's fold to the transversal path's (see :func:`_join`), and the
+    closing loops continue that fold (see :func:`_closing_loop`).
     """
     fwd = ctx.forward
-    base, k = fwd.family[0].base, fwd.family[0].radius
+    k = fwd.family[0].radius
     n = len(x_word)
     # the canonical representative already carries a bridge to the fixed
     # symbol, ending at its reach; shortly after that its orbit sits on the
@@ -590,43 +608,80 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
     a_turn = turn_direction(fwd.frames, u, 0.05, TURN_CAP)
     turned = extend_at_fixed_target(gb, a_turn)
 
-    def attempt(ell):
-        nonlocal trunks
-        final = connect(turned, loop_path(fwd.p, fwd.z, ell))
-        n_q = final.n
-        q = make_periodic(base, final.x0.coords(0, n_q - 1))
-        rows = _orbit_rows(fwd.family[0], periodic_point(q), n_q)
-        prods, trunks = _fold_family(fwd, rows, trunks)
-        # the witness conditions are scale-invariant, so certify the
-        # rescaled products (raw ones can overflow for large ell)
-        witnesses = tuple(eps_proximal_witness(m[:, :, 0], tau) for m, _ in prods)
-        closing = [(rows, scaled) for scaled in prods]
-        return final, q, witnesses, closing
+    ell, doublings, final, q, witnesses, closing = _closing_loop(fwd, turned, trunks, n, tau,
+                                                                 ell_cap)
+    return SynthesisReport(
+        x_word=tuple(x_word),
+        n=n,
+        q=q,
+        n_q=final.n,
+        j=_shadow_offset(q, tuple(x_word)),
+        tau=tau,
+        witnesses=witnesses,
+        transversality_margins=tuple(margins),
+        bound_value=None,
+        ell_used=ell,
+        retries=retries + doublings,
+    ), word, closing
 
-    ell = max(fwd.excursion_end + 2, 8)
+
+def _closing(side: Side, turned: PathSpec, ell: int):
+    """The path closing turned through the homoclinic loop of length ell,
+    its periodic word q and the window rows of q's orbit."""
+    final = connect(turned, loop_path(side.p, side.z, ell))
+    q = make_periodic(side.family[0].base, final.x0.coords(0, final.n - 1))
+    return final, q, _orbit_rows(side.family[0], periodic_point(q), final.n)
+
+
+def _certified(side: Side, rows: np.ndarray, trunks, tau: float):
+    """Each member's witness and (rows, rescaled product) around a closing
+    orbit, from each group's trunk of its rows; None unless every witness
+    holds.  The witness conditions are scale-invariant, so the rescaled
+    products are certified (raw ones can overflow for large loops)."""
+    prods = _members(side, [_close(G, rows, t) for G, t in zip(side.groups, trunks)])
+    witnesses = tuple(eps_proximal_witness(m[:, :, 0], tau) for m, _ in prods)
+    if not all(w.verdict for w in witnesses):
+        return None
+    return witnesses, [(rows, scaled) for scaled in prods]
+
+
+def _closing_loop(side: Side, turned: PathSpec, trunks, n: int, tau: float, ell_cap: int):
+    """The certified closing of turned, an n-symbol word's path turned at
+    p: (loop length, doublings, closing path, q, witnesses, closing folds).
+
+    At each loop length ell, from max(excursion end + 2, 8) up, the loop
+    padded to ell' = ell + pad, which puts the period overhead on a
+    multiple of ``PERIOD_QUANTUM``, is certified first; only if it fails
+    is the loop at ell (the fallback), and only if both fail is ell
+    doubled.  The windows are folded in increasing length: each group's
+    trunk is continued to the cut of the loop at ell, which the padded
+    loop's rows extend (a longer loop only appends fixed symbols), and
+    that trunk is kept; it is continued through the padded loop's
+    remaining windows and its k wrapped windows, and the fallback
+    continues it through its own k wrapped windows.  A doubled ell
+    continues the longer of the two trunks that its rows extend.
+    """
+    ell = max(side.excursion_end + 2, 8)
+    doublings = 0
     while ell <= ell_cap:
-        final, q, witnesses, closing = attempt(ell)
-        if all(w.verdict for w in witnesses):
-            overhang = (final.n - n) % PERIOD_QUANTUM
-            if overhang:
-                padded = attempt(ell + PERIOD_QUANTUM - overhang)
-                if all(w.verdict for w in padded[2]):
-                    ell = ell + PERIOD_QUANTUM - overhang
-                    final, q, witnesses, closing = padded
-            return SynthesisReport(
-                x_word=tuple(x_word),
-                n=n,
-                q=q,
-                n_q=final.n,
-                j=_shadow_offset(q, tuple(x_word)),
-                tau=tau,
-                witnesses=witnesses,
-                transversality_margins=tuple(margins),
-                bound_value=None,
-                ell_used=ell,
-                retries=retries,
-            ), word, closing
-        retries += 1
+        pad = -(turned.n + ell - n) % PERIOD_QUANTUM
+        final, q, rows = _closing(side, turned, ell + pad)
+        unpadded = tuple(_trunk(G, rows[:, :final.n - pad], t)
+                         for G, t in zip(side.groups, trunks))
+        padded = tuple(_trunk(G, rows, t) for G, t in zip(side.groups, unpadded))
+        done = _certified(side, rows, padded, tau)
+        if done is not None:
+            return ell + pad, doublings, final, q, *done
+        if pad:
+            final, q, rows = _closing(side, turned, ell)
+            # the prefix test of _trunk checks the kept trunk against the
+            # fallback's own rows
+            done = _certified(side, rows, [_trunk(G, rows, t)
+                                           for G, t in zip(side.groups, unpadded)], tau)
+            if done is not None:
+                return ell, doublings, final, q, *done
+        doublings += 1
+        trunks = padded if pad <= ell else unpadded
         ell *= 2
     raise SynthesisFailed(f"loop length cap {ell_cap} reached without certifying")
 

@@ -1,7 +1,9 @@
+from math import asin, atan2, sin
+
 import numpy as np
 import pytest
 
-from coprox import matnum, proximal
+from coprox import analysis, demos, matnum, proximal, synthesis, typicality
 from coprox.demos import rotation2, rotation3
 from coprox.errors import NotProximal
 from coprox.proximal import (
@@ -14,6 +16,7 @@ from coprox.proximal import (
     tits_certify,
 )
 from conftest import random_invertible
+from test_synthesis_bytes import PINNED_ON, _platform
 
 
 def test_proximal_data_diag():
@@ -32,7 +35,8 @@ def test_not_proximal_cases():
 
 
 def _ref_proximal_data(g):
-    """proximal_data with the eigendata of g and of g^T from two eig calls."""
+    """proximal_data with the eigendata of g and of g^T from two eig calls,
+    the angle read from the two unit vectors as they are."""
     vals, vecs = np.linalg.eig(g)
     order = np.argsort(-np.abs(vals))
     vals = vals[order]
@@ -46,7 +50,7 @@ def _ref_proximal_data(g):
     li = int(np.argmax(np.abs(lvals)))
     normal = matnum.unit(lvecs[:, li].real)
     return (v.tobytes(), normal.tobytes(), float(vals[0].real), float(second / top),
-            matnum.rho_to_hyperplane(v, normal))
+            atan2(*matnum.unit_cos_sin(v, normal)))
 
 
 def _matrices(rng, d):
@@ -82,6 +86,10 @@ def test_proximal_data_matches_two_eig_calls(d):
             data = proximal_data(g)
             assert (data.v.tobytes(), data.hyperplane_normal.tobytes(), data.top_eig,
                     data.spectral_gap, data.angle) == want
+            # rho_to_hyperplane normalizes the unit vectors again, which
+            # moves the angle by a few rounding errors of its cosine
+            assert abs(data.angle - matnum.rho_to_hyperplane(data.v, data.hyperplane_normal)) \
+                <= 4 * np.finfo(float).eps
             seen.add((pair, True))
     # complex eigendata, proximal (a pair below a real top) or not
     assert seen >= ({(True, True), (True, False)} if d >= 3 else {(True, False)})
@@ -155,6 +163,78 @@ def test_eps_proximal_witness_certified_against_sampling():
             angle = matnum.rho(g @ u, data.v)
             assert np.sin(angle) <= wit.image_angle_sin + 1e-9
             assert angle <= eps + 1e-9
+
+
+def _ref_witness(g, eps):
+    """eps_proximal_witness as it was with each check and normalization
+    run twice: require_finite before and inside proximal_data, and the
+    angle through rho_to_hyperplane, which normalizes proximal_data's unit
+    vectors again."""
+    g = matnum.require_finite(g)
+    g = g / np.max(np.abs(g))
+    data = proximal_data(g)
+    angle = matnum.rho_to_hyperplane(data.v, data.hyperplane_normal)
+    s_theta, s_eps = sin(angle), sin(eps)
+    v_norm = matnum.restricted_operator_norm(g, data.hyperplane_normal)
+    lam = abs(data.top_eig)
+    image_sin = (v_norm / (lam * s_theta)) * (1.0 + s_theta / s_eps)
+    alpha = np.linalg.svd(g, compute_uv=False)
+    contraction = matnum._sine_factor_to_rho_bound((alpha[0] * alpha[1]) / (lam * s_eps) ** 2)
+    reasons = tuple(r for r, bad in (
+        ("angle between top direction and hyperplane below 2 eps", angle < 2 * eps),
+        ("certified image cone exceeds eps", not (image_sin < 1.0 and asin(image_sin) <= eps)),
+        ("certified rho-norm on the domain exceeds eps", contraction > eps)) if bad)
+    return angle, float(image_sin), float(contraction), reasons
+
+
+def _closing_products(monkeypatch, dim6):
+    """The closing products every witness of a synthesis reads, over the
+    benchmark demos and the d = 6 fixture (16 and 200 symbols each)."""
+    seen = []
+    real = synthesis.eps_proximal_witness
+    monkeypatch.setattr(synthesis, "eps_proximal_witness",
+                        lambda g, eps: (seen.append(g.copy()), real(g, eps))[1])
+    for A in [getattr(demos, name)() for name in (
+            "typical_2x2", "typical_3x3", "radius1_2x2", "dominated_2x2")] + [dim6]:
+        cert = typicality.find_typical_pair(A)[2]
+        for length in (16, 200):
+            synthesis.build_proximal_periodic(A, cert, analysis.markov_sample(A, length, 3), 0.05)
+    return seen
+
+
+def test_witness_runs_each_check_once_with_the_reference_bytes(monkeypatch, dim6):
+    # one require_finite per witness, and the angle read from proximal_data's
+    # unit vectors as they are; against the reference that ran both twice,
+    # verdict, reasons and contraction keep their bytes and the angle moves
+    # by a few rounding errors; on these closing products of synthesis it
+    # keeps its bytes too, where the synthesis bytes are pinned (no report
+    # holds the angle, and it moved by one unit in the last place in 1 of
+    # 4,400 witnesses of the benchmark's synthesis inputs)
+    checks = []
+    real = proximal.require_finite
+    monkeypatch.setattr(proximal, "require_finite", lambda g: (checks.append(1), real(g))[1])
+    rng = np.random.default_rng(7)
+    random = [g * scale for d in (2, 3, 4, 6) for _ in range(30)
+              for g in _matrices(rng, d) for scale in (1.0, 1e200, 1e-200)]
+    closing = _closing_products(monkeypatch, dim6)
+    for mats, exact in ((random, False), (closing, _platform() == PINNED_ON)):
+        compared = 0
+        for g in mats:
+            checks.clear()
+            wit = eps_proximal_witness(g, 0.05)
+            assert len(checks) == 1
+            if not wit.verdict and wit.reasons == ("not proximal",):
+                continue
+            angle, image_sin, contraction, reasons = _ref_witness(g, 0.05)
+            assert (wit.contraction, wit.reasons, wit.verdict) == (
+                contraction, reasons, not reasons)
+            assert abs(wit.angle - angle) <= 4 * np.finfo(float).eps
+            assert abs(wit.image_angle_sin - image_sin) <= 1e-12 * image_sin
+            if exact:
+                assert (wit.angle, wit.image_angle_sin) == (angle, image_sin)
+            compared += 1
+        # every closing product is certified, so proximal
+        assert compared == len(mats) if mats is closing else compared > 100
 
 
 def test_failing_witness_reports_the_certified_rho_bound():

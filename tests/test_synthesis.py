@@ -655,9 +655,11 @@ def test_each_member_folds_the_orbit_once(length, monkeypatch):
             # the accepted attempt: the path on from the start's trunk,
             # which stops k windows short of the start's end
             assert steps[last, mats] == path.n - start.n + k
-            # the path through g joins g's fold, then every loop once, each
-            # closing continuing the fold before
-            assert steps["after", mats] == 3 * k + periods[-1] - gb.n + k * len(periods)
+            # the path through g joins g's fold, then every loop window once
+            # up to the longest closing's cut (a fallback closing is shorter
+            # than the padded one before it), plus k wrapped windows per
+            # closing orbit built
+            assert steps["after", mats] == 3 * k + max(periods) - gb.n + k * len(periods)
         # the word again: the context and its start are kept
         steps.clear()
         phase[0] = None
@@ -775,6 +777,79 @@ def test_a_word_gets_the_same_bytes_on_a_cold_and_a_warm_cocycle(name):
     assert _witness_floats(cold) == _witness_floats(warm)
     assert [(w.verdict, w.reasons) for w in cold.witnesses] == [
         (w.verdict, w.reasons) for w in warm.witnesses]
+
+
+def _two_attempt_closing_loop(moved):
+    """The closing rule that certified the loop at each length ell first
+    and padded it only then, as a reference for :func:`synthesis._closing_loop`:
+    it reports the padded loop if both certify, the loop at ell if only it
+    does, and doubles ell if the loop at ell fails.  Each fold continues
+    the last attempt's trunk.  Outside the rule, ``moved`` collects each
+    ell whose loop failed while its padded loop certified."""
+
+    def loop(side, turned, trunks, n, tau, ell_cap):
+        def attempt(ell, trunks):
+            final, q, rows = synthesis._closing(side, turned, ell)
+            prods, trunks = synthesis._fold_family(side, rows, trunks)
+            witnesses = tuple(eps_proximal_witness(m[:, :, 0], tau) for m, _ in prods)
+            return (final, q, witnesses, [(rows, scaled) for scaled in prods]), trunks
+
+        ell, doublings = max(side.excursion_end + 2, 8), 0
+        while ell <= ell_cap:
+            got, trunks = attempt(ell, trunks)
+            pad = -(got[0].n - n) % synthesis.PERIOD_QUANTUM
+            certified = all(w.verdict for w in got[2])
+            if pad:
+                padded, _ = attempt(ell + pad, trunks)
+                if all(w.verdict for w in padded[2]):
+                    if certified:
+                        return (ell + pad, doublings, *padded)
+                    moved.append(ell)
+            if certified:
+                return (ell, doublings, *got)
+            doublings += 1
+            ell *= 2
+        raise SynthesisFailed(f"loop length cap {ell_cap} reached without certifying")
+
+    return loop
+
+
+def _report_bytes(rep) -> tuple:
+    return (json.dumps(rep.to_dict()), _witness_floats(rep),
+            [(w.verdict, w.reasons) for w in rep.witnesses])
+
+
+@pytest.mark.parametrize("name", [*SYNTH_DEMOS, "dim6"])
+def test_padded_loop_first_against_the_two_attempt_rule(name, request, monkeypatch):
+    # the padded loop is certified first at each ell: the report is the
+    # two-attempt rule's byte for byte, unless at some ell that rule tried
+    # the loop failed and its padded loop certified; there the report is
+    # certified, with no longer a period and fewer retries
+    A = request.getfixturevalue("dim6") if name == "dim6" else getattr(demos, name)()
+    cert = typicality.find_typical_pair(A)[2]
+    words = [analysis.markov_sample(A, length, seed)
+             for length in (16, 48, 128, 320) for seed in range(4)]
+    if name == "radius1_2x2":
+        words.append((0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
+    changed = {}
+    for word in words:
+        new = build_proximal_periodic(A, cert, word, 0.05)
+        moved = []
+        with monkeypatch.context() as m:
+            m.setattr(synthesis, "_closing_loop", _two_attempt_closing_loop(moved))
+            old = build_proximal_periodic(A, cert, word, 0.05)
+        if not moved:
+            assert _report_bytes(new) == _report_bytes(old)
+            continue
+        changed[word] = new
+        assert all(w.verdict for w in new.witnesses) and len(new.witnesses) == A.dim - 1
+        assert new.n_q <= old.n_q and new.retries < old.retries
+        assert (new.n_q - new.n) % synthesis.PERIOD_QUANTUM == 0
+    if name == "radius1_2x2":
+        # the word whose period fell from 64 to 48 moves; so do others
+        assert words[-1] in changed and len(changed) > 1
+        rep = changed[words[-1]]
+        assert (rep.n_q, rep.ell_used, rep.retries) == (48, 14, 0)
 
 
 def _random_typical(dim, radius, index):

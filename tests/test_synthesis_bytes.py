@@ -42,7 +42,10 @@ DIGESTS = {
     ("typical_2x2", 320): "4ea5ee026130bd3795fb777828d6f5d0aca68a750ef3fd3175a62525c4812bf2",
     ("typical_3x3", 16): "4a3727c05cfa8e6b9e979bcb77d23e6e1d2a85daf3620f1d774aef75fdd0c7a2",
     ("typical_3x3", 320): "a207c99652b1463aaa6dbe33cdd3e9c4a5ee767332b893b0d347375b16822e57",
-    ("radius1_2x2", 16): "a4d8910591534a0b7a160be0cb9730ae1286df2630859cbcc10ea70f491a6193",
+    # the padded loop certifies at the first loop length, where the loop
+    # it pads does not: n_q 64 at ell 12, retries 0 (the rule that
+    # certified the unpadded loop first doubled ell: n_q 80 at ell 28)
+    ("radius1_2x2", 16): "09091e258cb51b68bff4c9ba4f9683c9aa3bc7c1b8fb229671bc0cadae85a1d0",
     ("radius1_2x2", 320): "0149c06d6822c9561f53675ac5c6f861365708cdc5a270824576d911c1a40812",
     ("dominated_2x2", 16): "4a6d6389639e9ca63e98b8c05c7f4f163a169fab608deb4cbe4ad1a5cbebd326",
     ("dominated_2x2", 320): "fb3f8b5380ec79bcdbc1d6533ed76f725f3e788dbcdcca82ea86d5ff00d1de0c",
