@@ -161,9 +161,7 @@ def cmd_synthesize(args) -> int:
         return 2
     cert = found[2]
     try:
-        rep = synthesis.build_proximal_periodic(
-            A, cert, args.word, args.tau, ell_cap=args.ell_cap
-        )
+        rep = synthesis.build_proximal_periodic(A, cert, args.word, args.tau)
     except synthesis.SYNTHESIS_ERRORS as exc:
         if args.out:
             write_json(args.out, "synthesis", {"failed": str(exc)})
@@ -195,7 +193,7 @@ def cmd_verify_bound(args) -> int:
         analysis.markov_sample(A, int(n), args.seed + 1000 + i)
         for i, n in enumerate(lengths)
     ]
-    report = synthesis.verify_theorem_a(A, cert, words, args.tau, ell_cap=args.ell_cap)
+    report = synthesis.verify_theorem_a(A, cert, words, args.tau)
     sample_rows = [(r.n, r.n_q, r.j, r.bound_value, r.ell_used)
                    for r in report.samples]
     _write_series(args, "theorem-a", report.to_dict(), "theorem-a",
@@ -327,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--word", type=_word, required=True)
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--ell-cap", type=_positive_int, default=synthesis.ELL_CAP)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify-bound", help="singular/eigenvalue comparison experiment")
@@ -337,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=_positive_int, default=4)
     p.add_argument("--n-max", type=_positive_int, default=40)
     p.add_argument("--tau", type=float, default=0.05)
-    p.add_argument("--ell-cap", type=_positive_int, default=synthesis.ELL_CAP)
     p.add_argument("--csv", help="per-sample CSV path")
     p.set_defaults(func=cmd_verify_bound)
 

@@ -142,29 +142,16 @@ def _fold(group: Group, rows: np.ndarray, trunk):
     a continued fold has the bytes of the trunk's products continued over
     the remaining rows.
     """
-    trunk = _trunk(group, rows, trunk)
-    return _close(group, rows, trunk), trunk
-
-
-def _trunk(group: Group, rows: np.ndarray, trunk):
-    """The trunk of :func:`_fold` over rows: the given trunk continued to
-    the rows' cut, k rows short of their end, if its rows are a prefix of
-    theirs, else a fold from the identity."""
     cut = max(rows.shape[1] - group.members[0].radius, 0)
     if trunk is None or not (trunk[0].shape[1] <= cut
                              and np.array_equal(rows[:, :trunk[0].shape[1]], trunk[0])):
         trunk = (rows[:, :0], *_start(group.dim, len(group.members)))
     done, prods, scales = trunk
-    return (rows[:, :cut], *_extend_products(group.mats, group.every,
-                                             rows[:, done.shape[1]:cut] + group.offsets,
-                                             prods, scales))
-
-
-def _close(group: Group, rows: np.ndarray, trunk) -> tuple[np.ndarray, np.ndarray]:
-    """The group's products over rows from a trunk of them: the trunk
-    continued over the rest, the k windows past the cut of a fold."""
-    return _extend_products(group.mats, group.every,
-                            rows[:, trunk[0].shape[1]:] + group.offsets, *trunk[1:])
+    idx = rows + group.offsets
+    prods, scales = _extend_products(group.mats, group.every, idx[:, done.shape[1]:cut],
+                                     prods, scales)
+    return (_extend_products(group.mats, group.every, idx[:, cut:], prods, scales),
+            (rows[:, :cut], prods, scales))
 
 
 def _join(group: Group, rows: np.ndarray, n1: int, x: PointSpec, head, tail):
@@ -488,8 +475,8 @@ class SynthesisReport:
     transversality_margins: tuple[float, ...]
     bound_value: Optional[float]
     ell_used: int
-    """Length of the certified homoclinic loop: the padded loop's, or the
-    loop's own where only it certified."""
+    """Length of the certified homoclinic loop, padded so that the period
+    overhead n_q - n is a multiple of ``PERIOD_QUANTUM``."""
     retries: int
     """Loop-length doublings, plus the lengthenings of the path g into
     the stable set of p that a degenerate top singular value forced."""
@@ -537,12 +524,11 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float) -> Synthe
     homoclinic loop with adaptively doubled length; close into a periodic
     word and certify the products around it directly.
 
-    At each loop length ell the loop is first padded so that the period
-    overhead n_q - n lands on a multiple of ``PERIOD_QUANTUM``: the
-    overhead plays the role of a single per-cocycle constant, so batches
-    report one common value instead of per-word jitter.  If every member's
-    product around that orbit is certified, it is the report; otherwise
-    the loop at ell itself is certified, and if that fails too, ell
+    At each loop length ell the loop is padded so that the period overhead
+    n_q - n lands on a multiple of ``PERIOD_QUANTUM``: the overhead plays
+    the role of a single per-cocycle constant, so batches report one
+    common value instead of per-word jitter.  If every member's product
+    around that orbit is certified, it is the report; otherwise ell
     doubles (see :func:`_closing_loop`).
 
     A family of scalar cocycles has no hyperplane to steer clear of, and
@@ -554,11 +540,10 @@ def synthesize_family(ctx: FamilyContext, x_word: Symbols, tau: float) -> Synthe
     x = point_from_word(family[0].base, x_word, p.coord(0))
     if all(B.dim == 1 for B in family):
         return replace(_closure_d1(family[0], tuple(x_word), p.coord(0)), bound_value=None)
-    return _synthesize(ctx, x_word, x, tau, ELL_CAP)[0]
+    return _synthesize(ctx, x_word, x, tau)[0]
 
 
-def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
-                ell_cap: int):
+def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float):
     """:func:`synthesize_family` for x_word at its canonical point x (for
     the fixed symbol of p), returning with the report the per-member window
     rows and rescaled products over the word and around q.
@@ -608,8 +593,7 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
     a_turn = turn_direction(fwd.frames, u, 0.05, TURN_CAP)
     turned = extend_at_fixed_target(gb, a_turn)
 
-    ell, doublings, final, q, witnesses, closing = _closing_loop(fwd, turned, trunks, n, tau,
-                                                                 ell_cap)
+    ell, doublings, final, q, witnesses, closing = _closing_loop(fwd, turned, trunks, n, tau)
     return SynthesisReport(
         x_word=tuple(x_word),
         n=n,
@@ -625,65 +609,35 @@ def _synthesize(ctx: FamilyContext, x_word: Symbols, x: PointSpec, tau: float,
     ), word, closing
 
 
-def _closing(side: Side, turned: PathSpec, ell: int):
-    """The path closing turned through the homoclinic loop of length ell,
-    its periodic word q and the window rows of q's orbit."""
-    final = connect(turned, loop_path(side.p, side.z, ell))
-    q = make_periodic(side.family[0].base, final.x0.coords(0, final.n - 1))
-    return final, q, _orbit_rows(side.family[0], periodic_point(q), final.n)
-
-
-def _certified(side: Side, rows: np.ndarray, trunks, tau: float):
-    """Each member's witness and (rows, rescaled product) around a closing
-    orbit, from each group's trunk of its rows; None unless every witness
-    holds.  The witness conditions are scale-invariant, so the rescaled
-    products are certified (raw ones can overflow for large loops)."""
-    prods = _members(side, [_close(G, rows, t) for G, t in zip(side.groups, trunks)])
-    witnesses = tuple(eps_proximal_witness(m[:, :, 0], tau) for m, _ in prods)
-    if not all(w.verdict for w in witnesses):
-        return None
-    return witnesses, [(rows, scaled) for scaled in prods]
-
-
-def _closing_loop(side: Side, turned: PathSpec, trunks, n: int, tau: float, ell_cap: int):
+def _closing_loop(side: Side, turned: PathSpec, trunks, n: int, tau: float):
     """The certified closing of turned, an n-symbol word's path turned at
     p: (loop length, doublings, closing path, q, witnesses, closing folds).
 
-    At each loop length ell, from max(excursion end + 2, 8) up, the loop
-    padded to ell' = ell + pad, which puts the period overhead on a
-    multiple of ``PERIOD_QUANTUM``, is certified first; only if it fails
-    is the loop at ell (the fallback), and only if both fail is ell
-    doubled.  The windows are folded in increasing length: each group's
-    trunk is continued to the cut of the loop at ell, which the padded
-    loop's rows extend (a longer loop only appends fixed symbols), and
-    that trunk is kept; it is continued through the padded loop's
-    remaining windows and its k wrapped windows, and the fallback
-    continues it through its own k wrapped windows.  A doubled ell
-    continues the longer of the two trunks that its rows extend.
+    At each loop length ell, from max(excursion end + 2, 8) up, doubling to
+    ``ELL_CAP``, one loop is certified: the loop padded to ell + pad, which
+    puts the period overhead on a multiple of ``PERIOD_QUANTUM``.  A padded
+    length equal to the one that just failed (pad >= ell) is not certified
+    again.  Each group's trunk is carried from one loop's cut to the next,
+    whose rows extend it (a longer loop only appends fixed symbols).  The
+    witness conditions are scale-invariant, so the rescaled products are
+    certified (raw ones can overflow for large loops).
     """
-    ell = max(side.excursion_end + 2, 8)
-    doublings = 0
-    while ell <= ell_cap:
-        pad = -(turned.n + ell - n) % PERIOD_QUANTUM
-        final, q, rows = _closing(side, turned, ell + pad)
-        unpadded = tuple(_trunk(G, rows[:, :final.n - pad], t)
-                         for G, t in zip(side.groups, trunks))
-        padded = tuple(_trunk(G, rows, t) for G, t in zip(side.groups, unpadded))
-        done = _certified(side, rows, padded, tau)
-        if done is not None:
-            return ell + pad, doublings, final, q, *done
-        if pad:
-            final, q, rows = _closing(side, turned, ell)
-            # the prefix test of _trunk checks the kept trunk against the
-            # fallback's own rows
-            done = _certified(side, rows, [_trunk(G, rows, t)
-                                           for G, t in zip(side.groups, unpadded)], tau)
-            if done is not None:
-                return ell, doublings, final, q, *done
+    ell, doublings, failed = max(side.excursion_end + 2, 8), 0, None
+    while ell <= ELL_CAP:
+        length = ell + -(turned.n + ell - n) % PERIOD_QUANTUM
+        if length != failed:
+            final = connect(turned, loop_path(side.p, side.z, length))
+            q = make_periodic(side.family[0].base, final.x0.coords(0, final.n - 1))
+            rows = _orbit_rows(side.family[0], periodic_point(q), final.n)
+            prods, trunks = _fold_family(side, rows, trunks)
+            witnesses = tuple(eps_proximal_witness(m[:, :, 0], tau) for m, _ in prods)
+            if all(w.verdict for w in witnesses):
+                closing = [(rows, scaled) for scaled in prods]
+                return length, doublings, final, q, witnesses, closing
+            failed = length
         doublings += 1
-        trunks = padded if pad <= ell else unpadded
         ell *= 2
-    raise SynthesisFailed(f"loop length cap {ell_cap} reached without certifying")
+    raise SynthesisFailed(f"loop length cap {ELL_CAP} reached without certifying")
 
 
 def _closure_d1(A: WindowCocycle, x_word: Symbols, base_symbol: int) -> SynthesisReport:
@@ -711,8 +665,8 @@ def _closure_d1(A: WindowCocycle, x_word: Symbols, base_symbol: int) -> Synthesi
     )
 
 
-def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
-                            *, ell_cap: int = ELL_CAP) -> SynthesisReport:
+def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols,
+                            tau: float) -> SynthesisReport:
     """Shadowing periodic orbit for a typical cocycle with every exterior
     power of the closing product certified tau-proximal; ``cert`` must be a
     passing typicality certificate (its pair steers the construction)."""
@@ -726,7 +680,7 @@ def build_proximal_periodic(A: WindowCocycle, cert, x_word: Symbols, tau: float,
         raise ValueError("a passing typicality certificate is required")
     ctx = exterior_family_context(A, cert.p, cert.z)
     x = point_from_word(A.base, x_word, cert.p.coord(0))
-    report, word, closing = _synthesize(ctx, tuple(x_word), x, tau, ell_cap)
+    report, word, closing = _synthesize(ctx, tuple(x_word), x, tau)
     # the members are A's exterior powers, so their products over the word
     # and around q are the rungs of A's ladders with every window already
     # applied: the word's are those orbit_mu_vec folds, byte for byte
@@ -769,13 +723,14 @@ class TheoremAReport:
         }
 
 
-def verify_theorem_a(A: WindowCocycle, cert, words: Sequence[Symbols], tau: float,
-                     *, ell_cap: int = ELL_CAP) -> TheoremAReport:
+def verify_theorem_a(A: WindowCocycle, cert, words: Sequence[Symbols],
+                     tau: float) -> TheoremAReport:
     """Run the builder on each word and aggregate the bound values.
 
     ``empirical_c`` is the largest observed norm difference, ``empirical_k``
-    the largest period overhead; the least-squares slope of bound against
-    word length is the drift diagnostic (flat means the bound is length-free).
+    the largest period overhead (a multiple of ``PERIOD_QUANTUM`` when
+    d >= 2); the least-squares slope of bound against word length is the
+    drift diagnostic (flat means the bound is length-free).
     """
     if len(words) == 0:
         raise ValueError("no words to sample")
@@ -783,8 +738,7 @@ def verify_theorem_a(A: WindowCocycle, cert, words: Sequence[Symbols], tau: floa
     failures = []
     for w in words:
         try:
-            reports.append(build_proximal_periodic(A, cert, tuple(w), tau,
-                                                   ell_cap=ell_cap))
+            reports.append(build_proximal_periodic(A, cert, tuple(w), tau))
         except SYNTHESIS_ERRORS as exc:
             failures.append((tuple(w), str(exc)))
     if not reports:

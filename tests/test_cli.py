@@ -473,15 +473,21 @@ def test_report_targets_are_checked_before_the_run(demo_file, tmp_path, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == []
 
 
-@pytest.mark.parametrize("command", [
-    ["dominate"], ["pressure", "--s", "1"], ["compare", "--input-b", None],
-], ids=["dominate", "pressure", "compare"])
-def test_threads_option_is_gone(demo_file, capsys, command):
-    # every sweep runs in the calling thread, so no command takes --threads
+@pytest.mark.parametrize("command, option", [
+    (["dominate"], "--threads"), (["pressure", "--s", "1"], "--threads"),
+    (["compare", "--input-b", None], "--threads"),
+    (["synthesize", "--word", "0110"], "--ell-cap"),
+    (["verify-bound", "--seed", "1"], "--ell-cap"),
+], ids=["dominate", "pressure", "compare", "synthesize-ell-cap", "verify-bound-ell-cap"])
+def test_threads_option_is_gone(demo_file, capsys, command, option):
+    # every sweep runs in the calling thread, so no command takes --threads;
+    # the closing loop length is capped by synthesis.ELL_CAP alone, so no
+    # command takes --ell-cap
     argv = [str(demo_file) if a is None else a for a in command]
-    assert main(argv + ["--input", str(demo_file), "--threads", "2"]) == 1
+    value = "2" if option == "--threads" else "64"
+    assert main(argv + ["--input", str(demo_file), option, value]) == 1
     err = capsys.readouterr().err
-    assert err == "error: unrecognized arguments: --threads 2\n"
+    assert err == f"error: unrecognized arguments: {option} {value}\n"
 
 
 def test_dominate_rounding_level_gaps_are_no_evidence(tmp_path, capsys):

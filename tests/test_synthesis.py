@@ -461,23 +461,30 @@ def test_verify_theorem_a_small(typical2, typical2_cert):
     assert rep.empirical_k == max(r.n_q - r.n for r in rep.samples)
 
 
-def test_failures_collected_at_tiny_cap(typical2, typical2_cert):
+def test_failures_collected_at_tiny_cap(typical2, typical2_cert, monkeypatch):
     # an unreachable loop cap is reported per sample, not raised
     from coprox.errors import SynthesisFailed
 
+    monkeypatch.setattr(synthesis, "ELL_CAP", 2)
     words = [(1, 1), (0, 1)]
     with pytest.raises(SynthesisFailed):
         # every sample failing is itself an error
-        verify_theorem_a(typical2, typical2_cert[2], words, 0.05, ell_cap=2)
+        verify_theorem_a(typical2, typical2_cert[2], words, 0.05)
 
 
-def test_period_overhead_quantized(typical2, typical2_cert):
+def test_period_overhead_quantized(typical2, typical2_cert, dim6):
     reps = [
         build_proximal_periodic(typical2, typical2_cert[2], w, 0.05)
         for w in [(1, 0), (0, 0, 1, 1), (1, 1, 1, 0, 1)]
     ]
     overheads = {r.n_q - r.n for r in reps}
     assert len(overheads) == 1  # one common period overhead per cocycle
+    # every closing loop certified is padded onto the period quantum
+    for A in [*(getattr(demos, name)() for name in SYNTH_DEMOS), dim6]:
+        cert = typicality.find_typical_pair(A)[2]
+        reps += [build_proximal_periodic(A, cert, analysis.markov_sample(A, length, seed), 0.05)
+                 for length in (16, 48, 128) for seed in range(3)]
+    assert all((r.n_q - r.n) % synthesis.PERIOD_QUANTUM == 0 for r in reps)
 
 
 @pytest.fixture(scope="module")
@@ -656,15 +663,33 @@ def test_each_member_folds_the_orbit_once(length, monkeypatch):
             # which stops k windows short of the start's end
             assert steps[last, mats] == path.n - start.n + k
             # the path through g joins g's fold, then every loop window once
-            # up to the longest closing's cut (a fallback closing is shorter
-            # than the padded one before it), plus k wrapped windows per
-            # closing orbit built
-            assert steps["after", mats] == 3 * k + max(periods) - gb.n + k * len(periods)
+            # up to the last closing's cut (each closing orbit is longer
+            # than the one before it), plus k wrapped windows per closing
+            # orbit built
+            assert periods == sorted(set(periods))
+            assert steps["after", mats] == 3 * k + periods[-1] - gb.n + k * len(periods)
         # the word again: the context and its start are kept
         steps.clear()
         phase[0] = None
         build_proximal_periodic(forward, cert, word, 0.05)
         assert not any(key[0] == "context" for key in steps)
+
+
+def test_a_failed_padded_loop_is_not_certified_again(monkeypatch):
+    # this word's first padded loop (ell 8 padded by 8) fails; the doubled
+    # ell 16 pads to the same loop, which is skipped, and ell 32 certifies
+    periods = []
+    periodic = synthesis.make_periodic
+
+    def closing(base, symbols):
+        periods.append(len(symbols))
+        return periodic(base, symbols)
+
+    monkeypatch.setattr(synthesis, "make_periodic", closing)
+    A, cert = _fresh_demo("radius1_2x2")
+    rep = build_proximal_periodic(A, cert, tuple(map(int, "0110101000101011")), 0.05)
+    assert periods == [48, 64]
+    assert (rep.n_q, rep.ell_used, rep.retries) == (64, 32, 2)
 
 
 def test_closing_trunk_continued_only_on_its_own_rows(radius1):
@@ -787,15 +812,17 @@ def _two_attempt_closing_loop(moved):
     the last attempt's trunk.  Outside the rule, ``moved`` collects each
     ell whose loop failed while its padded loop certified."""
 
-    def loop(side, turned, trunks, n, tau, ell_cap):
+    def loop(side, turned, trunks, n, tau):
         def attempt(ell, trunks):
-            final, q, rows = synthesis._closing(side, turned, ell)
+            final = connect(turned, loop_path(side.p, side.z, ell))
+            q = sft.make_periodic(side.family[0].base, final.x0.coords(0, final.n - 1))
+            rows = cocycle._orbit_rows(side.family[0], sft.periodic_point(q), final.n)
             prods, trunks = synthesis._fold_family(side, rows, trunks)
             witnesses = tuple(eps_proximal_witness(m[:, :, 0], tau) for m, _ in prods)
             return (final, q, witnesses, [(rows, scaled) for scaled in prods]), trunks
 
         ell, doublings = max(side.excursion_end + 2, 8), 0
-        while ell <= ell_cap:
+        while ell <= synthesis.ELL_CAP:
             got, trunks = attempt(ell, trunks)
             pad = -(got[0].n - n) % synthesis.PERIOD_QUANTUM
             certified = all(w.verdict for w in got[2])
@@ -809,7 +836,7 @@ def _two_attempt_closing_loop(moved):
                 return (ell, doublings, *got)
             doublings += 1
             ell *= 2
-        raise SynthesisFailed(f"loop length cap {ell_cap} reached without certifying")
+        raise SynthesisFailed(f"loop length cap {synthesis.ELL_CAP} reached without certifying")
 
     return loop
 
